@@ -5,9 +5,10 @@ Run once per backend and compare:
     python benchmarks/bench_kernels.py
     SHIFTGIBBS_NO_NUMBA=1 python benchmarks/bench_kernels.py
 
-The workload is the weak-Gibbs scan inner loop: per-word energies and
-label-restricted forward products over every allowed window word of the
-even shift with the bundled pair potential.
+The workload is the per-word route of the weak-Gibbs deviation (the
+scan's test oracle): per-word energies and label-restricted forward
+products over every allowed window word of the even shift with the
+bundled pair potential.
 """
 
 import argparse

@@ -132,6 +132,88 @@ def _batch_forward_logprob_np(words, trans, start):
     return acc
 
 
+# ---------------------------------------------------------------------------
+# weak-Gibbs deviation by one walk of the word trie
+# ---------------------------------------------------------------------------
+
+SCAN_BLOCK = 1 << 16  # leaves per walked group of subtrees
+
+
+def scan_deviation(det, start, q, stationary, step_tables, lengths, p_limit):
+    """Largest ``|log nu[u] - U(u) + L * p_limit|`` over the allowed words
+    ``u`` of each length ``L`` in ``lengths`` (one entry per length).
+
+    ``det[s, a]`` is the word automaton's successor (-1 when ``a`` is not
+    allowed) and ``start`` its start state, so the allowed words are the
+    paths of its trie.  ``q[a]`` is the label-restricted transition matrix
+    over the cover states and ``stationary`` the start vector of the forward
+    recursion.  ``step_tables[p]`` is the energy increment of the letter at
+    position ``p``, indexed by the base-K code of the last ``p + 1``
+    letters; the last table serves every later position.
+
+    Each trie node carries its scaled forward vector, its log normaliser and
+    its energy, so every edge costs one vector-matrix product, one rescale
+    and one table lookup, and the rows of all lengths are read on the way
+    down.  The trie is walked in groups of subtrees of at most
+    ``SCAN_BLOCK`` leaves, which bounds the memory at any depth.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    worst = np.zeros(lengths.shape[0])
+    if lengths.shape[0] == 0:
+        return worst
+    depth_max = int(lengths.max())
+    n_symbols = det.shape[1]
+    modulus = step_tables[-1].shape[0]
+    allowed = det >= 0
+    # leaves[r][s]: number of allowed words of length r read from state s
+    leaves = [np.ones(det.shape[0])]
+    for _ in range(depth_max):
+        leaves.append(np.where(allowed, leaves[-1][det], 0.0).sum(axis=1))
+
+    def walk(depth, state, v, logz, energy, code):
+        while True:
+            hit = lengths == depth
+            if hit.any():
+                dev = float(np.abs(logz - energy + depth * p_limit).max())
+                worst[hit] = np.maximum(worst[hit], dev)
+            if depth == depth_max:
+                return
+            table = step_tables[min(depth, len(step_tables) - 1)]
+            # children grouped by their last letter
+            parents = [np.flatnonzero(allowed[state, a]) for a in range(n_symbols)]
+            w = np.empty((sum(p.shape[0] for p in parents), v.shape[1]))
+            lo = 0
+            for a, par in enumerate(parents):
+                np.matmul(v[par], q[a], out=w[lo:lo + par.shape[0]])
+                lo += par.shape[0]
+            parent = np.concatenate(parents)
+            letter = np.repeat(np.arange(n_symbols), [p.shape[0] for p in parents])
+            tot = w.sum(axis=1)
+            w /= tot[:, None]
+            v = w
+            logz = logz[parent] + np.log(tot)
+            code = (code[parent] * n_symbols + letter) % modulus
+            energy = energy[parent] + table[code]
+            state = det[state[parent], letter]
+            depth += 1
+            size = leaves[depth_max - depth][state]
+            if state.shape[0] > 1 and size.sum() > SCAN_BLOCK:
+                break
+        # contiguous groups of at most SCAN_BLOCK leaves (or one node each)
+        ends = np.cumsum(size)
+        lo = 0
+        while lo < state.shape[0]:
+            base = ends[lo - 1] if lo else 0.0
+            hi = max(lo + 1, int(np.searchsorted(ends, base + SCAN_BLOCK, "right")))
+            walk(depth, state[lo:hi], v[lo:hi], logz[lo:hi], energy[lo:hi],
+                 code[lo:hi])
+            lo = hi
+
+    walk(0, np.array([start], dtype=np.int64), stationary[None, :].copy(),
+         np.zeros(1), np.zeros(1), np.zeros(1, dtype=np.int64))
+    return worst
+
+
 if _want_numba:
     batch_energy = njit(cache=True)(_batch_energy_py)
     batch_forward_logprob = njit(cache=True)(_batch_forward_logprob_py)

@@ -64,21 +64,6 @@ def ten_detector_code() -> BlockCode:
     return BlockCode(1, BINARY, block_map)
 
 
-BUNDLED_SHIFTS = {
-    "full2": full_shift_2,
-    "golden_mean": golden_mean,
-    "even": even_shift,
-    "reducible": reducible_pair,
-    "periodic": periodic_cycle,
-}
-
-BUNDLED_POTENTIALS = {
-    "zero": zero,
-    "site_a": single_site,
-    "pair_beta": equal_pair,
-}
-
-
 def data_path(name: str):
     """Filesystem path of a bundled data file (e.g. ``even.shift``)."""
     return resources.files("shiftgibbs").joinpath("data", name)

@@ -121,10 +121,6 @@ def _report_lines(report, header: str | None = None) -> list[str]:
     return lines
 
 
-def _center_words(presentation: SoficPresentation, m: int) -> list[Word]:
-    return enumerate_words(presentation, m)
-
-
 def _cmd_lemma(args) -> str:
     presentation, potential = _load(args)
     lines = ["name\tlhs\trhs\tholds"]
@@ -153,7 +149,7 @@ def _cmd_lemma(args) -> str:
     if args.u:
         targets = [_word(presentation, args.u)]
     else:
-        targets = _center_words(presentation, args.m)
+        targets = enumerate_words(presentation, args.m)
     for u_bar in targets:
         if args.which == "1d":
             report = check(presentation, potential, args.n, args.m, args.j, u_bar,
@@ -236,8 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cap", type=int, default=None,
                        help="enumeration cap override (default 2e6 or "
                             "SHIFTGIBBS_ENUM_CAP)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker cap; output is identical for any value")
         p.add_argument("--out", default=None, help="write the report here")
 
     p = sub.add_parser("gap", help="decoupling gap certificate")
@@ -308,8 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate_numeric(args) -> None:
-    for name in ("n", "m", "n_max", "k", "window", "count", "cap", "threads",
-                 "q_bar"):
+    for name in ("n", "m", "n_max", "k", "window", "count", "cap", "q_bar"):
         value = getattr(args, name, None)
         if isinstance(value, int) and value < 0:
             raise ValidationError(f"--{name.replace('_', '-')} must be nonnegative")

@@ -10,6 +10,7 @@ carry the offending line number.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 from .exceptions import ValidationError
@@ -137,6 +138,8 @@ def load_potential(path, alphabet: Alphabet) -> Potential:
                 value = float(parts[2])
             except ValueError:
                 raise ParseError(path, line_no, f"bad value {parts[2]!r}") from None
+            if not math.isfinite(value):
+                raise ParseError(path, line_no, f"non-finite value {parts[2]!r}")
             offsets, table = shapes[-1]
             if len(pattern) != len(offsets):
                 raise ParseError(path, line_no, "pattern length does not match shape")

@@ -80,10 +80,6 @@ class Potential:
                 raise ValidationError(f"duplicate shape {s.offsets}")
             seen.add(s.offsets)
 
-    def shape_value(self, shape: ShapeTable, letters_at) -> float:
-        """Value of one shape on a configuration accessor anchored at 0."""
-        return shape.value(tuple(letters_at(o) for o in shape.offsets))
-
     @cached_property
     def _kernel_form(self):
         """Dense flattened tables for the batch kernels, or None when some
@@ -265,8 +261,3 @@ def boundary_norm_bound(potential: Potential, m: int) -> float:
                     n_inside += 1
             total += sup * ((2 * m + 1) - n_inside)
     return total
-
-
-def norm_value(potential: Potential) -> float:
-    """Shorthand for the summability norm."""
-    return norms(potential).norm

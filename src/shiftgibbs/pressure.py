@@ -10,6 +10,7 @@ transfer system on the (vertex, trailing-context) cover.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -123,6 +124,31 @@ def _step_energy(potential: Potential, context: tuple[int, ...]) -> float:
             if v != 0.0:
                 terms.append(v)
     return math.fsum(terms)
+
+
+def _check_context_space(potential: Potential) -> None:
+    """Refuse potentials whose (R+1)-letter contexts, R = max(1, range),
+    are too many to tabulate."""
+    K = len(potential.alphabet)
+    R = max(1, potential.span)
+    if K ** (R + 1) > 65536:
+        raise VolumeGuardError(
+            "volume too large for brute force: transfer context space "
+            f"{K}^{R + 1} for a range-{potential.span} potential")
+
+
+def _step_tables(potential: Potential) -> tuple[np.ndarray, ...]:
+    """``_step_energy`` of every context, one table per position
+    p = 0..range: entry ``code`` of table p is the increment of the
+    (p+1)-letter context whose base-K code is ``code`` (first letter most
+    significant).  Later positions use the last table on their trailing
+    range+1 letters."""
+    _check_context_space(potential)
+    K = len(potential.alphabet)
+    return tuple(
+        np.array([_step_energy(potential, ctx)
+                  for ctx in itertools.product(range(K), repeat=p + 1)])
+        for p in range(potential.span + 1))
 
 
 def _head_energy(potential: Potential, context: tuple[int, ...]) -> float:
@@ -275,10 +301,7 @@ def _dp_log_partition(presentation: SoficPresentation, potential: Potential,
     K = len(presentation.alphabet)
     fixed = fixed or {}
     R = max(1, potential.span)
-    if K ** (R + 1) > 65536:
-        raise VolumeGuardError(
-            "volume too large for brute force: transfer context space "
-            f"{K}^{R + 1} for a range-{potential.span} potential")
+    _check_context_space(potential)
     if length <= R:
         # tiny windows: enumerate directly (counts are at most K^R)
         words = presentation.word_matrix(length, cap=max(K ** R * 2, 64))
@@ -372,7 +395,8 @@ DEFAULT_LADDER = (1, 2, 3, 4, 5, 6, 8, 10, 13, 16, 20, 26, 32, 48, 64)
 def pressure_limit(presentation: SoficPresentation, potential: Potential,
                    ladder: tuple[int, ...] = DEFAULT_LADDER) -> PressureEstimate:
     """Limiting pressure as the log Perron root, with finite-volume rows and
-    the computable envelope asserted along the ladder."""
+    the computable envelope checked along the ladder (``ValidationError``
+    when a rung falls outside it)."""
     transfer = build_transfer(presentation, potential)
     lam, h, nu = perron(transfer)
     log_lambda = math.log(lam)
@@ -381,7 +405,7 @@ def pressure_limit(presentation: SoficPresentation, potential: Potential,
         p_n = _dp_log_partition(presentation, potential, 2 * n + 1) / (2 * n + 1)
         env = pressure_envelope(transfer, h, nu, n)
         if abs(p_n - log_lambda) > env:
-            raise AssertionError(
+            raise ValidationError(
                 f"pressure envelope violated at n={n}: |{p_n} - {log_lambda}| > {env}")
         rows.append((n, p_n, env))
     residual = perron_residual(transfer, lam, h, nu)

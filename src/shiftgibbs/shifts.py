@@ -344,15 +344,20 @@ class SoficPresentation:
             states = nxt[ok]
         return words, states
 
-    def word_matrix(self, length: int, cap: int | None = None) -> np.ndarray:
-        """All allowed words of the given length, lexicographic order, as a
-        ``(count, length)`` uint8 array.  Refuses above the enumeration cap."""
+    def check_volume(self, length: int, cap: int | None = None) -> None:
+        """Refuse (``VolumeGuardError``) when the allowed words of the given
+        length exceed the enumeration cap."""
         count = self.word_count(length)
         limit = enumeration_cap(cap)
         if count > limit:
             raise VolumeGuardError(
                 f"volume too large for brute force: {count} words of length "
                 f"{length} exceed the cap {limit}")
+
+    def word_matrix(self, length: int, cap: int | None = None) -> np.ndarray:
+        """All allowed words of the given length, lexicographic order, as a
+        ``(count, length)`` uint8 array.  Refuses above the enumeration cap."""
+        self.check_volume(length, cap)
         det, start = self._det
         words = np.zeros((1, 0), dtype=np.uint8)
         states = np.array([start], dtype=np.int64)
@@ -363,12 +368,7 @@ class SoficPresentation:
                          block_size: int = 1 << 20) -> Iterator[np.ndarray]:
         """Yield the lexicographic word list in contiguous blocks of at most
         ``block_size`` rows without materializing the whole list."""
-        count = self.word_count(length)
-        limit = enumeration_cap(cap)
-        if count > limit:
-            raise VolumeGuardError(
-                f"volume too large for brute force: {count} words of length "
-                f"{length} exceed the cap {limit}")
+        self.check_volume(length, cap)
         det, start = self._det
         n_det = det.shape[0]
         # per-state subtree word counts, exact integers

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from shiftgibbs import enumerate_words
+from shiftgibbs import cli, enumerate_words, pressure
 from shiftgibbs.bundled import (BINARY, SITE_FIELD, data_path, even_shift,
                                 full_shift_2, golden_mean, periodic_cycle,
                                 reducible_pair)
@@ -66,6 +66,22 @@ class TestFileFormats:
         path.write_text("range 1\nval 00 0.5\n", encoding="utf-8")
         with pytest.raises(ParseError, match="val before any shape"):
             load_potential(path, BINARY)
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, tmp_path, text):
+        path = tmp_path / "nonfinite.pot"
+        path.write_text(f"range 1\nshape 0,1\nval 00 0.5\nval 01 {text}\n",
+                        encoding="utf-8")
+        with pytest.raises(ParseError, match=r"nonfinite\.pot:4: non-finite value"):
+            load_potential(path, BINARY)
+
+    def test_non_finite_value_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "nonfinite.pot"
+        path.write_text("range 0\nshape 0\nval 1 nan\n", encoding="utf-8")
+        code = cli.main(["weakgibbs", "--shift", str(data_path("full2.shift")),
+                         "--potential", str(path), "--m", "1..2"])
+        assert code == 2
+        assert "nonfinite.pot:3: non-finite value" in capsys.readouterr().err
 
 
 class TestCli:
@@ -151,9 +167,9 @@ class TestCli:
     def test_determinism_across_runs_and_threads(self):
         args = ("weakgibbs", "--shift", str(data_path("even.shift")),
                 "--potential", str(data_path("pair_beta.pot")), "--m", "1..5")
-        a = run_cli(*args, "--threads", "1")
-        b = run_cli(*args, "--threads", "8")
-        c = run_cli(*args, "--threads", "1")
+        a = run_cli(*args)
+        b = run_cli(*args)
+        c = run_cli(*args)
         assert a.returncode == b.returncode == c.returncode == 0
         assert a.stdout == b.stdout == c.stdout
 
@@ -175,6 +191,22 @@ class TestCli:
                       "--m", "12..12")
         assert out.returncode == 3
         assert "volume too large" in out.stderr
+
+    def test_envelope_violation_exit_code(self, monkeypatch, capsys):
+        monkeypatch.setattr(pressure, "pressure_envelope",
+                            lambda *args, **kwargs: -1.0)
+        code = cli.main(["pressure", "--shift", str(data_path("even.shift")),
+                         "--potential", str(data_path("pair_beta.pot")),
+                         "--n-max", "3"])
+        assert code == 2
+        assert "pressure envelope violated at n=1" in capsys.readouterr().err
+
+    def test_threads_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["gap", "--shift", str(data_path("even.shift")),
+                      "--threads", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
 
     def test_cap_flag_and_env_override(self):
         args = ("pressure", "--shift", str(data_path("full2.shift")),

@@ -5,13 +5,18 @@ import random
 import numpy as np
 import pytest
 
-from shiftgibbs import (ValidationError, Word, brute_partition,
-                        constrained_partition, decoupling_1d_check,
-                        decoupling_gap, energy, enumerate_words,
-                        equilibrium_measure, indicator_potential,
-                        lemma_211_check, lemma_212_check,
-                        tangent_derivative_check, weak_gibbs_scan)
-from shiftgibbs.bundled import BINARY
+from shiftgibbs import (ValidationError, VolumeGuardError, Word, _kernels,
+                        brute_partition, constrained_partition,
+                        decoupling_1d_check, decoupling_gap, energy,
+                        enumerate_words, equilibrium_measure,
+                        indicator_potential, lemma_211_check,
+                        lemma_212_check, tangent_derivative_check,
+                        weak_gibbs_scan)
+from shiftgibbs.bundled import (BINARY, equal_pair, even_shift, full_shift_2,
+                                golden_mean, single_site, zero)
+from shiftgibbs.measures import cylinder_log_probs
+from shiftgibbs.potentials import Potential, ShapeTable
+from shiftgibbs.pressure import word_energies
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -213,6 +218,88 @@ class TestWeakGibbsScan:
 
     def test_scan_is_volume_guarded(self, full, pot_site):
         mu = equilibrium_measure(full, pot_site)
-        from shiftgibbs import VolumeGuardError
         with pytest.raises(VolumeGuardError):
             weak_gibbs_scan(mu, pot_site, mu.log_lambda, [12])
+
+
+def oracle_rows(measure, potential, m_list):
+    """Scan rows (m, D_m) by the per-word route: every allowed word through
+    the batch energy and forward kernels."""
+    presentation = measure.presentation
+    rows = []
+    for m in sorted(m_list):
+        length = 2 * m + 1
+        worst = 0.0
+        for block in presentation.iter_word_blocks(length):
+            dev = np.abs(cylinder_log_probs(measure, block)
+                         - word_energies(presentation, potential, block)
+                         + length * measure.log_lambda)
+            worst = max(worst, float(dev.max()))
+        rows.append((m, worst / length))
+    return rows
+
+
+BUNDLED_SYSTEMS = [(shift, pot)
+                   for shift in (full_shift_2, golden_mean, even_shift)
+                   for pot in (zero, single_site, equal_pair)]
+
+
+class TestWeakGibbsScanOracle:
+    @pytest.mark.parametrize("shift, pot", BUNDLED_SYSTEMS,
+                             ids=lambda f: f.__name__)
+    def test_agrees_with_per_word_route(self, shift, pot):
+        presentation, potential = shift(), pot()
+        mu = equilibrium_measure(presentation, potential)
+        report = weak_gibbs_scan(mu, potential, mu.log_lambda, range(1, 9))
+        want = oracle_rows(mu, potential, range(1, 9))
+        assert [m for (m, _d, _b) in report.rows] == [m for (m, _d) in want]
+        for (_m, d, _b), (_m2, d_oracle) in zip(report.rows, want):
+            assert abs(d - d_oracle) <= 1e-12
+
+    def test_range_three_potential(self, ev):
+        # a potential whose energy steps reach back three letters
+        rng = random.Random(3)
+        shapes = tuple(
+            ShapeTable(offs, {pat: rng.uniform(-1, 1) for pat in
+                              itertools.product((0, 1), repeat=len(offs))})
+            for offs in ((0,), (0, 1), (0, 3), (0, 2, 3)))
+        potential = Potential(BINARY, 3, shapes)
+        mu = equilibrium_measure(ev, potential)
+        report = weak_gibbs_scan(mu, potential, mu.log_lambda, range(0, 7))
+        want = oracle_rows(mu, potential, range(0, 7))
+        for (_m, d, _b), (_m2, d_oracle) in zip(report.rows, want):
+            assert abs(d - d_oracle) <= 1e-12
+
+    @pytest.mark.parametrize("m_list", [[1, 2, 5], [3, 3], [5, 1, 2], []])
+    def test_m_lists(self, ev, pot_pair, m_list):
+        mu = equilibrium_measure(ev, pot_pair)
+        report = weak_gibbs_scan(mu, pot_pair, mu.log_lambda, m_list)
+        want = oracle_rows(mu, pot_pair, m_list)
+        assert [m for (m, _d, _b) in report.rows] == sorted(m_list)
+        for (_m, d, _b), (_m2, d_oracle) in zip(report.rows, want):
+            assert abs(d - d_oracle) <= 1e-12
+
+    def test_blocked_walk_matches_one_block(self, full, pot_site, monkeypatch):
+        mu = equilibrium_measure(full, pot_site)
+        whole = weak_gibbs_scan(mu, pot_site, mu.log_lambda, range(1, 7))
+        monkeypatch.setattr(_kernels, "SCAN_BLOCK", 8)
+        blocked = weak_gibbs_scan(mu, pot_site, mu.log_lambda, range(1, 7))
+        for (m, d, b), (m2, d2, b2) in zip(blocked.rows, whole.rows):
+            assert (m, b) == (m2, b2)
+            assert d == pytest.approx(d2, rel=0, abs=1e-15)
+
+    def test_guard_checks_the_deepest_length_first(self, full, pot_site,
+                                                   monkeypatch):
+        calls = []
+        monkeypatch.setattr(_kernels, "scan_deviation",
+                            lambda *args: calls.append(args))
+        mu = equilibrium_measure(full, pot_site)
+        with pytest.raises(VolumeGuardError,
+                           match="33554432 words of length 25 exceed the cap"):
+            weak_gibbs_scan(mu, pot_site, mu.log_lambda, [1, 12])
+        assert calls == []
+
+    def test_negative_m_rejected(self, full, pot_site):
+        mu = equilibrium_measure(full, pot_site)
+        with pytest.raises(ValidationError, match="m must be nonnegative"):
+            weak_gibbs_scan(mu, pot_site, mu.log_lambda, [-1, 2])
