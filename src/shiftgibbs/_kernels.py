@@ -1,64 +1,27 @@
-"""Batched numeric kernels: numba fast path with a pure-numpy fallback.
-
-The backend is fixed at import time.  Numba is used when it imports cleanly
-and the environment variable ``SHIFTGIBBS_NO_NUMBA`` is unset (or "0");
-setting ``SHIFTGIBBS_NO_NUMBA=1`` selects the vectorized numpy fallback.
-Both backends compute identical quantities; ``benchmarks/bench_kernels.py``
-compares their throughput.
+"""Batched numpy kernels over word lists and the word-automaton trie.
 
 Kernels operate on batches of words encoded as ``uint8`` symbol indices,
-shape ``(n_words, length)``.  Finite-range potentials are passed in a
-flattened dense-table form produced by ``Potential.compiled()``.
+shape ``(n_words, length)``.  Finite-range potentials are passed in the
+flattened dense-table form produced by ``Potential._kernel_form``.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_flag = os.environ.get("SHIFTGIBBS_NO_NUMBA", "").strip().lower()
-_want_numba = _flag not in ("1", "true", "yes")
-
-if _want_numba:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - exercised only without numba
-        _want_numba = False
 
 
 def backend_name() -> str:
-    """Name of the active kernel backend: ``"numba"`` or ``"numpy"``."""
-    return "numba" if _want_numba else "numpy"
+    """Name of the kernel backend: always ``"numpy"``."""
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
 # energy of many words under a finite-range potential (dense-table form)
 # ---------------------------------------------------------------------------
 
-def _batch_energy_py(words, offs, offs_start, offs_len, tables, tab_start, n_symbols):
-    n_words, length = words.shape
-    out = np.zeros(n_words)
-    comp = np.zeros(n_words)
-    n_shapes = offs_len.shape[0]
-    for j in range(n_shapes):
-        k = offs_len[j]
-        span = offs[offs_start[j] + k - 1]
-        for a in range(length - span):
-            for b in range(n_words):
-                code = 0
-                for t in range(k):
-                    code = code * n_symbols + words[b, a + offs[offs_start[j] + t]]
-                val = tables[tab_start[j] + code]
-                # compensated (Kahan) accumulation
-                y = val - comp[b]
-                s = out[b] + y
-                comp[b] = (s - out[b]) - y
-                out[b] = s
-    return out
-
-
-def _batch_energy_np(words, offs, offs_start, offs_len, tables, tab_start, n_symbols):
+def batch_energy(words, offs, offs_start, offs_len, tables, tab_start, n_symbols):
+    """Energy of each word: the table values of every shape translate that
+    fits inside it (all zeros when there are no shapes)."""
     n_words, length = words.shape
     out = np.zeros(n_words)
     n_shapes = offs_len.shape[0]
@@ -79,37 +42,10 @@ def _batch_energy_np(words, offs, offs_start, offs_len, tables, tab_start, n_sym
 # log of label-restricted forward products (hidden-Markov marginals)
 # ---------------------------------------------------------------------------
 
-def _batch_forward_logprob_py(words, trans, start):
-    n_words, length = words.shape
-    n_states = start.shape[0]
-    out = np.empty(n_words)
-    v = np.empty(n_states)
-    w = np.empty(n_states)
-    for b in range(n_words):
-        acc = 0.0
-        for s in range(n_states):
-            v[s] = start[s]
-        dead = False
-        for i in range(length):
-            a = words[b, i]
-            tot = 0.0
-            for t in range(n_states):
-                x = 0.0
-                for s in range(n_states):
-                    x += v[s] * trans[a, s, t]
-                w[t] = x
-                tot += x
-            if tot <= 0.0:
-                dead = True
-                break
-            for t in range(n_states):
-                v[t] = w[t] / tot
-            acc += np.log(tot)
-        out[b] = -np.inf if dead else acc
-    return out
-
-
-def _batch_forward_logprob_np(words, trans, start):
+def batch_forward_logprob(words, trans, start):
+    """Log of ``start @ trans[w_0] @ ... @ trans[w_{L-1}]`` summed over the
+    end states, by the scaled forward recursion; ``-inf`` for a word that no
+    path presents."""
     n_words, length = words.shape
     n_states = start.shape[0]
     v = np.broadcast_to(start, (n_words, n_states)).copy()
@@ -213,20 +149,3 @@ def scan_deviation(det, start, q, stationary, step_tables, lengths, p_limit):
          np.zeros(1), np.zeros(1), np.zeros(1, dtype=np.int64))
     return worst
 
-
-if _want_numba:
-    batch_energy = njit(cache=True)(_batch_energy_py)
-    batch_forward_logprob = njit(cache=True)(_batch_forward_logprob_py)
-else:
-    batch_energy = _batch_energy_np
-    batch_forward_logprob = _batch_forward_logprob_np
-
-
-def warm_up():
-    """Trigger JIT compilation on tiny inputs so timed runs stay honest."""
-    words = np.zeros((2, 3), dtype=np.uint8)
-    offs = np.array([0, 1], dtype=np.int64)
-    batch_energy(words, offs, np.array([0], dtype=np.int64),
-                 np.array([2], dtype=np.int64), np.zeros(4), np.array([0], dtype=np.int64), 2)
-    trans = np.full((2, 1, 1), 0.5)
-    batch_forward_logprob(words, trans, np.ones(1))

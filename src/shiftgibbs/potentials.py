@@ -85,8 +85,6 @@ class Potential:
         """Dense flattened tables for the batch kernels, or None when some
         table would be unreasonably large (e.g. wide indicator shapes)."""
         K = len(self.alphabet)
-        if not self.shapes:
-            return None
         offs, offs_start, offs_len, tabs, tab_start = [], [], [], [], []
         for s in self.shapes:
             if K ** s.size > _COMPILED_TABLE_LIMIT:

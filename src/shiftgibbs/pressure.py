@@ -20,7 +20,8 @@ import numpy as np
 from . import _kernels
 from .exceptions import ValidationError, VolumeGuardError
 from .potentials import Potential, boundary_norm_bound, energy
-from .shifts import SoficPresentation, Word, enumeration_cap
+from .shifts import (SoficPresentation, Word, enumeration_cap,
+                     strongly_connected, support_period)
 
 PERRON_TOL = 1e-13
 PERRON_RESIDUAL_TOL = 1e-12
@@ -54,11 +55,11 @@ class TransferSystem:
 
     @cached_property
     def irreducible(self) -> bool:
-        return _strongly_connected(self.matrix > 0)
+        return strongly_connected(self.matrix > 0)
 
     @cached_property
     def primitive(self) -> bool:
-        return self.irreducible and _support_period(self.matrix > 0) == 1
+        return self.irreducible and support_period(self.matrix > 0) == 1
 
     def state_name(self, i: int) -> str:
         v, ctx = self.states[i]
@@ -75,41 +76,6 @@ class PressureEstimate:
     log_lambda: float
     finite_volume: tuple[tuple[int, float, float], ...]  # (n, P_n, envelope)
     residual: float
-
-
-def _strongly_connected(support: np.ndarray) -> bool:
-    n = support.shape[0]
-    for adj in (support, support.T):
-        seen = np.zeros(n, dtype=bool)
-        seen[0] = True
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for w in np.nonzero(adj[v])[0]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(int(w))
-        if not seen.all():
-            return False
-    return True
-
-
-def _support_period(support: np.ndarray) -> int:
-    level = {0: 0}
-    queue = [0]
-    g = 0
-    while queue:
-        nxt = []
-        for v in queue:
-            for w in np.nonzero(support[v])[0]:
-                w = int(w)
-                if w in level:
-                    g = math.gcd(g, level[v] + 1 - level[w])
-                else:
-                    level[w] = level[v] + 1
-                    nxt.append(w)
-        queue = nxt
-    return abs(g)
 
 
 def _step_energy(potential: Potential, context: tuple[int, ...]) -> float:

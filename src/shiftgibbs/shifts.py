@@ -31,6 +31,38 @@ def enumeration_cap(override: int | None = None) -> int:
     return int(env) if env else DEFAULT_ENUM_CAP
 
 
+def strongly_connected(support: np.ndarray) -> bool:
+    """True iff the digraph with boolean adjacency ``support`` is strongly
+    connected: vertex 0 reaches every vertex and every vertex reaches it."""
+    for adj in (support, support.T):
+        seen = np.zeros(support.shape[0], dtype=bool)
+        seen[0] = True
+        frontier = seen
+        while frontier.any():
+            frontier = adj[frontier].any(axis=0) & ~seen
+            seen = seen | frontier
+        if not seen.all():
+            return False
+    return True
+
+
+def support_period(support: np.ndarray) -> int:
+    """Period (gcd of cycle lengths) of the strongly connected digraph with
+    boolean adjacency ``support``: the gcd of level(v) + 1 - level(w) over
+    its edges v -> w, with level the breadth-first distance from vertex 0
+    (edges out of vertices that vertex 0 does not reach are ignored)."""
+    level = np.full(support.shape[0], -1, dtype=np.int64)
+    level[0] = 0
+    frontier = level == 0
+    depth = 0
+    while frontier.any():
+        depth += 1
+        frontier = support[frontier].any(axis=0) & (level < 0)
+        level[frontier] = depth
+    src, dst = np.nonzero(support & (level >= 0)[:, None])
+    return int(np.gcd.reduce(level[src] + 1 - level[dst]))
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """Ordered finite set of symbol tokens; the order fixes all iteration order."""
@@ -219,46 +251,23 @@ class SoficPresentation:
         return True
 
     @cached_property
-    def irreducible(self) -> bool:
-        n = self.n_vertices
-        seen = self._reach(0, self._out, forward=True)
-        if len(seen) != n:
-            return False
-        seen = self._reach(0, self._in, forward=False)
-        return len(seen) == n
+    def _adjacency(self) -> np.ndarray:
+        """Boolean vertex adjacency: ``[s, d]`` iff some edge runs s -> d."""
+        adj = np.zeros((self.n_vertices, self.n_vertices), dtype=bool)
+        src, dst, _labels = np.array(self.edges).T
+        adj[src, dst] = True
+        return adj
 
-    def _reach(self, root: int, adj, forward: bool) -> set[int]:
-        seen = {root}
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for e in adj[v]:
-                w = self.edge_target(e) if forward else self.edge_source(e)
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
+    @cached_property
+    def irreducible(self) -> bool:
+        return strongly_connected(self._adjacency)
 
     @cached_property
     def period(self) -> int:
         """gcd of cycle lengths; defined only for irreducible graphs."""
         if not self.irreducible:
             raise ValidationError("aperiodicity undefined on reducible graph")
-        level = {0: 0}
-        queue = [0]
-        g = 0
-        while queue:
-            nxt = []
-            for v in queue:
-                for e in self._out[v]:
-                    w = self.edge_target(e)
-                    if w in level:
-                        g = math.gcd(g, level[v] + 1 - level[w])
-                    else:
-                        level[w] = level[v] + 1
-                        nxt.append(w)
-            queue = nxt
-        return abs(g) if g else 0
+        return support_period(self._adjacency)
 
     @cached_property
     def aperiodic(self) -> bool:
@@ -302,20 +311,20 @@ class SoficPresentation:
             i += 1
         return np.array(rows, dtype=np.int64), 0
 
+    def _subtree_counts(self, length: int) -> list[np.ndarray]:
+        """``counts[r][s]``: the exact number of allowed words of length
+        ``r`` read from automaton state ``s``, for r = 0..length (Python
+        integers, so no count overflows)."""
+        det, _ = self._det
+        allowed = det >= 0
+        counts = [np.ones(det.shape[0], dtype=object)]
+        for _ in range(length):
+            counts.append(np.where(allowed, counts[-1][det], 0).sum(axis=1))
+        return counts
+
     def word_count(self, length: int) -> int:
         """Exact number of allowed words of the given length (exact integers)."""
-        if length == 0:
-            return 1
-        det, start = self._det
-        counts = {start: 1}
-        for _ in range(length):
-            nxt: dict[int, int] = {}
-            for s, c in counts.items():
-                for t in det[s]:
-                    if t >= 0:
-                        nxt[int(t)] = nxt.get(int(t), 0) + c
-            counts = nxt
-        return sum(counts.values())
+        return int(self._subtree_counts(length)[length][self._det[1]])
 
     def allows(self, letters: Sequence[int]) -> bool:
         """True iff the letter sequence labels at least one path."""
@@ -344,62 +353,49 @@ class SoficPresentation:
             states = nxt[ok]
         return words, states
 
-    def check_volume(self, length: int, cap: int | None = None) -> None:
+    def check_volume(self, length: int, cap: int | None = None
+                     ) -> list[np.ndarray]:
         """Refuse (``VolumeGuardError``) when the allowed words of the given
-        length exceed the enumeration cap."""
-        count = self.word_count(length)
+        length exceed the enumeration cap; otherwise return the subtree
+        counts of ``_subtree_counts``."""
+        counts = self._subtree_counts(length)
+        count = counts[length][self._det[1]]
         limit = enumeration_cap(cap)
         if count > limit:
             raise VolumeGuardError(
                 f"volume too large for brute force: {count} words of length "
                 f"{length} exceed the cap {limit}")
+        return counts
+
+    def _word_blocks(self, length: int, cap: int | None,
+                     block_size: float) -> Iterator[np.ndarray]:
+        """The lexicographic word list in contiguous blocks of at most
+        ``block_size`` rows (one block for an infinite size): each block is
+        the subtree below one trie prefix, grown by ``_grow``."""
+        counts = self.check_volume(length, cap)
+        det, start = self._det
+
+        def emit(prefix: list[int], state: int, remaining: int):
+            if counts[remaining][state] <= block_size or remaining == 0:
+                yield self._grow(np.array([prefix], dtype=np.uint8),
+                                 np.array([state], dtype=np.int64), remaining)[0]
+                return
+            for a, t in enumerate(det[state]):
+                if t >= 0:
+                    yield from emit(prefix + [a], int(t), remaining - 1)
+
+        yield from emit([], start, length)
 
     def word_matrix(self, length: int, cap: int | None = None) -> np.ndarray:
         """All allowed words of the given length, lexicographic order, as a
         ``(count, length)`` uint8 array.  Refuses above the enumeration cap."""
-        self.check_volume(length, cap)
-        det, start = self._det
-        words = np.zeros((1, 0), dtype=np.uint8)
-        states = np.array([start], dtype=np.int64)
-        words, _ = self._grow(words, states, length)
-        return words
+        return next(self._word_blocks(length, cap, math.inf))
 
     def iter_word_blocks(self, length: int, cap: int | None = None,
                          block_size: int = 1 << 20) -> Iterator[np.ndarray]:
         """Yield the lexicographic word list in contiguous blocks of at most
         ``block_size`` rows without materializing the whole list."""
-        self.check_volume(length, cap)
-        det, start = self._det
-        n_det = det.shape[0]
-        # per-state subtree word counts, exact integers
-        cnt: list[list[int]] = [[1] * n_det]
-        for _ in range(length):
-            prev = cnt[-1]
-            cur = []
-            for s in range(n_det):
-                c = 0
-                for t in det[s]:
-                    if t >= 0:
-                        c += prev[int(t)]
-                cur.append(c)
-            cnt.append(cur)
-
-        K = len(self.alphabet)
-
-        def emit(prefix: list[int], state: int, remaining: int):
-            if cnt[remaining][state] <= block_size or remaining == 0:
-                row = np.array([prefix], dtype=np.uint8)
-                st = np.array([state], dtype=np.int64)
-                words, _ = self._grow(row, st, remaining)
-                if words.shape[0]:
-                    yield words
-                return
-            for a in range(K):
-                t = det[state][a]
-                if t >= 0:
-                    yield from emit(prefix + [a], int(t), remaining - 1)
-
-        yield from emit([], start, length)
+        yield from self._word_blocks(length, cap, block_size)
 
     # -- path utilities ---------------------------------------------------------
 
@@ -726,10 +722,7 @@ def decoupling_gap(presentation: SoficPresentation,
     if not presentation.aperiodic:
         raise ValidationError("exact-length gap does not exist: graph is periodic")
     n = presentation.n_vertices
-    adj = np.zeros((n, n), dtype=bool)
-    for (s, d, _a) in presentation.edges:
-        adj[s, d] = True
-    power = adj.copy()
+    power = adj = presentation._adjacency
     q = 1
     limit = (n - 1) * (n - 1) + 2
     while not power.all():

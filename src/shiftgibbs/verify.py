@@ -176,10 +176,7 @@ def weak_gibbs_scan(measure: RPFMeasure, potential: Potential, p_limit: float,
 def indicator_potential(presentation: SoficPresentation, u_bar: Word) -> Potential:
     """Potential with a single interval shape whose value is 1 exactly on
     the given allowed center word."""
-    if len(u_bar) % 2 == 0 or u_bar.start != -(len(u_bar) // 2):
-        raise ValidationError("center word must live on a symmetric window [-m, m]")
-    if not presentation.allows(u_bar.letters):
-        raise ValidationError("disallowed word: indicator pattern not in the language")
+    _require_allowed_center(presentation, u_bar)
     span = len(u_bar) - 1
     shape = ShapeTable(tuple(range(span + 1)), {u_bar.letters: 1.0})
     return Potential(presentation.alphabet, span, (shape,))
@@ -441,10 +438,9 @@ def decoupling_1d_check(presentation: SoficPresentation, potential: Potential,
                 key_count[i].add((key[1], key[2]))
 
     # every (v, w-, w+) triple with allowed components must be realized
-    centers = presentation.word_matrix(length)
-    tails_minus = presentation.word_matrix(lam_minus[1] - lam_minus[0] + 1)
-    tails_plus = presentation.word_matrix(lam_plus[1] - lam_plus[0] + 1)
-    expected = (centers.shape[0] * tails_minus.shape[0] * tails_plus.shape[0])
+    expected = (presentation.word_count(length)
+                * presentation.word_count(lam_minus[1] - lam_minus[0] + 1)
+                * presentation.word_count(lam_plus[1] - lam_plus[0] + 1))
     realized = len(members)
     min_size = min(len(s) for s in members.values()) if members else 0
     max_size = max(len(s) for s in members.values()) if members else 0

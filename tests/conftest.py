@@ -1,15 +1,8 @@
 import pytest
 
-from shiftgibbs import _kernels
 from shiftgibbs.bundled import (equal_pair, even_shift, full_shift_2,
                                 golden_mean, periodic_cycle, reducible_pair,
                                 single_site, zero)
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # JIT compile (or no-op on the numpy backend) before anything is timed
-    _kernels.warm_up()
 
 
 @pytest.fixture(scope="session")

@@ -6,9 +6,10 @@ import pytest
 from shiftgibbs import (ValidationError, add_potentials, brute_partition,
                         build_transfer, finite_pressure, perron,
                         pressure_limit)
-from shiftgibbs.bundled import (BINARY, SITE_FIELD, equal_pair, single_site,
-                                zero)
-from shiftgibbs.potentials import Potential, ShapeTable
+from shiftgibbs.bundled import (BINARY, SITE_FIELD, data_path, equal_pair,
+                                single_site, zero)
+from shiftgibbs.fileio import load_shift
+from shiftgibbs.potentials import Potential, ShapeTable, zero_potential
 from shiftgibbs.pressure import TransferSystem, perron_residual
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -107,6 +108,15 @@ class TestPerron:
         t = build_transfer(periodic, pot_zero)
         with pytest.raises(ValidationError, match="periodic transfer system"):
             perron(t)
+
+    @pytest.mark.parametrize("name", ["full2.shift", "golden_mean.shift",
+                                      "golden_mean.sft", "even.shift",
+                                      "reducible.shift", "periodic.shift"])
+    def test_cover_predicates_match_presentation(self, name):
+        pres = load_shift(data_path(name))
+        t = build_transfer(pres, zero_potential(pres.alphabet))
+        assert t.irreducible == pres.irreducible
+        assert t.primitive == (pres.irreducible and pres.aperiodic)
 
 
 class TestPressureLimit:

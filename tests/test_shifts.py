@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from shiftgibbs import (Alphabet, BlockCode, Point, SoficPresentation,
@@ -9,6 +10,7 @@ from shiftgibbs import (Alphabet, BlockCode, Point, SoficPresentation,
                         is_irreducible, point_from_words, sft_presentation,
                         splice)
 from shiftgibbs.bundled import BINARY, ten_detector_code
+from shiftgibbs.shifts import strongly_connected, support_period
 
 
 def texts(words):
@@ -48,6 +50,12 @@ class TestEnumeration:
                 centers = {w.letters[1:-1] for w in big}
                 assert centers == small
 
+    def test_blocks_concatenate_to_word_matrix(self, ev, full):
+        for pres in (ev, full):
+            blocks = list(pres.iter_word_blocks(9, block_size=7))
+            assert all(0 < b.shape[0] <= 7 for b in blocks)
+            assert np.array_equal(np.concatenate(blocks), pres.word_matrix(9))
+
     def test_word_count_matches_enumeration(self, ev):
         for n in range(0, 5):
             assert ev.word_count(2 * n + 1) == len(enumerate_words(ev, n))
@@ -63,6 +71,17 @@ class TestGraphPredicates:
         assert is_aperiodic(ev)  # cycles of length 1 and 2
         assert not is_aperiodic(periodic)
         assert is_aperiodic(full)
+
+    @pytest.mark.parametrize("support, connected, period", [
+        ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], True, 3),  # 3-cycle
+        ([[1, 1], [1, 0]], True, 1),  # self-loop plus 2-cycle
+        ([[1, 1], [0, 1]], False, None),  # 1 never returns to 0
+    ])
+    def test_support_helpers(self, support, connected, period):
+        support = np.array(support, dtype=bool)
+        assert strongly_connected(support) == connected
+        if period is not None:
+            assert support_period(support) == period
 
     def test_aperiodic_requires_irreducible(self, reducible):
         with pytest.raises(ValidationError, match="aperiodicity undefined"):
