@@ -75,7 +75,8 @@ def batch_forward_logprob(words, trans, start):
 SCAN_BLOCK = 1 << 16  # leaves per walked group of subtrees
 
 
-def scan_deviation(det, start, q, stationary, step_tables, lengths, p_limit):
+def scan_deviation(det, start, q, stationary, step_tables, lengths, p_limit,
+                   leaves):
     """Largest ``|log nu[u] - U(u) + L * p_limit|`` over the allowed words
     ``u`` of each length ``L`` in ``lengths`` (one entry per length).
 
@@ -85,7 +86,9 @@ def scan_deviation(det, start, q, stationary, step_tables, lengths, p_limit):
     over the cover states and ``stationary`` the start vector of the forward
     recursion.  ``step_tables[p]`` is the energy increment of the letter at
     position ``p``, indexed by the base-K code of the last ``p + 1``
-    letters; the last table serves every later position.
+    letters; the last table serves every later position.  ``leaves[r][s]``
+    is the number of allowed words of length ``r`` read from state ``s``
+    (as floats), for r = 0..max(lengths).
 
     Each trie node carries its scaled forward vector, its log normaliser and
     its energy, so every edge costs one vector-matrix product, one rescale
@@ -101,10 +104,6 @@ def scan_deviation(det, start, q, stationary, step_tables, lengths, p_limit):
     n_symbols = det.shape[1]
     modulus = step_tables[-1].shape[0]
     allowed = det >= 0
-    # leaves[r][s]: number of allowed words of length r read from state s
-    leaves = [np.ones(det.shape[0])]
-    for _ in range(depth_max):
-        leaves.append(np.where(allowed, leaves[-1][det], 0.0).sum(axis=1))
 
     def walk(depth, state, v, logz, energy, code):
         while True:

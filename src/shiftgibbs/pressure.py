@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -255,27 +256,38 @@ def brute_partition(presentation: SoficPresentation, potential: Potential,
 
 
 def _dp_log_partition(presentation: SoficPresentation, potential: Potential,
-                      length: int, fixed: dict[int, int] | None = None) -> float:
-    """Word-sum log partition over the determinized automaton.
+                      lengths: Sequence[int],
+                      fixed: dict[int, int] | None = None) -> list[float]:
+    """Word-sum log partitions over the determinized automaton, one per
+    entry of ``lengths`` (in the same order).
 
-    Each allowed word corresponds to exactly one automaton path, so this
-    equals the brute-force sum.  ``fixed`` optionally pins positions
-    (0-based within the window) to single symbols, which restricts the sum
-    to matching words.
+    Each allowed word corresponds to exactly one automaton path, so each
+    value equals the brute-force sum.  One forward pass runs to the deepest
+    length and reads log Z at every requested length on the way; lengths
+    of at most R = max(1, range) letters are enumerated directly.  ``fixed``
+    optionally pins positions (0-based within the window) to single
+    symbols, which restricts every sum to matching words; positions past a
+    length do not constrain it.  Once no word survives, every longer
+    length gets -inf.
     """
     det, start = presentation._det
     K = len(presentation.alphabet)
     fixed = fixed or {}
     R = max(1, potential.span)
     _check_context_space(potential)
-    if length <= R:
+    log_z: dict[int, float] = {}
+    for length in {L for L in lengths if L <= R}:
         # tiny windows: enumerate directly (counts are at most K^R)
         words = presentation.word_matrix(length, cap=max(K ** R * 2, 64))
         keep = np.ones(words.shape[0], dtype=bool)
         for pos, a in fixed.items():
-            keep &= words[:, pos] == a
+            if pos < length:
+                keep &= words[:, pos] == a
         energies = word_energies(presentation, potential, words[keep])
-        return log_sum_exp(energies)
+        log_z[length] = log_sum_exp(energies)
+    wanted = {L for L in lengths if L > R}
+    if not wanted:
+        return [log_z[L] for L in lengths]
 
     step_cache: dict[tuple[int, ...], float] = {}
 
@@ -301,7 +313,7 @@ def _dp_log_partition(presentation: SoficPresentation, potential: Potential,
         w = _head_energy(potential, ctx)
         key = (s, ctx)
         cur[key] = np.logaddexp(cur[key], w) if key in cur else w
-    for pos in range(R, length):
+    for pos in range(R, max(wanted)):
         nxt: dict[tuple[int, tuple[int, ...]], float] = {}
         for (s, ctx), lw in cur.items():
             for a in range(K):
@@ -315,8 +327,11 @@ def _dp_log_partition(presentation: SoficPresentation, potential: Potential,
                 nxt[key] = np.logaddexp(nxt[key], w) if key in nxt else w
         cur = nxt
         if not cur:
-            return -math.inf
-    return log_sum_exp(np.array(list(cur.values())))
+            log_z.update((L, -math.inf) for L in wanted if L > pos)
+            break
+        if pos + 1 in wanted:
+            log_z[pos + 1] = log_sum_exp(np.array(list(cur.values())))
+    return [log_z[L] for L in lengths]
 
 
 def finite_pressure(presentation: SoficPresentation, potential: Potential,
@@ -336,7 +351,7 @@ def finite_pressure(presentation: SoficPresentation, potential: Potential,
             else "product"
     if method == "brute":
         return brute_partition(presentation, potential, n, cap=cap).log_z / length
-    return _dp_log_partition(presentation, potential, length) / length
+    return _dp_log_partition(presentation, potential, [length])[0] / length
 
 
 def _state_multiplier_spread(h: np.ndarray, nu: np.ndarray) -> float:
@@ -362,13 +377,19 @@ def pressure_limit(presentation: SoficPresentation, potential: Potential,
                    ladder: tuple[int, ...] = DEFAULT_LADDER) -> PressureEstimate:
     """Limiting pressure as the log Perron root, with finite-volume rows and
     the computable envelope checked along the ladder (``ValidationError``
-    when a rung falls outside it)."""
+    when a rung falls outside it).
+
+    Every rung's P_n = log Z_{2n+1} / (2n+1) comes from one partition-DP
+    pass to the deepest rung; the rows follow the ladder's order, repeats
+    included."""
     transfer = build_transfer(presentation, potential)
     lam, h, nu = perron(transfer)
     log_lambda = math.log(lam)
+    log_z = _dp_log_partition(presentation, potential,
+                              [2 * n + 1 for n in ladder])
     rows = []
-    for n in ladder:
-        p_n = _dp_log_partition(presentation, potential, 2 * n + 1) / (2 * n + 1)
+    for n, lz in zip(ladder, log_z):
+        p_n = lz / (2 * n + 1)
         env = pressure_envelope(transfer, h, nu, n)
         if abs(p_n - log_lambda) > env:
             raise ValidationError(

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -22,21 +21,27 @@ from . import _kernels
 from .measures import RPFMeasure, cylinder_prob, equilibrium_measure
 from .potentials import (Potential, ShapeTable, boundary_norm_bound, energy,
                          norms)
-from .pressure import (_step_tables, brute_partition, finite_pressure,
-                       log_sum_exp, word_energies)
+from .pressure import (_dp_log_partition, _step_tables, brute_partition,
+                       finite_pressure, log_sum_exp, word_energies)
 from .shifts import SoficPresentation, Word, decoupling_gap
 
 _LN2 = math.log(2.0)
 _SHIFT = 1100  # dyadic rescale exponent; covers the double exponent range
 
 
+def _dyadic_ints(values: list[float]) -> list[int]:
+    """The integers t * 2**_SHIFT of floats t in [0, 1]: each t is m / d with
+    d a power of two at most 2**1074, so t * 2**_SHIFT = m * 2**(_SHIFT -
+    log2 d) exactly."""
+    return [m << (_SHIFT + 1 - d.bit_length())
+            for m, d in map(float.as_integer_ratio, values)]
+
+
 def _exact_terms(energies: np.ndarray) -> tuple[list[int], float]:
     """Represent exp(energies) exactly as integers times 2**-_SHIFT relative
     to the common scale max(energies)."""
     scale = float(energies.max()) if energies.size else 0.0
-    rel = np.exp(energies - scale)
-    ints = [int(Fraction(float(t)) * (1 << _SHIFT)) for t in rel]
-    return ints, scale
+    return _dyadic_ints(np.exp(energies - scale).tolist()), scale
 
 
 def _log_scaled(total: int, scale: float) -> float:
@@ -143,25 +148,27 @@ def weak_gibbs_scan(measure: RPFMeasure, potential: Potential, p_limit: float,
     ``cylinder_log_probs``.
 
     The analytic bound per row combines the exact-constant cylinder
-    sandwich, the finite-volume pressure gap |P_m - p_limit|, and the
-    empirical-pairing substitution error (boundary bound over volume).
+    sandwich, the finite-volume pressure gap |P_m - p_limit| (every P_m
+    from one partition-DP pass), and the empirical-pairing substitution
+    error (boundary bound over volume).
     """
     presentation = measure.presentation
     ms = sorted(m_list)
     if any(m < 0 for m in ms):
         raise ValidationError("m must be nonnegative")
     lengths = [2 * m + 1 for m in ms]
-    if lengths:
-        presentation.check_volume(max(lengths), cap)
+    counts = presentation.check_volume(max(lengths, default=0), cap)
     det, start = presentation._det
     worst = _kernels.scan_deviation(
         det, start, measure.q_by_symbol, measure.stationary,
-        _step_tables(potential), lengths, p_limit)
+        _step_tables(potential), lengths, p_limit,
+        [np.asarray(c, dtype=float) for c in counts])
     q = decoupling_gap(presentation, "bounded-length").gap
     n_symbols = len(presentation.alphabet)
+    log_z = _dp_log_partition(presentation, potential, lengths)
     rows = []
-    for m, length, dev in zip(ms, lengths, worst):
-        p_m = finite_pressure(presentation, potential, m, method="product")
+    for m, length, dev, lz in zip(ms, lengths, worst, log_z):
+        p_m = lz / length
         log_k = ratio_log_constant(potential, m, q, n_symbols)
         bound = ((math.log(2 * q + 1) + log_k + boundary_norm_bound(potential, m))
                  / length + abs(p_m - p_limit))
@@ -398,8 +405,10 @@ def decoupling_1d_check(presentation: SoficPresentation, potential: Potential,
     _require_allowed_center(presentation, u_bar)
     if len(u_bar) != 2 * m + 1:
         raise ValidationError("windows inconsistent: center word must have length 2m+1")
+    # refuses a reducible presentation even when q_bar is given
+    gap = decoupling_gap(presentation, "bounded-length").gap
     if q_bar is None:
-        q_bar = decoupling_gap(presentation, "bounded-length").gap
+        q_bar = gap
     if n <= m + 2 * q_bar:
         raise ValidationError("window preconditions violated: need n > m + 2*q_bar")
     if abs(j) >= n - (m + 3 * q_bar):

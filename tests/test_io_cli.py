@@ -178,6 +178,15 @@ class TestCli:
         assert out.returncode == 2
         assert "no finite gap" in out.stderr
 
+    def test_lemma_1d_refuses_reducible_shift(self):
+        out = run_cli("lemma", "--which", "1d",
+                      "--shift", str(data_path("reducible.shift")),
+                      "--potential", str(data_path("zero.pot")),
+                      "--n", "8", "--m", "1", "--q-bar", "1")
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert "no finite gap: presentation is not irreducible" in out.stderr
+
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.shift"
         bad.write_text("vertex a\nedge a b 0\n", encoding="utf-8")

@@ -88,8 +88,8 @@ class TestCylinderProb:
         # transfer product with the center pinned
         from shiftgibbs.pressure import _dp_log_partition
         length = 61
-        log_total = _dp_log_partition(ev, pot_zero, length)
-        log_one = _dp_log_partition(ev, pot_zero, length, fixed={30: 1})
+        [log_total] = _dp_log_partition(ev, pot_zero, [length])
+        [log_one] = _dp_log_partition(ev, pot_zero, [length], fixed={30: 1})
         assert cylinder_prob(even_eq, word((1,))) == pytest.approx(
             math.exp(log_one - log_total), abs=1e-8)
 

@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -8,9 +10,10 @@ from shiftgibbs import (ValidationError, add_potentials, brute_partition,
                         pressure_limit)
 from shiftgibbs.bundled import (BINARY, SITE_FIELD, data_path, equal_pair,
                                 single_site, zero)
-from shiftgibbs.fileio import load_shift
+from shiftgibbs.fileio import load_potential, load_shift
 from shiftgibbs.potentials import Potential, ShapeTable, zero_potential
-from shiftgibbs.pressure import TransferSystem, perron_residual
+from shiftgibbs.pressure import (TransferSystem, _dp_log_partition,
+                                 log_sum_exp, perron_residual, word_energies)
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -167,3 +170,89 @@ class TestPressureLimit:
             for (n, p_n, _e), (_n2, p_n2, _e2) in zip(base.finite_volume,
                                                       moved.finite_volume):
                 assert p_n2 - p_n == pytest.approx(c, abs=1e-12)
+
+
+def _bundled_pairs():
+    """Every bundled irreducible, aperiodic shift file with every bundled
+    potential file."""
+    pairs = []
+    for shift in ("full2.shift", "golden_mean.shift", "golden_mean.sft",
+                  "even.shift", "reducible.shift", "periodic.shift"):
+        pres = load_shift(data_path(shift))
+        if pres.irreducible and pres.aperiodic:
+            pairs += [(shift, pot)
+                      for pot in ("zero.pot", "site_a.pot", "pair_beta.pot")]
+    return pairs
+
+
+def _range_three(seed: int) -> Potential:
+    rng = random.Random(seed)
+    shapes = tuple(
+        ShapeTable(offs, {pat: rng.uniform(-1, 1) for pat in
+                          itertools.product((0, 1), repeat=len(offs))})
+        for offs in ((0,), (0, 1), (0, 3), (0, 2, 3)))
+    return Potential(BINARY, 3, shapes)
+
+
+BRUTE_WORDS = 1 << 13  # largest word list the ladder oracle enumerates
+
+
+class TestLadderOracle:
+    """One partition-DP pass against per-length runs and brute force."""
+
+    @pytest.mark.parametrize("shift, pot", _bundled_pairs())
+    def test_rungs_match_single_length_runs(self, shift, pot):
+        pres = load_shift(data_path(shift))
+        potential = load_potential(data_path(pot), pres.alphabet)
+        est = pressure_limit(pres, potential, tuple(range(1, 13)))
+        assert [n for (n, _p, _e) in est.finite_volume] == list(range(1, 13))
+        for (n, p_n, _env) in est.finite_volume:
+            length = 2 * n + 1
+            [alone] = _dp_log_partition(pres, potential, [length])
+            assert p_n == alone / length
+            if pres.word_count(length) <= BRUTE_WORDS:
+                brute = brute_partition(pres, potential, n).log_z / length
+                assert p_n == pytest.approx(brute, rel=0, abs=1e-12)
+
+    def test_range_three_first_rung_enumerated(self, ev):
+        potential = _range_three(5)
+        est = pressure_limit(ev, potential, tuple(range(1, 9)))
+        for (n, p_n, _env) in est.finite_volume:
+            length = 2 * n + 1
+            [alone] = _dp_log_partition(ev, potential, [length])
+            assert p_n == alone / length
+            brute = brute_partition(ev, potential, n).log_z / length
+            assert p_n == pytest.approx(brute, rel=0, abs=1e-12)
+
+    def test_unsorted_ladder_with_repeats(self, ev, pot_pair):
+        est = pressure_limit(ev, pot_pair, (3, 1, 3))
+        assert [n for (n, _p, _e) in est.finite_volume] == [3, 1, 3]
+        for (n, p_n, _env) in est.finite_volume:
+            [alone] = _dp_log_partition(ev, pot_pair, [2 * n + 1])
+            assert p_n == alone / (2 * n + 1)
+
+    def test_fixed_positions_in_every_length(self, ev):
+        potential = _range_three(7)
+        lengths = [9, 2, 5, 13, 4, 9]
+        fixed = {1: 0, 3: 1}
+        many = _dp_log_partition(ev, potential, lengths, fixed=fixed)
+        for length, value in zip(lengths, many):
+            assert value == _dp_log_partition(ev, potential, [length],
+                                              fixed=fixed)[0]
+            words = ev.word_matrix(length)
+            keep = np.ones(words.shape[0], dtype=bool)
+            for pos, a in fixed.items():
+                if pos < length:
+                    keep &= words[:, pos] == a
+            brute = log_sum_exp(word_energies(ev, potential, words[keep]))
+            assert value == pytest.approx(brute, rel=0, abs=1e-12)
+
+    def test_dead_pattern_gives_minus_inf(self, ev, pot_pair):
+        # an odd run of zeros between two ones is not in the even shift
+        out = _dp_log_partition(ev, pot_pair, [5, 1, 2, 3],
+                                fixed={0: 1, 1: 0, 2: 1})
+        assert out[0] == out[3] == -math.inf
+        assert math.isfinite(out[1]) and math.isfinite(out[2])
+
+    def test_no_lengths(self, ev, pot_pair):
+        assert _dp_log_partition(ev, pot_pair, []) == []

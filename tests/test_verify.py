@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from shiftgibbs.bundled import (BINARY, equal_pair, even_shift, full_shift_2,
 from shiftgibbs.measures import cylinder_log_probs
 from shiftgibbs.potentials import Potential, ShapeTable
 from shiftgibbs.pressure import word_energies
+from shiftgibbs.verify import _SHIFT, _dyadic_ints, _exact_terms
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -186,6 +188,37 @@ class TestDecoupling1d:
             decoupling_1d_check(ev, pot_zero, 7, 1, 0, word((0, 0, 0)), q_bar=2)
         with pytest.raises(ValidationError, match="window preconditions"):
             decoupling_1d_check(ev, pot_zero, 5, 1, 0, word((0, 0, 0)), q_bar=2)
+
+    @pytest.mark.parametrize("q_bar", [None, 1])
+    def test_reducible_refused(self, reducible, pot_zero, q_bar):
+        with pytest.raises(ValidationError,
+                           match="no finite gap: presentation is not irreducible"):
+            decoupling_1d_check(reducible, pot_zero, 8, 1, 0, word((0, 0, 0)),
+                                q_bar=q_bar)
+
+
+def fraction_ints(values):
+    """The reference route: each term through exact rational arithmetic."""
+    return [int(Fraction(float(t)) * (1 << _SHIFT)) for t in values]
+
+
+class TestExactTerms:
+    def test_dyadic_ints_match_fraction_form(self):
+        rng = np.random.default_rng(11)
+        values = ([0.0, 1.0, 5e-324, 2.0 ** -1022, 0.5, 1.0 - 2.0 ** -53]
+                  + rng.random(200).tolist() + (rng.random(50) ** 40).tolist())
+        ints = _dyadic_ints(values)
+        assert ints == fraction_ints(values)
+        assert ints[:4] == [0, 1 << _SHIFT, 1 << (_SHIFT - 1074),
+                            1 << (_SHIFT - 1022)]
+
+    def test_exact_terms_relative_to_max(self):
+        # a normal, a subnormal and a vanishing term below the scale
+        energies = np.array([-3.0, 0.25, -700.0, -740.0, -746.0, 0.25])
+        ints, scale = _exact_terms(energies)
+        assert scale == 0.25
+        assert ints == fraction_ints(np.exp(energies - scale))
+        assert ints[1] == ints[5] == 1 << _SHIFT and ints[4] == 0
 
 
 class TestWeakGibbsScan:
