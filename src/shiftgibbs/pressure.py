@@ -160,7 +160,13 @@ def build_transfer(presentation: SoficPresentation,
         for e in presentation.out_edges(v):
             a = presentation.edge_symbol(e)
             j = index[(presentation.edge_target(e), (ctx + (a,))[-R:])]
-            w = math.exp(_step_energy(potential, ctx + (a,)))
+            step = _step_energy(potential, ctx + (a,))
+            try:
+                w = math.exp(step)
+            except OverflowError:
+                w = math.inf
+            if not 0.0 < w < math.inf:
+                raise ValidationError(f"step weight exp({step!r}) leaves the float64 range")
             trans[a, i, j] = w
     start_logw = np.array([_head_energy(potential, ctx) for (_v, ctx) in states])
     return TransferSystem(presentation, potential, R, states, trans, start_logw)

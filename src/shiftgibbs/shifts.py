@@ -9,6 +9,7 @@ call concurrently.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -867,7 +868,8 @@ def sft_presentation(alphabet: Alphabet,
                     return True
         return False
 
-    blocks = [b for b in _tuples(K, memory) if not contains_forbidden(b)]
+    blocks = [b for b in itertools.product(range(K), repeat=memory)
+              if not contains_forbidden(b)]
     alive = set(blocks)
     # prune to the essential core
     changed = True
@@ -898,12 +900,3 @@ def sft_presentation(alphabet: Alphabet,
                 edges.append((alphabet.text(b), alphabet.text(t),
                               alphabet.symbols[a]))
     return SoficPresentation(alphabet, names, edges)
-
-
-def _tuples(K: int, length: int) -> Iterator[tuple[int, ...]]:
-    if length == 0:
-        yield ()
-        return
-    for head in _tuples(K, length - 1):
-        for a in range(K):
-            yield head + (a,)

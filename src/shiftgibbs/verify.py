@@ -6,7 +6,9 @@ epsilon terms, so each recorded inequality is unconditional and meaningful
 at small volumes.  Partition-type quantities that get compared against one
 another are accumulated as exact dyadic integers over a shared term list,
 which makes subset and partition relations hold exactly rather than up to
-rounding.
+rounding.  The lemma suites group words by integer class ids of their
+column windows (``_class_ids``) and sum the terms per class exactly
+(``_class_sums``).
 """
 
 from __future__ import annotations
@@ -209,7 +211,7 @@ def tangent_derivative_check(presentation: SoficPresentation, potential: Potenti
     * the exact brute-force derivative (occurrence-weighted Gibbs average),
     * the equilibrium measure's cylinder probability.
     """
-    indicator_potential(presentation, u_bar)  # validates the word
+    _require_allowed_center(presentation, u_bar)
     length = 2 * n + 1
     bp = brute_partition(presentation, potential, n, cap=cap)
     counts = _occurrence_counts(bp.words, u_bar.letters)
@@ -235,6 +237,44 @@ def _require_allowed_center(presentation: SoficPresentation, v: Word) -> None:
         raise ValidationError("center word must live on a symmetric window [-m, m]")
     if not presentation.allows(v.letters):
         raise ValidationError("disallowed word")
+
+
+def _class_ids(windows: np.ndarray) -> tuple[np.ndarray, int]:
+    """Dense class ids of the rows of a 2-D word array, numbered in the
+    rows' byte order (``np.unique`` over an ``np.void`` view), and the
+    number of classes.  Rows of width 0 form one class."""
+    rows = np.ascontiguousarray(windows if windows.shape[1] else
+                                np.zeros((len(windows), 1), dtype=windows.dtype))
+    keys, ids = np.unique(rows.view(np.dtype((np.void, rows[0].nbytes))).ravel(),
+                          return_inverse=True)
+    return ids, len(keys)
+
+
+def _shifted_class_ids(words: np.ndarray, window: tuple[int, int],
+                       shifts: range) -> tuple[np.ndarray, int]:
+    """``_class_ids`` of the positions [lo + ell, hi + ell] of words on
+    [-n, n] at every shift ell, in one numbering; row k holds shift k."""
+    n = words.shape[1] // 2
+    ids, n_ids = _class_ids(np.concatenate(
+        [words[:, n + window[0] + ell:n + window[1] + ell + 1] for ell in shifts]))
+    return ids.reshape(len(shifts), words.shape[0]), n_ids
+
+
+def _distinct_per_word(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct class ids in each column of ``ids`` (column i belongs to
+    word i) as parallel arrays of (class id, word index)."""
+    ids = np.sort(ids, axis=0)
+    first = np.diff(ids, axis=0, prepend=-1) != 0
+    return ids[first], np.broadcast_to(np.arange(ids.shape[1]), ids.shape)[first]
+
+
+def _class_sums(ids, terms: np.ndarray, shape) -> np.ndarray:
+    """Exact per-class sums of Python-int terms: entry c of the object
+    array is the sum of ``terms[i]`` over ``ids[i] == c`` (``ids`` may be a
+    tuple of index arrays, as for ``np.add.at``)."""
+    sums = np.zeros(shape, dtype=object)
+    np.add.at(sums, ids, terms)
+    return sums
 
 
 def constrained_partition(presentation: SoficPresentation, potential: Potential,
@@ -303,36 +343,28 @@ def lemma_212_check(presentation: SoficPresentation, potential: Potential,
     if abs(j) > n - (m + q):
         raise ValidationError("windows inconsistent: |j| must be at most n-(m+q)")
     bp = brute_partition(presentation, potential, n, cap=cap)
-    words, energies = bp.words, bp.energies
-    terms, scale = _exact_terms(energies)
+    words = bp.words
+    terms, scale = _exact_terms(bp.energies)
     z_n = sum(terms)
-    length = 2 * m + 1
+    terms = np.array(terms, dtype=object)
+    n_words, length = words.shape[0], 2 * m + 1
     shifts = range(-q, q + 1)
 
-    # center patterns per shift, exterior pattern per word
-    center_cols = {ell: slice(n + j + ell - m, n + j + ell + m + 1) for ell in shifts}
-    ext_cols = [k for k in range(2 * n + 1) if abs(k - n - j) > m + q]
-    ext_idx = np.array(ext_cols, dtype=np.int64)
-
-    z_ell: dict[tuple[int, bytes], int] = {}
-    union_members: dict[tuple[bytes, bytes], set[int]] = {}
-    centers: set[bytes] = set()
-    for i in range(words.shape[0]):
-        row = words[i]
-        w_key = row[ext_idx].tobytes()
-        for ell in shifts:
-            v_key = row[center_cols[ell]].tobytes()
-            centers.add(v_key)
-            z_ell[(ell, v_key)] = z_ell.get((ell, v_key), 0) + terms[i]
-            union_members.setdefault((v_key, w_key), set()).add(i)
-
-    z_bar: dict[bytes, int] = {}
-    for (v_key, _w_key), members in union_members.items():
-        z_bar[v_key] = z_bar.get(v_key, 0) + sum(terms[i] for i in members)
-
-    u_key = np.array(u_bar.letters, dtype=words.dtype).tobytes()
-    if (0, u_key) not in z_ell:
+    # class ids: the center pattern at every shift (one numbering across
+    # shifts, in byte order of the patterns) and each word's exterior
+    center_ids, n_centers = _shifted_class_ids(words, (j - m, j + m), shifts)
+    ext_ids, n_ext = _class_ids(words[:, np.abs(np.arange(-n, n + 1) - j) > m + q])
+    u_rows = (words[:, n + j - m:n + j + m + 1] == u_bar.letters).all(axis=1)
+    if not u_rows.any():
         raise ValidationError("center word does not extend to the volume")
+    u_id = center_ids[q, u_rows.argmax()]
+
+    # Z_{n,ell}(v) per (shift, center); Zbar(v) takes each word once per
+    # center it shows at some shift
+    z_ell = _class_sums((np.arange(len(shifts))[:, None], center_ids), terms,
+                        (len(shifts), n_centers))
+    pair_center, pair_word = _distinct_per_word(center_ids)
+    z_bar = _class_sums(pair_center, terms[pair_word], n_centers)
 
     records: list[InequalityRecord] = []
 
@@ -342,27 +374,18 @@ def lemma_212_check(presentation: SoficPresentation, potential: Potential,
     def log_terms(total: int) -> float:
         return _log_scaled(total, scale)
 
-    # eqineqell1: Z_{n,ell}(v) <= Zbar(v) <= sum_ell' Z_{n,ell'}(v)
-    worst_low = None
-    worst_up = None
-    for v_key in sorted(centers):
-        zb = z_bar.get(v_key, 0)
-        for ell in shifts:
-            z = z_ell.get((ell, v_key), 0)
-            slack = zb - z
-            if worst_low is None or slack < worst_low[0]:
-                worst_low = (slack, z, zb)
-        z_sum = sum(z_ell.get((ell, v_key), 0) for ell in shifts)
-        slack = z_sum - zb
-        if worst_up is None or slack < worst_up[0]:
-            worst_up = (slack, zb, z_sum)
-    add("eqineqell1_lower", log_terms(worst_low[1]), log_terms(worst_low[2]),
-        worst_low[1] <= worst_low[2])
-    add("eqineqell1_upper", log_terms(worst_up[1]), log_terms(worst_up[2]),
-        worst_up[1] <= worst_up[2])
+    # eqineqell1: Z_{n,ell}(v) <= Zbar(v) <= sum_ell' Z_{n,ell'}(v); each
+    # row is the first smallest slack in (center, ell) order
+    c, s = divmod(int(np.argmin(z_bar[:, None] - z_ell.T)), len(shifts))
+    add("eqineqell1_lower", log_terms(z_ell[s, c]), log_terms(z_bar[c]),
+        z_ell[s, c] <= z_bar[c])
+    z_sum = z_ell.sum(axis=0)
+    c = int(np.argmin(z_sum - z_bar))
+    add("eqineqell1_upper", log_terms(z_bar[c]), log_terms(z_sum[c]),
+        z_bar[c] <= z_sum[c])
 
     # eqineqell2: Z_n <= sum_v Zbar(v) <= (2q+1) Z_n
-    z_bar_total = sum(z_bar.values())
+    z_bar_total = z_bar.sum()
     add("eqineqell2_lower", log_terms(z_n), log_terms(z_bar_total),
         z_n <= z_bar_total)
     add("eqineqell2_upper", log_terms(z_bar_total),
@@ -370,21 +393,18 @@ def lemma_212_check(presentation: SoficPresentation, potential: Potential,
         z_bar_total <= (2 * q + 1) * z_n)
 
     # nonemptiness of the union classes for the reference word
-    occupied_ext = {w_key for (_v, w_key) in union_members}
-    u_ext = {w_key for (v_key, w_key) in union_members if v_key == u_key}
-    add("decoupling_nonempty", float(len(occupied_ext)), float(len(u_ext)),
-        len(occupied_ext) <= len(u_ext))
+    u_ext = int(np.count_nonzero(np.bincount(ext_ids[(center_ids == u_id).any(axis=0)])))
+    add("decoupling_nonempty", float(n_ext), float(u_ext), n_ext <= u_ext)
 
     # the two displayed bounds, with exact constants
     log_k = ratio_log_constant(potential, m, q, len(presentation.alphabet))
     u_energy = energy(potential, u_bar)
     p_m = finite_pressure(presentation, potential, m, method="product")
-    lhs_up = log_terms(z_ell[(0, u_key)]) - log_terms(z_n)
+    lhs_up = log_terms(z_ell[q, u_id]) - log_terms(z_n)
     rhs_up = math.log(2 * q + 1) + log_k + u_energy - length * p_m
     add("main_upper", lhs_up, rhs_up, lhs_up <= rhs_up)
-    z_u_sum = sum(z_ell.get((ell, u_key), 0) for ell in shifts)
     lhs_low = u_energy - log_k - length * p_m
-    rhs_low = log_terms(z_u_sum) - log_terms(z_n)
+    rhs_low = log_terms(z_sum[u_id]) - log_terms(z_n)
     add("main_lower", lhs_low, rhs_low, lhs_low <= rhs_low)
 
     return LemmaReport(
@@ -417,42 +437,40 @@ def decoupling_1d_check(presentation: SoficPresentation, potential: Potential,
     bp = brute_partition(presentation, potential, n, cap=cap)
     words, energies = bp.words, bp.energies
     terms, scale = _exact_terms(energies)
-    length = 2 * m + 1
-    n_words = words.shape[0]
+    z_n = sum(terms)
+    terms = np.array(terms, dtype=object)
+    n_words, length = words.shape[0], 2 * m + 1
 
     # window geometry (positions, then columns by +n)
     lam_minus = (-n + q_bar, j - (m + 2 * q_bar) - 1)
     lam_plus = (j + m + 2 * q_bar + 1, n - q_bar)
     center = slice(n + j - m, n + j + m + 1)
     shifts = range(-q_bar, q_bar + 1)
+    n_pairs = len(shifts) ** 2
 
-    def window_cols(window: tuple[int, int], ell: int) -> slice:
-        return slice(n + window[0] + ell, n + window[1] + ell + 1)
-
-    # class decomposition: for each word and each (ell-, ell+) pair, the
-    # matched tail patterns; union classes collect members and multiplicity
-    center_keys = words[:, center]
-    members: dict[tuple[bytes, bytes, bytes], set[int]] = {}
-    key_count: dict[int, set[tuple[bytes, bytes]]] = {i: set() for i in range(n_words)}
-    for ell_m in shifts:
-        cols_m = window_cols(lam_minus, ell_m)
-        for ell_p in shifts:
-            cols_p = window_cols(lam_plus, ell_p)
-            for i in range(n_words):
-                row = words[i]
-                # the pattern matched at the shifted window is the tail word
-                key = (center_keys[i].tobytes(), row[cols_m].tobytes(),
-                       row[cols_p].tobytes())
-                members.setdefault(key, set()).add(i)
-                key_count[i].add((key[1], key[2]))
+    # class decomposition: a class is a triple (v, w-, w+) of the center
+    # word and the tail patterns matched at a pair of shifted windows.  The
+    # (w-, w+) pairs over all (ell-, ell+) are renumbered densely before
+    # they are packed with v, so no packed key overflows.
+    center_ids, n_centers = _class_ids(words[:, center])
+    minus_ids, _ = _shifted_class_ids(words, lam_minus, shifts)
+    plus_ids, n_plus = _shifted_class_ids(words, lam_plus, shifts)
+    tails = np.unique((minus_ids[:, None] * n_plus + plus_ids[None]).ravel(),
+                      return_inverse=True)[1]
+    n_tails = int(tails.max()) + 1
+    class_keys, class_ids = np.unique(
+        np.tile(center_ids, n_pairs) * n_tails + tails, return_inverse=True)
+    pair_class, pair_word = _distinct_per_word(class_ids.reshape(n_pairs, n_words))
+    sizes = np.bincount(pair_class)
+    # each word's tail multiplicity: its number of distinct (w-, w+)
+    mult = np.bincount(pair_word, minlength=n_words)
 
     # every (v, w-, w+) triple with allowed components must be realized
     expected = (presentation.word_count(length)
                 * presentation.word_count(lam_minus[1] - lam_minus[0] + 1)
                 * presentation.word_count(lam_plus[1] - lam_plus[0] + 1))
-    realized = len(members)
-    min_size = min(len(s) for s in members.values()) if members else 0
-    max_size = max(len(s) for s in members.values()) if members else 0
+    realized = len(class_keys)
+    min_size, max_size = int(sizes.min()), int(sizes.max())
     card_bound = (2 * q_bar + 1) ** 2 * len(presentation.alphabet) ** (6 * q_bar)
 
     records: list[InequalityRecord] = []
@@ -466,63 +484,45 @@ def decoupling_1d_check(presentation: SoficPresentation, potential: Potential,
         max_size <= card_bound)
 
     # trick: Z_n(v) <= Zbar_n(v) <= (2q+1)^2 Z_n(v), union weighted with
-    # tail-class multiplicity
-    z_v: dict[bytes, int] = {}
-    z_bar: dict[bytes, int] = {}
-    for i in range(n_words):
-        v_key = center_keys[i].tobytes()
-        z_v[v_key] = z_v.get(v_key, 0) + terms[i]
-        z_bar[v_key] = z_bar.get(v_key, 0) + len(key_count[i]) * terms[i]
-    worst_low = None
-    worst_up = None
-    for v_key, zv in sorted(z_v.items()):
-        zb = z_bar[v_key]
-        if worst_low is None or zb - zv < worst_low[0]:
-            worst_low = (zb - zv, zv, zb)
-        slack = (2 * q_bar + 1) ** 2 * zv - zb
-        if worst_up is None or slack < worst_up[0]:
-            worst_up = (slack, zb, (2 * q_bar + 1) ** 2 * zv)
+    # tail-class multiplicity; each row is the first smallest slack in
+    # center order
+    z_v = _class_sums(center_ids, terms, n_centers)
+    z_bar = _class_sums(center_ids, terms * mult.astype(object), n_centers)
 
     def log_terms(total: int) -> float:
         return _log_scaled(total, scale)
 
-    add("trick_lower", log_terms(worst_low[1]), log_terms(worst_low[2]),
-        worst_low[1] <= worst_low[2])
-    add("trick_upper", log_terms(worst_up[1]), log_terms(worst_up[2]),
-        worst_up[1] <= worst_up[2])
+    c = int(np.argmin(z_bar - z_v))
+    add("trick_lower", log_terms(z_v[c]), log_terms(z_bar[c]), z_v[c] <= z_bar[c])
+    c = int(np.argmin(n_pairs * z_v - z_bar))
+    add("trick_upper", log_terms(z_bar[c]), log_terms(n_pairs * z_v[c]),
+        z_bar[c] <= n_pairs * z_v[c])
 
-    # energy sandwich between union classes sharing both tails
+    # energy sandwich between each class and the class (u_bar, w-, w+)
+    # sharing both tails
     log_c1 = sandwich_1d_log_constant(potential, m, q_bar)
-    u_ctr = word_energies(presentation, potential, words[:, center])
-    g = energies - u_ctr
-    g_min: dict[tuple[bytes, bytes, bytes], float] = {}
-    g_max: dict[tuple[bytes, bytes, bytes], float] = {}
-    for key, mem in members.items():
-        vals = [float(g[i]) for i in mem]
-        g_min[key] = min(vals)
-        g_max[key] = max(vals)
-    u_key = np.array(u_bar.letters, dtype=words.dtype).tobytes()
-    worst_est = None
-    for (v_key, w_m, w_p), _mem in members.items():
-        ref = (u_key, w_m, w_p)
-        if ref not in members:
-            continue
-        spread = max(g_max[(v_key, w_m, w_p)] - g_min[ref],
-                     g_max[ref] - g_min[(v_key, w_m, w_p)])
-        if worst_est is None or spread > worst_est:
-            worst_est = spread
-    add("est", worst_est if worst_est is not None else 0.0, log_c1,
-        (worst_est if worst_est is not None else 0.0) <= log_c1)
+    g = energies - word_energies(presentation, potential, words[:, center])
+    g_min = np.full(realized, np.inf)
+    g_max = np.full(realized, -np.inf)
+    np.minimum.at(g_min, pair_class, g[pair_word])
+    np.maximum.at(g_max, pair_class, g[pair_word])
+    u_rows = (words[:, center] == u_bar.letters).all(axis=1)
+    u_id = center_ids[u_rows.argmax()] if u_rows.any() else -1
+    ref_keys = u_id * n_tails + class_keys % n_tails
+    ref = np.minimum(np.searchsorted(class_keys, ref_keys), realized - 1)
+    has = class_keys[ref] == ref_keys
+    spread = np.maximum(g_max[has] - g_min[ref[has]], g_max[ref[has]] - g_min[has])
+    worst_est = float(spread.max()) if spread.size else 0.0
+    add("est", worst_est, log_c1, worst_est <= log_c1)
 
     # final two-sided ratio bound with exact constants
     log_k = ratio_1d_log_constant(potential, m, q_bar, len(presentation.alphabet))
     pair_log = 2 * math.log(2 * q_bar + 1)
     u_energy = energy(potential, u_bar)
     p_m = finite_pressure(presentation, potential, m, method="product")
-    z_n = sum(terms)
-    if u_key not in z_v:
+    if u_id < 0:
         raise ValidationError("center word does not extend to the volume")
-    ratio = log_terms(z_v[u_key]) - log_terms(z_n)
+    ratio = log_terms(z_v[u_id]) - log_terms(z_n)
     lhs_low = u_energy - pair_log - log_k - length * p_m
     rhs_up = pair_log + log_k + u_energy - length * p_m
     add("final_lower", lhs_low, ratio, lhs_low <= ratio)

@@ -187,6 +187,21 @@ class TestCli:
         assert out.stdout == ""
         assert "no finite gap: presentation is not irreducible" in out.stderr
 
+    @pytest.mark.parametrize("value", ["800", "-800"])
+    @pytest.mark.parametrize("command", [("pressure", "--n-max", "4"),
+                                         ("measure",),
+                                         ("weakgibbs", "--m", "1..3")])
+    def test_step_weight_out_of_float_range(self, tmp_path, command, value):
+        pot = tmp_path / "steep.pot"
+        pot.write_text(f"range 0\nshape 0\nval 1 {value}\n", encoding="utf-8")
+        out = run_cli(*command, "--shift", str(data_path("full2.shift")),
+                      "--potential", str(pot))
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert "leaves the float64 range" in out.stderr
+        assert "reducible" not in out.stderr
+        assert "Traceback" not in out.stderr
+
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.shift"
         bad.write_text("vertex a\nedge a b 0\n", encoding="utf-8")

@@ -78,6 +78,19 @@ class TestBuildTransfer:
         lam, _h, _nu = perron(t)
         assert lam == pytest.approx(1 + math.exp(SITE_FIELD), abs=1e-12)
 
+    @pytest.mark.parametrize("value", [709.0, -745.0, 1e-300])
+    def test_weights_in_range_are_exact(self, full, value):
+        # the largest and a subnormal step weight still fit in float64
+        site = Potential(BINARY, 0, (ShapeTable((0,), {(1,): value}),))
+        t = build_transfer(full, site)
+        assert t.matrix[0, 1] == math.exp(value)
+
+    @pytest.mark.parametrize("value", [710.0, 800.0, -746.0, -800.0])
+    def test_weights_out_of_range_refused(self, full, value):
+        site = Potential(BINARY, 0, (ShapeTable((0,), {(1,): value}),))
+        with pytest.raises(ValidationError, match="leaves the float64 range"):
+            build_transfer(full, site)
+
     def test_non_right_resolving_rejected(self, pot_zero):
         from shiftgibbs import SoficPresentation
         pres = SoficPresentation(

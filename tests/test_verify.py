@@ -13,12 +13,17 @@ from shiftgibbs import (ValidationError, VolumeGuardError, Word, _kernels,
                         indicator_potential, lemma_211_check,
                         lemma_212_check, tangent_derivative_check,
                         weak_gibbs_scan)
-from shiftgibbs.bundled import (BINARY, equal_pair, even_shift, full_shift_2,
-                                golden_mean, single_site, zero)
+from shiftgibbs.bundled import (BINARY, data_path, equal_pair, even_shift,
+                                full_shift_2, golden_mean, single_site, zero)
+from shiftgibbs.fileio import load_potential, load_shift
 from shiftgibbs.measures import cylinder_log_probs
 from shiftgibbs.potentials import Potential, ShapeTable
-from shiftgibbs.pressure import word_energies
-from shiftgibbs.verify import _SHIFT, _dyadic_ints, _exact_terms
+from shiftgibbs.pressure import finite_pressure, word_energies
+from shiftgibbs.verify import (_SHIFT, InequalityRecord, LemmaReport,
+                               _dyadic_ints, _exact_terms, _log_scaled,
+                               _require_allowed_center, ratio_1d_log_constant,
+                               ratio_log_constant, sandwich_1d_log_constant,
+                               sandwich_log_constant)
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -195,6 +200,348 @@ class TestDecoupling1d:
                            match="no finite gap: presentation is not irreducible"):
             decoupling_1d_check(reducible, pot_zero, 8, 1, 0, word((0, 0, 0)),
                                 q_bar=q_bar)
+
+
+# ---------------------------------------------------------------------------
+# lemma suites against their per-word oracles
+# ---------------------------------------------------------------------------
+
+def oracle_lemma_212(presentation, potential, n, m, j, u_bar, cap=None):
+    """``lemma_212_check`` by per-word loops: ``bytes`` keys and sets of
+    word indices per class."""
+    _require_allowed_center(presentation, u_bar)
+    if len(u_bar) != 2 * m + 1:
+        raise ValidationError("windows inconsistent: center word must have length 2m+1")
+    q = decoupling_gap(presentation, "bounded-length").gap
+    if abs(j) > n - (m + q):
+        raise ValidationError("windows inconsistent: |j| must be at most n-(m+q)")
+    bp = brute_partition(presentation, potential, n, cap=cap)
+    words, energies = bp.words, bp.energies
+    terms, scale = _exact_terms(energies)
+    z_n = sum(terms)
+    length = 2 * m + 1
+    shifts = range(-q, q + 1)
+
+    # center patterns per shift, exterior pattern per word
+    center_cols = {ell: slice(n + j + ell - m, n + j + ell + m + 1) for ell in shifts}
+    ext_cols = [k for k in range(2 * n + 1) if abs(k - n - j) > m + q]
+    ext_idx = np.array(ext_cols, dtype=np.int64)
+
+    z_ell: dict[tuple[int, bytes], int] = {}
+    union_members: dict[tuple[bytes, bytes], set[int]] = {}
+    centers: set[bytes] = set()
+    for i in range(words.shape[0]):
+        row = words[i]
+        w_key = row[ext_idx].tobytes()
+        for ell in shifts:
+            v_key = row[center_cols[ell]].tobytes()
+            centers.add(v_key)
+            z_ell[(ell, v_key)] = z_ell.get((ell, v_key), 0) + terms[i]
+            union_members.setdefault((v_key, w_key), set()).add(i)
+
+    z_bar: dict[bytes, int] = {}
+    for (v_key, _w_key), members in union_members.items():
+        z_bar[v_key] = z_bar.get(v_key, 0) + sum(terms[i] for i in members)
+
+    u_key = np.array(u_bar.letters, dtype=words.dtype).tobytes()
+    if (0, u_key) not in z_ell:
+        raise ValidationError("center word does not extend to the volume")
+
+    records: list[InequalityRecord] = []
+
+    def add(name: str, lhs: float, rhs: float, holds: bool) -> None:
+        records.append(InequalityRecord(name, lhs, rhs, holds))
+
+    def log_terms(total: int) -> float:
+        return _log_scaled(total, scale)
+
+    # eqineqell1: Z_{n,ell}(v) <= Zbar(v) <= sum_ell' Z_{n,ell'}(v)
+    worst_low = None
+    worst_up = None
+    for v_key in sorted(centers):
+        zb = z_bar.get(v_key, 0)
+        for ell in shifts:
+            z = z_ell.get((ell, v_key), 0)
+            slack = zb - z
+            if worst_low is None or slack < worst_low[0]:
+                worst_low = (slack, z, zb)
+        z_sum = sum(z_ell.get((ell, v_key), 0) for ell in shifts)
+        slack = z_sum - zb
+        if worst_up is None or slack < worst_up[0]:
+            worst_up = (slack, zb, z_sum)
+    add("eqineqell1_lower", log_terms(worst_low[1]), log_terms(worst_low[2]),
+        worst_low[1] <= worst_low[2])
+    add("eqineqell1_upper", log_terms(worst_up[1]), log_terms(worst_up[2]),
+        worst_up[1] <= worst_up[2])
+
+    # eqineqell2: Z_n <= sum_v Zbar(v) <= (2q+1) Z_n
+    z_bar_total = sum(z_bar.values())
+    add("eqineqell2_lower", log_terms(z_n), log_terms(z_bar_total),
+        z_n <= z_bar_total)
+    add("eqineqell2_upper", log_terms(z_bar_total),
+        math.log(2 * q + 1) + log_terms(z_n),
+        z_bar_total <= (2 * q + 1) * z_n)
+
+    # nonemptiness of the union classes for the reference word
+    occupied_ext = {w_key for (_v, w_key) in union_members}
+    u_ext = {w_key for (v_key, w_key) in union_members if v_key == u_key}
+    add("decoupling_nonempty", float(len(occupied_ext)), float(len(u_ext)),
+        len(occupied_ext) <= len(u_ext))
+
+    # the two displayed bounds, with exact constants
+    log_k = ratio_log_constant(potential, m, q, len(presentation.alphabet))
+    u_energy = energy(potential, u_bar)
+    p_m = finite_pressure(presentation, potential, m, method="product")
+    lhs_up = log_terms(z_ell[(0, u_key)]) - log_terms(z_n)
+    rhs_up = math.log(2 * q + 1) + log_k + u_energy - length * p_m
+    add("main_upper", lhs_up, rhs_up, lhs_up <= rhs_up)
+    z_u_sum = sum(z_ell.get((ell, u_key), 0) for ell in shifts)
+    lhs_low = u_energy - log_k - length * p_m
+    rhs_low = log_terms(z_u_sum) - log_terms(z_n)
+    add("main_lower", lhs_low, rhs_low, lhs_low <= rhs_low)
+
+    return LemmaReport(
+        context={"n": n, "m": m, "j": j, "q": q, "u_bar": u_bar.text()},
+        constants={"log_C": sandwich_log_constant(potential, m, q),
+                   "log_K": log_k, "P_m": p_m},
+        inequalities=tuple(records))
+
+
+def oracle_decoupling_1d(presentation, potential, n, m, j, u_bar,
+                         q_bar=None, cap=None):
+    """``decoupling_1d_check`` by per-word loops: ``bytes`` keys and sets
+    of word indices per class."""
+    _require_allowed_center(presentation, u_bar)
+    if len(u_bar) != 2 * m + 1:
+        raise ValidationError("windows inconsistent: center word must have length 2m+1")
+    # refuses a reducible presentation even when q_bar is given
+    gap = decoupling_gap(presentation, "bounded-length").gap
+    if q_bar is None:
+        q_bar = gap
+    if n <= m + 2 * q_bar:
+        raise ValidationError("window preconditions violated: need n > m + 2*q_bar")
+    if abs(j) >= n - (m + 3 * q_bar):
+        raise ValidationError(
+            "window preconditions violated: need |j| < n - (m + 3*q_bar)")
+    bp = brute_partition(presentation, potential, n, cap=cap)
+    words, energies = bp.words, bp.energies
+    terms, scale = _exact_terms(energies)
+    length = 2 * m + 1
+    n_words = words.shape[0]
+
+    # window geometry (positions, then columns by +n)
+    lam_minus = (-n + q_bar, j - (m + 2 * q_bar) - 1)
+    lam_plus = (j + m + 2 * q_bar + 1, n - q_bar)
+    center = slice(n + j - m, n + j + m + 1)
+    shifts = range(-q_bar, q_bar + 1)
+
+    def window_cols(window: tuple[int, int], ell: int) -> slice:
+        return slice(n + window[0] + ell, n + window[1] + ell + 1)
+
+    # class decomposition: for each word and each (ell-, ell+) pair, the
+    # matched tail patterns; union classes collect members and multiplicity
+    center_keys = words[:, center]
+    members: dict[tuple[bytes, bytes, bytes], set[int]] = {}
+    key_count: dict[int, set[tuple[bytes, bytes]]] = {i: set() for i in range(n_words)}
+    for ell_m in shifts:
+        cols_m = window_cols(lam_minus, ell_m)
+        for ell_p in shifts:
+            cols_p = window_cols(lam_plus, ell_p)
+            for i in range(n_words):
+                row = words[i]
+                # the pattern matched at the shifted window is the tail word
+                key = (center_keys[i].tobytes(), row[cols_m].tobytes(),
+                       row[cols_p].tobytes())
+                members.setdefault(key, set()).add(i)
+                key_count[i].add((key[1], key[2]))
+
+    # every (v, w-, w+) triple with allowed components must be realized
+    expected = (presentation.word_count(length)
+                * presentation.word_count(lam_minus[1] - lam_minus[0] + 1)
+                * presentation.word_count(lam_plus[1] - lam_plus[0] + 1))
+    realized = len(members)
+    min_size = min(len(s) for s in members.values()) if members else 0
+    max_size = max(len(s) for s in members.values()) if members else 0
+    card_bound = (2 * q_bar + 1) ** 2 * len(presentation.alphabet) ** (6 * q_bar)
+
+    records: list[InequalityRecord] = []
+
+    def add(name, lhs, rhs, holds):
+        records.append(InequalityRecord(name, lhs, rhs, holds))
+
+    add("nonempty_classes", float(expected), float(realized), expected <= realized)
+    add("cardinality_lower", 1.0, float(min_size), 1 <= min_size)
+    add("cardinality_upper", float(max_size), float(card_bound),
+        max_size <= card_bound)
+
+    # trick: Z_n(v) <= Zbar_n(v) <= (2q+1)^2 Z_n(v), union weighted with
+    # tail-class multiplicity
+    z_v: dict[bytes, int] = {}
+    z_bar: dict[bytes, int] = {}
+    for i in range(n_words):
+        v_key = center_keys[i].tobytes()
+        z_v[v_key] = z_v.get(v_key, 0) + terms[i]
+        z_bar[v_key] = z_bar.get(v_key, 0) + len(key_count[i]) * terms[i]
+    worst_low = None
+    worst_up = None
+    for v_key, zv in sorted(z_v.items()):
+        zb = z_bar[v_key]
+        if worst_low is None or zb - zv < worst_low[0]:
+            worst_low = (zb - zv, zv, zb)
+        slack = (2 * q_bar + 1) ** 2 * zv - zb
+        if worst_up is None or slack < worst_up[0]:
+            worst_up = (slack, zb, (2 * q_bar + 1) ** 2 * zv)
+
+    def log_terms(total: int) -> float:
+        return _log_scaled(total, scale)
+
+    add("trick_lower", log_terms(worst_low[1]), log_terms(worst_low[2]),
+        worst_low[1] <= worst_low[2])
+    add("trick_upper", log_terms(worst_up[1]), log_terms(worst_up[2]),
+        worst_up[1] <= worst_up[2])
+
+    # energy sandwich between union classes sharing both tails
+    log_c1 = sandwich_1d_log_constant(potential, m, q_bar)
+    u_ctr = word_energies(presentation, potential, words[:, center])
+    g = energies - u_ctr
+    g_min: dict[tuple[bytes, bytes, bytes], float] = {}
+    g_max: dict[tuple[bytes, bytes, bytes], float] = {}
+    for key, mem in members.items():
+        vals = [float(g[i]) for i in mem]
+        g_min[key] = min(vals)
+        g_max[key] = max(vals)
+    u_key = np.array(u_bar.letters, dtype=words.dtype).tobytes()
+    worst_est = None
+    for (v_key, w_m, w_p), _mem in members.items():
+        ref = (u_key, w_m, w_p)
+        if ref not in members:
+            continue
+        spread = max(g_max[(v_key, w_m, w_p)] - g_min[ref],
+                     g_max[ref] - g_min[(v_key, w_m, w_p)])
+        if worst_est is None or spread > worst_est:
+            worst_est = spread
+    add("est", worst_est if worst_est is not None else 0.0, log_c1,
+        (worst_est if worst_est is not None else 0.0) <= log_c1)
+
+    # final two-sided ratio bound with exact constants
+    log_k = ratio_1d_log_constant(potential, m, q_bar, len(presentation.alphabet))
+    pair_log = 2 * math.log(2 * q_bar + 1)
+    u_energy = energy(potential, u_bar)
+    p_m = finite_pressure(presentation, potential, m, method="product")
+    z_n = sum(terms)
+    if u_key not in z_v:
+        raise ValidationError("center word does not extend to the volume")
+    ratio = log_terms(z_v[u_key]) - log_terms(z_n)
+    lhs_low = u_energy - pair_log - log_k - length * p_m
+    rhs_up = pair_log + log_k + u_energy - length * p_m
+    add("final_lower", lhs_low, ratio, lhs_low <= ratio)
+    add("final_upper", ratio, rhs_up, ratio <= rhs_up)
+
+    return LemmaReport(
+        context={"n": n, "m": m, "j": j, "q_bar": q_bar, "u_bar": u_bar.text(),
+                 "lam_minus": lam_minus, "lam_plus": lam_plus},
+        constants={"log_C_prime": log_c1, "log_K_bar": log_k, "P_m": p_m},
+        inequalities=tuple(records))
+
+
+def bundled_file_pairs():
+    """Every bundled irreducible, aperiodic shift file with every bundled
+    potential file."""
+    pairs = []
+    for shift in ("full2.shift", "golden_mean.shift", "golden_mean.sft",
+                  "even.shift", "reducible.shift", "periodic.shift"):
+        pres = load_shift(data_path(shift))
+        if pres.irreducible and pres.aperiodic:
+            pairs += [(shift, pot)
+                      for pot in ("zero.pot", "site_a.pot", "pair_beta.pot")]
+    return pairs
+
+
+def load_pair(shift, pot):
+    pres = load_shift(data_path(shift))
+    return pres, load_potential(data_path(pot), pres.alphabet)
+
+
+ORACLE_WORDS = 1 << 11  # largest 1d volume the per-word oracle runs on
+
+
+def same_report(got, want):
+    """``==`` on the reports, and plain Python scalars in every row (a numpy
+    bool or float would compare equal but is not what the oracle gives)."""
+    return got == want and all(
+        (type(r.lhs), type(r.rhs), type(r.holds)) == (float, float, bool)
+        for r in got.inequalities)
+
+
+class TestLemmaOracles:
+    @pytest.mark.parametrize("shift, pot", bundled_file_pairs())
+    def test_212_matches_oracle(self, shift, pot):
+        pres, potential = load_pair(shift, pot)
+        q = decoupling_gap(pres, "bounded-length").gap
+        for m in (1, 2):
+            # n = m + q leaves an empty exterior at j = 0
+            for n in (m + q, m + q + 1):
+                for j in (-1, 0, 1):
+                    if abs(j) > n - (m + q):
+                        continue
+                    for u in enumerate_words(pres, m):
+                        assert same_report(
+                            lemma_212_check(pres, potential, n, m, j, u),
+                            oracle_lemma_212(pres, potential, n, m, j, u)
+                        ), (n, m, j, u.text())
+
+    @pytest.mark.parametrize("shift, pot", bundled_file_pairs())
+    def test_1d_matches_oracle(self, shift, pot):
+        pres, potential = load_pair(shift, pot)
+        gap = decoupling_gap(pres, "bounded-length").gap
+        checked = 0
+        # q_bar = 0 leaves some (v, w-, w+) classes without a reference
+        # class (u_bar, w-, w+), and ties every trick row
+        for q_bar in (None, 1, 0):
+            q_eff = gap if q_bar is None else q_bar
+            for m in (0, 1):
+                for n in (m + 3 * q_eff + 1, m + 3 * q_eff + 2):
+                    if pres.word_count(2 * n + 1) > ORACLE_WORDS:
+                        continue
+                    for j in (-1, 0, 1):
+                        if abs(j) >= n - (m + 3 * q_eff):
+                            continue
+                        for u in enumerate_words(pres, m):
+                            got = decoupling_1d_check(pres, potential, n, m, j,
+                                                      u, q_bar=q_bar)
+                            want = oracle_decoupling_1d(pres, potential, n, m,
+                                                        j, u, q_bar=q_bar)
+                            assert same_report(got, want), (q_bar, n, m, j,
+                                                            u.text())
+                            checked += 1
+        assert checked > 0
+
+    def test_212_tie_takes_first_center(self, ev, pot_zero):
+        # zero potential: every term is 2**_SHIFT, so the sums are counts.
+        # Two (center, ell) cells tie on the smallest slack Zbar - Z with
+        # different Z; the row is the first in (center, ell) order.
+        n, m, j = 3, 1, 0
+        q = decoupling_gap(ev, "bounded-length").gap
+        words = [w.letters for w in enumerate_words(ev, n)]
+        centers = sorted({w[n + j + ell - m:n + j + ell + m + 1]
+                          for w in words for ell in range(-q, q + 1)})
+        cells = []
+        for v in centers:
+            zb = sum(any(w[n + j + ell - m:n + j + ell + m + 1] == v
+                         for ell in range(-q, q + 1)) for w in words)
+            for ell in range(-q, q + 1):
+                z = sum(w[n + j + ell - m:n + j + ell + m + 1] == v
+                        for w in words)
+                cells.append((zb - z, z, zb))
+        least = min(slack for slack, _z, _zb in cells)
+        tied = [(z, zb) for slack, z, zb in cells if slack == least]
+        assert tied[0][0] != tied[-1][0]
+        report = lemma_212_check(ev, pot_zero, n, m, j, word((0, 0, 0)))
+        row = report.inequalities[0]
+        assert row.name == "eqineqell1_lower"
+        assert row.lhs == pytest.approx(math.log(tied[0][0]), rel=0, abs=1e-9)
+        assert row.rhs == pytest.approx(math.log(tied[0][1]), rel=0, abs=1e-9)
+        assert report == oracle_lemma_212(ev, pot_zero, n, m, j, word((0, 0, 0)))
 
 
 def fraction_ints(values):
