@@ -1,4 +1,5 @@
-"""Batched numpy kernels over word lists and the word-automaton trie.
+"""Batched numpy kernels over word lists and the word classes of the
+transfer cover.
 
 Kernels operate on batches of words encoded as ``uint8`` symbol indices,
 shape ``(n_words, length)``.  Finite-range potentials are passed in the
@@ -69,82 +70,94 @@ def batch_forward_logprob(words, trans, start):
 
 
 # ---------------------------------------------------------------------------
-# weak-Gibbs deviation by one walk of the word trie
+# weak-Gibbs deviation over the reachable word classes
 # ---------------------------------------------------------------------------
 
-SCAN_BLOCK = 1 << 16  # leaves per walked group of subtrees
+def word_classes(delta, prefix_len, depth):
+    """Yield the classes of the allowed words of each length 0..depth, one
+    level per length, shortest first.
+
+    ``delta[a, s]`` is the cover state that state ``s`` reaches on letter
+    ``a``; the last index is a dead sink (no such transition), which maps to
+    itself.  The class of a word ``u`` is its first ``prefix_len`` letters
+    (all of ``u`` while it is shorter) together with the map ``s -> t_s(u)``
+    over the cover states.  A level is a pair ``(prefix, maps)``: the
+    base-K code of each class's prefix (first letter most significant) and
+    its map as a row of ``delta``'s dtype.  The next level maps through
+    ``delta[a][map]`` for every letter; words no state reads are dropped and
+    repeated classes kept once, so no level holds more classes than there
+    are words of its length.
+    """
+    n_symbols, n_ext = delta.shape
+    dead = n_ext - 1
+    prefix = np.zeros(1, dtype=np.int64)
+    maps = np.arange(dead, dtype=delta.dtype)[None, :]
+    yield prefix, maps
+    letters = np.arange(n_symbols, dtype=np.int64)[:, None]
+    for length in range(1, depth + 1):
+        maps = delta[:, maps].reshape(-1, dead)  # row a * n + i: class i, letter a
+        if length <= prefix_len:
+            prefix = (prefix * n_symbols + letters).ravel()
+        else:
+            prefix = np.tile(prefix, n_symbols)
+        alive = (maps != dead).any(axis=1)
+        prefix, maps = prefix[alive], maps[alive]
+        rows = np.concatenate([prefix[:, None].view(np.uint8), maps.view(np.uint8)],
+                              axis=1)
+        _keys, keep = np.unique(rows.view(np.dtype((np.void, rows.shape[1]))).ravel(),
+                                return_index=True)
+        prefix, maps = prefix[keep], maps[keep]
+        yield prefix, maps
 
 
-def scan_deviation(det, start, q, stationary, step_tables, lengths, p_limit,
-                   leaves):
-    """Largest ``|log nu[u] - U(u) + L * p_limit|`` over the allowed words
-    ``u`` of each length ``L`` in ``lengths`` (one entry per length).
+def class_deviation(delta, contexts, log_start, log_end, step_tables, lengths,
+                    shift, prefix_len):
+    """Largest ``|val(c) + L * shift|`` over the classes ``c`` of the allowed
+    words of each length ``L`` in ``lengths`` (one entry per length).
 
-    ``det[s, a]`` is the word automaton's successor (-1 when ``a`` is not
-    allowed) and ``start`` its start state, so the allowed words are the
-    paths of its trie.  ``q[a]`` is the label-restricted transition matrix
-    over the cover states and ``stationary`` the start vector of the forward
-    recursion.  ``step_tables[p]`` is the energy increment of the letter at
-    position ``p``, indexed by the base-K code of the last ``p + 1``
-    letters; the last table serves every later position.  ``leaves[r][s]``
-    is the number of allowed words of length ``r`` read from state ``s``
-    (as floats), for r = 0..max(lengths).
+    The classes come from ``word_classes(delta, prefix_len, ...)``.  For a
+    class with prefix ``p`` and map ``t``,
 
-    Each trie node carries its scaled forward vector, its log normaliser and
-    its energy, so every edge costs one vector-matrix product, one rescale
-    and one table lookup, and the rows of all lengths are read on the way
-    down.  The trie is walked in groups of subtrees of at most
-    ``SCAN_BLOCK`` leaves, which bounds the memory at any depth.
+        val = log sum_s exp(log g[p, s] + log_end[t(s)]),
+        log g[p, s] = log_start[s] + cross(s, p) - head(p),
+
+    where ``cross(s, p)`` sums the step energies of the letters of ``p``
+    read after the base-K context code ``contexts[s]`` and ``head(p)`` is
+    the energy of ``p`` alone, both from ``step_tables`` (entry ``code`` of
+    table ``i`` is the increment of the letter at position ``i`` under the
+    last ``i + 1`` letters; the last table serves every later position, and
+    there are at least ``prefix_len`` tables).  ``log_end`` ends in
+    ``-inf`` for the dead sink.  The sum is a log-sum-exp shifted by its
+    largest term.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
     worst = np.zeros(lengths.shape[0])
     if lengths.shape[0] == 0:
         return worst
-    depth_max = int(lengths.max())
-    n_symbols = det.shape[1]
-    modulus = step_tables[-1].shape[0]
-    allowed = det >= 0
-
-    def walk(depth, state, v, logz, energy, code):
-        while True:
-            hit = lengths == depth
-            if hit.any():
-                dev = float(np.abs(logz - energy + depth * p_limit).max())
-                worst[hit] = np.maximum(worst[hit], dev)
-            if depth == depth_max:
-                return
-            table = step_tables[min(depth, len(step_tables) - 1)]
-            # children grouped by their last letter
-            parents = [np.flatnonzero(allowed[state, a]) for a in range(n_symbols)]
-            w = np.empty((sum(p.shape[0] for p in parents), v.shape[1]))
-            lo = 0
-            for a, par in enumerate(parents):
-                np.matmul(v[par], q[a], out=w[lo:lo + par.shape[0]])
-                lo += par.shape[0]
-            parent = np.concatenate(parents)
-            letter = np.repeat(np.arange(n_symbols), [p.shape[0] for p in parents])
-            tot = w.sum(axis=1)
-            w /= tot[:, None]
-            v = w
-            logz = logz[parent] + np.log(tot)
-            code = (code[parent] * n_symbols + letter) % modulus
-            energy = energy[parent] + table[code]
-            state = det[state[parent], letter]
-            depth += 1
-            size = leaves[depth_max - depth][state]
-            if state.shape[0] > 1 and size.sum() > SCAN_BLOCK:
-                break
-        # contiguous groups of at most SCAN_BLOCK leaves (or one node each)
-        ends = np.cumsum(size)
-        lo = 0
-        while lo < state.shape[0]:
-            base = ends[lo - 1] if lo else 0.0
-            hi = max(lo + 1, int(np.searchsorted(ends, base + SCAN_BLOCK, "right")))
-            walk(depth, state[lo:hi], v[lo:hi], logz[lo:hi], energy[lo:hi],
-                 code[lo:hi])
-            lo = hi
-
-    walk(0, np.array([start], dtype=np.int64), stationary[None, :].copy(),
-         np.zeros(1), np.zeros(1), np.zeros(1, dtype=np.int64))
+    n_symbols = delta.shape[0]
+    last = step_tables[-1]
+    modulus = last.shape[0]
+    levels = word_classes(delta, prefix_len, int(lengths.max()))
+    for length, (prefix, maps) in enumerate(levels):
+        hit = lengths == length
+        if not hit.any():
+            continue
+        width = min(length, prefix_len)
+        codes, which = np.unique(prefix, return_inverse=True)
+        # log g of every reached prefix, letter by letter
+        ctx = np.broadcast_to(contexts, (codes.shape[0], contexts.shape[0]))
+        cross = np.zeros(ctx.shape)
+        head = np.zeros(codes.shape[0])
+        for i in range(width):
+            first = codes // n_symbols ** (width - 1 - i)  # the first i + 1 letters
+            ctx = (ctx * n_symbols + first[:, None] % n_symbols) % modulus
+            cross += last[ctx]
+            head += step_tables[i][first]
+        log_g = log_start + cross - head[:, None]
+        terms = log_end[maps]
+        terms += log_g[which]
+        top = terms.max(axis=1)
+        terms -= top[:, None]
+        val = top + np.log(np.exp(terms, out=terms).sum(axis=1))
+        worst[hit] = float(np.abs(val + length * shift).max())
     return worst
-

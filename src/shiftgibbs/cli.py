@@ -9,6 +9,7 @@ Exit status: 0 success, 2 validation or parse error, 3 volume-guard refusal.
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 
@@ -37,10 +38,24 @@ def _load(args) -> tuple[SoficPresentation, Potential | None]:
 
 
 def _parse_m_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(t) for t in text.split(",")]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            return list(range(int(lo), int(hi) + 1))
+        return [int(t) for t in text.split(",")]
+    except ValueError:
+        raise ValidationError(f"bad --m {text!r}; want a range 1..10 or a list 1,2,5") from None
+
+
+def _parse_deltas(text: str) -> list[float]:
+    bad = ValidationError(f"bad --delta {text!r}; want a comma list of numbers")
+    try:
+        deltas = [float(t) for t in text.split(",")]
+    except ValueError:
+        raise bad from None
+    if any(math.isnan(d) for d in deltas):
+        raise bad
+    return deltas
 
 
 def _word(presentation: SoficPresentation, text: str) -> Word:
@@ -95,19 +110,19 @@ def _cmd_cylinder(args) -> str:
 
 
 def _cmd_weakgibbs(args) -> str:
+    m_list = _parse_m_range(args.m)
+    deltas = _parse_deltas(args.delta) if args.delta else []
     presentation, potential = _load(args)
     measure = equilibrium_measure(presentation, potential)
-    m_list = _parse_m_range(args.m)
     report = weak_gibbs_scan(measure, potential, measure.log_lambda, m_list,
                              cap=args.cap)
     lines = ["m\tD_m\tbound"]
     for (m, d, bound) in report.rows:
         lines.append(f"{m}\t{_fmt(d)}\t{_fmt(bound)}")
-    if args.delta:
-        for delta in (float(t) for t in args.delta.split(",")):
-            n_delta = report.delta_to_n(delta)
-            lines.append(f"delta\t{_fmt(delta)}\t"
-                         f"{n_delta if n_delta is not None else 'NA'}")
+    for delta in deltas:
+        n_delta = report.delta_to_n(delta)
+        lines.append(f"delta\t{_fmt(delta)}\t"
+                     f"{n_delta if n_delta is not None else 'NA'}")
     return "\n".join(lines) + "\n"
 
 
@@ -306,8 +321,9 @@ def _validate_numeric(args) -> None:
         value = getattr(args, name, None)
         if isinstance(value, int) and value < 0:
             raise ValidationError(f"--{name.replace('_', '-')} must be nonnegative")
-    if getattr(args, "t_step", None) is not None and args.t_step <= 0:
-        raise ValidationError("--t-step must be positive")
+    t_step = getattr(args, "t_step", None)
+    if t_step is not None and not (math.isfinite(t_step) and t_step > 0):
+        raise ValidationError("--t-step must be finite and positive")
 
 
 def main(argv=None) -> int:

@@ -139,15 +139,23 @@ def weak_gibbs_scan(measure: RPFMeasure, potential: Potential, p_limit: float,
     D_m = max over allowed (2m+1)-words u of
           |log nu([u]) - (U(u) - (2m+1) p_limit)| / (2m+1).
 
-    All rows come from one walk of the word automaton's trie down to the
-    deepest length (``_kernels.scan_deviation``): each trie node carries its
-    scaled forward vector, log normaliser and energy (summed from the step
-    energies of the transfer cover), so every word costs O(1) amortized.
-    The walk runs in bounded blocks of subtrees and never holds a word
-    matrix; the enumeration cap still applies to the deepest length and is
-    checked before any work.  The tests keep the per-word route as the
-    oracle: ``iter_word_blocks`` words through ``word_energies`` and
-    ``cylinder_log_probs``.
+    On the right-resolving transfer cover, with pi the stationary vector,
+    h the right Perron vector, ctx_s the context of cover state s and
+    t_s(u) the state s reaches along u,
+
+        log nu([u]) - U(u) + L log lambda
+          = log sum_s (pi_s / h_s) exp(cross(ctx_s, u[:R]) - U(u[:R])) h_{t_s(u)},
+
+    because every step energy past the first R = ``context_len`` letters
+    cancels.  The right side depends only on the class of u: its first R
+    letters and the map s -> t_s(u).  So each row is a max over the classes
+    reached at its length (``_kernels.class_deviation``), one level per
+    length, each found from the last by mapping through the cover's
+    transitions; there are never more classes than words.  The enumeration
+    cap still applies to the deepest length and is checked before any work.
+    ``potential`` must be the measure's own.  The tests keep the per-word
+    route (``iter_word_blocks`` words through ``word_energies`` and
+    ``cylinder_log_probs``) and the trie walk it replaced as oracles.
 
     The analytic bound per row combines the exact-constant cylinder
     sandwich, the finite-volume pressure gap |P_m - p_limit| (every P_m
@@ -155,18 +163,28 @@ def weak_gibbs_scan(measure: RPFMeasure, potential: Potential, p_limit: float,
     error (boundary bound over volume).
     """
     presentation = measure.presentation
+    transfer = measure.transfer
     ms = sorted(m_list)
     if any(m < 0 for m in ms):
         raise ValidationError("m must be nonnegative")
+    if potential != transfer.potential:
+        raise ValidationError("the scanned potential is not the measure's potential")
     lengths = [2 * m + 1 for m in ms]
-    counts = presentation.check_volume(max(lengths, default=0), cap)
-    det, start = presentation._det
-    worst = _kernels.scan_deviation(
-        det, start, measure.q_by_symbol, measure.stationary,
-        _step_tables(potential), lengths, p_limit,
-        [np.asarray(c, dtype=float) for c in counts])
-    q = decoupling_gap(presentation, "bounded-length").gap
+    presentation.check_volume(max(lengths, default=0), cap)
     n_symbols = len(presentation.alphabet)
+    n_states = transfer.n_states
+    delta = np.full((n_symbols, n_states + 1), n_states,
+                    dtype=np.min_scalar_type(n_states))
+    letter, source, target = np.nonzero(transfer.trans > 0)
+    delta[letter, source] = target
+    contexts = np.zeros(n_states, dtype=np.int64)
+    for i in range(transfer.context_len):
+        contexts = contexts * n_symbols + [ctx[i] for _v, ctx in transfer.states]
+    worst = _kernels.class_deviation(
+        delta, contexts, np.log(measure.stationary / measure.h),
+        np.append(np.log(measure.h), -np.inf), _step_tables(potential),
+        lengths, p_limit - measure.log_lambda, transfer.context_len)
+    q = decoupling_gap(presentation, "bounded-length").gap
     log_z = _dp_log_partition(presentation, potential, lengths)
     rows = []
     for m, length, dev, lz in zip(ms, lengths, worst, log_z):

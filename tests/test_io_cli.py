@@ -202,6 +202,28 @@ class TestCli:
         assert "reducible" not in out.stderr
         assert "Traceback" not in out.stderr
 
+    @pytest.mark.parametrize("flags", [("--m", "1.."), ("--m", "abc"),
+                                       ("--m", "x"),
+                                       ("--m", "1..3", "--delta", "0.5,,0.1"),
+                                       ("--m", "1..3", "--delta", "nan"),
+                                       ("--m", "1..3", "--delta", "x")])
+    def test_malformed_weakgibbs_values(self, flags):
+        out = run_cli("weakgibbs", "--shift", str(data_path("full2.shift")),
+                      "--potential", str(data_path("site_a.pot")), *flags)
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr.startswith(f"error: bad {flags[-2]} ")
+        assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("step", ["nan", "inf", "0"])
+    def test_t_step_must_be_finite_and_positive(self, step):
+        out = run_cli("tangent", "--shift", str(data_path("full2.shift")),
+                      "--potential", str(data_path("zero.pot")),
+                      "--word", "1", "--n", "3", "--t-step", step)
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr == "error: --t-step must be finite and positive\n"
+
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.shift"
         bad.write_text("vertex a\nedge a b 0\n", encoding="utf-8")

@@ -16,9 +16,11 @@ from shiftgibbs import (ValidationError, VolumeGuardError, Word, _kernels,
 from shiftgibbs.bundled import (BINARY, data_path, equal_pair, even_shift,
                                 full_shift_2, golden_mean, single_site, zero)
 from shiftgibbs.fileio import load_potential, load_shift
-from shiftgibbs.measures import cylinder_log_probs
+from shiftgibbs.measures import cylinder_log_probs, strong_gibbs_constant
 from shiftgibbs.potentials import Potential, ShapeTable
-from shiftgibbs.pressure import finite_pressure, word_energies
+from shiftgibbs.pressure import _step_tables, finite_pressure, word_energies
+from shiftgibbs.shifts import (Alphabet, is_aperiodic, is_irreducible,
+                               sft_presentation)
 from shiftgibbs.verify import (_SHIFT, InequalityRecord, LemmaReport,
                                _dyadic_ints, _exact_terms, _log_scaled,
                                _require_allowed_center, ratio_1d_log_constant,
@@ -619,6 +621,101 @@ def oracle_rows(measure, potential, m_list):
     return rows
 
 
+# Oracle for the class pass: one walk of the word automaton's trie, where
+# every allowed word is a path and each node carries its scaled forward
+# vector, log normaliser and energy.
+
+SCAN_BLOCK = 1 << 16  # leaves per walked group of subtrees
+
+
+def scan_deviation(det, start, q, stationary, step_tables, lengths, p_limit,
+                   leaves):
+    """Largest ``|log nu[u] - U(u) + L * p_limit|`` over the allowed words
+    ``u`` of each length ``L`` in ``lengths`` (one entry per length).
+
+    ``det[s, a]`` is the word automaton's successor (-1 when ``a`` is not
+    allowed) and ``start`` its start state, so the allowed words are the
+    paths of its trie.  ``q[a]`` is the label-restricted transition matrix
+    over the cover states and ``stationary`` the start vector of the forward
+    recursion.  ``step_tables[p]`` is the energy increment of the letter at
+    position ``p``, indexed by the base-K code of the last ``p + 1``
+    letters; the last table serves every later position.  ``leaves[r][s]``
+    is the number of allowed words of length ``r`` read from state ``s``
+    (as floats), for r = 0..max(lengths).
+
+    Each trie node carries its scaled forward vector, its log normaliser and
+    its energy, so every edge costs one vector-matrix product, one rescale
+    and one table lookup, and the rows of all lengths are read on the way
+    down.  The trie is walked in groups of subtrees of at most
+    ``SCAN_BLOCK`` leaves, which bounds the memory at any depth.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    worst = np.zeros(lengths.shape[0])
+    if lengths.shape[0] == 0:
+        return worst
+    depth_max = int(lengths.max())
+    n_symbols = det.shape[1]
+    modulus = step_tables[-1].shape[0]
+    allowed = det >= 0
+
+    def walk(depth, state, v, logz, energy, code):
+        while True:
+            hit = lengths == depth
+            if hit.any():
+                dev = float(np.abs(logz - energy + depth * p_limit).max())
+                worst[hit] = np.maximum(worst[hit], dev)
+            if depth == depth_max:
+                return
+            table = step_tables[min(depth, len(step_tables) - 1)]
+            # children grouped by their last letter
+            parents = [np.flatnonzero(allowed[state, a]) for a in range(n_symbols)]
+            w = np.empty((sum(p.shape[0] for p in parents), v.shape[1]))
+            lo = 0
+            for a, par in enumerate(parents):
+                np.matmul(v[par], q[a], out=w[lo:lo + par.shape[0]])
+                lo += par.shape[0]
+            parent = np.concatenate(parents)
+            letter = np.repeat(np.arange(n_symbols), [p.shape[0] for p in parents])
+            tot = w.sum(axis=1)
+            w /= tot[:, None]
+            v = w
+            logz = logz[parent] + np.log(tot)
+            code = (code[parent] * n_symbols + letter) % modulus
+            energy = energy[parent] + table[code]
+            state = det[state[parent], letter]
+            depth += 1
+            size = leaves[depth_max - depth][state]
+            if state.shape[0] > 1 and size.sum() > SCAN_BLOCK:
+                break
+        # contiguous groups of at most SCAN_BLOCK leaves (or one node each)
+        ends = np.cumsum(size)
+        lo = 0
+        while lo < state.shape[0]:
+            base = ends[lo - 1] if lo else 0.0
+            hi = max(lo + 1, int(np.searchsorted(ends, base + SCAN_BLOCK, "right")))
+            walk(depth, state[lo:hi], v[lo:hi], logz[lo:hi], energy[lo:hi],
+                 code[lo:hi])
+            lo = hi
+
+    walk(0, np.array([start], dtype=np.int64), stationary[None, :].copy(),
+         np.zeros(1), np.zeros(1), np.zeros(1, dtype=np.int64))
+    return worst
+
+
+def trie_rows(measure, potential, m_list, cap=None):
+    """Scan rows (m, D_m) by one walk of the word trie (``scan_deviation``)."""
+    presentation = measure.presentation
+    ms = sorted(m_list)
+    lengths = [2 * m + 1 for m in ms]
+    counts = presentation.check_volume(max(lengths, default=0), cap)
+    det, start = presentation._det
+    worst = scan_deviation(
+        det, start, measure.q_by_symbol, measure.stationary,
+        _step_tables(potential), lengths, measure.log_lambda,
+        [np.asarray(c, dtype=float) for c in counts])
+    return [(m, float(dev) / length) for m, length, dev in zip(ms, lengths, worst)]
+
+
 BUNDLED_SYSTEMS = [(shift, pot)
                    for shift in (full_shift_2, golden_mean, even_shift)
                    for pot in (zero, single_site, equal_pair)]
@@ -661,17 +758,17 @@ class TestWeakGibbsScanOracle:
 
     def test_blocked_walk_matches_one_block(self, full, pot_site, monkeypatch):
         mu = equilibrium_measure(full, pot_site)
-        whole = weak_gibbs_scan(mu, pot_site, mu.log_lambda, range(1, 7))
-        monkeypatch.setattr(_kernels, "SCAN_BLOCK", 8)
-        blocked = weak_gibbs_scan(mu, pot_site, mu.log_lambda, range(1, 7))
-        for (m, d, b), (m2, d2, b2) in zip(blocked.rows, whole.rows):
-            assert (m, b) == (m2, b2)
+        whole = trie_rows(mu, pot_site, range(1, 7))
+        monkeypatch.setitem(globals(), "SCAN_BLOCK", 8)
+        blocked = trie_rows(mu, pot_site, range(1, 7))
+        for (m, d), (m2, d2) in zip(blocked, whole):
+            assert m == m2
             assert d == pytest.approx(d2, rel=0, abs=1e-15)
 
     def test_guard_checks_the_deepest_length_first(self, full, pot_site,
                                                    monkeypatch):
         calls = []
-        monkeypatch.setattr(_kernels, "scan_deviation",
+        monkeypatch.setattr(_kernels, "class_deviation",
                             lambda *args: calls.append(args))
         mu = equilibrium_measure(full, pot_site)
         with pytest.raises(VolumeGuardError,
@@ -683,3 +780,85 @@ class TestWeakGibbsScanOracle:
         mu = equilibrium_measure(full, pot_site)
         with pytest.raises(ValidationError, match="m must be nonnegative"):
             weak_gibbs_scan(mu, pot_site, mu.log_lambda, [-1, 2])
+
+    def test_potential_must_be_the_measures(self, full, pot_site, pot_zero):
+        mu = equilibrium_measure(full, pot_site)
+        with pytest.raises(ValidationError, match="not the measure's potential"):
+            weak_gibbs_scan(mu, pot_zero, mu.log_lambda, [1])
+
+
+def range_three_sft(seed):
+    """A 5-letter SFT that forbids one 3-word after each 2-block (25
+    vertices, irreducible and aperiodic) with a seeded potential on the
+    shapes (0,), (0, 1) and (0, 3): 100 cover states."""
+    rng = random.Random(seed)
+    alphabet = Alphabet(tuple("01234"))
+    while True:
+        forbidden = [f"{a}{b}{rng.randrange(5)}" for a in range(5) for b in range(5)]
+        presentation = sft_presentation(alphabet, forbidden)
+        if (presentation.n_vertices == 25 and is_irreducible(presentation)
+                and is_aperiodic(presentation)):
+            break
+    shapes = tuple(
+        ShapeTable(offs, {pat: rng.uniform(-0.5, 0.5) for pat in
+                          itertools.product(range(5), repeat=len(offs))})
+        for offs in ((0,), (0, 1), (0, 3)))
+    return presentation, Potential(alphabet, 3, shapes)
+
+
+class TestClassPass:
+    """The scan's class pass against the trie walk and the word counts."""
+
+    @pytest.mark.parametrize("shift, pot", BUNDLED_SYSTEMS,
+                             ids=lambda f: f.__name__)
+    def test_agrees_with_trie_walk(self, shift, pot):
+        presentation, potential = shift(), pot()
+        mu = equilibrium_measure(presentation, potential)
+        report = weak_gibbs_scan(mu, potential, mu.log_lambda, range(1, 11),
+                                 cap=1 << 21)
+        want = trie_rows(mu, potential, range(1, 11), cap=1 << 21)
+        assert [m for (m, _d, _b) in report.rows] == [m for (m, _d) in want]
+        for (_m, d, _b), (_m2, d_trie) in zip(report.rows, want):
+            assert abs(d - d_trie) <= 1e-12
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_agrees_with_trie_walk_on_a_range_three_sft(self, seed):
+        presentation, potential = range_three_sft(seed)
+        mu = equilibrium_measure(presentation, potential)
+        assert mu.transfer.n_states == 100
+        report = weak_gibbs_scan(mu, potential, mu.log_lambda, range(0, 4))
+        want = trie_rows(mu, potential, range(0, 4))
+        for (_m, d, _b), (_m2, d_trie) in zip(report.rows, want):
+            assert abs(d - d_trie) <= 1e-12
+
+    @pytest.mark.parametrize("shift, pot", BUNDLED_SYSTEMS,
+                             ids=lambda f: f.__name__)
+    def test_no_more_classes_than_words(self, shift, pot, monkeypatch):
+        presentation, potential = shift(), pot()
+        mu = equilibrium_measure(presentation, potential)
+        sizes = []
+        levels = _kernels.word_classes
+
+        def counted(*args):
+            for prefix, maps in levels(*args):
+                sizes.append(prefix.shape[0])
+                yield prefix, maps
+
+        monkeypatch.setattr(_kernels, "word_classes", counted)
+        weak_gibbs_scan(mu, potential, mu.log_lambda, range(1, 11), cap=1 << 21)
+        assert len(sizes) == 22
+        for length, n_classes in enumerate(sizes):
+            assert 1 <= n_classes <= presentation.word_count(length)
+        # repeated classes are merged, so the count settles
+        assert sizes[-1] == sizes[-2] <= 10
+
+    @pytest.mark.parametrize("shift, pot", BUNDLED_SYSTEMS,
+                             ids=lambda f: f.__name__)
+    def test_within_the_strong_gibbs_constant(self, shift, pot):
+        presentation, potential = shift(), pot()
+        mu = equilibrium_measure(presentation, potential)
+        report = weak_gibbs_scan(mu, potential, mu.log_lambda, range(0, 11),
+                                 cap=1 << 21)
+        bound = strong_gibbs_constant(mu)
+        for m, d, _b in report.rows:
+            assert (2 * m + 1) * d <= bound
