@@ -111,9 +111,9 @@ def word_classes(delta, prefix_len, depth):
 
 
 def class_deviation(delta, contexts, log_start, log_end, step_tables, lengths,
-                    shift, prefix_len):
-    """Largest ``|val(c) + L * shift|`` over the classes ``c`` of the allowed
-    words of each length ``L`` in ``lengths`` (one entry per length).
+                    prefix_len):
+    """Largest ``|val(c)|`` over the classes ``c`` of the allowed words of
+    each length in ``lengths`` (one entry per length).
 
     The classes come from ``word_classes(delta, prefix_len, ...)``.  For a
     class with prefix ``p`` and map ``t``,
@@ -159,5 +159,5 @@ def class_deviation(delta, contexts, log_start, log_end, step_tables, lengths,
         top = terms.max(axis=1)
         terms -= top[:, None]
         val = top + np.log(np.exp(terms, out=terms).sum(axis=1))
-        worst[hit] = float(np.abs(val + length * shift).max())
+        worst[hit] = float(np.abs(val).max())
     return worst

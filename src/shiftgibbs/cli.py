@@ -18,9 +18,9 @@ from .fileio import load_potential, load_shift, dump_presentation
 from .measures import cylinder_prob, equilibrium_measure
 from .potentials import Potential
 from .pressure import pressure_limit
-from .shifts import (BlockCode, SoficPresentation, Word, decoupling_gap,
-                     enumerate_words, factor_gap_bound, factor_presentation,
-                     point_from_words, splice)
+from .shifts import (DEFAULT_ENUM_CAP, BlockCode, SoficPresentation, Word,
+                     decoupling_gap, enumerate_words, factor_gap_bound,
+                     factor_presentation, point_from_words, splice)
 from .verify import (decoupling_1d_check, lemma_211_check, lemma_212_check,
                      tangent_derivative_check, weak_gibbs_scan)
 
@@ -114,8 +114,7 @@ def _cmd_weakgibbs(args) -> str:
     deltas = _parse_deltas(args.delta) if args.delta else []
     presentation, potential = _load(args)
     measure = equilibrium_measure(presentation, potential)
-    report = weak_gibbs_scan(measure, potential, measure.log_lambda, m_list,
-                             cap=args.cap)
+    report = weak_gibbs_scan(measure, m_list, cap=args.cap)
     lines = ["m\tD_m\tbound"]
     for (m, d, bound) in report.rows:
         lines.append(f"{m}\t{_fmt(d)}\t{_fmt(bound)}")
@@ -137,12 +136,21 @@ def _report_lines(report, header: str | None = None) -> list[str]:
 
 
 def _cmd_lemma(args) -> str:
+    ignored = [flag for flag, value, used in (
+        ("--q-bar", args.q_bar, args.which == "1d"),
+        ("--u", args.u, args.which != "211"),
+        ("--seed", args.seed, args.which == "211"),
+        ("--count", args.count, args.which == "211"))
+        if value is not None and not used]
+    if ignored:
+        raise ValidationError(f"--which {args.which} does not take "
+                              + ", ".join(ignored))
     presentation, potential = _load(args)
     lines = ["name\tlhs\trhs\tholds"]
     if args.which == "211":
         q = decoupling_gap(presentation, "bounded-length").gap
         words = enumerate_words(presentation, args.n, cap=args.cap)
-        rng = random.Random(args.seed)
+        rng = random.Random(0 if args.seed is None else args.seed)
         by_exterior: dict[tuple, list[Word]] = {}
         for w in words:
             key = tuple(a for k, a in zip(range(-args.n, args.n + 1), w.letters)
@@ -151,7 +159,7 @@ def _cmd_lemma(args) -> str:
         groups = [g for g in by_exterior.values() if len(g) >= 2]
         if not groups:
             raise ValidationError("no word pairs share an exterior at these windows")
-        for i in range(args.count):
+        for i in range(10 if args.count is None else args.count):
             group = groups[rng.randrange(len(groups))]
             x, y = rng.sample(group, 2)
             ell, ell_p = rng.randint(-q, q), rng.randint(-q, q)
@@ -240,13 +248,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "certificates for sofic shift spaces.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, potential=True):
+    def common(p, potential=True, cap=False):
         p.add_argument("--shift", required=True, help="presentation or .sft file")
         if potential:
             p.add_argument("--potential", required=True, help="potential file")
-        p.add_argument("--cap", type=int, default=None,
-                       help="enumeration cap override (default 2e6 or "
-                            "SHIFTGIBBS_ENUM_CAP)")
+        if cap:
+            p.add_argument("--cap", type=int, default=None,
+                           help="refuse to enumerate more words than this "
+                                f"(default {DEFAULT_ENUM_CAP})")
         p.add_argument("--out", default=None, help="write the report here")
 
     p = sub.add_parser("gap", help="decoupling gap certificate")
@@ -270,26 +279,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_cylinder)
 
     p = sub.add_parser("weakgibbs", help="weak-Gibbs deviation scan")
-    common(p)
+    common(p, cap=True)
     p.add_argument("--m", required=True, help="window list: 1..10 or 1,2,5")
     p.add_argument("--delta", default=None, help="comma list of deviation targets")
     p.set_defaults(fn=_cmd_weakgibbs)
 
     p = sub.add_parser("lemma", help="lemma inequality suites")
-    common(p)
+    common(p, cap=True)
     p.add_argument("--which", choices=("211", "212", "1d"), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--j", type=int, default=0)
-    p.add_argument("--u", default=None, help="center word (default: all)")
+    p.add_argument("--u", default=None,
+                   help="center word (212 and 1d; default: all)")
     p.add_argument("--q-bar", type=int, default=None,
                    help="override the 1-decoupling gap (1d only)")
-    p.add_argument("--seed", type=int, default=0, help="211 pair sampling seed")
-    p.add_argument("--count", type=int, default=10, help="211 pair count")
+    p.add_argument("--seed", type=int, default=None,
+                   help="pair sampling seed (211 only; default 0)")
+    p.add_argument("--count", type=int, default=None,
+                   help="pair count (211 only; default 10)")
     p.set_defaults(fn=_cmd_lemma)
 
     p = sub.add_parser("tangent", help="derivative identity cross-check")
-    common(p)
+    common(p, cap=True)
     p.add_argument("--word", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t-step", type=float, default=1e-3)

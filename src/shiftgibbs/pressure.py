@@ -21,8 +21,8 @@ import numpy as np
 from . import _kernels
 from .exceptions import ValidationError, VolumeGuardError
 from .potentials import Potential, boundary_norm_bound, energy
-from .shifts import (SoficPresentation, Word, enumeration_cap,
-                     strongly_connected, support_period)
+from .shifts import (SoficPresentation, Word, strongly_connected,
+                     support_period)
 
 PERRON_TOL = 1e-13
 PERRON_RESIDUAL_TOL = 1e-12
@@ -34,9 +34,7 @@ class TransferSystem:
 
     ``trans[a][u, v]`` is the step weight exp(step energy) of the unique
     a-labeled transition u -> v, zero when absent; ``matrix`` sums over
-    labels.  ``start_logw[u]`` is the head energy of the state's trailing
-    context (the energy terms a length-R prefix contributes before steps
-    begin paying full increments).
+    labels.
     """
 
     presentation: SoficPresentation
@@ -44,7 +42,6 @@ class TransferSystem:
     context_len: int
     states: tuple[tuple[int, tuple[int, ...]], ...]
     trans: np.ndarray
-    start_logw: np.ndarray
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -168,8 +165,7 @@ def build_transfer(presentation: SoficPresentation,
             if not 0.0 < w < math.inf:
                 raise ValidationError(f"step weight exp({step!r}) leaves the float64 range")
             trans[a, i, j] = w
-    start_logw = np.array([_head_energy(potential, ctx) for (_v, ctx) in states])
-    return TransferSystem(presentation, potential, R, states, trans, start_logw)
+    return TransferSystem(presentation, potential, R, states, trans)
 
 
 def perron(transfer: TransferSystem, tol: float = PERRON_TOL,
@@ -228,17 +224,17 @@ class BrutePartition:
     energies: np.ndarray
 
 
-def word_energies(presentation: SoficPresentation, potential: Potential,
-                  words: np.ndarray) -> np.ndarray:
-    """Energies of a batch of words (kernel path when the potential's tables
-    compile to dense form, exact per-word summation otherwise)."""
+def word_energies(potential: Potential, words: np.ndarray) -> np.ndarray:
+    """Energies of a batch of words over the potential's alphabet (kernel
+    path when the potential's tables compile to dense form, exact per-word
+    summation otherwise)."""
     form = potential._kernel_form
     if words.shape[0] == 0:
         return np.zeros(0)
     if form is not None:
         return _kernels.batch_energy(np.ascontiguousarray(words, dtype=np.uint8),
                                      *form)
-    alph = presentation.alphabet
+    alph = potential.alphabet
     return np.array([energy(potential, Word(alph, 0, tuple(int(a) for a in row)))
                      for row in words])
 
@@ -257,7 +253,7 @@ def brute_partition(presentation: SoficPresentation, potential: Potential,
     """Partition sum over the allowed words on [-n, n] by enumeration,
     accumulated through log-sum-exp."""
     words = presentation.word_matrix(2 * n + 1, cap=cap)
-    energies = word_energies(presentation, potential, words)
+    energies = word_energies(potential, words)
     return BrutePartition(log_sum_exp(energies), words, energies)
 
 
@@ -283,13 +279,14 @@ def _dp_log_partition(presentation: SoficPresentation, potential: Potential,
     _check_context_space(potential)
     log_z: dict[int, float] = {}
     for length in {L for L in lengths if L <= R}:
-        # tiny windows: enumerate directly (counts are at most K^R)
-        words = presentation.word_matrix(length, cap=max(K ** R * 2, 64))
+        # tiny windows: enumerate directly (at most K^R <= 32768 words,
+        # far below the enumeration cap)
+        words = presentation.word_matrix(length)
         keep = np.ones(words.shape[0], dtype=bool)
         for pos, a in fixed.items():
             if pos < length:
                 keep &= words[:, pos] == a
-        energies = word_energies(presentation, potential, words[keep])
+        energies = word_energies(potential, words[keep])
         log_z[length] = log_sum_exp(energies)
     wanted = {L for L in lengths if L > R}
     if not wanted:
@@ -341,20 +338,17 @@ def _dp_log_partition(presentation: SoficPresentation, potential: Potential,
 
 
 def finite_pressure(presentation: SoficPresentation, potential: Potential,
-                    n: int, cap: int | None = None, method: str = "auto") -> float:
+                    n: int, cap: int | None = None,
+                    method: str = "product") -> float:
     """Finite-volume pressure P_n = log(Z_n) / (2n + 1).
 
-    ``method`` picks the evaluation route: "brute" enumerates words,
-    "product" runs the transfer product over the determinized automaton,
-    "auto" uses brute force within the enumeration cap and the product
-    beyond it.  The two routes agree to rounding.
+    ``method`` picks the evaluation route: "product" runs the transfer
+    product over the determinized automaton, "brute" enumerates words (up
+    to ``cap``).  The two routes agree to rounding.
     """
     length = 2 * n + 1
-    if method not in ("auto", "brute", "product"):
+    if method not in ("brute", "product"):
         raise ValidationError(f"unknown method {method!r}")
-    if method == "auto":
-        method = "brute" if presentation.word_count(length) <= enumeration_cap(cap) \
-            else "product"
     if method == "brute":
         return brute_partition(presentation, potential, n, cap=cap).log_z / length
     return _dp_log_partition(presentation, potential, [length])[0] / length

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator, Sequence
@@ -22,14 +21,6 @@ from .exceptions import ValidationError, VolumeGuardError
 
 DEFAULT_ENUM_CAP = 2_000_000
 _DET_STATE_CAP = 65536
-
-
-def enumeration_cap(override: int | None = None) -> int:
-    """Active brute-force cap: explicit override, else SHIFTGIBBS_ENUM_CAP, else default."""
-    if override is not None:
-        return int(override)
-    env = os.environ.get("SHIFTGIBBS_ENUM_CAP", "").strip()
-    return int(env) if env else DEFAULT_ENUM_CAP
 
 
 def strongly_connected(support: np.ndarray) -> bool:
@@ -357,11 +348,12 @@ class SoficPresentation:
     def check_volume(self, length: int, cap: int | None = None
                      ) -> list[np.ndarray]:
         """Refuse (``VolumeGuardError``) when the allowed words of the given
-        length exceed the enumeration cap; otherwise return the subtree
-        counts of ``_subtree_counts``."""
+        length exceed the enumeration cap (``DEFAULT_ENUM_CAP`` when ``cap``
+        is None); otherwise return the subtree counts of
+        ``_subtree_counts``."""
         counts = self._subtree_counts(length)
         count = counts[length][self._det[1]]
-        limit = enumeration_cap(cap)
+        limit = DEFAULT_ENUM_CAP if cap is None else cap
         if count > limit:
             raise VolumeGuardError(
                 f"volume too large for brute force: {count} words of length "
@@ -423,23 +415,24 @@ class SoficPresentation:
         return dist
 
     def shortest_path_edges(self, src: int, dst: int) -> tuple[int, ...]:
-        """Edge list of a shortest nonempty path src -> dst (lexicographically
-        first among the shortest); requires reachability."""
-        best: dict[int, tuple[int, ...]] = {}
-        frontier: list[tuple[int, tuple[int, ...]]] = [(src, ())]
-        while frontier:
-            nxt: list[tuple[int, tuple[int, ...]]] = []
-            for v, path in frontier:
-                for e in self._out[v]:
-                    w = self.edge_target(e)
-                    cand = path + (e,)
-                    if w == dst:
-                        return cand
-                    if w not in best:
-                        best[w] = cand
-                        nxt.append((w, cand))
-            frontier = nxt
-        raise ValidationError("no finite gap: target vertex unreachable")
+        """Edge list of a shortest nonempty path src -> dst, the
+        lexicographically first among the shortest: from each vertex take
+        the smallest out-edge whose target is one step closer to ``dst``
+        (by ``_pair_dist``).  Requires reachability."""
+        dist = self._pair_dist
+        remaining = int(dist[src, dst])
+        if remaining < 0:
+            raise ValidationError("no finite gap: target vertex unreachable")
+        path = []
+        v = src
+        while remaining:
+            remaining -= 1
+            e = next(e for e in self._out[v]
+                     if (self.edge_target(e) == dst if remaining == 0
+                         else dist[self.edge_target(e), dst] == remaining))
+            path.append(e)
+            v = self.edge_target(e)
+        return tuple(path)
 
 
 @dataclass(frozen=True)
@@ -693,16 +686,6 @@ def enumerate_words(presentation: SoficPresentation, n: int,
     mat = presentation.word_matrix(2 * n + 1, cap=cap)
     alph = presentation.alphabet
     return [Word(alph, -n, tuple(int(a) for a in row)) for row in mat]
-
-
-def is_irreducible(presentation: SoficPresentation) -> bool:
-    """True iff the underlying digraph is strongly connected."""
-    return presentation.irreducible
-
-
-def is_aperiodic(presentation: SoficPresentation) -> bool:
-    """True iff the gcd of cycle lengths is 1; requires irreducibility."""
-    return presentation.aperiodic
 
 
 def decoupling_gap(presentation: SoficPresentation,

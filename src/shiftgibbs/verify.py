@@ -131,13 +131,17 @@ def ratio_1d_log_constant(potential: Potential, m: int, q_bar: int,
 # weak-Gibbs deviation scan
 # ---------------------------------------------------------------------------
 
-def weak_gibbs_scan(measure: RPFMeasure, potential: Potential, p_limit: float,
-                    m_list, cap: int | None = None) -> WeakGibbsReport:
+def weak_gibbs_scan(measure: RPFMeasure, m_list,
+                    cap: int | None = None) -> WeakGibbsReport:
     """Maximal per-site deviation between log cylinder measure and the
     energy density minus pressure, over all allowed center words.
 
+    With U the energy of the measure's own potential
+    (``measure.transfer.potential``) and log lambda its limiting pressure
+    (``measure.log_lambda``),
+
     D_m = max over allowed (2m+1)-words u of
-          |log nu([u]) - (U(u) - (2m+1) p_limit)| / (2m+1).
+          |log nu([u]) - (U(u) - (2m+1) log lambda)| / (2m+1).
 
     On the right-resolving transfer cover, with pi the stationary vector,
     h the right Perron vector, ctx_s the context of cover state s and
@@ -152,23 +156,22 @@ def weak_gibbs_scan(measure: RPFMeasure, potential: Potential, p_limit: float,
     reached at its length (``_kernels.class_deviation``), one level per
     length, each found from the last by mapping through the cover's
     transitions; there are never more classes than words.  The enumeration
-    cap still applies to the deepest length and is checked before any work.
-    ``potential`` must be the measure's own.  The tests keep the per-word
-    route (``iter_word_blocks`` words through ``word_energies`` and
+    cap (``DEFAULT_ENUM_CAP`` when ``cap`` is None) still applies to the
+    deepest length and is checked before any work.  The tests keep the
+    per-word route (``iter_word_blocks`` words through ``word_energies`` and
     ``cylinder_log_probs``) and the trie walk it replaced as oracles.
 
     The analytic bound per row combines the exact-constant cylinder
-    sandwich, the finite-volume pressure gap |P_m - p_limit| (every P_m
+    sandwich, the finite-volume pressure gap |P_m - log lambda| (every P_m
     from one partition-DP pass), and the empirical-pairing substitution
     error (boundary bound over volume).
     """
     presentation = measure.presentation
     transfer = measure.transfer
+    potential = transfer.potential
     ms = sorted(m_list)
     if any(m < 0 for m in ms):
         raise ValidationError("m must be nonnegative")
-    if potential != transfer.potential:
-        raise ValidationError("the scanned potential is not the measure's potential")
     lengths = [2 * m + 1 for m in ms]
     presentation.check_volume(max(lengths, default=0), cap)
     n_symbols = len(presentation.alphabet)
@@ -183,7 +186,7 @@ def weak_gibbs_scan(measure: RPFMeasure, potential: Potential, p_limit: float,
     worst = _kernels.class_deviation(
         delta, contexts, np.log(measure.stationary / measure.h),
         np.append(np.log(measure.h), -np.inf), _step_tables(potential),
-        lengths, p_limit - measure.log_lambda, transfer.context_len)
+        lengths, transfer.context_len)
     q = decoupling_gap(presentation, "bounded-length").gap
     log_z = _dp_log_partition(presentation, potential, lengths)
     rows = []
@@ -191,7 +194,7 @@ def weak_gibbs_scan(measure: RPFMeasure, potential: Potential, p_limit: float,
         p_m = lz / length
         log_k = ratio_log_constant(potential, m, q, n_symbols)
         bound = ((math.log(2 * q + 1) + log_k + boundary_norm_bound(potential, m))
-                 / length + abs(p_m - p_limit))
+                 / length + abs(p_m - measure.log_lambda))
         rows.append((m, float(dev) / length, bound))
     return WeakGibbsReport(tuple(rows))
 
@@ -417,7 +420,7 @@ def lemma_212_check(presentation: SoficPresentation, potential: Potential,
     # the two displayed bounds, with exact constants
     log_k = ratio_log_constant(potential, m, q, len(presentation.alphabet))
     u_energy = energy(potential, u_bar)
-    p_m = finite_pressure(presentation, potential, m, method="product")
+    p_m = finite_pressure(presentation, potential, m)
     lhs_up = log_terms(z_ell[q, u_id]) - log_terms(z_n)
     rhs_up = math.log(2 * q + 1) + log_k + u_energy - length * p_m
     add("main_upper", lhs_up, rhs_up, lhs_up <= rhs_up)
@@ -519,7 +522,7 @@ def decoupling_1d_check(presentation: SoficPresentation, potential: Potential,
     # energy sandwich between each class and the class (u_bar, w-, w+)
     # sharing both tails
     log_c1 = sandwich_1d_log_constant(potential, m, q_bar)
-    g = energies - word_energies(presentation, potential, words[:, center])
+    g = energies - word_energies(potential, words[:, center])
     g_min = np.full(realized, np.inf)
     g_max = np.full(realized, -np.inf)
     np.minimum.at(g_min, pair_class, g[pair_word])
@@ -537,7 +540,7 @@ def decoupling_1d_check(presentation: SoficPresentation, potential: Potential,
     log_k = ratio_1d_log_constant(potential, m, q_bar, len(presentation.alphabet))
     pair_log = 2 * math.log(2 * q_bar + 1)
     u_energy = energy(potential, u_bar)
-    p_m = finite_pressure(presentation, potential, m, method="product")
+    p_m = finite_pressure(presentation, potential, m)
     if u_id < 0:
         raise ValidationError("center word does not extend to the volume")
     ratio = log_terms(z_v[u_id]) - log_terms(z_n)

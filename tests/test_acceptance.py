@@ -65,8 +65,7 @@ def test_criterion_2_oracle_equivalence(full, gm, ev, pot_zero, pot_site,
 
 def test_criterion_3_weak_gibbs_exact_case(full, pot_site):
     mu = equilibrium_measure(full, pot_site)
-    rep = weak_gibbs_scan(mu, pot_site, mu.log_lambda, range(1, 13),
-                          cap=2 ** 26)
+    rep = weak_gibbs_scan(mu, range(1, 13), cap=2 ** 26)
     worst = max(d for (_m, d, _b) in rep.rows)
     ok = worst <= 1e-10 and len(rep.rows) == 12
     report(3, "weak Gibbs exactness for the product measure", ok,
@@ -79,7 +78,7 @@ def test_criterion_4_weak_gibbs_convergence(gm, ev, pot_pair):
     ok = True
     for pres, name in ((gm, "golden-mean"), (ev, "even")):
         mu = equilibrium_measure(pres, pot_pair)
-        rep = weak_gibbs_scan(mu, pot_pair, mu.log_lambda, range(1, 11))
+        rep = weak_gibbs_scan(mu, range(1, 11))
         rows = {m: (d, b) for (m, d, b) in rep.rows}
         ok &= all(d <= b for (d, b) in rows.values())
         ok &= rows[10][0] < rows[2][0]
@@ -222,7 +221,7 @@ def test_criterion_9_measure_invariants(full, gm, ev, pot_zero, pot_site,
         sups = {}
         for m in (3, 10):
             words = pres.word_matrix(2 * m + 1)
-            u = word_energies(pres, pot_pair, words)
+            u = word_energies(pot_pair, words)
             lp = cylinder_log_probs(mu, words)
             sups[m] = float(np.abs(lp - u + (2 * m + 1) * mu.log_lambda).max())
         ok &= sups[10] <= sups[3] + 1e-9

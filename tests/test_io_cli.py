@@ -254,14 +254,61 @@ class TestCli:
         assert exc.value.code == 2
         assert "unrecognized arguments: --threads" in capsys.readouterr().err
 
-    def test_cap_flag_and_env_override(self):
-        args = ("pressure", "--shift", str(data_path("full2.shift")),
-                "--potential", str(data_path("zero.pot")), "--n-max", "3")
-        out = run_cli(*args, env_extra={"SHIFTGIBBS_ENUM_CAP": "4"})
-        # the product route takes over beyond the cap; result is unchanged
+    def test_cap_flag_bounds_tangent(self):
+        out = run_cli("tangent", "--shift", str(data_path("full2.shift")),
+                      "--potential", str(data_path("zero.pot")),
+                      "--word", "1", "--n", "3", "--cap", "4")
+        assert out.returncode == 3
+        assert out.stdout == ""
+        assert "128 words of length 7 exceed the cap 4" in out.stderr
+
+    def test_tangent_runs_without_cap(self):
+        out = run_cli("tangent", "--shift", str(data_path("full2.shift")),
+                      "--potential", str(data_path("zero.pot")),
+                      "--word", "1", "--n", "3")
         assert out.returncode == 0
-        line1 = out.stdout.strip().split("\n")[1]
-        assert float(line1.split("\t")[1]) == pytest.approx(math.log(2), abs=1e-12)
+
+    @pytest.mark.parametrize("command", [
+        ("pressure", "--potential", str(data_path("zero.pot")), "--n-max", "3"),
+        ("gap",)])
+    def test_cap_flag_only_on_enumerating_commands(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command[0], "--shift", str(data_path("full2.shift")),
+                      *command[1:], "--cap", "4"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --cap 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("which, flags, named", [
+        ("212", ("--q-bar", "1"), "--q-bar"),
+        ("211", ("--q-bar", "1"), "--q-bar"),
+        ("211", ("--u", "010"), "--u"),
+        ("212", ("--seed", "1"), "--seed"),
+        ("1d", ("--count", "3"), "--count"),
+        ("1d", ("--seed", "0", "--count", "10"), "--seed, --count"),
+    ])
+    def test_lemma_refuses_flags_its_suite_ignores(self, which, flags, named,
+                                                   capsys):
+        code = cli.main(["lemma", "--which", which,
+                         "--shift", str(data_path("even.shift")),
+                         "--potential", str(data_path("pair_beta.pot")),
+                         "--n", "6", "--m", "1", *flags])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --which {which} does not take {named}\n"
+
+    def test_lemma_211_seed_and_count(self, capsys):
+        args = ["lemma", "--which", "211",
+                "--shift", str(data_path("even.shift")),
+                "--potential", str(data_path("pair_beta.pot")),
+                "--n", "6", "--m", "1"]
+        assert cli.main(args) == 0
+        default = capsys.readouterr().out
+        assert default.count("# pair ") == 10
+        assert cli.main(args + ["--seed", "0", "--count", "10"]) == 0
+        assert capsys.readouterr().out == default
+        assert cli.main(args + ["--seed", "4", "--count", "3"]) == 0
+        assert capsys.readouterr().out.count("# pair ") == 3
 
     def test_out_file(self, tmp_path):
         target = tmp_path / "report.tsv"

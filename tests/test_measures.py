@@ -171,7 +171,7 @@ class TestStrongGibbs:
     def _deviation(self, mu, pot, m):
         pres = mu.presentation
         words = pres.word_matrix(2 * m + 1)
-        u = word_energies(pres, pot, words)
+        u = word_energies(pot, words)
         lp = cylinder_log_probs(mu, words)
         return float(np.abs(lp - u + (2 * m + 1) * mu.log_lambda).max())
 

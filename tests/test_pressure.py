@@ -49,6 +49,10 @@ class TestFinitePressure:
             assert finite_pressure(full, pot_site, n, method="product") == \
                 pytest.approx(target, abs=1e-12)
 
+    def test_unknown_method_rejected(self, full, pot_zero):
+        with pytest.raises(ValidationError, match="unknown method 'auto'"):
+            finite_pressure(full, pot_zero, 1, method="auto")
+
     def test_routes_agree(self, gm, ev, full, pot_zero, pot_site, pot_pair):
         for pres in (gm, ev, full):
             for pot in (pot_zero, pot_site, pot_pair):
@@ -257,7 +261,7 @@ class TestLadderOracle:
             for pos, a in fixed.items():
                 if pos < length:
                     keep &= words[:, pos] == a
-            brute = log_sum_exp(word_energies(ev, potential, words[keep]))
+            brute = log_sum_exp(word_energies(potential, words[keep]))
             assert value == pytest.approx(brute, rel=0, abs=1e-12)
 
     def test_dead_pattern_gives_minus_inf(self, ev, pot_pair):

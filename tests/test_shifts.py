@@ -6,10 +6,10 @@ import pytest
 from shiftgibbs import (Alphabet, BlockCode, Point, SoficPresentation,
                         ValidationError, VolumeGuardError, Word,
                         apply_block_code, decoupling_gap, enumerate_words,
-                        factor_gap_bound, factor_presentation, is_aperiodic,
-                        is_irreducible, point_from_words, sft_presentation,
-                        splice)
-from shiftgibbs.bundled import BINARY, ten_detector_code
+                        factor_gap_bound, factor_presentation,
+                        point_from_words, sft_presentation, splice)
+from shiftgibbs.bundled import BINARY, data_path, ten_detector_code
+from shiftgibbs.fileio import load_shift
 from shiftgibbs.shifts import strongly_connected, support_period
 
 
@@ -63,14 +63,14 @@ class TestEnumeration:
 
 class TestGraphPredicates:
     def test_irreducible(self, ev, reducible, full):
-        assert is_irreducible(ev)
-        assert not is_irreducible(reducible)
-        assert is_irreducible(full)
+        assert ev.irreducible
+        assert not reducible.irreducible
+        assert full.irreducible
 
     def test_aperiodic(self, ev, periodic, full):
-        assert is_aperiodic(ev)  # cycles of length 1 and 2
-        assert not is_aperiodic(periodic)
-        assert is_aperiodic(full)
+        assert ev.aperiodic  # cycles of length 1 and 2
+        assert not periodic.aperiodic
+        assert full.aperiodic
 
     @pytest.mark.parametrize("support, connected, period", [
         ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], True, 3),  # 3-cycle
@@ -85,7 +85,7 @@ class TestGraphPredicates:
 
     def test_aperiodic_requires_irreducible(self, reducible):
         with pytest.raises(ValidationError, match="aperiodicity undefined"):
-            is_aperiodic(reducible)
+            reducible.aperiodic
 
     def test_essentiality_enforced(self):
         with pytest.raises(ValidationError, match="essential"):
@@ -210,6 +210,65 @@ class TestSplice:
         zeros = point_from_words(ev, (0,), (), (0,))
         with pytest.raises(ValidationError, match="foreign point"):
             splice(ev, zeros, p_gm, zeros, 1)
+
+
+def bfs_shortest_path(p, src, dst):
+    """Oracle: the edge list of the lexicographically first shortest
+    nonempty path src -> dst by breadth-first search over edge-id-ordered
+    out-edges (None when dst is unreachable)."""
+    best = {}
+    frontier = [(src, ())]
+    while frontier:
+        nxt = []
+        for v, path in frontier:
+            for e in p.out_edges(v):
+                w = p.edge_target(e)
+                cand = path + (e,)
+                if w == dst:
+                    return cand
+                if w not in best:
+                    best[w] = cand
+                    nxt.append((w, cand))
+        frontier = nxt
+    return None
+
+
+def random_essential_graph(rng):
+    """A random essential presentation on 1..6 vertices with parallel
+    edges allowed, so ties between shortest paths are common."""
+    while True:
+        n = rng.randint(1, 6)
+        edges = [(str(rng.randrange(n)), str(rng.randrange(n)),
+                  str(rng.randrange(2))) for _ in range(rng.randint(n, 3 * n))]
+        try:
+            return SoficPresentation(BINARY, [str(v) for v in range(n)], edges)
+        except ValidationError:
+            continue
+
+
+BUNDLED_SHIFT_FILES = ("full2.shift", "golden_mean.shift", "golden_mean.sft",
+                       "even.shift", "reducible.shift", "periodic.shift")
+
+
+class TestShortestPath:
+    def check_every_pair(self, p):
+        for src in range(p.n_vertices):
+            for dst in range(p.n_vertices):
+                want = bfs_shortest_path(p, src, dst)
+                if want is None:
+                    with pytest.raises(ValidationError, match="unreachable"):
+                        p.shortest_path_edges(src, dst)
+                else:
+                    assert p.shortest_path_edges(src, dst) == want
+
+    @pytest.mark.parametrize("name", BUNDLED_SHIFT_FILES)
+    def test_matches_bfs_on_bundled_presentations(self, name):
+        self.check_every_pair(load_shift(data_path(name)))
+
+    def test_matches_bfs_on_random_graphs(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            self.check_every_pair(random_essential_graph(rng))
 
 
 class TestPoints:

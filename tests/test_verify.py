@@ -19,8 +19,7 @@ from shiftgibbs.fileio import load_potential, load_shift
 from shiftgibbs.measures import cylinder_log_probs, strong_gibbs_constant
 from shiftgibbs.potentials import Potential, ShapeTable
 from shiftgibbs.pressure import _step_tables, finite_pressure, word_energies
-from shiftgibbs.shifts import (Alphabet, is_aperiodic, is_irreducible,
-                               sft_presentation)
+from shiftgibbs.shifts import Alphabet, sft_presentation
 from shiftgibbs.verify import (_SHIFT, InequalityRecord, LemmaReport,
                                _dyadic_ints, _exact_terms, _log_scaled,
                                _require_allowed_center, ratio_1d_log_constant,
@@ -404,7 +403,7 @@ def oracle_decoupling_1d(presentation, potential, n, m, j, u_bar,
 
     # energy sandwich between union classes sharing both tails
     log_c1 = sandwich_1d_log_constant(potential, m, q_bar)
-    u_ctr = word_energies(presentation, potential, words[:, center])
+    u_ctr = word_energies(potential, words[:, center])
     g = energies - u_ctr
     g_min: dict[tuple[bytes, bytes, bytes], float] = {}
     g_max: dict[tuple[bytes, bytes, bytes], float] = {}
@@ -573,14 +572,14 @@ class TestExactTerms:
 class TestWeakGibbsScan:
     def test_bernoulli_exact(self, full, pot_site):
         mu = equilibrium_measure(full, pot_site)
-        report = weak_gibbs_scan(mu, pot_site, mu.log_lambda, range(1, 7))
+        report = weak_gibbs_scan(mu, range(1, 7))
         for (_m, d, bound) in report.rows:
             assert d <= 1e-10
             assert d <= bound
 
     def test_golden_zero_potential(self, gm, pot_zero):
         mu = equilibrium_measure(gm, pot_zero)
-        report = weak_gibbs_scan(mu, pot_zero, mu.log_lambda, range(1, 9))
+        report = weak_gibbs_scan(mu, range(1, 9))
         rows = {m: (d, b) for (m, d, b) in report.rows}
         assert rows[8][0] < rows[2][0]
         assert rows[8][0] <= 0.2
@@ -589,7 +588,7 @@ class TestWeakGibbsScan:
 
     def test_delta_to_n(self, gm, pot_zero):
         mu = equilibrium_measure(gm, pot_zero)
-        report = weak_gibbs_scan(mu, pot_zero, mu.log_lambda, range(1, 9))
+        report = weak_gibbs_scan(mu, range(1, 9))
         n_small = report.delta_to_n(1e-6)
         assert n_small is None  # never that small on this example
         rows = {m: d for (m, d, _b) in report.rows}
@@ -601,7 +600,7 @@ class TestWeakGibbsScan:
     def test_scan_is_volume_guarded(self, full, pot_site):
         mu = equilibrium_measure(full, pot_site)
         with pytest.raises(VolumeGuardError):
-            weak_gibbs_scan(mu, pot_site, mu.log_lambda, [12])
+            weak_gibbs_scan(mu, [12])
 
 
 def oracle_rows(measure, potential, m_list):
@@ -614,7 +613,7 @@ def oracle_rows(measure, potential, m_list):
         worst = 0.0
         for block in presentation.iter_word_blocks(length):
             dev = np.abs(cylinder_log_probs(measure, block)
-                         - word_energies(presentation, potential, block)
+                         - word_energies(potential, block)
                          + length * measure.log_lambda)
             worst = max(worst, float(dev.max()))
         rows.append((m, worst / length))
@@ -727,7 +726,7 @@ class TestWeakGibbsScanOracle:
     def test_agrees_with_per_word_route(self, shift, pot):
         presentation, potential = shift(), pot()
         mu = equilibrium_measure(presentation, potential)
-        report = weak_gibbs_scan(mu, potential, mu.log_lambda, range(1, 9))
+        report = weak_gibbs_scan(mu, range(1, 9))
         want = oracle_rows(mu, potential, range(1, 9))
         assert [m for (m, _d, _b) in report.rows] == [m for (m, _d) in want]
         for (_m, d, _b), (_m2, d_oracle) in zip(report.rows, want):
@@ -742,7 +741,7 @@ class TestWeakGibbsScanOracle:
             for offs in ((0,), (0, 1), (0, 3), (0, 2, 3)))
         potential = Potential(BINARY, 3, shapes)
         mu = equilibrium_measure(ev, potential)
-        report = weak_gibbs_scan(mu, potential, mu.log_lambda, range(0, 7))
+        report = weak_gibbs_scan(mu, range(0, 7))
         want = oracle_rows(mu, potential, range(0, 7))
         for (_m, d, _b), (_m2, d_oracle) in zip(report.rows, want):
             assert abs(d - d_oracle) <= 1e-12
@@ -750,7 +749,7 @@ class TestWeakGibbsScanOracle:
     @pytest.mark.parametrize("m_list", [[1, 2, 5], [3, 3], [5, 1, 2], []])
     def test_m_lists(self, ev, pot_pair, m_list):
         mu = equilibrium_measure(ev, pot_pair)
-        report = weak_gibbs_scan(mu, pot_pair, mu.log_lambda, m_list)
+        report = weak_gibbs_scan(mu, m_list)
         want = oracle_rows(mu, pot_pair, m_list)
         assert [m for (m, _d, _b) in report.rows] == sorted(m_list)
         for (_m, d, _b), (_m2, d_oracle) in zip(report.rows, want):
@@ -773,18 +772,13 @@ class TestWeakGibbsScanOracle:
         mu = equilibrium_measure(full, pot_site)
         with pytest.raises(VolumeGuardError,
                            match="33554432 words of length 25 exceed the cap"):
-            weak_gibbs_scan(mu, pot_site, mu.log_lambda, [1, 12])
+            weak_gibbs_scan(mu, [1, 12])
         assert calls == []
 
     def test_negative_m_rejected(self, full, pot_site):
         mu = equilibrium_measure(full, pot_site)
         with pytest.raises(ValidationError, match="m must be nonnegative"):
-            weak_gibbs_scan(mu, pot_site, mu.log_lambda, [-1, 2])
-
-    def test_potential_must_be_the_measures(self, full, pot_site, pot_zero):
-        mu = equilibrium_measure(full, pot_site)
-        with pytest.raises(ValidationError, match="not the measure's potential"):
-            weak_gibbs_scan(mu, pot_zero, mu.log_lambda, [1])
+            weak_gibbs_scan(mu, [-1, 2])
 
 
 def range_three_sft(seed):
@@ -796,8 +790,8 @@ def range_three_sft(seed):
     while True:
         forbidden = [f"{a}{b}{rng.randrange(5)}" for a in range(5) for b in range(5)]
         presentation = sft_presentation(alphabet, forbidden)
-        if (presentation.n_vertices == 25 and is_irreducible(presentation)
-                and is_aperiodic(presentation)):
+        if (presentation.n_vertices == 25 and presentation.irreducible
+                and presentation.aperiodic):
             break
     shapes = tuple(
         ShapeTable(offs, {pat: rng.uniform(-0.5, 0.5) for pat in
@@ -814,8 +808,7 @@ class TestClassPass:
     def test_agrees_with_trie_walk(self, shift, pot):
         presentation, potential = shift(), pot()
         mu = equilibrium_measure(presentation, potential)
-        report = weak_gibbs_scan(mu, potential, mu.log_lambda, range(1, 11),
-                                 cap=1 << 21)
+        report = weak_gibbs_scan(mu, range(1, 11), cap=1 << 21)
         want = trie_rows(mu, potential, range(1, 11), cap=1 << 21)
         assert [m for (m, _d, _b) in report.rows] == [m for (m, _d) in want]
         for (_m, d, _b), (_m2, d_trie) in zip(report.rows, want):
@@ -826,7 +819,7 @@ class TestClassPass:
         presentation, potential = range_three_sft(seed)
         mu = equilibrium_measure(presentation, potential)
         assert mu.transfer.n_states == 100
-        report = weak_gibbs_scan(mu, potential, mu.log_lambda, range(0, 4))
+        report = weak_gibbs_scan(mu, range(0, 4))
         want = trie_rows(mu, potential, range(0, 4))
         for (_m, d, _b), (_m2, d_trie) in zip(report.rows, want):
             assert abs(d - d_trie) <= 1e-12
@@ -845,7 +838,7 @@ class TestClassPass:
                 yield prefix, maps
 
         monkeypatch.setattr(_kernels, "word_classes", counted)
-        weak_gibbs_scan(mu, potential, mu.log_lambda, range(1, 11), cap=1 << 21)
+        weak_gibbs_scan(mu, range(1, 11), cap=1 << 21)
         assert len(sizes) == 22
         for length, n_classes in enumerate(sizes):
             assert 1 <= n_classes <= presentation.word_count(length)
@@ -857,8 +850,7 @@ class TestClassPass:
     def test_within_the_strong_gibbs_constant(self, shift, pot):
         presentation, potential = shift(), pot()
         mu = equilibrium_measure(presentation, potential)
-        report = weak_gibbs_scan(mu, potential, mu.log_lambda, range(0, 11),
-                                 cap=1 << 21)
+        report = weak_gibbs_scan(mu, range(0, 11), cap=1 << 21)
         bound = strong_gibbs_constant(mu)
         for m, d, _b in report.rows:
             assert (2 * m + 1) * d <= bound
