@@ -111,6 +111,8 @@ def load_potential(path, alphabet: Alphabet) -> Potential:
         if parts[0] == "range":
             if len(parts) != 2:
                 raise ParseError(path, line_no, "range line needs one integer")
+            if span is not None:
+                raise ParseError(path, line_no, "duplicate range line")
             try:
                 span = int(parts[1])
             except ValueError:
@@ -124,6 +126,8 @@ def load_potential(path, alphabet: Alphabet) -> Potential:
                 offsets = tuple(int(t) for t in parts[1].split(","))
             except ValueError:
                 raise ParseError(path, line_no, f"bad offsets {parts[1]!r}") from None
+            if sorted(offsets) in (sorted(o) for o, _t in shapes):
+                raise ParseError(path, line_no, f"duplicate shape {parts[1]}")
             shapes.append((offsets, {}))
         elif parts[0] == "val":
             if not shapes:
@@ -143,6 +147,8 @@ def load_potential(path, alphabet: Alphabet) -> Potential:
             offsets, table = shapes[-1]
             if len(pattern) != len(offsets):
                 raise ParseError(path, line_no, "pattern length does not match shape")
+            if pattern in table:
+                raise ParseError(path, line_no, f"duplicate val {parts[1]}")
             table[pattern] = value
         else:
             raise ParseError(path, line_no, f"unknown directive {parts[0]!r}")

@@ -152,6 +152,10 @@ def build_transfer(presentation: SoficPresentation,
     index = {s: i for i, s in enumerate(states)}
     K = len(presentation.alphabet)
     S = len(states)
+    if K * S * S > 2 ** 27:
+        raise VolumeGuardError(
+            f"volume too large for brute force: dense transfer arrays of {K} x "
+            f"{S} x {S} entries for a range-{potential.span} potential")
     trans = np.zeros((K, S, S))
     for (v, ctx), i in index.items():
         for e in presentation.out_edges(v):
@@ -276,7 +280,7 @@ def _dp_log_partition(presentation: SoficPresentation, potential: Potential,
     K = len(presentation.alphabet)
     fixed = fixed or {}
     R = max(1, potential.span)
-    _check_context_space(potential)
+    last = _step_tables(potential)[-1].tolist()
     log_z: dict[int, float] = {}
     for length in {L for L in lengths if L <= R}:
         # tiny windows: enumerate directly (at most K^R <= 32768 words,
@@ -292,15 +296,9 @@ def _dp_log_partition(presentation: SoficPresentation, potential: Potential,
     if not wanted:
         return [log_z[L] for L in lengths]
 
-    step_cache: dict[tuple[int, ...], float] = {}
-
-    def step(ctx_a: tuple[int, ...]) -> float:
-        if ctx_a not in step_cache:
-            step_cache[ctx_a] = _step_energy(potential, ctx_a)
-        return step_cache[ctx_a]
-
-    # seed with all allowed R-prefixes
-    cur: dict[tuple[int, tuple[int, ...]], float] = {}
+    # seed with all allowed R-prefixes; a key is (automaton state, base-K
+    # code of the last R letters), and a step reads the last step table
+    cur: dict[tuple[int, int], float] = {}
     seeds: list[tuple[tuple[int, ...], int]] = [((), start)]
     for pos in range(R):
         grown = []
@@ -314,19 +312,21 @@ def _dp_log_partition(presentation: SoficPresentation, potential: Potential,
         seeds = grown
     for ctx, s in seeds:
         w = _head_energy(potential, ctx)
-        key = (s, ctx)
+        key = (s, int(np.ravel_multi_index(ctx, (K,) * R)))
         cur[key] = np.logaddexp(cur[key], w) if key in cur else w
+    n_codes = K ** R
     for pos in range(R, max(wanted)):
-        nxt: dict[tuple[int, tuple[int, ...]], float] = {}
-        for (s, ctx), lw in cur.items():
+        nxt: dict[tuple[int, int], float] = {}
+        for (s, code), lw in cur.items():
             for a in range(K):
                 if pos in fixed and a != fixed[pos]:
                     continue
                 t = det[s][a]
                 if t < 0:
                     continue
-                key = (int(t), ctx[1:] + (a,))
-                w = lw + step(ctx + (a,))
+                c = code * K + a
+                key = (int(t), c % n_codes)
+                w = lw + last[c % len(last)]
                 nxt[key] = np.logaddexp(nxt[key], w) if key in nxt else w
         cur = nxt
         if not cur:

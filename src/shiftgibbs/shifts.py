@@ -2,9 +2,12 @@
 
 Words, bi-infinite eventually-periodic points with presenting paths,
 cylinders, graph gap certificates, the splice construction, and
-sliding-block factor codes.  All types are immutable after construction
-and every operation is a pure function, so everything here is safe to
-call concurrently.
+sliding-block factor codes.  Graph questions go through three helpers on
+boolean adjacency matrices: ``strongly_connected``, ``support_period`` and
+``_forward_infinite`` (the vertices that start an infinite path; with its
+transpose it gives the essential part of a graph).  All types are
+immutable after construction and every operation is a pure function, so
+everything here is safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -53,6 +56,33 @@ def support_period(support: np.ndarray) -> int:
         level[frontier] = depth
     src, dst = np.nonzero(support & (level >= 0)[:, None])
     return int(np.gcd.reduce(level[src] + 1 - level[dst]))
+
+
+def _forward_infinite(support: np.ndarray) -> np.ndarray:
+    """Mask of the vertices that start an infinite path in the digraph with
+    boolean adjacency ``support``: the largest vertex set in which every
+    vertex has an edge into the set.  On the transpose, the vertices that
+    end an infinite path."""
+    alive = np.ones(support.shape[0], dtype=bool)
+    while True:
+        keep = alive & support[:, alive].any(axis=1)
+        if np.array_equal(keep, alive):
+            return alive
+        alive = keep
+
+
+def _tail(node, step: Callable) -> tuple[list[int], list[int]]:
+    """Follow ``step`` (node -> (edge, next node)) from ``node`` until a
+    node repeats; return the edges of the cycle closed there and the
+    lead-in edges before it, in walking order."""
+    seen = {node: 0}
+    edges: list[int] = []
+    while True:
+        e, node = step(node)
+        edges.append(e)
+        if node in seen:
+            return edges[seen[node]:], edges[:seen[node]]
+        seen[node] = len(edges)
 
 
 @dataclass(frozen=True)
@@ -394,24 +424,19 @@ class SoficPresentation:
 
     @cached_property
     def _pair_dist(self) -> np.ndarray:
-        """Shortest nonempty path lengths between ordered vertex pairs."""
-        n = self.n_vertices
-        dist = np.full((n, n), -1, dtype=np.int64)
-        for src in range(n):
-            frontier = [self.edge_target(e) for e in self._out[src]]
-            d = 1
-            seen: set[int] = set()
-            while frontier:
-                fresh = []
-                for v in frontier:
-                    if v not in seen:
-                        seen.add(v)
-                        if dist[src, v] < 0:
-                            dist[src, v] = d
-                        fresh.append(v)
-                frontier = sorted({self.edge_target(e) for v in fresh for e in self._out[v]}
-                                  - seen)
-                d += 1
+        """Shortest nonempty path lengths between ordered vertex pairs (-1
+        when unreachable): one breadth-first search from every source at
+        once, a float32 matrix product per level (its entries count at most
+        n vertices, so they are exact)."""
+        adj = self._adjacency.astype(np.float32)
+        frontier = seen = self._adjacency
+        dist = np.where(frontier, 1, -1)
+        d = 1
+        while frontier.any():
+            d += 1
+            frontier = (frontier.astype(np.float32) @ adj > 0) & ~seen
+            dist[frontier] = d
+            seen = seen | frontier
         return dist
 
     def shortest_path_edges(self, src: int, dst: int) -> tuple[int, ...]:
@@ -566,47 +591,28 @@ def point_from_words(presentation: SoficPresentation, left: Sequence[int],
         return [e for e in p.out_edges(v) if p.edge_symbol(e) == a]
 
     n = p.n_vertices
-    # product-graph nodes (phase i, vertex v) for the left cycle word:
-    # an edge (i, v) -> (i+1 mod P, w) exists when v --left[i]--> w.
-    P = len(left)
-    good_left = {(i, v) for i in range(P) for v in range(n)}
-    # greatest fixed point: keep (i, v) only if it has a predecessor, so the
-    # periodic tail can extend to -infinity
-    changed = True
-    while changed:
-        changed = False
-        keep = set()
-        for (i, v) in good_left:
-            prev_i = (i - 1) % P
-            if any((prev_i, p.edge_source(e)) in good_left
-                   for e in p.in_edges(v) if p.edge_symbol(e) == left[prev_i]):
-                keep.add((i, v))
-        if keep != good_left:
-            good_left = keep
-            changed = True
-    # symmetric construction for the right cycle: keep nodes with a successor
-    Q = len(right)
-    good_right = {(i, v) for i in range(Q) for v in range(n)}
-    changed = True
-    while changed:
-        changed = False
-        keep = set()
-        for (i, v) in good_right:
-            if any(((i + 1) % Q, p.edge_target(e)) in good_right
-                   for e in sym_edges(v, right[i])):
-                keep.add((i, v))
-        if keep != good_right:
-            good_right = keep
-            changed = True
-    if not good_left or not good_right:
-        raise ValidationError("word has no presenting path in this presentation")
+    src, dst, labels = np.array(p.edges).T
+    labeled = np.zeros((len(p.alphabet), n, n), dtype=bool)
+    labeled[labels, src, dst] = True
 
-    # read the core from a good left node to a good right node
-    start_phase = 0  # left cycle aligned so that left[0] sits at core_start - P
+    def phase_graph(word: tuple[int, ...]) -> np.ndarray:
+        # node (phase i, vertex v) at i*n + v, with an edge
+        # (i, v) -> (i+1 mod len, w) when v --word[i]--> w
+        L = len(word)
+        g = np.zeros((L, n, L, n), dtype=bool)
+        g[np.arange(L), :, (np.arange(L) + 1) % L, :] = labeled[list(word)]
+        return g.reshape(L * n, L * n)
+
+    # (phase, vertex) nodes that the left word reaches from -infinity, and
+    # from which the right word runs on to +infinity
+    P, Q = len(left), len(right)
+    good_left = _forward_infinite(phase_graph(left).T).reshape(P, n)
+    good_right = _forward_infinite(phase_graph(right)).reshape(Q, n)
+
+    # read the core from a good left node to a good right node; the left
+    # cycle is aligned so that left[0] sits at core_start - P
     paths: dict[int, list[int]] = {
-        v: [] for (i, v) in sorted(good_left) if i == start_phase}
-    if not paths:
-        raise ValidationError("word has no presenting path in this presentation")
+        v: [] for v in np.flatnonzero(good_left[0]).tolist()}
     for a in core:
         nxt: dict[int, list[int]] = {}
         for v, path in sorted(paths.items()):
@@ -615,61 +621,34 @@ def point_from_words(presentation: SoficPresentation, left: Sequence[int],
                 if w not in nxt:
                     nxt[w] = path + [e]
         paths = nxt
-        if not paths:
-            raise ValidationError("word has no presenting path in this presentation")
-    ends = [v for v in paths if (0, v) in good_right]
+    ends = [v for v in paths if good_right[0, v]]
     if not ends:
         raise ValidationError("word has no presenting path in this presentation")
     end = min(ends)
     core_edges = paths[end]
 
-    # realize concrete cycles through the chosen joints
-    def walk_left_cycle(v: int) -> tuple[list[int], list[int]]:
-        # walk backwards through good_left until a (phase, vertex) repeats
-        trail = [(start_phase, v)]
-        edges: list[int] = []
-        seen = {trail[0]: 0}
-        while True:
-            i, u = trail[-1]
-            prev_i = (i - 1) % P
-            cands = [e for e in p.in_edges(u)
-                     if p.edge_symbol(e) == left[prev_i]
-                     and (prev_i, p.edge_source(e)) in good_left]
-            e = min(cands)
-            node = (prev_i, p.edge_source(e))
-            edges.append(e)
-            if node in seen:
-                # cycle found: the edges from `node`'s first occurrence on
-                cut = seen[node]
-                cyc = list(reversed(edges[cut:]))
-                lead = list(reversed(edges[:cut]))
-                return cyc, lead
-            seen[node] = len(edges)
-            trail.append(node)
+    # realize concrete cycles through the chosen joints, taking the
+    # smallest admissible edge at each step
+    def left_step(node: tuple[int, int]) -> tuple[int, tuple[int, int]]:
+        i, u = node
+        j = (i - 1) % P
+        e = min(e for e in p.in_edges(u)
+                if p.edge_symbol(e) == left[j] and good_left[j, p.edge_source(e)])
+        return e, (j, p.edge_source(e))
 
-    def walk_right_cycle(v: int) -> tuple[list[int], list[int]]:
-        trail = [(0, v)]
-        edges: list[int] = []
-        seen = {trail[0]: 0}
-        while True:
-            i, u = trail[-1]
-            cands = [e for e in sym_edges(u, right[i])
-                     if ((i + 1) % Q, p.edge_target(e)) in good_right]
-            e = min(cands)
-            node = ((i + 1) % Q, p.edge_target(e))
-            edges.append(e)
-            if node in seen:
-                cut = seen[node]
-                return edges[cut:], edges[:cut]
-            seen[node] = len(edges)
-            trail.append(node)
+    def right_step(node: tuple[int, int]) -> tuple[int, tuple[int, int]]:
+        i, u = node
+        j = (i + 1) % Q
+        e = min(e for e in sym_edges(u, right[i]) if good_right[j, p.edge_target(e)])
+        return e, (j, p.edge_target(e))
 
     start_vertex = (p.edge_source(core_edges[0]) if core_edges else end)
-    left_cyc, left_lead = walk_left_cycle(start_vertex)
-    right_cyc, right_lead = walk_right_cycle(end)
-    # fold the acyclic lead-ins into the core so the tails are purely periodic
-    full_core = left_lead + core_edges + right_lead
-    return Point(presentation, left_cyc, full_core, right_cyc,
+    left_cyc, left_lead = _tail((0, start_vertex), left_step)
+    right_cyc, right_lead = _tail((0, end), right_step)
+    # the left tail walks backwards; fold the acyclic lead-ins into the
+    # core so the tails are purely periodic
+    full_core = left_lead[::-1] + core_edges + right_lead
+    return Point(presentation, left_cyc[::-1], full_core, right_cyc,
                  core_start - len(left_lead))
 
 
@@ -844,42 +823,24 @@ def sft_presentation(alphabet: Alphabet,
     K = len(alphabet)
 
     def contains_forbidden(seq: tuple[int, ...]) -> bool:
-        for f in fwords:
-            L = len(f)
-            for i in range(len(seq) - L + 1):
-                if seq[i:i + L] == tuple(f):
-                    return True
-        return False
+        return any(seq[i:i + len(f)] == f
+                   for f in fwords for i in range(len(seq) - len(f) + 1))
 
     blocks = [b for b in itertools.product(range(K), repeat=memory)
               if not contains_forbidden(b)]
-    alive = set(blocks)
-    # prune to the essential core
-    changed = True
-    while changed:
-        changed = False
-        keep = set()
-        for b in alive:
-            has_out = any(b[1:] + (a,) in alive and
-                          not contains_forbidden(b + (a,))
-                          for a in range(K))
-            has_in = any((a,) + b[:-1] in alive and
-                         not contains_forbidden((a,) + b)
-                         for a in range(K))
-            if has_out and has_in:
-                keep.add(b)
-        if keep != alive:
-            alive = keep
-            changed = True
-    if not alive:
-        raise ValidationError("SFT language is empty")
-    blocks = sorted(alive)
-    names = [alphabet.text(b) for b in blocks]
-    edges = []
+    index = {b: i for i, b in enumerate(blocks)}
+    support = np.zeros((len(blocks), len(blocks)), dtype=bool)
     for b in blocks:
         for a in range(K):
             t = b[1:] + (a,)
-            if t in alive and not contains_forbidden(b + (a,)):
-                edges.append((alphabet.text(b), alphabet.text(t),
-                              alphabet.symbols[a]))
+            if t in index and not contains_forbidden(b + (a,)):
+                support[index[b], index[t]] = True
+    # the essential core: blocks on a bi-infinite path
+    core = _forward_infinite(support) & _forward_infinite(support.T)
+    if not core.any():
+        raise ValidationError("SFT language is empty")
+    text = [alphabet.text(b) for b in blocks]
+    names = [text[i] for i in np.flatnonzero(core)]
+    edges = [(text[i], text[j], alphabet.symbols[blocks[j][-1]])
+             for i in np.flatnonzero(core) for j in np.flatnonzero(support[i] & core)]
     return SoficPresentation(alphabet, names, edges)

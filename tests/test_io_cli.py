@@ -75,6 +75,36 @@ class TestFileFormats:
         with pytest.raises(ParseError, match=r"nonfinite\.pot:4: non-finite value"):
             load_potential(path, BINARY)
 
+    @pytest.mark.parametrize("text, where", [
+        ("range 1\nshape 0,1\nval 00 0.3\nval 00 5\n", "4: duplicate val 00"),
+        ("range 1\nshape 0,1\nval 00 0.3\nrange 2\n", "4: duplicate range line"),
+        ("range 1\nrange 1\nshape 0,1\n", "2: duplicate range line"),
+        ("range 1\nshape 0,1\nval 00 0.3\nshape 1,0\n", "4: duplicate shape 1,0"),
+    ])
+    def test_duplicate_directive_rejected(self, tmp_path, text, where):
+        path = tmp_path / "dup.pot"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match=rf"dup\.pot:{where}$"):
+            load_potential(path, BINARY)
+
+    def test_same_pattern_in_two_shapes_accepted(self, tmp_path):
+        path = tmp_path / "two.pot"
+        path.write_text("range 2\nshape 0,1\nval 11 1\nshape 0,2\nval 11 2\n",
+                        encoding="utf-8")
+        pot = load_potential(path, BINARY)
+        assert [s.values for s in pot.shapes] == [{(1, 1): 1.0}, {(1, 1): 2.0}]
+
+    def test_duplicate_directive_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "dup.pot"
+        path.write_text("range 1\nshape 0,1\nval 00 0.3\nval 00 5\n",
+                        encoding="utf-8")
+        code = cli.main(["pressure", "--shift", str(data_path("full2.shift")),
+                         "--potential", str(path), "--n-max", "2"])
+        assert code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {path}:4: duplicate val 00\n"
+
     def test_non_finite_value_exit_code(self, tmp_path, capsys):
         path = tmp_path / "nonfinite.pot"
         path.write_text("range 0\nshape 0\nval 1 nan\n", encoding="utf-8")
@@ -230,6 +260,36 @@ class TestCli:
         out = run_cli("gap", "--shift", str(bad))
         assert out.returncode == 2
         assert "bad.shift" in out.stderr
+
+    @pytest.mark.parametrize("command", [("measure",),
+                                         ("tangent", "--word", "1", "--n", "3")])
+    def test_dense_transfer_guard(self, tmp_path, command):
+        # 2 letters x (2^14 cover states)^2 exceeds the 2^27-entry bound
+        pot = tmp_path / "wide.pot"
+        pot.write_text("range 14\nshape 0,14\nval 11 0.25\n", encoding="utf-8")
+        out = run_cli(*command, "--shift", str(data_path("full2.shift")),
+                      "--potential", str(pot))
+        assert out.returncode == 3
+        assert out.stdout == ""
+        assert "dense transfer arrays of 2 x 16384 x 16384 entries" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    def test_dense_transfer_guard_boundary(self, tmp_path, monkeypatch):
+        # range 13 gives exactly 2^27 entries: accepted up to the allocation
+        pot = tmp_path / "wide.pot"
+        pot.write_text("range 13\nshape 0,13\nval 11 0.25\n", encoding="utf-8")
+        full2 = full_shift_2()
+        potential = load_potential(pot, full2.alphabet)
+
+        class Allocating(Exception):
+            pass
+
+        def refuse(shape, *args, **kwargs):
+            raise Allocating(shape)
+
+        monkeypatch.setattr(pressure.np, "zeros", refuse)
+        with pytest.raises(Allocating, match=r"\(2, 8192, 8192\)"):
+            pressure.build_transfer(full2, potential)
 
     def test_volume_guard_exit_code(self):
         out = run_cli("weakgibbs", "--shift", str(data_path("full2.shift")),

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -10,7 +11,8 @@ from shiftgibbs import (Alphabet, BlockCode, Point, SoficPresentation,
                         point_from_words, sft_presentation, splice)
 from shiftgibbs.bundled import BINARY, data_path, ten_detector_code
 from shiftgibbs.fileio import load_shift
-from shiftgibbs.shifts import strongly_connected, support_period
+from shiftgibbs.shifts import (_forward_infinite, strongly_connected,
+                               support_period)
 
 
 def texts(words):
@@ -371,3 +373,329 @@ class TestSftIngestion:
     def test_empty_language_rejected(self):
         with pytest.raises(ValidationError, match="empty"):
             sft_presentation(Alphabet(("0",)), ["0"])
+
+
+def oracle_point_from_words(presentation, left, core, right, core_start=0):
+    """Oracle: ``point_from_words`` by set-based fixed-point trims of the
+    (phase, vertex) graphs and one hand-written walker per tail."""
+    p = presentation
+    left = tuple(int(a) for a in left)
+    core = tuple(int(a) for a in core)
+    right = tuple(int(a) for a in right)
+    if not left or not right:
+        raise ValidationError("tail cycle words must be nonempty")
+
+    def sym_edges(v: int, a: int) -> list[int]:
+        return [e for e in p.out_edges(v) if p.edge_symbol(e) == a]
+
+    n = p.n_vertices
+    # product-graph nodes (phase i, vertex v) for the left cycle word:
+    # an edge (i, v) -> (i+1 mod P, w) exists when v --left[i]--> w.
+    P = len(left)
+    good_left = {(i, v) for i in range(P) for v in range(n)}
+    # greatest fixed point: keep (i, v) only if it has a predecessor, so the
+    # periodic tail can extend to -infinity
+    changed = True
+    while changed:
+        changed = False
+        keep = set()
+        for (i, v) in good_left:
+            prev_i = (i - 1) % P
+            if any((prev_i, p.edge_source(e)) in good_left
+                   for e in p.in_edges(v) if p.edge_symbol(e) == left[prev_i]):
+                keep.add((i, v))
+        if keep != good_left:
+            good_left = keep
+            changed = True
+    # symmetric construction for the right cycle: keep nodes with a successor
+    Q = len(right)
+    good_right = {(i, v) for i in range(Q) for v in range(n)}
+    changed = True
+    while changed:
+        changed = False
+        keep = set()
+        for (i, v) in good_right:
+            if any(((i + 1) % Q, p.edge_target(e)) in good_right
+                   for e in sym_edges(v, right[i])):
+                keep.add((i, v))
+        if keep != good_right:
+            good_right = keep
+            changed = True
+    if not good_left or not good_right:
+        raise ValidationError("word has no presenting path in this presentation")
+
+    # read the core from a good left node to a good right node
+    start_phase = 0  # left cycle aligned so that left[0] sits at core_start - P
+    paths: dict[int, list[int]] = {
+        v: [] for (i, v) in sorted(good_left) if i == start_phase}
+    if not paths:
+        raise ValidationError("word has no presenting path in this presentation")
+    for a in core:
+        nxt: dict[int, list[int]] = {}
+        for v, path in sorted(paths.items()):
+            for e in sorted(sym_edges(v, a)):
+                w = p.edge_target(e)
+                if w not in nxt:
+                    nxt[w] = path + [e]
+        paths = nxt
+        if not paths:
+            raise ValidationError("word has no presenting path in this presentation")
+    ends = [v for v in paths if (0, v) in good_right]
+    if not ends:
+        raise ValidationError("word has no presenting path in this presentation")
+    end = min(ends)
+    core_edges = paths[end]
+
+    # realize concrete cycles through the chosen joints
+    def walk_left_cycle(v: int) -> tuple[list[int], list[int]]:
+        # walk backwards through good_left until a (phase, vertex) repeats
+        trail = [(start_phase, v)]
+        edges: list[int] = []
+        seen = {trail[0]: 0}
+        while True:
+            i, u = trail[-1]
+            prev_i = (i - 1) % P
+            cands = [e for e in p.in_edges(u)
+                     if p.edge_symbol(e) == left[prev_i]
+                     and (prev_i, p.edge_source(e)) in good_left]
+            e = min(cands)
+            node = (prev_i, p.edge_source(e))
+            edges.append(e)
+            if node in seen:
+                # cycle found: the edges from `node`'s first occurrence on
+                cut = seen[node]
+                cyc = list(reversed(edges[cut:]))
+                lead = list(reversed(edges[:cut]))
+                return cyc, lead
+            seen[node] = len(edges)
+            trail.append(node)
+
+    def walk_right_cycle(v: int) -> tuple[list[int], list[int]]:
+        trail = [(0, v)]
+        edges: list[int] = []
+        seen = {trail[0]: 0}
+        while True:
+            i, u = trail[-1]
+            cands = [e for e in sym_edges(u, right[i])
+                     if ((i + 1) % Q, p.edge_target(e)) in good_right]
+            e = min(cands)
+            node = ((i + 1) % Q, p.edge_target(e))
+            edges.append(e)
+            if node in seen:
+                cut = seen[node]
+                return edges[cut:], edges[:cut]
+            seen[node] = len(edges)
+            trail.append(node)
+
+    start_vertex = (p.edge_source(core_edges[0]) if core_edges else end)
+    left_cyc, left_lead = walk_left_cycle(start_vertex)
+    right_cyc, right_lead = walk_right_cycle(end)
+    # fold the acyclic lead-ins into the core so the tails are purely periodic
+    full_core = left_lead + core_edges + right_lead
+    return Point(presentation, left_cyc, full_core, right_cyc,
+                 core_start - len(left_lead))
+
+
+def oracle_sft_presentation(alphabet, forbidden):
+    """Oracle: ``sft_presentation`` by a joint two-sided prune loop that
+    re-evaluates the forbidden-word test on every pass."""
+    fwords = [alphabet.parse(t) for t in forbidden]
+    if any(len(f) == 0 for f in fwords):
+        raise ValidationError("forbidden words must be nonempty")
+    memory = max((len(f) - 1 for f in fwords), default=1)
+    memory = max(memory, 1)
+    K = len(alphabet)
+
+    def contains_forbidden(seq: tuple[int, ...]) -> bool:
+        for f in fwords:
+            L = len(f)
+            for i in range(len(seq) - L + 1):
+                if seq[i:i + L] == tuple(f):
+                    return True
+        return False
+
+    blocks = [b for b in itertools.product(range(K), repeat=memory)
+              if not contains_forbidden(b)]
+    alive = set(blocks)
+    # prune to the essential core
+    changed = True
+    while changed:
+        changed = False
+        keep = set()
+        for b in alive:
+            has_out = any(b[1:] + (a,) in alive and
+                          not contains_forbidden(b + (a,))
+                          for a in range(K))
+            has_in = any((a,) + b[:-1] in alive and
+                         not contains_forbidden((a,) + b)
+                         for a in range(K))
+            if has_out and has_in:
+                keep.add(b)
+        if keep != alive:
+            alive = keep
+            changed = True
+    if not alive:
+        raise ValidationError("SFT language is empty")
+    blocks = sorted(alive)
+    names = [alphabet.text(b) for b in blocks]
+    edges = []
+    for b in blocks:
+        for a in range(K):
+            t = b[1:] + (a,)
+            if t in alive and not contains_forbidden(b + (a,)):
+                edges.append((alphabet.text(b), alphabet.text(t),
+                              alphabet.symbols[a]))
+    return SoficPresentation(alphabet, names, edges)
+
+
+def oracle_pair_dist(p):
+    """Oracle: ``_pair_dist`` by one Python breadth-first search per source."""
+    n = p.n_vertices
+    dist = np.full((n, n), -1, dtype=np.int64)
+    for src in range(n):
+        frontier = [p.edge_target(e) for e in p._out[src]]
+        d = 1
+        seen: set[int] = set()
+        while frontier:
+            fresh = []
+            for v in frontier:
+                if v not in seen:
+                    seen.add(v)
+                    if dist[src, v] < 0:
+                        dist[src, v] = d
+                    fresh.append(v)
+            frontier = sorted({p.edge_target(e) for v in fresh for e in p._out[v]}
+                              - seen)
+            d += 1
+    return dist
+
+def point_outcome(solver, p, left, core, right, core_start=0):
+    """The presenting path found by ``solver``, or its error message."""
+    try:
+        pt = solver(p, left, core, right, core_start)
+    except ValidationError as exc:
+        return str(exc)
+    return pt.left_cycle, pt.core, pt.right_cycle, pt.core_start
+
+
+def sft_outcome(solver, alphabet, forbidden):
+    """The presentation built by ``solver``, or its error message."""
+    try:
+        return solver(alphabet, forbidden)
+    except ValidationError as exc:
+        return str(exc)
+
+
+def random_words(p, rng):
+    """Left, core and right words for ``point_from_words``: each the label
+    sequence of a random walk or random letters, so that unsolvable
+    requests are common."""
+    def word(length):
+        if rng.random() < 0.5:
+            return tuple(rng.randrange(len(p.alphabet)) for _ in range(length))
+        v = rng.randrange(p.n_vertices)
+        letters = []
+        for _ in range(length):
+            e = rng.choice(p.out_edges(v))
+            letters.append(p.edge_symbol(e))
+            v = p.edge_target(e)
+        return tuple(letters)
+    return word(rng.randint(1, 4)), word(rng.randint(0, 4)), word(rng.randint(1, 4))
+
+
+def random_forbidden(rng):
+    """A random alphabet of 1..3 letters and up to four forbidden words of
+    length 1..4 over it."""
+    alphabet = Alphabet(tuple("abc"[:rng.randint(1, 3)]))
+    words = ["".join(rng.choice(alphabet.symbols) for _ in range(rng.randint(1, 4)))
+             for _ in range(rng.randint(0, 4))]
+    return alphabet, words
+
+
+class TestGraphSearchOracles:
+    """The trims, tail walkers and pair distances against the set-based
+    searches they replaced, kept above as oracles."""
+
+    @pytest.mark.parametrize("name", BUNDLED_SHIFT_FILES)
+    def test_bundled_shift_files(self, name):
+        p = load_shift(data_path(name))
+        assert np.array_equal(p._pair_dist, oracle_pair_dist(p))
+        words = [w for L in range(1, 4)
+                 for w in itertools.product(range(len(p.alphabet)), repeat=L)]
+        for left in words:
+            for right in words:
+                for core in ((), (0,), (1, 0)):
+                    assert (point_outcome(point_from_words, p, left, core, right, 2)
+                            == point_outcome(oracle_point_from_words, p, left, core,
+                                             right, 2))
+
+    def test_random_essential_graphs(self):
+        rng = random.Random(17)
+        solved = failed = 0
+        for _ in range(600):
+            p = random_essential_graph(rng)
+            assert np.array_equal(p._pair_dist, oracle_pair_dist(p))
+            for _ in range(4):
+                left, core, right = random_words(p, rng)
+                start = rng.randrange(-3, 4)
+                got = point_outcome(point_from_words, p, left, core, right, start)
+                assert got == point_outcome(oracle_point_from_words, p, left, core,
+                                            right, start)
+                solved += not isinstance(got, str)
+                failed += isinstance(got, str)
+        assert solved > 500 and failed > 500
+
+    def test_random_sfts(self):
+        rng = random.Random(23)
+        empty = 0
+        for _ in range(600):
+            alphabet, forbidden = random_forbidden(rng)
+            got = sft_outcome(sft_presentation, alphabet, forbidden)
+            assert got == sft_outcome(oracle_sft_presentation, alphabet, forbidden)
+            if isinstance(got, str):
+                empty += 1
+            else:
+                assert np.array_equal(got._pair_dist, oracle_pair_dist(got))
+        assert 0 < empty < 600
+
+
+class TestForwardInfinite:
+    @staticmethod
+    def support(n, edges):
+        s = np.zeros((n, n), dtype=bool)
+        for u, v in edges:
+            s[u, v] = True
+        return s
+
+    def test_chain_into_a_sink(self):
+        chain = self.support(3, [(0, 1), (1, 2)])
+        assert not _forward_infinite(chain).any()
+        assert not _forward_infinite(chain.T).any()
+
+    def test_cycle_with_an_in_tail(self):
+        g = self.support(4, [(0, 1), (1, 2), (2, 1), (3, 0)])
+        assert _forward_infinite(g).tolist() == [True, True, True, True]
+        assert _forward_infinite(g.T).tolist() == [False, True, True, False]
+
+    def test_cycle_with_an_out_tail(self):
+        g = self.support(3, [(0, 1), (1, 0), (1, 2)])
+        assert _forward_infinite(g).tolist() == [True, True, False]
+        assert _forward_infinite(g.T).tolist() == [True, True, True]
+
+    def test_empty_graph(self):
+        assert _forward_infinite(np.zeros((0, 0), dtype=bool)).shape == (0,)
+
+    def test_essential_part_is_forward_and_backward(self):
+        # the largest vertex set in which every vertex has an edge into the
+        # set and an edge from it, by the joint two-sided prune
+        rng = np.random.default_rng(29)
+        for _ in range(500):
+            n = int(rng.integers(1, 9))
+            g = rng.random((n, n)) < rng.uniform(0.05, 0.4)
+            alive = np.ones(n, dtype=bool)
+            while True:
+                keep = alive & g[:, alive].any(axis=1) & g[alive].any(axis=0)
+                if np.array_equal(keep, alive):
+                    break
+                alive = keep
+            assert np.array_equal(_forward_infinite(g) & _forward_infinite(g.T), alive)
