@@ -16,9 +16,11 @@ from .shifts import (Alphabet, BlockCode, Cylinder, DecouplingCertificate,
                      decoupling_gap, enumerate_words, factor_gap_bound,
                      factor_presentation, periodic_point, point_from_words,
                      sft_presentation, splice)
-from .verify import (InequalityRecord, LemmaReport, WeakGibbsReport,
-                     constrained_partition, decoupling_1d_check,
+from .verify import (Decoupling1dTables, InequalityRecord, Lemma212Tables,
+                     LemmaReport, WeakGibbsReport, constrained_partition,
+                     decoupling_1d_check, decoupling_1d_tables,
                      indicator_potential, lemma_211_check, lemma_212_check,
-                     tangent_derivative_check, weak_gibbs_scan)
+                     lemma_212_tables, tangent_derivative_check,
+                     weak_gibbs_scan)
 
 __version__ = "0.1.0"

@@ -21,8 +21,10 @@ from .pressure import pressure_limit
 from .shifts import (DEFAULT_ENUM_CAP, BlockCode, SoficPresentation, Word,
                      decoupling_gap, enumerate_words, factor_gap_bound,
                      factor_presentation, point_from_words, splice)
-from .verify import (decoupling_1d_check, lemma_211_check, lemma_212_check,
-                     tangent_derivative_check, weak_gibbs_scan)
+from .verify import (decoupling_1d_check, decoupling_1d_tables,
+                     lemma_211_check, lemma_212_check, lemma_212_tables,
+                     require_center, tangent_derivative_check,
+                     weak_gibbs_scan)
 
 
 def _fmt(x: float) -> str:
@@ -168,19 +170,24 @@ def _cmd_lemma(args) -> str:
             lines.extend(_report_lines(report, f"pair {i} ell={ell} ell'={ell_p}"))
         return "\n".join(lines) + "\n"
 
-    check = lemma_212_check if args.which == "212" else decoupling_1d_check
+    # every center is refused before the tables are built, so a bad --u is
+    # reported ahead of a bad --j
     if args.u:
         targets = [_word(presentation, args.u)]
     else:
         targets = enumerate_words(presentation, args.m)
     for u_bar in targets:
-        if args.which == "1d":
-            report = check(presentation, potential, args.n, args.m, args.j, u_bar,
-                           q_bar=args.q_bar, cap=args.cap)
-        else:
-            report = check(presentation, potential, args.n, args.m, args.j, u_bar,
-                           cap=args.cap)
-        lines.extend(_report_lines(report, f"u={u_bar.text()}"))
+        require_center(presentation, args.m, u_bar)
+    if args.which == "212":
+        tables = lemma_212_tables(presentation, potential, args.n, args.m,
+                                  args.j, cap=args.cap)
+        check = lemma_212_check
+    else:
+        tables = decoupling_1d_tables(presentation, potential, args.n, args.m,
+                                      args.j, q_bar=args.q_bar, cap=args.cap)
+        check = decoupling_1d_check
+    for u_bar in targets:
+        lines.extend(_report_lines(check(tables, u_bar), f"u={u_bar.text()}"))
     return "\n".join(lines) + "\n"
 
 

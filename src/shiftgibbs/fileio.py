@@ -3,7 +3,8 @@
 Presentation files: ``vertex <name>`` lines followed by
 ``edge <src> <dst> <label>`` lines.  SFT files: one ``alphabet`` line, then
 ``forbid <word>`` lines.  Potential files: ``range <r>``, then per shape a
-``shape <offsets>`` line followed by its ``val <pattern> <value>`` lines.
+``shape <offsets>`` line (canonical: strictly increasing from 0) followed by
+its ``val <pattern> <value>`` lines.
 ``#`` starts a comment anywhere; blank lines are ignored.  Parse errors
 carry the offending line number.
 """
@@ -14,7 +15,7 @@ import math
 from pathlib import Path
 
 from .exceptions import ValidationError
-from .potentials import Potential, ShapeTable
+from .potentials import Potential, ShapeTable, _canonical_offsets
 from .shifts import Alphabet, SoficPresentation, sft_presentation
 
 
@@ -128,6 +129,10 @@ def load_potential(path, alphabet: Alphabet) -> Potential:
                 raise ParseError(path, line_no, f"bad offsets {parts[1]!r}") from None
             if sorted(offsets) in (sorted(o) for o, _t in shapes):
                 raise ParseError(path, line_no, f"duplicate shape {parts[1]}")
+            try:
+                _canonical_offsets(offsets)
+            except ValidationError as exc:
+                raise ParseError(path, line_no, str(exc)) from exc
             shapes.append((offsets, {}))
         elif parts[0] == "val":
             if not shapes:

@@ -22,6 +22,19 @@ from .shifts import Alphabet, Point, Word
 _COMPILED_TABLE_LIMIT = 65536
 
 
+def _canonical_offsets(offsets: Sequence[int]) -> tuple[int, ...]:
+    """The offsets of a canonical shape as ints; refuses offsets that do not
+    strictly increase from 0 (the pattern letters follow the offsets in the
+    order given, so they are never re-sorted)."""
+    offs = tuple(int(o) for o in offsets)
+    if not offs:
+        raise ValidationError("shape must be nonempty")
+    if offs[0] != 0 or any(b <= a for a, b in zip(offs, offs[1:])):
+        raise ValidationError(f"shape {','.join(map(str, offs))} is not "
+                              "canonical: offsets must strictly increase from 0")
+    return offs
+
+
 @dataclass(frozen=True)
 class ShapeTable:
     """One canonical shape with its pattern values (missing patterns are 0)."""
@@ -30,13 +43,7 @@ class ShapeTable:
     values: Mapping[tuple[int, ...], float]
 
     def __post_init__(self):
-        offs = tuple(sorted(int(o) for o in self.offsets))
-        if not offs:
-            raise ValidationError("shape must be nonempty")
-        if offs[0] != 0:
-            raise ValidationError("canonical shape must have min offset 0")
-        if len(set(offs)) != len(offs):
-            raise ValidationError("shape offsets must be distinct")
+        offs = _canonical_offsets(self.offsets)
         object.__setattr__(self, "offsets", offs)
         vals = {tuple(int(a) for a in k): float(v) for k, v in self.values.items()}
         for k in vals:

@@ -8,7 +8,10 @@ another are accumulated as exact dyadic integers over a shared term list,
 which makes subset and partition relations hold exactly rather than up to
 rounding.  The lemma suites group words by integer class ids of their
 column windows (``_class_ids``) and sum the terms per class exactly
-(``_class_sums``).
+(``_class_sums``).  Each suite is split in two: a tables builder
+(``lemma_212_tables``, ``decoupling_1d_tables``) does everything that does
+not read the center word once per volume, and the per-center check
+(``lemma_212_check``, ``decoupling_1d_check``) adds the rows that do.
 """
 
 from __future__ import annotations
@@ -23,8 +26,9 @@ from . import _kernels
 from .measures import RPFMeasure, cylinder_prob, equilibrium_measure
 from .potentials import (Potential, ShapeTable, boundary_norm_bound, energy,
                          norms)
-from .pressure import (_dp_log_partition, _step_tables, brute_partition,
-                       finite_pressure, log_sum_exp, word_energies)
+from .pressure import (BrutePartition, _dp_log_partition, _step_tables,
+                       brute_partition, finite_pressure, log_sum_exp,
+                       word_energies)
 from .shifts import SoficPresentation, Word, decoupling_gap
 
 _LN2 = math.log(2.0)
@@ -348,18 +352,92 @@ def lemma_211_check(presentation: SoficPresentation, potential: Potential,
         inequalities=records)
 
 
-def lemma_212_check(presentation: SoficPresentation, potential: Potential,
-                    n: int, m: int, j: int, u_bar: Word,
-                    cap: int | None = None) -> LemmaReport:
-    """Brute-force verification of the constrained-partition ratio bounds.
 
-    Records the chain of intermediate relations (single-shift sums versus
-    the union partition function, the union's partition identity envelope)
-    and the two displayed two-sided bounds, all with exact constants.
-    """
+@dataclass(frozen=True, eq=False)
+class Lemma212Tables:
+    """The center-free part of the 212 suite at one (n, m, j): the brute
+    partition, its exact dyadic terms, the class ids and exact class sums,
+    the rows that do not read the center word, and the constants.
+    ``lemma_212_check`` evaluates one center word from them."""
+
+    presentation: SoficPresentation
+    potential: Potential
+    n: int
+    m: int
+    j: int
+    q: int
+    partition: BrutePartition
+    terms: np.ndarray        # exact dyadic terms, object array of ints
+    scale: float
+    z_n: int
+    center_ids: np.ndarray   # center pattern class per (shift, word)
+    ext_ids: np.ndarray      # exterior class per word
+    n_ext: int
+    z_ell: np.ndarray        # Z_{n,ell}(v) per (shift, center class)
+    z_bar: np.ndarray        # Zbar(v) per center class
+    records: tuple[InequalityRecord, ...]
+    constants: dict
+
+
+@dataclass(frozen=True, eq=False)
+class Decoupling1dTables:
+    """The center-free part of the 1d suite at one (n, m, j, q_bar): the
+    brute partition, its exact dyadic terms, the class ids and exact class
+    sums, the rows that do not read the center word, and the constants.
+    ``decoupling_1d_check`` evaluates one center word from them."""
+
+    presentation: SoficPresentation
+    potential: Potential
+    n: int
+    m: int
+    j: int
+    q_bar: int
+    lam_minus: tuple[int, int]
+    lam_plus: tuple[int, int]
+    partition: BrutePartition
+    terms: np.ndarray        # exact dyadic terms, object array of ints
+    scale: float
+    z_n: int
+    center_ids: np.ndarray   # center pattern class per word
+    class_keys: np.ndarray   # sorted packed keys center * n_tails + tail pair
+    n_tails: int
+    g_min: np.ndarray        # per (v, w-, w+) class: least energy minus center energy
+    g_max: np.ndarray        # ... and the greatest
+    z_v: np.ndarray          # Z_n(v) per center class
+    z_bar: np.ndarray        # Zbar_n(v) per center class
+    records: tuple[InequalityRecord, ...]
+    constants: dict
+
+
+def require_center(presentation: SoficPresentation, m: int, u_bar: Word) -> None:
+    """Refuse a center word that is not an allowed word on [-m, m]."""
     _require_allowed_center(presentation, u_bar)
     if len(u_bar) != 2 * m + 1:
         raise ValidationError("windows inconsistent: center word must have length 2m+1")
+
+
+def _center_id(tables, ids: np.ndarray, u_bar: Word) -> int:
+    """The class id in ``ids`` (one per word) of the center word, read off a
+    word that shows it on the center window [j - m, j + m]."""
+    require_center(tables.presentation, tables.m, u_bar)
+    n, m, j = tables.n, tables.m, tables.j
+    rows = (tables.partition.words[:, n + j - m:n + j + m + 1]
+            == u_bar.letters).all(axis=1)
+    if not rows.any():
+        raise ValidationError("center word does not extend to the volume")
+    return ids[rows.argmax()]
+
+
+def lemma_212_tables(presentation: SoficPresentation, potential: Potential,
+                     n: int, m: int, j: int,
+                     cap: int | None = None) -> Lemma212Tables:
+    """Build the center-free tables of the 212 suite once; every center word
+    is then checked from them by ``lemma_212_check``.
+
+    Records the chain of intermediate relations (single-shift sums versus
+    the union partition function, the union's partition identity envelope)
+    over every center pattern, all with exact constants.
+    """
     q = decoupling_gap(presentation, "bounded-length").gap
     if abs(j) > n - (m + q):
         raise ValidationError("windows inconsistent: |j| must be at most n-(m+q)")
@@ -368,17 +446,12 @@ def lemma_212_check(presentation: SoficPresentation, potential: Potential,
     terms, scale = _exact_terms(bp.energies)
     z_n = sum(terms)
     terms = np.array(terms, dtype=object)
-    n_words, length = words.shape[0], 2 * m + 1
     shifts = range(-q, q + 1)
 
     # class ids: the center pattern at every shift (one numbering across
     # shifts, in byte order of the patterns) and each word's exterior
     center_ids, n_centers = _shifted_class_ids(words, (j - m, j + m), shifts)
     ext_ids, n_ext = _class_ids(words[:, np.abs(np.arange(-n, n + 1) - j) > m + q])
-    u_rows = (words[:, n + j - m:n + j + m + 1] == u_bar.letters).all(axis=1)
-    if not u_rows.any():
-        raise ValidationError("center word does not extend to the volume")
-    u_id = center_ids[q, u_rows.argmax()]
 
     # Z_{n,ell}(v) per (shift, center); Zbar(v) takes each word once per
     # center it shows at some shift
@@ -413,39 +486,51 @@ def lemma_212_check(presentation: SoficPresentation, potential: Potential,
         math.log(2 * q + 1) + log_terms(z_n),
         z_bar_total <= (2 * q + 1) * z_n)
 
-    # nonemptiness of the union classes for the reference word
-    u_ext = int(np.count_nonzero(np.bincount(ext_ids[(center_ids == u_id).any(axis=0)])))
-    add("decoupling_nonempty", float(n_ext), float(u_ext), n_ext <= u_ext)
+    return Lemma212Tables(
+        presentation, potential, n, m, j, q, bp, terms, scale, z_n,
+        center_ids, ext_ids, n_ext, z_ell, z_bar, tuple(records),
+        {"log_C": sandwich_log_constant(potential, m, q),
+         "log_K": ratio_log_constant(potential, m, q, len(presentation.alphabet)),
+         "P_m": finite_pressure(presentation, potential, m)})
 
-    # the two displayed bounds, with exact constants
-    log_k = ratio_log_constant(potential, m, q, len(presentation.alphabet))
-    u_energy = energy(potential, u_bar)
-    p_m = finite_pressure(presentation, potential, m)
-    lhs_up = log_terms(z_ell[q, u_id]) - log_terms(z_n)
+
+def lemma_212_check(tables: Lemma212Tables, u_bar: Word) -> LemmaReport:
+    """Brute-force verification of the constrained-partition ratio bounds
+    for one center word: the center-free rows of ``tables``, the
+    nonemptiness of the union classes for the word, and the two displayed
+    two-sided bounds with exact constants."""
+    t = tables
+    u_id = _center_id(t, t.center_ids[t.q], u_bar)
+    q, length = t.q, 2 * t.m + 1
+    log_k, p_m = t.constants["log_K"], t.constants["P_m"]
+    log_z_n = _log_scaled(t.z_n, t.scale)
+    # nonemptiness of the union classes for the word
+    u_ext = int(np.count_nonzero(np.bincount(
+        t.ext_ids[(t.center_ids == u_id).any(axis=0)])))
+    u_energy = energy(t.potential, u_bar)
+    lhs_up = _log_scaled(t.z_ell[q, u_id], t.scale) - log_z_n
     rhs_up = math.log(2 * q + 1) + log_k + u_energy - length * p_m
-    add("main_upper", lhs_up, rhs_up, lhs_up <= rhs_up)
     lhs_low = u_energy - log_k - length * p_m
-    rhs_low = log_terms(z_sum[u_id]) - log_terms(z_n)
-    add("main_lower", lhs_low, rhs_low, lhs_low <= rhs_low)
-
+    rhs_low = _log_scaled(t.z_ell[:, u_id].sum(), t.scale) - log_z_n
     return LemmaReport(
-        context={"n": n, "m": m, "j": j, "q": q, "u_bar": u_bar.text()},
-        constants={"log_C": sandwich_log_constant(potential, m, q),
-                   "log_K": log_k, "P_m": p_m},
-        inequalities=tuple(records))
+        context={"n": t.n, "m": t.m, "j": t.j, "q": q, "u_bar": u_bar.text()},
+        constants=dict(t.constants),
+        inequalities=t.records + (
+            InequalityRecord("decoupling_nonempty", float(t.n_ext), float(u_ext),
+                             t.n_ext <= u_ext),
+            InequalityRecord("main_upper", lhs_up, rhs_up, lhs_up <= rhs_up),
+            InequalityRecord("main_lower", lhs_low, rhs_low, lhs_low <= rhs_low)))
 
 
-def decoupling_1d_check(presentation: SoficPresentation, potential: Potential,
-                        n: int, m: int, j: int, u_bar: Word,
-                        q_bar: int | None = None,
-                        cap: int | None = None) -> LemmaReport:
-    """Brute-force verification of the one-dimensional splice variant: the
-    two-tail class decomposition, its cardinality window, the union trick,
-    the energy sandwich with exact constants, and the final two-sided ratio
-    bound."""
-    _require_allowed_center(presentation, u_bar)
-    if len(u_bar) != 2 * m + 1:
-        raise ValidationError("windows inconsistent: center word must have length 2m+1")
+def decoupling_1d_tables(presentation: SoficPresentation, potential: Potential,
+                         n: int, m: int, j: int, q_bar: int | None = None,
+                         cap: int | None = None) -> Decoupling1dTables:
+    """Build the center-free tables of the 1d suite once; every center word
+    is then checked from them by ``decoupling_1d_check``.
+
+    Records the two-tail class decomposition, its cardinality window and
+    the union trick, all with exact constants.
+    """
     # refuses a reducible presentation even when q_bar is given
     gap = decoupling_gap(presentation, "bounded-length").gap
     if q_bar is None:
@@ -519,38 +604,56 @@ def decoupling_1d_check(presentation: SoficPresentation, potential: Potential,
     add("trick_upper", log_terms(z_bar[c]), log_terms(n_pairs * z_v[c]),
         z_bar[c] <= n_pairs * z_v[c])
 
-    # energy sandwich between each class and the class (u_bar, w-, w+)
-    # sharing both tails
-    log_c1 = sandwich_1d_log_constant(potential, m, q_bar)
+    # per-class extremes of the energy outside the center, for the energy
+    # sandwich against the class of the center word
     g = energies - word_energies(potential, words[:, center])
     g_min = np.full(realized, np.inf)
     g_max = np.full(realized, -np.inf)
     np.minimum.at(g_min, pair_class, g[pair_word])
     np.maximum.at(g_max, pair_class, g[pair_word])
-    u_rows = (words[:, center] == u_bar.letters).all(axis=1)
-    u_id = center_ids[u_rows.argmax()] if u_rows.any() else -1
-    ref_keys = u_id * n_tails + class_keys % n_tails
-    ref = np.minimum(np.searchsorted(class_keys, ref_keys), realized - 1)
-    has = class_keys[ref] == ref_keys
-    spread = np.maximum(g_max[has] - g_min[ref[has]], g_max[ref[has]] - g_min[has])
+
+    return Decoupling1dTables(
+        presentation, potential, n, m, j, q_bar, lam_minus, lam_plus, bp,
+        terms, scale, z_n, center_ids, class_keys, n_tails, g_min, g_max,
+        z_v, z_bar, tuple(records),
+        {"log_C_prime": sandwich_1d_log_constant(potential, m, q_bar),
+         "log_K_bar": ratio_1d_log_constant(potential, m, q_bar,
+                                            len(presentation.alphabet)),
+         "P_m": finite_pressure(presentation, potential, m)})
+
+
+def decoupling_1d_check(tables: Decoupling1dTables, u_bar: Word) -> LemmaReport:
+    """Brute-force verification of the one-dimensional splice variant for
+    one center word: the center-free rows of ``tables``, the energy
+    sandwich between each class and the class of the word sharing both
+    tails, and the final two-sided ratio bound with exact constants."""
+    t = tables
+    u_id = _center_id(t, t.center_ids, u_bar)
+    length = 2 * t.m + 1
+    log_c1, log_k, p_m = (t.constants["log_C_prime"], t.constants["log_K_bar"],
+                          t.constants["P_m"])
+
+    # energy sandwich between each class (v, w-, w+) and (u_bar, w-, w+)
+    keys = t.class_keys
+    ref_keys = u_id * t.n_tails + keys % t.n_tails
+    ref = np.minimum(np.searchsorted(keys, ref_keys), len(keys) - 1)
+    has = keys[ref] == ref_keys
+    spread = np.maximum(t.g_max[has] - t.g_min[ref[has]],
+                        t.g_max[ref[has]] - t.g_min[has])
     worst_est = float(spread.max()) if spread.size else 0.0
-    add("est", worst_est, log_c1, worst_est <= log_c1)
 
     # final two-sided ratio bound with exact constants
-    log_k = ratio_1d_log_constant(potential, m, q_bar, len(presentation.alphabet))
-    pair_log = 2 * math.log(2 * q_bar + 1)
-    u_energy = energy(potential, u_bar)
-    p_m = finite_pressure(presentation, potential, m)
-    if u_id < 0:
-        raise ValidationError("center word does not extend to the volume")
-    ratio = log_terms(z_v[u_id]) - log_terms(z_n)
+    pair_log = 2 * math.log(2 * t.q_bar + 1)
+    u_energy = energy(t.potential, u_bar)
+    ratio = _log_scaled(t.z_v[u_id], t.scale) - _log_scaled(t.z_n, t.scale)
     lhs_low = u_energy - pair_log - log_k - length * p_m
     rhs_up = pair_log + log_k + u_energy - length * p_m
-    add("final_lower", lhs_low, ratio, lhs_low <= ratio)
-    add("final_upper", ratio, rhs_up, ratio <= rhs_up)
-
     return LemmaReport(
-        context={"n": n, "m": m, "j": j, "q_bar": q_bar, "u_bar": u_bar.text(),
-                 "lam_minus": lam_minus, "lam_plus": lam_plus},
-        constants={"log_C_prime": log_c1, "log_K_bar": log_k, "P_m": p_m},
-        inequalities=tuple(records))
+        context={"n": t.n, "m": t.m, "j": t.j, "q_bar": t.q_bar,
+                 "u_bar": u_bar.text(), "lam_minus": t.lam_minus,
+                 "lam_plus": t.lam_plus},
+        constants=dict(t.constants),
+        inequalities=t.records + (
+            InequalityRecord("est", worst_est, log_c1, worst_est <= log_c1),
+            InequalityRecord("final_lower", lhs_low, ratio, lhs_low <= ratio),
+            InequalityRecord("final_upper", ratio, rhs_up, ratio <= rhs_up)))

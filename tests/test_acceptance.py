@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 from shiftgibbs import (apply_block_code, brute_partition, decoupling_1d_check,
-                        decoupling_gap, enumerate_words, equilibrium_measure,
-                        factor_gap_bound, factor_presentation, finite_pressure,
-                        lemma_211_check, lemma_212_check, pressure_limit,
+                        decoupling_1d_tables, decoupling_gap, enumerate_words,
+                        equilibrium_measure, factor_gap_bound,
+                        factor_presentation, finite_pressure, lemma_211_check,
+                        lemma_212_check, lemma_212_tables, pressure_limit,
                         tangent_derivative_check, weak_gibbs_scan, Word)
 from shiftgibbs.bundled import BINARY, ten_detector_code
 from shiftgibbs.measures import cylinder_log_probs, cylinder_prob
@@ -117,16 +118,18 @@ def test_criterion_5_lemma_suites(ev, pot_pair, pot_zero):
     # exhaustive ratio bounds over all center words and j in {-1, 0, 1}
     ok212 = True
     for j in (-1, 0, 1):
+        tables = lemma_212_tables(ev, pot_pair, 6, 1, j)
         for u in enumerate_words(ev, 1):
-            rep = lemma_212_check(ev, pot_pair, 6, 1, j, u)
+            rep = lemma_212_check(tables, u)
             ok212 &= rep.all_hold
 
     # the one-dimensional variant: nonempty classes and all inequalities,
     # run at the smallest gap the window arithmetic admits at n = 7
     ok1d = True
     for pot in (pot_zero, pot_pair):
+        tables = decoupling_1d_tables(ev, pot, 7, 1, 0, q_bar=1)
         for u in enumerate_words(ev, 1):
-            rep = decoupling_1d_check(ev, pot, 7, 1, 0, u, q_bar=1)
+            rep = decoupling_1d_check(tables, u)
             names = {r.name: r.holds for r in rep.inequalities}
             ok1d &= names["nonempty_classes"] and names["cardinality_lower"]
             ok1d &= rep.all_hold

@@ -5,12 +5,17 @@ import sys
 
 import pytest
 
-from shiftgibbs import cli, enumerate_words, pressure
+from shiftgibbs import Word, cli, energy, enumerate_words, pressure
 from shiftgibbs.bundled import (BINARY, SITE_FIELD, data_path, even_shift,
                                 full_shift_2, golden_mean, periodic_cycle,
                                 reducible_pair)
 from shiftgibbs.fileio import (ParseError, dump_presentation, load_potential,
                                load_presentation, load_sft, load_shift)
+
+
+BUNDLED_SHIFTS = ("full2.shift", "golden_mean.shift", "golden_mean.sft",
+                  "even.shift", "reducible.shift", "periodic.shift")
+BUNDLED_POTENTIALS = ("zero.pot", "site_a.pot", "pair_beta.pot")
 
 
 def run_cli(*args, env_extra=None):
@@ -86,6 +91,33 @@ class TestFileFormats:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ParseError, match=rf"dup\.pot:{where}$"):
             load_potential(path, BINARY)
+
+    @pytest.mark.parametrize("offsets", ["1,0", "0,2,1"])
+    def test_non_canonical_shape_rejected(self, tmp_path, capsys, offsets):
+        # the letters of a pattern follow the offsets as listed, so unsorted
+        # offsets would give the value to another word
+        path = tmp_path / "unsorted.pot"
+        width = offsets.count(",") + 1
+        path.write_text(f"range 2\nshape {offsets}\nval {'0' * (width - 1)}1 5\n",
+                        encoding="utf-8")
+        with pytest.raises(ParseError, match=rf"unsorted\.pot:2: shape {offsets} "
+                           "is not canonical: offsets must strictly increase from 0$"):
+            load_potential(path, BINARY)
+        code = cli.main(["pressure", "--shift", str(data_path("full2.shift")),
+                         "--potential", str(path), "--n-max", "2"])
+        assert code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith(f"error: {path}:2: shape {offsets} is not canonical")
+
+    def test_canonical_shape_reads_patterns_in_offset_order(self, tmp_path):
+        path = tmp_path / "sorted.pot"
+        path.write_text("range 1\nshape 0,1\nval 01 5\n", encoding="utf-8")
+        pot = load_potential(path, BINARY)
+        assert pot.shapes[0].offsets == (0, 1)
+        assert pot.shapes[0].values == {(0, 1): 5.0}
+        assert energy(pot, Word(BINARY, 0, (0, 1))) == 5.0
+        assert energy(pot, Word(BINARY, 0, (1, 0))) == 0.0
 
     def test_same_pattern_in_two_shapes_accepted(self, tmp_path):
         path = tmp_path / "two.pot"
@@ -369,6 +401,47 @@ class TestCli:
         assert capsys.readouterr().out == default
         assert cli.main(args + ["--seed", "4", "--count", "3"]) == 0
         assert capsys.readouterr().out.count("# pair ") == 3
+
+    @pytest.mark.parametrize("shift", BUNDLED_SHIFTS)
+    @pytest.mark.parametrize("pot", BUNDLED_POTENTIALS)
+    @pytest.mark.parametrize("which, volume", [
+        ("212", ("--n", "4", "--m", "1")),
+        ("1d", ("--n", "5", "--m", "1", "--q-bar", "1"))])
+    def test_lemma_all_centers_concatenates_single_centers(
+            self, shift, pot, which, volume, capsys):
+        base = ["lemma", "--which", which, "--shift", str(data_path(shift)),
+                "--potential", str(data_path(pot)), *volume]
+        code = cli.main(base)
+        whole = capsys.readouterr()
+        singles = []
+        for u in enumerate_words(load_shift(data_path(shift)), 1):
+            single_code = cli.main(base + ["--u", u.text()])
+            single = capsys.readouterr()
+            if code == 0:
+                assert single_code == 0 and single.err == ""
+                header, block = single.out.split("\n", 1)
+                assert header == "name\tlhs\trhs\tholds"
+                singles.append(block)
+            else:
+                assert (single_code, single.out, single.err) == (code, "", whole.err)
+        if code == 0:
+            assert whole.out == "name\tlhs\trhs\tholds\n" + "".join(singles)
+            assert len(singles) > 1
+
+    @pytest.mark.parametrize("which, volume", [
+        ("212", ("--n", "6")), ("1d", ("--n", "7", "--q-bar", "1"))])
+    @pytest.mark.parametrize("center, message", [
+        ("00000", "windows inconsistent: center word must have length 2m+1"),
+        ("101", "disallowed word"),
+        ("10", "center word must live on a symmetric window [-m, m]")])
+    def test_lemma_refuses_bad_center_before_bad_j(self, which, volume, center,
+                                                   message, capsys):
+        code = cli.main(["lemma", "--which", which,
+                         "--shift", str(data_path("even.shift")),
+                         "--potential", str(data_path("pair_beta.pot")),
+                         *volume, "--m", "1", "--j", "9", "--u", center])
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_out_file(self, tmp_path):
         target = tmp_path / "report.tsv"

@@ -150,5 +150,9 @@ class TestPotentialAlgebra:
     def test_shape_validation(self):
         with pytest.raises(ValidationError):
             ShapeTable((1, 2), {(0, 0): 1.0})  # min offset must be 0
+        for offsets in ((1, 0), (0, 2, 1), (0, 1, 1)):
+            # unsorted offsets are refused, not re-sorted under their patterns
+            with pytest.raises(ValidationError, match="not canonical"):
+                ShapeTable(offsets, {(0,) * len(offsets): 1.0})
         with pytest.raises(ValidationError):
             Potential(BINARY, 0, (ShapeTable((0, 1), {(0, 0): 1.0}),))

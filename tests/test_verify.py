@@ -8,11 +8,11 @@ import pytest
 
 from shiftgibbs import (ValidationError, VolumeGuardError, Word, _kernels,
                         brute_partition, constrained_partition,
-                        decoupling_1d_check, decoupling_gap, energy,
-                        enumerate_words, equilibrium_measure,
-                        indicator_potential, lemma_211_check,
-                        lemma_212_check, tangent_derivative_check,
-                        weak_gibbs_scan)
+                        decoupling_1d_check, decoupling_1d_tables,
+                        decoupling_gap, energy, enumerate_words,
+                        equilibrium_measure, indicator_potential,
+                        lemma_211_check, lemma_212_check, lemma_212_tables,
+                        tangent_derivative_check, weak_gibbs_scan)
 from shiftgibbs.bundled import (BINARY, data_path, equal_pair, even_shift,
                                 full_shift_2, golden_mean, single_site, zero)
 from shiftgibbs.fileio import load_potential, load_shift
@@ -145,23 +145,27 @@ class TestLemma211:
 
 class TestLemma212:
     def test_full_shift_degenerate(self, full, pot_zero):
-        report = lemma_212_check(full, pot_zero, 5, 1, 0, word((0, 1, 0)))
+        report = lemma_212_check(lemma_212_tables(full, pot_zero, 5, 1, 0),
+                                 word((0, 1, 0)))
         assert report.all_hold
         assert report.context["q"] == 1
 
     def test_even_exhaustive_pair_potential(self, ev, pot_pair):
         for j in (-1, 0, 1):
+            tables = lemma_212_tables(ev, pot_pair, 6, 1, j)
             for u in enumerate_words(ev, 1):
-                report = lemma_212_check(ev, pot_pair, 6, 1, j, u)
+                report = lemma_212_check(tables, u)
                 assert report.all_hold, (j, u.text())
 
     def test_golden_pair_potential(self, gm, pot_pair):
+        tables = lemma_212_tables(gm, pot_pair, 6, 1, 0)
         for u in enumerate_words(gm, 1):
-            report = lemma_212_check(gm, pot_pair, 6, 1, 0, u)
+            report = lemma_212_check(tables, u)
             assert report.all_hold, u.text()
 
     def test_records_expected_names(self, ev, pot_zero):
-        report = lemma_212_check(ev, pot_zero, 5, 1, 0, word((0, 0, 0)))
+        report = lemma_212_check(lemma_212_tables(ev, pot_zero, 5, 1, 0),
+                                 word((0, 0, 0)))
         names = {r.name for r in report.inequalities}
         assert names == {"eqineqell1_lower", "eqineqell1_upper",
                          "eqineqell2_lower", "eqineqell2_upper",
@@ -170,20 +174,22 @@ class TestLemma212:
 
 class TestDecoupling1d:
     def test_full_shift(self, full, pot_zero):
-        report = decoupling_1d_check(full, pot_zero, 6, 1, 0, word((0, 1, 0)))
+        report = decoupling_1d_check(decoupling_1d_tables(full, pot_zero, 6, 1, 0),
+                                     word((0, 1, 0)))
         assert report.all_hold
         by_name = {r.name: r for r in report.inequalities}
         assert by_name["nonempty_classes"].lhs == by_name["nonempty_classes"].rhs
 
     def test_even_shift_exhaustive(self, ev, pot_zero, pot_pair):
         for pot in (pot_zero, pot_pair):
+            tables = decoupling_1d_tables(ev, pot, 7, 1, 0, q_bar=1)
             for u in enumerate_words(ev, 1):
-                report = decoupling_1d_check(ev, pot, 7, 1, 0, u, q_bar=1)
+                report = decoupling_1d_check(tables, u)
                 assert report.all_hold, u.text()
 
     def test_range_one_has_no_crossing_term(self, ev, pot_pair):
-        report = decoupling_1d_check(ev, pot_pair, 7, 1, 0, word((0, 0, 0)),
-                                     q_bar=1)
+        report = decoupling_1d_check(
+            decoupling_1d_tables(ev, pot_pair, 7, 1, 0, q_bar=1), word((0, 0, 0)))
         from shiftgibbs import boundary_norm_bound, norms
         expected = 2 * (boundary_norm_bound(pot_pair, 1) + 0.0
                         + 6 * 1 * norms(pot_pair).norm)
@@ -191,16 +197,15 @@ class TestDecoupling1d:
 
     def test_window_preconditions(self, ev, pot_zero):
         with pytest.raises(ValidationError, match="window preconditions"):
-            decoupling_1d_check(ev, pot_zero, 7, 1, 0, word((0, 0, 0)), q_bar=2)
+            decoupling_1d_tables(ev, pot_zero, 7, 1, 0, q_bar=2)
         with pytest.raises(ValidationError, match="window preconditions"):
-            decoupling_1d_check(ev, pot_zero, 5, 1, 0, word((0, 0, 0)), q_bar=2)
+            decoupling_1d_tables(ev, pot_zero, 5, 1, 0, q_bar=2)
 
     @pytest.mark.parametrize("q_bar", [None, 1])
     def test_reducible_refused(self, reducible, pot_zero, q_bar):
         with pytest.raises(ValidationError,
                            match="no finite gap: presentation is not irreducible"):
-            decoupling_1d_check(reducible, pot_zero, 8, 1, 0, word((0, 0, 0)),
-                                q_bar=q_bar)
+            decoupling_1d_tables(reducible, pot_zero, 8, 1, 0, q_bar=q_bar)
 
 
 # ---------------------------------------------------------------------------
@@ -485,9 +490,11 @@ class TestLemmaOracles:
                 for j in (-1, 0, 1):
                     if abs(j) > n - (m + q):
                         continue
+                    # one table, every center checked from it
+                    tables = lemma_212_tables(pres, potential, n, m, j)
                     for u in enumerate_words(pres, m):
                         assert same_report(
-                            lemma_212_check(pres, potential, n, m, j, u),
+                            lemma_212_check(tables, u),
                             oracle_lemma_212(pres, potential, n, m, j, u)
                         ), (n, m, j, u.text())
 
@@ -507,9 +514,11 @@ class TestLemmaOracles:
                     for j in (-1, 0, 1):
                         if abs(j) >= n - (m + 3 * q_eff):
                             continue
+                        # one table, every center checked from it
+                        tables = decoupling_1d_tables(pres, potential, n, m, j,
+                                                      q_bar=q_bar)
                         for u in enumerate_words(pres, m):
-                            got = decoupling_1d_check(pres, potential, n, m, j,
-                                                      u, q_bar=q_bar)
+                            got = decoupling_1d_check(tables, u)
                             want = oracle_decoupling_1d(pres, potential, n, m,
                                                         j, u, q_bar=q_bar)
                             assert same_report(got, want), (q_bar, n, m, j,
@@ -537,12 +546,55 @@ class TestLemmaOracles:
         least = min(slack for slack, _z, _zb in cells)
         tied = [(z, zb) for slack, z, zb in cells if slack == least]
         assert tied[0][0] != tied[-1][0]
-        report = lemma_212_check(ev, pot_zero, n, m, j, word((0, 0, 0)))
+        report = lemma_212_check(lemma_212_tables(ev, pot_zero, n, m, j),
+                                 word((0, 0, 0)))
         row = report.inequalities[0]
         assert row.name == "eqineqell1_lower"
         assert row.lhs == pytest.approx(math.log(tied[0][0]), rel=0, abs=1e-9)
         assert row.rhs == pytest.approx(math.log(tied[0][1]), rel=0, abs=1e-9)
         assert report == oracle_lemma_212(ev, pot_zero, n, m, j, word((0, 0, 0)))
+
+    @pytest.mark.parametrize("shift, pot", bundled_file_pairs())
+    @pytest.mark.parametrize("suite", ["212", "1d"])
+    def test_reports_do_not_depend_on_center_order(self, shift, pot, suite):
+        # the reports of one table, checked forwards, backwards and twice
+        # over with the first report's dicts altered in between, equal
+        # those of a fresh table per center
+        pres, potential = load_pair(shift, pot)
+        q = decoupling_gap(pres, "bounded-length").gap
+        if suite == "212":
+            def tables():
+                return lemma_212_tables(pres, potential, 1 + q + 1, 1, 1)
+            check = lemma_212_check
+        else:
+            def tables():
+                return decoupling_1d_tables(pres, potential, 1 + 3 * q + 2, 1, 1)
+            check = decoupling_1d_check
+        centers = enumerate_words(pres, 1)
+        fresh = [check(tables(), u) for u in centers]
+        shared = tables()
+        forwards = [check(shared, u) for u in centers]
+        forwards[0].constants.clear()
+        forwards[0].context.clear()
+        backwards = [check(shared, u) for u in reversed(centers)][::-1]
+        again = [check(shared, u) for u in centers]
+        assert len(centers) > 1
+        assert backwards == again == fresh
+        assert forwards[1:] == fresh[1:]
+
+    @pytest.mark.parametrize("suite", ["212", "1d"])
+    def test_check_refuses_bad_centers(self, ev, pot_pair, suite):
+        if suite == "212":
+            tables, check = lemma_212_tables(ev, pot_pair, 5, 1, 0), lemma_212_check
+        else:
+            tables = decoupling_1d_tables(ev, pot_pair, 7, 1, 0, q_bar=1)
+            check = decoupling_1d_check
+        with pytest.raises(ValidationError, match="disallowed word"):
+            check(tables, word((0, 1, 0, 1, 1)))
+        with pytest.raises(ValidationError, match="must have length 2m\\+1"):
+            check(tables, word((0,)))
+        with pytest.raises(ValidationError, match="symmetric window"):
+            check(tables, word((0, 0)))
 
 
 def fraction_ints(values):
