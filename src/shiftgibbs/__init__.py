@@ -14,8 +14,8 @@ from .pressure import (BrutePartition, PressureEstimate, TransferSystem,
 from .shifts import (Alphabet, BlockCode, Cylinder, DecouplingCertificate,
                      Point, SoficPresentation, Word, apply_block_code,
                      decoupling_gap, enumerate_words, factor_gap_bound,
-                     factor_presentation, periodic_point, point_from_words,
-                     sft_presentation, splice)
+                     factor_presentation, point_from_words, sft_presentation,
+                     splice)
 from .verify import (Decoupling1dTables, InequalityRecord, Lemma212Tables,
                      LemmaReport, WeakGibbsReport, constrained_partition,
                      decoupling_1d_check, decoupling_1d_tables,

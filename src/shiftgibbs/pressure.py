@@ -1,11 +1,14 @@
 """Finite-volume pressure and its limit.
 
 Finite-volume partition sums are computed two ways: brute-force over the
-enumerated word list, and as a product of label transitions over the
-determinized word automaton (one path per word, so the two agree exactly
-up to rounding even for sofic shifts where words carry several presenting
-paths).  The limiting pressure is the log Perron root of the weighted
-transfer system on the (vertex, trailing-context) cover.
+enumerated word list (the oracle), and by one log-domain pass over the
+determinized word automaton (``_dp_log_partition``), whose keys pair an
+automaton state with the code of the last letters and whose edges are
+built once and weighed by per-position step tables.  Each word is one
+automaton path, so the two agree up to rounding even for sofic shifts
+where words carry several presenting paths.  The limiting pressure is the
+log Perron root of the weighted transfer system on the (vertex,
+trailing-context) cover.
 """
 
 from __future__ import annotations
@@ -21,11 +24,12 @@ import numpy as np
 from . import _kernels
 from .exceptions import ValidationError, VolumeGuardError
 from .potentials import Potential, boundary_norm_bound, energy
-from .shifts import (SoficPresentation, Word, strongly_connected,
-                     support_period)
+from .shifts import (DENSE_ENTRIES_CAP, SoficPresentation, Word,
+                     strongly_connected, support_period)
 
 PERRON_TOL = 1e-13
 PERRON_RESIDUAL_TOL = 1e-12
+_NEG_FLOOR = -np.finfo(float).max
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,14 +119,6 @@ def _step_tables(potential: Potential) -> tuple[np.ndarray, ...]:
         for p in range(potential.span + 1))
 
 
-def _head_energy(potential: Potential, context: tuple[int, ...]) -> float:
-    """Energy of a bare length-R prefix (all shapes fully inside it)."""
-    alph = potential.alphabet
-    if not context:
-        return 0.0
-    return energy(potential, Word(alph, 0, context))
-
-
 def build_transfer(presentation: SoficPresentation,
                    potential: Potential) -> TransferSystem:
     """Weighted transfer system whose states are reachable
@@ -152,7 +148,7 @@ def build_transfer(presentation: SoficPresentation,
     index = {s: i for i, s in enumerate(states)}
     K = len(presentation.alphabet)
     S = len(states)
-    if K * S * S > 2 ** 27:
+    if K * S * S > DENSE_ENTRIES_CAP:
         raise VolumeGuardError(
             f"volume too large for brute force: dense transfer arrays of {K} x "
             f"{S} x {S} entries for a range-{potential.span} potential")
@@ -267,73 +263,70 @@ def _dp_log_partition(presentation: SoficPresentation, potential: Potential,
     """Word-sum log partitions over the determinized automaton, one per
     entry of ``lengths`` (in the same order).
 
-    Each allowed word corresponds to exactly one automaton path, so each
-    value equals the brute-force sum.  One forward pass runs to the deepest
-    length and reads log Z at every requested length on the way; lengths
-    of at most R = max(1, range) letters are enumerated directly.  ``fixed``
-    optionally pins positions (0-based within the window) to single
-    symbols, which restricts every sum to matching words; positions past a
-    length do not constrain it.  Once no word survives, every longer
-    length gets -inf.
+    Each allowed word corresponds to exactly one automaton path from the
+    start state, so each value equals the brute-force sum.  One pass runs
+    to the deepest length and reads log Z at every requested length on the
+    way.  A key is (automaton state, base-K code of the last R letters),
+    R = max(1, range); the keys reachable from the start key (empty
+    context) and their letter edges are built once, with the edges sorted
+    by target.  Position p weighs an edge by ``_step_tables(potential)
+    [min(p, range)]``, so the first R letters need no separate treatment.
+    Each step is a log-sum-exp over every target's incoming edges, shifted
+    by that target's own maximum.  ``fixed`` optionally pins positions
+    (0-based within the window) to single symbols by masking the other
+    letters' edges there, which restricts every sum to matching words;
+    positions past a length do not constrain it.  A length that no word
+    survives gets -inf.
     """
     det, start = presentation._det
     K = len(presentation.alphabet)
     fixed = fixed or {}
-    R = max(1, potential.span)
-    last = _step_tables(potential)[-1].tolist()
-    log_z: dict[int, float] = {}
-    for length in {L for L in lengths if L <= R}:
-        # tiny windows: enumerate directly (at most K^R <= 32768 words,
-        # far below the enumeration cap)
-        words = presentation.word_matrix(length)
-        keep = np.ones(words.shape[0], dtype=bool)
-        for pos, a in fixed.items():
-            if pos < length:
-                keep &= words[:, pos] == a
-        energies = word_energies(potential, words[keep])
-        log_z[length] = log_sum_exp(energies)
-    wanted = {L for L in lengths if L > R}
-    if not wanted:
-        return [log_z[L] for L in lengths]
+    tables = _step_tables(potential)
+    n_codes = K ** max(1, potential.span)
+    # reachable keys, encoded as state * n_codes + code (a Python set: a
+    # plain np.unique would import numpy.ma on first use)
+    seen = {start * n_codes}
+    frontier = list(seen)
+    while frontier:
+        state, code = np.divmod(np.array(frontier), n_codes)
+        succ = det[state]
+        reached = succ * n_codes + (code[:, None] * K + np.arange(K)) % n_codes
+        frontier = list(set(reached[succ >= 0].tolist()) - seen)
+        seen.update(frontier)
+    keys = np.array(sorted(seen))
+    # every (key, letter) edge, plus a dead self-loop on the start key so
+    # that every key has an incoming edge; sorted by target
+    state, code = np.divmod(keys, n_codes)
+    succ = det[state]
+    src, letter = np.nonzero(succ >= 0)
+    context = code[src] * K + letter  # the key's context followed by the letter
+    tgt = np.searchsorted(keys, succ[src, letter] * n_codes + context % n_codes)
+    home = int(np.searchsorted(keys, start * n_codes))
+    src, letter, tgt = (np.append(src, home), np.append(letter, -1),
+                        np.append(tgt, home))
+    order = np.argsort(tgt, kind="stable")
+    src, letter, tgt = src[order], letter[order], tgt[order]
+    starts = np.flatnonzero(np.diff(tgt, prepend=-1))
+    weights = [np.append(t[context % t.size], -np.inf)[order] for t in tables]
 
-    # seed with all allowed R-prefixes; a key is (automaton state, base-K
-    # code of the last R letters), and a step reads the last step table
-    cur: dict[tuple[int, int], float] = {}
-    seeds: list[tuple[tuple[int, ...], int]] = [((), start)]
-    for pos in range(R):
-        grown = []
-        for ctx, s in seeds:
-            for a in range(K):
-                if pos in fixed and a != fixed[pos]:
-                    continue
-                t = det[s][a]
-                if t >= 0:
-                    grown.append((ctx + (a,), int(t)))
-        seeds = grown
-    for ctx, s in seeds:
-        w = _head_energy(potential, ctx)
-        key = (s, int(np.ravel_multi_index(ctx, (K,) * R)))
-        cur[key] = np.logaddexp(cur[key], w) if key in cur else w
-    n_codes = K ** R
-    for pos in range(R, max(wanted)):
-        nxt: dict[tuple[int, int], float] = {}
-        for (s, code), lw in cur.items():
-            for a in range(K):
-                if pos in fixed and a != fixed[pos]:
-                    continue
-                t = det[s][a]
-                if t < 0:
-                    continue
-                c = code * K + a
-                key = (int(t), c % n_codes)
-                w = lw + last[c % len(last)]
-                nxt[key] = np.logaddexp(nxt[key], w) if key in nxt else w
-        cur = nxt
-        if not cur:
-            log_z.update((L, -math.inf) for L in wanted if L > pos)
-            break
-        if pos + 1 in wanted:
-            log_z[pos + 1] = log_sum_exp(np.array(list(cur.values())))
+    want = set(lengths)
+    log_z = {0: 0.0}
+    cur = np.full(keys.size, -np.inf)
+    cur[home] = 0.0
+    with np.errstate(divide="ignore"):  # log 0 = -inf on dead keys
+        for pos in range(max(want, default=0)):
+            w = weights[min(pos, len(weights) - 1)]
+            if pos in fixed:
+                w = np.where(letter == fixed[pos], w, -np.inf)
+            v = cur[src] + w
+            # a dead key (every incoming edge -inf) is shifted by a finite
+            # floor, so it stays -inf instead of becoming nan
+            top = np.maximum(np.maximum.reduceat(v, starts), _NEG_FLOOR)
+            v -= top[tgt]
+            np.exp(v, out=v)
+            cur = top + np.log(np.add.reduceat(v, starts))
+            if pos + 1 in want:
+                log_z[pos + 1] = log_sum_exp(cur)
     return [log_z[L] for L in lengths]
 
 

@@ -24,6 +24,7 @@ from .exceptions import ValidationError, VolumeGuardError
 
 DEFAULT_ENUM_CAP = 2_000_000
 _DET_STATE_CAP = 65536
+DENSE_ENTRIES_CAP = 2 ** 27  # entries of the largest dense matrix a guard lets through
 
 
 def strongly_connected(support: np.ndarray) -> bool:
@@ -566,12 +567,6 @@ class Point:
         return f"Point(...{w.text()}... core_start={self.core_start})"
 
 
-def periodic_point(presentation: SoficPresentation, cycle_edges: Sequence[int],
-                   core_start: int = 0) -> Point:
-    """Point obtained by repeating one closed path in both directions."""
-    return Point(presentation, cycle_edges, (), cycle_edges, core_start)
-
-
 def point_from_words(presentation: SoficPresentation, left: Sequence[int],
                      core: Sequence[int], right: Sequence[int],
                      core_start: int = 0) -> Point:
@@ -776,6 +771,18 @@ def factor_presentation(presentation: SoficPresentation,
     """
     k = code.radius
     p = presentation
+    # the image has one vertex per 2k-edge path: count them exactly first
+    mult = np.zeros((p.n_vertices, p.n_vertices), dtype=object)
+    for (s, d, _a) in p.edges:
+        mult[s, d] += 1
+    counts = np.ones(p.n_vertices, dtype=object)
+    for _ in range(2 * k):
+        counts = mult @ counts
+    n_image = int(counts.sum())
+    if n_image ** 2 > DENSE_ENTRIES_CAP:
+        raise VolumeGuardError(
+            f"volume too large for brute force: factor image with {n_image} "
+            f"vertices needs {n_image} x {n_image} matrices")
     if k == 0:
         keys = [(v, ()) for v in range(p.n_vertices)]
     else:

@@ -303,10 +303,10 @@ def _class_sums(ids, terms: np.ndarray, shape) -> np.ndarray:
 
 
 def constrained_partition(presentation: SoficPresentation, potential: Potential,
-                          n: int, j: int, ell: int, v: Word,
-                          cap: int | None = None) -> float:
+                          n: int, j: int, ell: int, v: Word) -> float:
     """log of the partition sum over allowed (2n+1)-words whose restriction
-    to the shifted center window equals the given pattern."""
+    to the shifted center window equals the given pattern: one partition
+    pass with the window's letters pinned, so no word is enumerated."""
     _require_allowed_center(presentation, v)
     m = len(v) // 2
     q = decoupling_gap(presentation, "bounded-length").gap
@@ -314,11 +314,9 @@ def constrained_partition(presentation: SoficPresentation, potential: Potential,
         raise ValidationError(f"windows inconsistent: |ell| must be at most q={q}")
     if abs(j) > n - (m + q):
         raise ValidationError("windows inconsistent: |j| must be at most n-(m+q)")
-    bp = brute_partition(presentation, potential, n, cap=cap)
     lo = n + j + ell - m  # column of window position j+ell-m
-    cols = bp.words[:, lo:lo + 2 * m + 1]
-    mask = (cols == np.array(v.letters, dtype=bp.words.dtype)).all(axis=1)
-    return log_sum_exp(bp.energies[mask])
+    pins = {lo + i: a for i, a in enumerate(v.letters)}
+    return _dp_log_partition(presentation, potential, [2 * n + 1], pins)[0]
 
 
 def lemma_211_check(presentation: SoficPresentation, potential: Potential,

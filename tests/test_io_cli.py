@@ -226,6 +226,15 @@ class TestCli:
         reparsed = load_presentation(path)
         assert dump_presentation(reparsed) == dumped
 
+    def test_factor_image_guard(self):
+        # full2 at k = 7: 2^14 image vertices, (2^14)^2 > 2^27 matrix entries
+        out = run_cli("factor", "--shift", str(data_path("full2.shift")),
+                      "--k", "7", "--default", "0")
+        assert out.returncode == 3
+        assert out.stdout == ""
+        assert "16384 vertices" in out.stderr
+        assert "Traceback" not in out.stderr
+
     def test_determinism_across_runs_and_threads(self):
         args = ("weakgibbs", "--shift", str(data_path("even.shift")),
                 "--potential", str(data_path("pair_beta.pot")), "--m", "1..5")

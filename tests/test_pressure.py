@@ -189,16 +189,19 @@ class TestPressureLimit:
                 assert p_n2 - p_n == pytest.approx(c, abs=1e-12)
 
 
+SHIFT_FILES = ("full2.shift", "golden_mean.shift", "golden_mean.sft",
+               "even.shift", "reducible.shift", "periodic.shift")
+POTENTIAL_FILES = ("zero.pot", "site_a.pot", "pair_beta.pot")
+
+
 def _bundled_pairs():
     """Every bundled irreducible, aperiodic shift file with every bundled
     potential file."""
     pairs = []
-    for shift in ("full2.shift", "golden_mean.shift", "golden_mean.sft",
-                  "even.shift", "reducible.shift", "periodic.shift"):
+    for shift in SHIFT_FILES:
         pres = load_shift(data_path(shift))
         if pres.irreducible and pres.aperiodic:
-            pairs += [(shift, pot)
-                      for pot in ("zero.pot", "site_a.pot", "pair_beta.pot")]
+            pairs += [(shift, pot) for pot in POTENTIAL_FILES]
     return pairs
 
 
@@ -212,6 +215,16 @@ def _range_three(seed: int) -> Potential:
 
 
 BRUTE_WORDS = 1 << 13  # largest word list the ladder oracle enumerates
+
+
+def _brute_log_z(pres, potential, length, fixed):
+    """log Z over the enumerated words of one length that match the pins."""
+    words = pres.word_matrix(length)
+    keep = np.ones(words.shape[0], dtype=bool)
+    for pos, a in fixed.items():
+        if pos < length:
+            keep &= words[:, pos] == a
+    return log_sum_exp(word_energies(potential, words[keep]))
 
 
 class TestLadderOracle:
@@ -263,6 +276,34 @@ class TestLadderOracle:
                     keep &= words[:, pos] == a
             brute = log_sum_exp(word_energies(potential, words[keep]))
             assert value == pytest.approx(brute, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("shift", SHIFT_FILES)
+    def test_head_lengths_match_brute(self, shift):
+        # lengths up to R + 1 read the per-position head tables
+        pres = load_shift(data_path(shift))
+        for potential in [load_potential(data_path(pot), pres.alphabet)
+                          for pot in POTENTIAL_FILES] + [_range_three(3)]:
+            lengths = list(range(1, max(1, potential.span) + 2))
+            values = _dp_log_partition(pres, potential, lengths)
+            for length, value in zip(lengths, values):
+                brute = _brute_log_z(pres, potential, length, {})
+                assert value == pytest.approx(brute, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("fixed", [{}, {0: 1, 6: 1}])
+    def test_steep_mixed_sign_shapes(self, full, ev, fixed):
+        # on the even shift the heaviest words 100000... end in an odd run
+        # of zeros, at least 800 above every word that the pin 1 at
+        # position 6 lets through: one shift for all keys would underflow
+        # the survivors
+        potential = Potential(BINARY, 1, (
+            ShapeTable((0,), {(0,): 800.0, (1,): -800.0}),
+            ShapeTable((0, 1), {(1, 1): 800.0, (0, 1): -800.0})))
+        lengths = list(range(1, 12))
+        for pres in (full, ev):
+            values = _dp_log_partition(pres, potential, lengths, fixed=fixed)
+            for length, value in zip(lengths, values):
+                brute = _brute_log_z(pres, potential, length, fixed)
+                assert value == pytest.approx(brute, rel=1e-12, abs=0)
 
     def test_dead_pattern_gives_minus_inf(self, ev, pot_pair):
         # an odd run of zeros between two ones is not in the even shift

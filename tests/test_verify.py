@@ -84,8 +84,9 @@ class TestConstrainedPartition:
 
     def test_full_shift_counting(self, full, pot_zero):
         # 2^(2n+1-(2m+1)) words extend any center pattern
-        val = constrained_partition(full, pot_zero, 3, 0, 0, word((1, 0, 1)))
-        assert val == pytest.approx(math.log(2 ** (7 - 3)), abs=1e-12)
+        for n in (3, 11):  # 2^23 words at n = 11: more than brute force takes
+            val = constrained_partition(full, pot_zero, n, 0, 0, word((1, 0, 1)))
+            assert val == pytest.approx(math.log(2 ** (2 * n + 1 - 3)), abs=1e-12)
 
     def test_golden_center_one(self, gm, pot_zero):
         val = constrained_partition(gm, pot_zero, 3, 0, 0, word((1,)))
