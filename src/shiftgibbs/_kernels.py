@@ -55,7 +55,8 @@ def batch_forward_logprob(words, trans, start):
     for i in range(length):
         col = words[:, i]
         w = np.empty_like(v)
-        for a in np.unique(col):
+        # letters present (a plain np.unique imports numpy.ma on first use)
+        for a in np.flatnonzero(np.bincount(col, minlength=trans.shape[0])):
             rows = col == a
             w[rows] = v[rows] @ trans[a]
         tot = w.sum(axis=1)

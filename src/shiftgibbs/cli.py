@@ -195,7 +195,7 @@ def _cmd_tangent(args) -> str:
     presentation, potential = _load(args)
     word = _word(presentation, args.word)
     finite_diff, formula, cylinder_value = tangent_derivative_check(
-        presentation, potential, word, args.n, args.t_step, cap=args.cap)
+        presentation, potential, word, args.n, args.t_step)
     return (f"finite_diff\t{_fmt(finite_diff)}\n"
             f"formula\t{_fmt(formula)}\n"
             f"cylinder\t{_fmt(cylinder_value)}\n")
@@ -307,8 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pair count (211 only; default 10)")
     p.set_defaults(fn=_cmd_lemma)
 
-    p = sub.add_parser("tangent", help="derivative identity cross-check")
-    common(p, cap=True)
+    p = sub.add_parser("tangent", help="d/dt P_n along a word's indicator vs its cylinder")
+    common(p)
     p.add_argument("--word", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t-step", type=float, default=1e-3)

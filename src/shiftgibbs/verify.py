@@ -24,11 +24,10 @@ import numpy as np
 from .exceptions import ValidationError
 from . import _kernels
 from .measures import RPFMeasure, cylinder_prob, equilibrium_measure
-from .potentials import (Potential, ShapeTable, boundary_norm_bound, energy,
-                         norms)
+from .potentials import (Potential, ShapeTable, add_potentials,
+                         boundary_norm_bound, energy, norms)
 from .pressure import (BrutePartition, _dp_log_partition, _step_tables,
-                       brute_partition, finite_pressure, log_sum_exp,
-                       word_energies)
+                       brute_partition, finite_pressure, word_energies)
 from .shifts import SoficPresentation, Word, decoupling_gap
 
 _LN2 = math.log(2.0)
@@ -204,7 +203,7 @@ def weak_gibbs_scan(measure: RPFMeasure, m_list,
 
 
 # ---------------------------------------------------------------------------
-# tangent functional and its brute-force derivative
+# tangent functional and the exact derivative of the partition pass
 # ---------------------------------------------------------------------------
 
 def indicator_potential(presentation: SoficPresentation, u_bar: Word) -> Potential:
@@ -216,40 +215,36 @@ def indicator_potential(presentation: SoficPresentation, u_bar: Word) -> Potenti
     return Potential(presentation.alphabet, span, (shape,))
 
 
-def _occurrence_counts(words: np.ndarray, pattern: tuple[int, ...]) -> np.ndarray:
-    length = words.shape[1]
-    width = len(pattern)
-    pat = np.array(pattern, dtype=words.dtype)
-    counts = np.zeros(words.shape[0], dtype=np.int64)
-    for a in range(length - width + 1):
-        counts += (words[:, a:a + width] == pat).all(axis=1)
-    return counts
-
-
 def tangent_derivative_check(presentation: SoficPresentation, potential: Potential,
-                             u_bar: Word, n: int, t_step: float,
-                             cap: int | None = None
+                             u_bar: Word, n: int, t_step: float
                              ) -> tuple[float, float, float]:
     """Compare three routes to the cylinder weight of a center word:
 
-    * central finite difference of P_n along the indicator direction,
-    * the exact brute-force derivative (occurrence-weighted Gibbs average),
+    * central finite difference of P_n along the indicator direction, from
+      partition passes on f + t 1_u and f - t 1_u,
+    * the exact derivative E[occurrences of u] / (2n+1), one pass with u
+      pinned at each placement against the unpinned pass,
     * the equilibrium measure's cylinder probability.
+
+    The measure comes first, so a refused transfer or a reducible or
+    periodic shift costs no pass.  No word is enumerated.
     """
-    _require_allowed_center(presentation, u_bar)
-    length = 2 * n + 1
-    bp = brute_partition(presentation, potential, n, cap=cap)
-    counts = _occurrence_counts(bp.words, u_bar.letters)
-    log_z = bp.log_z
-
-    def p_n(t: float) -> float:
-        return log_sum_exp(bp.energies + t * counts) / length
-
-    finite_diff = (p_n(t_step) - p_n(-t_step)) / (2.0 * t_step)
-    weights = np.exp(bp.energies - log_z)
-    formula = float((counts * weights).sum()) / length
+    indicator = indicator_potential(presentation, u_bar)  # refuses a bad center
     measure = equilibrium_measure(presentation, potential)
     cylinder_value = cylinder_prob(measure, u_bar)
+    length = 2 * n + 1
+
+    def log_z(pot: Potential, fixed: dict[int, int] | None = None) -> float:
+        return _dp_log_partition(presentation, pot, [length], fixed)[0]
+
+    finite_diff = (log_z(add_potentials(potential, indicator, t_step))
+                   - log_z(add_potentials(potential, indicator, -t_step))
+                   ) / (2.0 * t_step * length)
+    base = log_z(potential)
+    formula = math.fsum(
+        math.exp(log_z(potential, {a + i: x for i, x in enumerate(u_bar.letters)})
+                 - base)
+        for a in range(length - len(u_bar) + 1)) / length
     return finite_diff, formula, cylinder_value
 
 

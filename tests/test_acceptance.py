@@ -11,7 +11,6 @@ import random
 import time
 
 import numpy as np
-import pytest
 
 from shiftgibbs import (apply_block_code, brute_partition, decoupling_1d_check,
                         decoupling_1d_tables, decoupling_gap, enumerate_words,

@@ -183,13 +183,16 @@ class TestCli:
         assert lines[-1].startswith("delta\t0.1\t")
 
     def test_tangent(self):
-        out = run_cli("tangent", "--shift", str(data_path("full2.shift")),
-                      "--potential", str(data_path("zero.pot")),
-                      "--word", "1", "--n", "3")
-        assert out.returncode == 0
-        values = dict(line.split("\t") for line in out.stdout.strip().split("\n"))
-        assert float(values["formula"]) == pytest.approx(0.5, abs=1e-12)
-        assert float(values["finite_diff"]) == pytest.approx(0.5, abs=1e-6)
+        # n = 12 has 2^25 words, more than the enumeration cap
+        for n in ("3", "12"):
+            out = run_cli("tangent", "--shift", str(data_path("full2.shift")),
+                          "--potential", str(data_path("zero.pot")),
+                          "--word", "1", "--n", n)
+            assert out.returncode == 0
+            values = dict(line.split("\t")
+                          for line in out.stdout.strip().split("\n"))
+            assert float(values["formula"]) == pytest.approx(0.5, abs=1e-12)
+            assert float(values["finite_diff"]) == pytest.approx(0.5, abs=1e-6)
 
     def test_lemma_212(self):
         out = run_cli("lemma", "--which", "212",
@@ -355,22 +358,26 @@ class TestCli:
         assert exc.value.code == 2
         assert "unrecognized arguments: --threads" in capsys.readouterr().err
 
-    def test_cap_flag_bounds_tangent(self):
-        out = run_cli("tangent", "--shift", str(data_path("full2.shift")),
-                      "--potential", str(data_path("zero.pot")),
-                      "--word", "1", "--n", "3", "--cap", "4")
-        assert out.returncode == 3
-        assert out.stdout == ""
-        assert "128 words of length 7 exceed the cap 4" in out.stderr
-
     def test_tangent_runs_without_cap(self):
         out = run_cli("tangent", "--shift", str(data_path("full2.shift")),
                       "--potential", str(data_path("zero.pot")),
                       "--word", "1", "--n", "3")
         assert out.returncode == 0
 
+    def test_tangent_long_center_refused(self):
+        # the indicator of a 17-letter word needs 2^17 step contexts
+        out = run_cli("tangent", "--shift", str(data_path("full2.shift")),
+                      "--potential", str(data_path("zero.pot")),
+                      "--word", "1" * 17, "--n", "9")
+        assert out.returncode == 3
+        assert out.stdout == ""
+        assert "transfer context space 2^17" in out.stderr
+        assert "Traceback" not in out.stderr
+
     @pytest.mark.parametrize("command", [
         ("pressure", "--potential", str(data_path("zero.pot")), "--n-max", "3"),
+        ("tangent", "--potential", str(data_path("zero.pot")),
+         "--word", "1", "--n", "3"),
         ("gap",)])
     def test_cap_flag_only_on_enumerating_commands(self, command, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -107,6 +109,23 @@ class TestBackendAgreement:
         words = ev.word_matrix(9)
         assert (batch_energy(words, *form) == 0.0).all()
         assert brute_partition(ev, zero(), 4).log_z == math.log(ev.word_count(9))
+
+
+def test_forward_leaves_numpy_ma_unimported():
+    # a plain np.unique imports numpy.ma on first use (numpy 2.4)
+    script = ("import sys\n"
+              "from shiftgibbs import equilibrium_measure\n"
+              "from shiftgibbs.bundled import equal_pair, even_shift\n"
+              "from shiftgibbs.measures import cylinder_log_probs\n"
+              "ev = even_shift()\n"
+              "measure = equilibrium_measure(ev, equal_pair())\n"
+              "assert 'numpy.ma' not in sys.modules\n"
+              "logp = cylinder_log_probs(measure, ev.word_matrix(7))\n"
+              "assert logp.shape == (ev.word_count(7),)\n"
+              "assert 'numpy.ma' not in sys.modules\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True)
+    assert out.returncode == 0, out.stderr
 
 
 class TestBackendSelection:

@@ -4,13 +4,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from shiftgibbs import (Cylinder, EmptyCylinderWarning, Word, cylinder_prob,
                         empirical_pairing, energy_density_gap,
                         equilibrium_measure, enumerate_words,
                         point_from_words)
-from shiftgibbs.bundled import BINARY, PAIR_COUPLING, SITE_FIELD
+from shiftgibbs.bundled import BINARY, SITE_FIELD
 from shiftgibbs.measures import cylinder_log_probs, strong_gibbs_constant
 from shiftgibbs.pressure import word_energies
 

@@ -8,12 +8,11 @@ import pytest
 from shiftgibbs import (ValidationError, add_potentials, brute_partition,
                         build_transfer, finite_pressure, perron,
                         pressure_limit)
-from shiftgibbs.bundled import (BINARY, SITE_FIELD, data_path, equal_pair,
-                                single_site, zero)
+from shiftgibbs.bundled import BINARY, SITE_FIELD, data_path
 from shiftgibbs.fileio import load_potential, load_shift
 from shiftgibbs.potentials import Potential, ShapeTable, zero_potential
-from shiftgibbs.pressure import (TransferSystem, _dp_log_partition,
-                                 log_sum_exp, perron_residual, word_energies)
+from shiftgibbs.pressure import (_dp_log_partition, log_sum_exp,
+                                 perron_residual, word_energies)
 
 PHI = (1 + math.sqrt(5)) / 2
 

@@ -12,13 +12,15 @@ from shiftgibbs import (ValidationError, VolumeGuardError, Word, _kernels,
                         decoupling_gap, energy, enumerate_words,
                         equilibrium_measure, indicator_potential,
                         lemma_211_check, lemma_212_check, lemma_212_tables,
-                        tangent_derivative_check, weak_gibbs_scan)
+                        tangent_derivative_check, verify, weak_gibbs_scan)
 from shiftgibbs.bundled import (BINARY, data_path, equal_pair, even_shift,
                                 full_shift_2, golden_mean, single_site, zero)
 from shiftgibbs.fileio import load_potential, load_shift
-from shiftgibbs.measures import cylinder_log_probs, strong_gibbs_constant
+from shiftgibbs.measures import (cylinder_log_probs, cylinder_prob,
+                                 strong_gibbs_constant)
 from shiftgibbs.potentials import Potential, ShapeTable
-from shiftgibbs.pressure import _step_tables, finite_pressure, word_energies
+from shiftgibbs.pressure import (_step_tables, finite_pressure, log_sum_exp,
+                                 word_energies)
 from shiftgibbs.shifts import Alphabet, sft_presentation
 from shiftgibbs.verify import (_SHIFT, InequalityRecord, LemmaReport,
                                _dyadic_ints, _exact_terms, _log_scaled,
@@ -467,6 +469,70 @@ def bundled_file_pairs():
 def load_pair(shift, pot):
     pres = load_shift(data_path(shift))
     return pres, load_potential(data_path(pot), pres.alphabet)
+
+
+def occurrence_counts(words, pattern):
+    """Occurrences of ``pattern`` in each row of a word array."""
+    width = len(pattern)
+    pat = np.array(pattern, dtype=words.dtype)
+    counts = np.zeros(words.shape[0], dtype=np.int64)
+    for a in range(words.shape[1] - width + 1):
+        counts += (words[:, a:a + width] == pat).all(axis=1)
+    return counts
+
+
+def brute_tangent(presentation, potential, u_bar, n, t_step):
+    """The tangent check over the enumerated words: the central difference
+    of log-sum-exp(energy + t * count) / (2n+1) and the count-weighted
+    Gibbs average, with the measure's cylinder probability."""
+    length = 2 * n + 1
+    bp = brute_partition(presentation, potential, n)
+    counts = occurrence_counts(bp.words, u_bar.letters)
+
+    def p_n(t):
+        return log_sum_exp(bp.energies + t * counts) / length
+
+    finite_diff = (p_n(t_step) - p_n(-t_step)) / (2.0 * t_step)
+    formula = float((counts * np.exp(bp.energies - bp.log_z)).sum()) / length
+    measure = equilibrium_measure(presentation, potential)
+    return finite_diff, formula, cylinder_prob(measure, u_bar)
+
+
+class TestTangentOracle:
+    @pytest.mark.parametrize("shift, pot", bundled_file_pairs())
+    def test_matches_brute_force(self, shift, pot):
+        pres, potential = load_pair(shift, pot)
+        for width in (1, 3):
+            for letters in pres.word_matrix(width):
+                u_bar = word(tuple(int(a) for a in letters))
+                for n in range(5):
+                    got = tangent_derivative_check(pres, potential, u_bar, n, 1e-3)
+                    fd, formula, cyl = brute_tangent(pres, potential, u_bar, n, 1e-3)
+                    assert got[0] == pytest.approx(fd, rel=0, abs=1e-10)
+                    assert got[1] == pytest.approx(formula, rel=1e-12, abs=0)
+                    assert got[2] == pytest.approx(cyl, rel=1e-12, abs=0)
+
+    def test_enumerates_no_words(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("word enumeration")
+
+        pres, potential = load_pair("even.shift", "pair_beta.pot")
+        monkeypatch.setattr(type(pres), "_word_blocks", refuse)
+        _fd, formula, cyl = tangent_derivative_check(
+            pres, potential, word((0, 1, 0)), 40, 1e-3)
+        # E[count] / L tends to the cylinder probability at rate 1/L
+        assert abs(formula - cyl) <= 0.5 / 81
+
+    @pytest.mark.parametrize("shift, match", [("reducible.shift", "reducible"),
+                                              ("periodic.shift", "periodic")])
+    def test_refused_measure_costs_no_pass(self, shift, match, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("partition pass")
+
+        pres, potential = load_pair(shift, "zero.pot")
+        monkeypatch.setattr(verify, "_dp_log_partition", refuse)
+        with pytest.raises(ValidationError, match=match):
+            tangent_derivative_check(pres, potential, word((0,)), 3, 1e-3)
 
 
 ORACLE_WORDS = 1 << 11  # largest 1d volume the per-word oracle runs on
