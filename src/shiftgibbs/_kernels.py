@@ -2,8 +2,8 @@
 transfer cover.
 
 Kernels operate on batches of words encoded as ``uint8`` symbol indices,
-shape ``(n_words, length)``.  Finite-range potentials are passed in the
-flattened dense-table form produced by ``Potential._kernel_form``.
+shape ``(n_words, length)``.  Finite-range potentials are passed as their
+per-position step tables, ``Potential.step_tables``.
 """
 
 from __future__ import annotations
@@ -17,25 +17,29 @@ def backend_name() -> str:
 
 
 # ---------------------------------------------------------------------------
-# energy of many words under a finite-range potential (dense-table form)
+# energy of many words under a finite-range potential (step tables)
 # ---------------------------------------------------------------------------
 
-def batch_energy(words, offs, offs_start, offs_len, tables, tab_start, n_symbols):
-    """Energy of each word: the table values of every shape translate that
-    fits inside it (all zeros when there are no shapes)."""
+def batch_energy(words, step_tables):
+    """Energy of each word: the step energy of every letter under the
+    letters before it.  Entry ``code`` of ``step_tables[p]`` is the
+    increment of the (p+1)-letter context with base-K code ``code``; the
+    last table serves every later position on its trailing letters.  One
+    rolling code per word reads them all: past the last table the letter
+    that leaves the context is subtracted before the next one is shifted
+    in (the same code as ``% table.size``, without an integer division)."""
     n_words, length = words.shape
+    n_symbols = step_tables[0].shape[0]
+    last = len(step_tables) - 1
+    lead = np.int64(n_symbols ** last)  # weight of a full context's first letter
     out = np.zeros(n_words)
-    n_shapes = offs_len.shape[0]
-    for j in range(n_shapes):
-        k = int(offs_len[j])
-        o = offs[offs_start[j]:offs_start[j] + k]
-        span = int(o[-1])
-        tab = tables[tab_start[j]:tab_start[j] + n_symbols ** k]
-        for a in range(length - span):
-            code = np.zeros(n_words, dtype=np.int64)
-            for t in range(k):
-                code = code * n_symbols + words[:, a + int(o[t])]
-            out += tab[code]
+    code = np.zeros(n_words, dtype=np.int64)
+    for p in range(length):
+        if p > last:
+            code -= lead * words[:, p - last - 1]
+        code *= n_symbols
+        code += words[:, p]
+        out += step_tables[min(p, last)][code]
     return out
 
 

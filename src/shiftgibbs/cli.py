@@ -351,16 +351,16 @@ def main(argv=None) -> int:
     try:
         _validate_numeric(args)
         text = args.fn(args)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
     except VolumeGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
     return 0
 

@@ -5,8 +5,8 @@ Presentation files: ``vertex <name>`` lines followed by
 ``forbid <word>`` lines.  Potential files: ``range <r>``, then per shape a
 ``shape <offsets>`` line (canonical: strictly increasing from 0) followed by
 its ``val <pattern> <value>`` lines.
-``#`` starts a comment anywhere; blank lines are ignored.  Parse errors
-carry the offending line number.
+``#`` starts a comment anywhere; blank lines are ignored.  Files must be
+UTF-8.  Parse errors carry the offending line number.
 """
 
 from __future__ import annotations
@@ -25,6 +25,19 @@ class ParseError(ValidationError):
         self.line_no = line_no
 
 
+def _read_text(path) -> str:
+    """The UTF-8 text of a file; a bad byte is a parse error at its line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bytes before the first bad one decode; count lines as
+        # _logical_lines does
+        line_no = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(path, line_no, f"byte 0x{data[exc.start]:02x} is not "
+                                        "UTF-8 text") from None
+
+
 def _logical_lines(text: str):
     for i, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -35,7 +48,7 @@ def _logical_lines(text: str):
 def load_presentation(path) -> SoficPresentation:
     """Parse a presentation file; the alphabet is the sorted set of edge
     labels appearing in the file."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     vertices: list[str] = []
     raw_edges: list[tuple[str, str, str]] = []
     labels: list[str] = []
@@ -71,7 +84,7 @@ def dump_presentation(presentation: SoficPresentation) -> str:
 
 def load_sft(path) -> SoficPresentation:
     """Parse an SFT file into its vertex-shift presentation."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     alphabet: Alphabet | None = None
     forbidden: list[str] = []
     for line_no, parts in _logical_lines(text):
@@ -105,7 +118,7 @@ def load_shift(path) -> SoficPresentation:
 
 def load_potential(path, alphabet: Alphabet) -> Potential:
     """Parse a potential file against the given alphabet."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     span: int | None = None
     shapes: list[tuple[tuple[int, ...], dict[tuple[int, ...], float]]] = []
     for line_no, parts in _logical_lines(text):
@@ -118,6 +131,8 @@ def load_potential(path, alphabet: Alphabet) -> Potential:
                 span = int(parts[1])
             except ValueError:
                 raise ParseError(path, line_no, f"bad range {parts[1]!r}") from None
+            if span < 0:
+                raise ParseError(path, line_no, "range must be nonnegative")
         elif parts[0] == "shape":
             if span is None:
                 raise ParseError(path, line_no, "shape before range line")
@@ -133,6 +148,8 @@ def load_potential(path, alphabet: Alphabet) -> Potential:
                 _canonical_offsets(offsets)
             except ValidationError as exc:
                 raise ParseError(path, line_no, str(exc)) from exc
+            if offsets[-1] > span:
+                raise ParseError(path, line_no, "shape exceeds the declared range")
             shapes.append((offsets, {}))
         elif parts[0] == "val":
             if not shapes:

@@ -5,10 +5,16 @@ integers anchored with min 0) with value tables on symbol patterns.
 Translation covariance is structural: the value on any translated set is
 read off the canonical shape.  Tables are total by the convention that
 unlisted patterns have value 0.
+
+Every kernel reads a potential through one compiled form, its step tables
+(``Potential.step_tables``, built once per object): the energy increment
+of each letter under the letters before it, one table per position up to
+the range.  ``energy`` stays the definition and the per-word oracle.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -16,10 +22,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .exceptions import ValidationError
+from .exceptions import ValidationError, VolumeGuardError
 from .shifts import Alphabet, Point, Word
-
-_COMPILED_TABLE_LIMIT = 65536
 
 
 def _canonical_offsets(offsets: Sequence[int]) -> tuple[int, ...]:
@@ -88,31 +92,22 @@ class Potential:
             seen.add(s.offsets)
 
     @cached_property
-    def _kernel_form(self):
-        """Dense flattened tables for the batch kernels, or None when some
-        table would be unreasonably large (e.g. wide indicator shapes)."""
+    def step_tables(self) -> tuple[np.ndarray, ...]:
+        """``_step_energy`` of every context, one table per position
+        p = 0..range: entry ``code`` of table p is the increment of the
+        (p+1)-letter context whose base-K code is ``code`` (first letter
+        most significant).  Later positions use the last table on their
+        trailing range+1 letters.  Built on first use and kept; read-only,
+        since every caller shares them."""
+        _check_context_space(self)
         K = len(self.alphabet)
-        offs, offs_start, offs_len, tabs, tab_start = [], [], [], [], []
-        for s in self.shapes:
-            if K ** s.size > _COMPILED_TABLE_LIMIT:
-                return None
-            offs_start.append(len(offs))
-            offs.extend(s.offsets)
-            offs_len.append(s.size)
-            tab_start.append(len(tabs))
-            dense = np.zeros(K ** s.size)
-            for pattern, v in s.values.items():
-                code = 0
-                for a in pattern:
-                    code = code * K + a
-                dense[code] = v
-            tabs.extend(dense.tolist())
-        return (np.array(offs, dtype=np.int64),
-                np.array(offs_start, dtype=np.int64),
-                np.array(offs_len, dtype=np.int64),
-                np.array(tabs),
-                np.array(tab_start, dtype=np.int64),
-                K)
+        tables = tuple(
+            np.array([_step_energy(self, ctx)
+                      for ctx in itertools.product(range(K), repeat=p + 1)])
+            for p in range(self.span + 1))
+        for table in tables:
+            table.flags.writeable = False
+        return tables
 
 
 def zero_potential(alphabet: Alphabet) -> Potential:
@@ -150,6 +145,31 @@ def energy(potential: Potential, w: Word) -> float:
             if v != 0.0:
                 terms.append(v)
     return math.fsum(terms)
+
+
+def _step_energy(potential: Potential, context: tuple[int, ...]) -> float:
+    """Energy increment collected when the last letter of ``context`` is
+    appended: all shape translates inside the context whose max lands on it."""
+    pos = len(context) - 1
+    terms = []
+    for s in potential.shapes:
+        a = pos - s.span
+        if a >= 0:
+            v = s.value(tuple(context[a + o] for o in s.offsets))
+            if v != 0.0:
+                terms.append(v)
+    return math.fsum(terms)
+
+
+def _check_context_space(potential: Potential) -> None:
+    """Refuse potentials whose (R+1)-letter contexts, R = max(1, range),
+    are too many to tabulate."""
+    K = len(potential.alphabet)
+    R = max(1, potential.span)
+    if K ** (R + 1) > 65536:
+        raise VolumeGuardError(
+            "volume too large for brute force: transfer context space "
+            f"{K}^{R + 1} for a range-{potential.span} potential")
 
 
 def _config_accessor(x, positions: list[int]):

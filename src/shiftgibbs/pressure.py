@@ -4,16 +4,16 @@ Finite-volume partition sums are computed two ways: brute-force over the
 enumerated word list (the oracle), and by one log-domain pass over the
 determinized word automaton (``_dp_log_partition``), whose keys pair an
 automaton state with the code of the last letters and whose edges are
-built once and weighed by per-position step tables.  Each word is one
-automaton path, so the two agree up to rounding even for sofic shifts
-where words carry several presenting paths.  The limiting pressure is the
-log Perron root of the weighted transfer system on the (vertex,
-trailing-context) cover.
+built once and weighed by per-position step tables.  Both routes read
+the potential's ``step_tables``, which each ``Potential`` builds once.
+Each word is one automaton path, so the two agree up to rounding even for
+sofic shifts where words carry several presenting paths.  The limiting
+pressure is the log Perron root of the weighted transfer system on the
+(vertex, trailing-context) cover.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -23,9 +23,9 @@ import numpy as np
 
 from . import _kernels
 from .exceptions import ValidationError, VolumeGuardError
-from .potentials import Potential, boundary_norm_bound, energy
-from .shifts import (DENSE_ENTRIES_CAP, SoficPresentation, Word,
-                     strongly_connected, support_period)
+from .potentials import Potential, _step_energy, boundary_norm_bound
+from .shifts import (DENSE_ENTRIES_CAP, SoficPresentation, strongly_connected,
+                     support_period)
 
 PERRON_TOL = 1e-13
 PERRON_RESIDUAL_TOL = 1e-12
@@ -78,45 +78,6 @@ class PressureEstimate:
     log_lambda: float
     finite_volume: tuple[tuple[int, float, float], ...]  # (n, P_n, envelope)
     residual: float
-
-
-def _step_energy(potential: Potential, context: tuple[int, ...]) -> float:
-    """Energy increment collected when the last letter of ``context`` is
-    appended: all shape translates inside the context whose max lands on it."""
-    pos = len(context) - 1
-    terms = []
-    for s in potential.shapes:
-        a = pos - s.span
-        if a >= 0:
-            v = s.value(tuple(context[a + o] for o in s.offsets))
-            if v != 0.0:
-                terms.append(v)
-    return math.fsum(terms)
-
-
-def _check_context_space(potential: Potential) -> None:
-    """Refuse potentials whose (R+1)-letter contexts, R = max(1, range),
-    are too many to tabulate."""
-    K = len(potential.alphabet)
-    R = max(1, potential.span)
-    if K ** (R + 1) > 65536:
-        raise VolumeGuardError(
-            "volume too large for brute force: transfer context space "
-            f"{K}^{R + 1} for a range-{potential.span} potential")
-
-
-def _step_tables(potential: Potential) -> tuple[np.ndarray, ...]:
-    """``_step_energy`` of every context, one table per position
-    p = 0..range: entry ``code`` of table p is the increment of the
-    (p+1)-letter context whose base-K code is ``code`` (first letter most
-    significant).  Later positions use the last table on their trailing
-    range+1 letters."""
-    _check_context_space(potential)
-    K = len(potential.alphabet)
-    return tuple(
-        np.array([_step_energy(potential, ctx)
-                  for ctx in itertools.product(range(K), repeat=p + 1)])
-        for p in range(potential.span + 1))
 
 
 def build_transfer(presentation: SoficPresentation,
@@ -225,18 +186,10 @@ class BrutePartition:
 
 
 def word_energies(potential: Potential, words: np.ndarray) -> np.ndarray:
-    """Energies of a batch of words over the potential's alphabet (kernel
-    path when the potential's tables compile to dense form, exact per-word
-    summation otherwise)."""
-    form = potential._kernel_form
-    if words.shape[0] == 0:
-        return np.zeros(0)
-    if form is not None:
-        return _kernels.batch_energy(np.ascontiguousarray(words, dtype=np.uint8),
-                                     *form)
-    alph = potential.alphabet
-    return np.array([energy(potential, Word(alph, 0, tuple(int(a) for a in row)))
-                     for row in words])
+    """Energies of a batch of words over the potential's alphabet, read
+    from its step tables by ``_kernels.batch_energy``."""
+    return _kernels.batch_energy(np.ascontiguousarray(words, dtype=np.uint8),
+                                 potential.step_tables)
 
 
 def log_sum_exp(values: np.ndarray) -> float:
@@ -269,7 +222,7 @@ def _dp_log_partition(presentation: SoficPresentation, potential: Potential,
     way.  A key is (automaton state, base-K code of the last R letters),
     R = max(1, range); the keys reachable from the start key (empty
     context) and their letter edges are built once, with the edges sorted
-    by target.  Position p weighs an edge by ``_step_tables(potential)
+    by target.  Position p weighs an edge by ``potential.step_tables
     [min(p, range)]``, so the first R letters need no separate treatment.
     Each step is a log-sum-exp over every target's incoming edges, shifted
     by that target's own maximum.  ``fixed`` optionally pins positions
@@ -281,7 +234,7 @@ def _dp_log_partition(presentation: SoficPresentation, potential: Potential,
     det, start = presentation._det
     K = len(presentation.alphabet)
     fixed = fixed or {}
-    tables = _step_tables(potential)
+    tables = potential.step_tables
     n_codes = K ** max(1, potential.span)
     # reachable keys, encoded as state * n_codes + code (a Python set: a
     # plain np.unique would import numpy.ma on first use)

@@ -26,8 +26,8 @@ from . import _kernels
 from .measures import RPFMeasure, cylinder_prob, equilibrium_measure
 from .potentials import (Potential, ShapeTable, add_potentials,
                          boundary_norm_bound, energy, norms)
-from .pressure import (BrutePartition, _dp_log_partition, _step_tables,
-                       brute_partition, finite_pressure, word_energies)
+from .pressure import (BrutePartition, _dp_log_partition, brute_partition,
+                       finite_pressure, word_energies)
 from .shifts import SoficPresentation, Word, decoupling_gap
 
 _LN2 = math.log(2.0)
@@ -188,7 +188,7 @@ def weak_gibbs_scan(measure: RPFMeasure, m_list,
         contexts = contexts * n_symbols + [ctx[i] for _v, ctx in transfer.states]
     worst = _kernels.class_deviation(
         delta, contexts, np.log(measure.stationary / measure.h),
-        np.append(np.log(measure.h), -np.inf), _step_tables(potential),
+        np.append(np.log(measure.h), -np.inf), potential.step_tables,
         lengths, transfer.context_len)
     q = decoupling_gap(presentation, "bounded-length").gap
     log_z = _dp_log_partition(presentation, potential, lengths)

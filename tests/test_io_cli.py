@@ -18,6 +18,22 @@ BUNDLED_SHIFTS = ("full2.shift", "golden_mean.shift", "golden_mean.sft",
 BUNDLED_POTENTIALS = ("zero.pot", "site_a.pot", "pair_beta.pot")
 
 
+# valid arguments of every subcommand besides --shift
+CLI_ARGS = {
+    "gap": (),
+    "pressure": ("--potential", str(data_path("zero.pot")), "--n-max", "2"),
+    "measure": ("--potential", str(data_path("zero.pot"))),
+    "cylinder": ("--potential", str(data_path("zero.pot")), "--word", "0"),
+    "weakgibbs": ("--potential", str(data_path("zero.pot")), "--m", "1"),
+    "lemma": ("--potential", str(data_path("zero.pot")), "--which", "212",
+              "--n", "3", "--m", "0"),
+    "tangent": ("--potential", str(data_path("zero.pot")), "--word", "0",
+                "--n", "2"),
+    "splice": ("--m", "1", "--left", "0", "--center", "0", "--right", "0"),
+    "factor": ("--k", "0", "--default", "0"),
+}
+
+
 def run_cli(*args, env_extra=None):
     env = dict(os.environ)
     if env_extra:
@@ -91,6 +107,30 @@ class TestFileFormats:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ParseError, match=rf"dup\.pot:{where}$"):
             load_potential(path, BINARY)
+
+    @pytest.mark.parametrize("text, where", [
+        ("# comment\nrange -1\nshape 0\n", "2: range must be nonnegative"),
+        ("range 1\nshape 0,1\nval 00 0.3\nshape 0,2\n",
+         "4: shape exceeds the declared range"),
+    ])
+    def test_range_errors_at_their_line(self, tmp_path, text, where):
+        path = tmp_path / "range.pot"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match=rf"range\.pot:{where}$"):
+            load_potential(path, BINARY)
+
+    @pytest.mark.parametrize("name, data, line_no", [
+        ("bad.shift", b"vertex a\nedge a a 0\nedge a a \xff\n", 3),
+        ("bad.sft", b"alphabet 0 1\n# \xc3\nforbid 11\n", 2),
+        ("bad.pot", b"range 0\r\nshape 0\r\nval 1 0.5\xff\r\n", 3),
+    ])
+    def test_non_utf8_byte_is_a_parse_error_at_its_line(self, tmp_path, name,
+                                                         data, line_no):
+        path = tmp_path / name
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match=rf"{name}:{line_no}: byte 0x.. is "
+                           "not UTF-8 text$"):
+            load_potential(path, BINARY) if name.endswith(".pot") else load_shift(path)
 
     @pytest.mark.parametrize("offsets", ["1,0", "0,2,1"])
     def test_non_canonical_shape_rejected(self, tmp_path, capsys, offsets):
@@ -458,6 +498,24 @@ class TestCli:
                          *volume, "--m", "1", "--j", "9", "--u", center])
         assert code == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command, case", [
+        *((command, case) for case in ("missing", "not-utf8")
+          for command in CLI_ARGS),
+        ("gap", "unwritable-out"),
+    ])
+    def test_bad_file_exits_2_without_traceback(self, tmp_path, command, case):
+        shift = {"missing": tmp_path / "missing.shift",
+                 "not-utf8": tmp_path / "binary.shift",
+                 "unwritable-out": data_path("even.shift")}[case]
+        (tmp_path / "binary.shift").write_bytes(b"vertex a\n\x7fELF\xff\xfe\n")
+        out_flags = (("--out", str(tmp_path / "no-such-dir" / "report.tsv"))
+                     if case == "unwritable-out" else ())
+        out = run_cli(command, "--shift", str(shift), *CLI_ARGS[command],
+                      *out_flags)
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
 
     def test_out_file(self, tmp_path):
         target = tmp_path / "report.tsv"

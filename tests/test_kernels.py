@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 import subprocess
 import sys
 
@@ -8,30 +10,28 @@ import pytest
 from shiftgibbs import _kernels, equilibrium_measure
 from shiftgibbs._kernels import batch_energy, batch_forward_logprob
 from shiftgibbs.bundled import equal_pair, even_shift, single_site, zero
-from shiftgibbs.potentials import add_potentials
+from shiftgibbs.potentials import Potential, ShapeTable, add_potentials, energy
 from shiftgibbs.pressure import brute_partition
+from shiftgibbs.shifts import Alphabet, Word
 
 
-def _batch_energy_py(words, offs, offs_start, offs_len, tables, tab_start, n_symbols):
-    n_words, length = words.shape
-    out = np.zeros(n_words)
-    comp = np.zeros(n_words)
-    n_shapes = offs_len.shape[0]
-    for j in range(n_shapes):
-        k = offs_len[j]
-        span = offs[offs_start[j] + k - 1]
-        for a in range(length - span):
-            for b in range(n_words):
-                code = 0
-                for t in range(k):
-                    code = code * n_symbols + words[b, a + offs[offs_start[j] + t]]
-                val = tables[tab_start[j] + code]
-                # compensated (Kahan) accumulation
-                y = val - comp[b]
-                s = out[b] + y
-                comp[b] = (s - out[b]) - y
-                out[b] = s
-    return out
+def _five_letter_potential():
+    """A seeded 5-letter potential whose shapes leave gaps: (0,), (0,1), (0,3)."""
+    rng = random.Random(5)
+    shapes = tuple(
+        ShapeTable(offs, {pat: rng.uniform(-1, 1)
+                          for pat in itertools.product(range(5), repeat=len(offs))})
+        for offs in ((0,), (0, 1), (0, 3)))
+    return Potential(Alphabet(tuple("abcde")), 3, shapes)
+
+
+ENERGY_POTENTIALS = {
+    "zero": zero,
+    "single_site": single_site,
+    "equal_pair": equal_pair,
+    "pair_plus_site": lambda: add_potentials(equal_pair(), single_site()),
+    "five_letter": _five_letter_potential,
+}
 
 
 def _batch_forward_logprob_py(words, trans, start):
@@ -68,25 +68,38 @@ def _batch_forward_logprob_py(words, trans, start):
 def workload():
     rng = np.random.default_rng(42)
     words = rng.integers(0, 2, size=(400, 11)).astype(np.uint8)
-    pot = add_potentials(equal_pair(), single_site())
     mu = equilibrium_measure(even_shift(), equal_pair())
     trans = np.ascontiguousarray(mu.q_by_symbol)
     start = np.ascontiguousarray(mu.stationary)
-    return words, pot, trans, start
+    return words, trans, start
 
 
 class TestBackendAgreement:
-    """The numpy kernels against their loop oracles."""
+    """The numpy kernels against their per-word and loop oracles."""
 
-    def test_energy(self, workload):
-        words, pot, _trans, _start = workload
-        form = pot._kernel_form
-        kernel = batch_energy(words, *form)
-        reference = _batch_energy_py(words, *form)
-        assert np.abs(kernel - reference).max() <= 1e-12
+    @pytest.mark.parametrize("make", ENERGY_POTENTIALS.values(),
+                             ids=ENERGY_POTENTIALS.keys())
+    def test_energy(self, make):
+        # every length up to range + 2 reads each step table, the last one
+        # at two positions
+        pot = make()
+        rng = np.random.default_rng(42)
+        for length in [*range(1, pot.span + 3), 11]:
+            words = rng.integers(0, len(pot.alphabet),
+                                 size=(300, length)).astype(np.uint8)
+            kernel = batch_energy(words, pot.step_tables)
+            reference = [energy(pot, Word(pot.alphabet, 0, tuple(map(int, row))))
+                         for row in words]
+            assert np.abs(kernel - reference).max() <= 1e-12
+
+    def test_step_tables_built_once(self):
+        pot = equal_pair()
+        assert pot.step_tables is pot.step_tables
+        # shared by every caller, so no caller may write them
+        assert not any(t.flags.writeable for t in pot.step_tables)
 
     def test_forward_logprob(self, workload):
-        words, _pot, trans, start = workload
+        words, trans, start = workload
         kernel = batch_forward_logprob(words, trans, start)
         reference = _batch_forward_logprob_py(words, trans, start)
         dead = np.isinf(kernel)
@@ -97,7 +110,7 @@ class TestBackendAgreement:
     def test_dead_words_flagged(self, workload):
         # 101 is no word of the even shift: the 0 between the 1s is an odd run
         words = np.array([[1, 0, 1], [0, 0, 0]], dtype=np.uint8)
-        _w, _p, trans, start = workload
+        _w, trans, start = workload
         for lp in (batch_forward_logprob(words, trans, start),
                    _batch_forward_logprob_py(words, trans, start)):
             assert np.isinf(lp[0]) and lp[0] < 0
@@ -105,9 +118,8 @@ class TestBackendAgreement:
 
     def test_no_shapes(self, ev):
         # the zero potential has no shapes; it takes the kernel like any other
-        form = zero()._kernel_form
         words = ev.word_matrix(9)
-        assert (batch_energy(words, *form) == 0.0).all()
+        assert (batch_energy(words, zero().step_tables) == 0.0).all()
         assert brute_partition(ev, zero(), 4).log_z == math.log(ev.word_count(9))
 
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -19,8 +20,7 @@ from shiftgibbs.fileio import load_potential, load_shift
 from shiftgibbs.measures import (cylinder_log_probs, cylinder_prob,
                                  strong_gibbs_constant)
 from shiftgibbs.potentials import Potential, ShapeTable
-from shiftgibbs.pressure import (_step_tables, finite_pressure, log_sum_exp,
-                                 word_energies)
+from shiftgibbs.pressure import finite_pressure, log_sum_exp, word_energies
 from shiftgibbs.shifts import Alphabet, sft_presentation
 from shiftgibbs.verify import (_SHIFT, InequalityRecord, LemmaReport,
                                _dyadic_ints, _exact_terms, _log_scaled,
@@ -73,6 +73,22 @@ class TestTangentDerivative:
         fd, formula, _cyl = tangent_derivative_check(
             ev, pot_pair, word((0, 1, 0)), 4, 1e-4)
         assert fd == pytest.approx(formula, abs=1e-6)
+
+    @pytest.mark.parametrize("n", [4, 12])
+    def test_step_tables_built_per_potential(self, ev, monkeypatch, n):
+        # f, f + t 1_u and f - t 1_u: three builds, however many passes
+        built = []
+        build = Potential.__dict__["step_tables"].func
+
+        def counted(potential):
+            built.append(potential)
+            return build(potential)
+
+        prop = functools.cached_property(counted)
+        prop.__set_name__(Potential, "step_tables")
+        monkeypatch.setattr(Potential, "step_tables", prop)
+        tangent_derivative_check(ev, equal_pair(), word((0, 1, 0)), n, 1e-3)
+        assert len(built) == 3
 
 
 class TestConstrainedPartition:
@@ -829,7 +845,7 @@ def trie_rows(measure, potential, m_list, cap=None):
     det, start = presentation._det
     worst = scan_deviation(
         det, start, measure.q_by_symbol, measure.stationary,
-        _step_tables(potential), lengths, measure.log_lambda,
+        potential.step_tables, lengths, measure.log_lambda,
         [np.asarray(c, dtype=float) for c in counts])
     return [(m, float(dev) / length) for m, length, dev in zip(ms, lengths, worst)]
 
