@@ -91,7 +91,7 @@ def _cmd_measure(args) -> str:
     presentation, potential = _load(args)
     measure = equilibrium_measure(presentation, potential)
     lines = [f"lambda\t{_fmt(measure.log_lambda)}"]
-    for i, _state in enumerate(measure.transfer.states):
+    for i in range(measure.transfer.n_states):
         lines.append(f"state\t{i}\t{measure.transfer.state_name(i)}\t"
                      f"{_fmt(float(measure.stationary[i]))}")
     q = measure.q_by_symbol

@@ -19,7 +19,7 @@ from . import _kernels
 from .exceptions import EmptyCylinderWarning, ValidationError
 from .potentials import Potential, energy, phi_function
 from .pressure import TransferSystem, build_transfer, perron
-from .shifts import Cylinder, Point, SoficPresentation, Word
+from .shifts import Point, SoficPresentation, Word
 
 _STOCHASTIC_TOL = 1e-12
 
@@ -89,11 +89,10 @@ def equilibrium_measure(presentation: SoficPresentation,
     return measure
 
 
-def cylinder_prob(measure: RPFMeasure, c: Cylinder | Word) -> float:
+def cylinder_prob(measure: RPFMeasure, word: Word) -> float:
     """Measure of the cylinder set of a word: sum over state paths
     compatible with the labels, computed by the forward algorithm from the
     stationary distribution.  Returns 0 for words outside the language."""
-    word = c.center_word if isinstance(c, Cylinder) else c
     v = measure.stationary.copy()
     for a in word.letters:
         v = v @ measure.q_by_symbol[a]

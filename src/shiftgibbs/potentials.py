@@ -136,7 +136,8 @@ def add_potentials(a: Potential, b: Potential, coeff: float = 1.0) -> Potential:
 def energy(potential: Potential, w: Word) -> float:
     """Total energy of a word: the sum of shape values over every translate
     of every canonical shape that fits inside the window.  Compensated
-    summation keeps long windows exact enough for downstream exponentials."""
+    summation keeps long windows exact enough for downstream exponentials;
+    a sum past the float64 range is refused."""
     terms = []
     lo, hi = w.start, w.end
     for s in potential.shapes:
@@ -144,12 +145,17 @@ def energy(potential: Potential, w: Word) -> float:
             v = s.value(tuple(w.letters[a - lo + o] for o in s.offsets))
             if v != 0.0:
                 terms.append(v)
-    return math.fsum(terms)
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        raise ValidationError(
+            f"energy of {w.text()} leaves the float64 range") from None
 
 
 def _step_energy(potential: Potential, context: tuple[int, ...]) -> float:
     """Energy increment collected when the last letter of ``context`` is
-    appended: all shape translates inside the context whose max lands on it."""
+    appended: all shape translates inside the context whose max lands on it.
+    A sum past the float64 range is refused."""
     pos = len(context) - 1
     terms = []
     for s in potential.shapes:
@@ -158,7 +164,11 @@ def _step_energy(potential: Potential, context: tuple[int, ...]) -> float:
             v = s.value(tuple(context[a + o] for o in s.offsets))
             if v != 0.0:
                 terms.append(v)
-    return math.fsum(terms)
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        raise ValidationError(f"step energy of {potential.alphabet.text(context)} "
+                              "leaves the float64 range") from None
 
 
 def _check_context_space(potential: Potential) -> None:
@@ -278,11 +288,9 @@ def boundary_norm_bound(potential: Potential, m: int) -> float:
         sup = s.sup_norm
         if sup == 0.0:
             continue
-        for o in s.offsets:
-            # translate A = S - o contains 0; count j with A + j not inside
-            n_inside = 0
-            for j in range(-m, m + 1):
-                if j - o >= -m and j - o + s.span <= m:
-                    n_inside += 1
-            total += sup * ((2 * m + 1) - n_inside)
+        # the translate S - o + j lies inside [-m, m] iff o - m <= j <=
+        # o + m - span, so min(span, 2m+1) of the 2m+1 positions j overhang
+        overhang = min(s.span, 2 * m + 1)
+        for _o in s.offsets:
+            total += sup * overhang
     return total

@@ -36,15 +36,16 @@ _NEG_FLOOR = -np.finfo(float).max
 class TransferSystem:
     """Weighted transfer system on the (vertex, trailing R letters) cover.
 
-    ``trans[a][u, v]`` is the step weight exp(step energy) of the unique
-    a-labeled transition u -> v, zero when absent; ``matrix`` sums over
-    labels.
+    State i is ``keys[i]`` = vertex * K**R + base-K code of its last R
+    letters, in ascending order.  ``trans[a][u, v]`` is the step weight
+    exp(step energy) of the unique a-labeled transition u -> v, zero when
+    absent; ``matrix`` sums over labels.
     """
 
     presentation: SoficPresentation
     potential: Potential
     context_len: int
-    states: tuple[tuple[int, tuple[int, ...]], ...]
+    keys: np.ndarray
     trans: np.ndarray
 
     @cached_property
@@ -53,7 +54,7 @@ class TransferSystem:
 
     @property
     def n_states(self) -> int:
-        return len(self.states)
+        return len(self.keys)
 
     @cached_property
     def irreducible(self) -> bool:
@@ -64,11 +65,11 @@ class TransferSystem:
         return self.irreducible and support_period(self.matrix > 0) == 1
 
     def state_name(self, i: int) -> str:
-        v, ctx = self.states[i]
-        label = self.presentation.vertices[v]
-        if ctx:
-            label += "|" + self.presentation.alphabet.text(ctx)
-        return label
+        K = len(self.presentation.alphabet)
+        v, code = divmod(int(self.keys[i]), K ** self.context_len)
+        ctx = [code // K ** p % K for p in range(self.context_len - 1, -1, -1)]
+        return (self.presentation.vertices[v] + "|"
+                + self.presentation.alphabet.text(ctx))
 
 
 @dataclass(frozen=True)
@@ -78,6 +79,20 @@ class PressureEstimate:
     log_lambda: float
     finite_volume: tuple[tuple[int, float, float], ...]  # (n, P_n, envelope)
     residual: float
+
+
+def _context_edges(succ: np.ndarray, keys: np.ndarray, n_codes: int
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every letter edge out of ``keys`` (node * K**R + base-K code of the
+    last R letters, n_codes = K**R), where ``succ[node, a]`` is the node
+    letter a leads to (-1: none).  Per edge, in (key, letter) order: the
+    source's index in ``keys``, the letter, the code of the (R+1)-letter
+    context (the source's letters, then the letter) and the target key."""
+    node, code = np.divmod(keys, n_codes)
+    nxt = succ[node]
+    src, letter = np.nonzero(nxt >= 0)
+    context = code[src] * succ.shape[1] + letter
+    return src, letter, context, nxt[src, letter] * n_codes + context % n_codes
 
 
 def build_transfer(presentation: SoficPresentation,
@@ -92,41 +107,39 @@ def build_transfer(presentation: SoficPresentation,
     if not presentation.right_resolving:
         raise ValidationError("determinize or supply right-resolving presentation")
     R = max(1, potential.span)
-    if len(presentation.alphabet) ** R * presentation.n_vertices > 65536:
+    K = len(presentation.alphabet)
+    n_codes = K ** R
+    if n_codes * presentation.n_vertices > 65536:
         raise VolumeGuardError(
             "volume too large for brute force: transfer cover for a "
             f"range-{potential.span} potential")
-    # states reachable by R-edge paths
-    frontier = {(v, ()) for v in range(presentation.n_vertices)}
+    succ = np.full((presentation.n_vertices, K), -1)
+    for (v, d, a) in presentation.edges:
+        succ[v, a] = d
+    # states reachable by R-edge paths: R steps from every vertex, code 0
+    keys = np.arange(presentation.n_vertices) * n_codes
     for _ in range(R):
-        nxt = set()
-        for (v, ctx) in frontier:
-            for e in presentation.out_edges(v):
-                nxt.add((presentation.edge_target(e),
-                         (ctx + (presentation.edge_symbol(e),))[-R:]))
-        frontier = nxt
-    states = tuple(sorted(frontier))
-    index = {s: i for i, s in enumerate(states)}
-    K = len(presentation.alphabet)
-    S = len(states)
+        keys = np.array(sorted(set(_context_edges(succ, keys, n_codes)[3].tolist())))
+    S = len(keys)
     if K * S * S > DENSE_ENTRIES_CAP:
         raise VolumeGuardError(
             f"volume too large for brute force: dense transfer arrays of {K} x "
             f"{S} x {S} entries for a range-{potential.span} potential")
+    src, letter, context, target = _context_edges(succ, keys, n_codes)
+    tgt = np.searchsorted(keys, target)
+    letters = context[:, None] // K ** np.arange(R, -1, -1) % K
     trans = np.zeros((K, S, S))
-    for (v, ctx), i in index.items():
-        for e in presentation.out_edges(v):
-            a = presentation.edge_symbol(e)
-            j = index[(presentation.edge_target(e), (ctx + (a,))[-R:])]
-            step = _step_energy(potential, ctx + (a,))
-            try:
-                w = math.exp(step)
-            except OverflowError:
-                w = math.inf
-            if not 0.0 < w < math.inf:
-                raise ValidationError(f"step weight exp({step!r}) leaves the float64 range")
-            trans[a, i, j] = w
-    return TransferSystem(presentation, potential, R, states, trans)
+    for a, i, j, ctx in zip(letter.tolist(), src.tolist(), tgt.tolist(),
+                            letters.tolist()):
+        step = _step_energy(potential, ctx)
+        try:
+            w = math.exp(step)
+        except OverflowError:
+            w = math.inf
+        if not 0.0 < w < math.inf:
+            raise ValidationError(f"step weight exp({step!r}) leaves the float64 range")
+        trans[a, i, j] = w
+    return TransferSystem(presentation, potential, R, keys, trans)
 
 
 def perron(transfer: TransferSystem, tol: float = PERRON_TOL,
@@ -187,9 +200,14 @@ class BrutePartition:
 
 def word_energies(potential: Potential, words: np.ndarray) -> np.ndarray:
     """Energies of a batch of words over the potential's alphabet, read
-    from its step tables by ``_kernels.batch_energy``."""
-    return _kernels.batch_energy(np.ascontiguousarray(words, dtype=np.uint8),
-                                 potential.step_tables)
+    from its step tables by ``_kernels.batch_energy``; refused when one
+    leaves the float64 range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        energies = _kernels.batch_energy(
+            np.ascontiguousarray(words, dtype=np.uint8), potential.step_tables)
+    if not np.isfinite(energies).all():
+        raise ValidationError("word energy leaves the float64 range")
+    return energies
 
 
 def log_sum_exp(values: np.ndarray) -> float:
@@ -229,31 +247,25 @@ def _dp_log_partition(presentation: SoficPresentation, potential: Potential,
     (0-based within the window) to single symbols by masking the other
     letters' edges there, which restricts every sum to matching words;
     positions past a length do not constrain it.  A length that no word
-    survives gets -inf.
+    survives gets -inf; a log Z that overflows (+inf or nan) is refused.
     """
     det, start = presentation._det
-    K = len(presentation.alphabet)
     fixed = fixed or {}
     tables = potential.step_tables
-    n_codes = K ** max(1, potential.span)
+    n_codes = len(presentation.alphabet) ** max(1, potential.span)
     # reachable keys, encoded as state * n_codes + code (a Python set: a
     # plain np.unique would import numpy.ma on first use)
     seen = {start * n_codes}
     frontier = list(seen)
     while frontier:
-        state, code = np.divmod(np.array(frontier), n_codes)
-        succ = det[state]
-        reached = succ * n_codes + (code[:, None] * K + np.arange(K)) % n_codes
-        frontier = list(set(reached[succ >= 0].tolist()) - seen)
+        reached = _context_edges(det, np.array(frontier), n_codes)[3]
+        frontier = list(set(reached.tolist()) - seen)
         seen.update(frontier)
     keys = np.array(sorted(seen))
     # every (key, letter) edge, plus a dead self-loop on the start key so
     # that every key has an incoming edge; sorted by target
-    state, code = np.divmod(keys, n_codes)
-    succ = det[state]
-    src, letter = np.nonzero(succ >= 0)
-    context = code[src] * K + letter  # the key's context followed by the letter
-    tgt = np.searchsorted(keys, succ[src, letter] * n_codes + context % n_codes)
+    src, letter, context, target = _context_edges(det, keys, n_codes)
+    tgt = np.searchsorted(keys, target)
     home = int(np.searchsorted(keys, start * n_codes))
     src, letter, tgt = (np.append(src, home), np.append(letter, -1),
                         np.append(tgt, home))
@@ -266,7 +278,8 @@ def _dp_log_partition(presentation: SoficPresentation, potential: Potential,
     log_z = {0: 0.0}
     cur = np.full(keys.size, -np.inf)
     cur[home] = 0.0
-    with np.errstate(divide="ignore"):  # log 0 = -inf on dead keys
+    # log 0 = -inf on dead keys; overflow is refused below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for pos in range(max(want, default=0)):
             w = weights[min(pos, len(weights) - 1)]
             if pos in fixed:
@@ -280,6 +293,9 @@ def _dp_log_partition(presentation: SoficPresentation, potential: Potential,
             cur = top + np.log(np.add.reduceat(v, starts))
             if pos + 1 in want:
                 log_z[pos + 1] = log_sum_exp(cur)
+    for L in lengths:
+        if not log_z[L] < math.inf:  # +inf or nan
+            raise ValidationError(f"log partition of length {L} leaves the float64 range")
     return [log_z[L] for L in lengths]
 
 

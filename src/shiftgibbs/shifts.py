@@ -173,22 +173,6 @@ class Word:
         return self.alphabet.text(self.letters)
 
 
-@dataclass(frozen=True)
-class Cylinder:
-    """Cylinder set determined by a center word on the symmetric window [-m, m]."""
-
-    center_word: Word
-
-    def __post_init__(self):
-        w = self.center_word
-        if len(w) % 2 == 0 or w.start != -(len(w) // 2):
-            raise ValidationError("cylinder window must be symmetric about 0")
-
-    @property
-    def m(self) -> int:
-        return len(self.center_word) // 2
-
-
 class SoficPresentation:
     """Labeled directed graph presenting a sofic shift.
 

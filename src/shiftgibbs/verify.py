@@ -183,9 +183,7 @@ def weak_gibbs_scan(measure: RPFMeasure, m_list,
                     dtype=np.min_scalar_type(n_states))
     letter, source, target = np.nonzero(transfer.trans > 0)
     delta[letter, source] = target
-    contexts = np.zeros(n_states, dtype=np.int64)
-    for i in range(transfer.context_len):
-        contexts = contexts * n_symbols + [ctx[i] for _v, ctx in transfer.states]
+    contexts = transfer.keys % n_symbols ** transfer.context_len
     worst = _kernels.class_deviation(
         delta, contexts, np.log(measure.stationary / measure.h),
         np.append(np.log(measure.h), -np.inf), potential.step_tables,

@@ -316,6 +316,36 @@ class TestCli:
         assert "reducible" not in out.stderr
         assert "Traceback" not in out.stderr
 
+    @pytest.mark.parametrize("shift, command", [
+        ("even.shift", ("lemma", "--which", "212", "--n", "4", "--m", "1",
+                        "--u", "111")),
+        ("even.shift", ("lemma", "--which", "1d", "--n", "5", "--m", "0",
+                        "--u", "1", "--q-bar", "1")),
+        ("full2.shift", ("lemma", "--which", "211", "--n", "3", "--m", "0",
+                         "--count", "1"))])
+    def test_word_energy_out_of_float_range(self, tmp_path, shift, command):
+        # each value is finite, but sums of a few of them are not
+        pot = tmp_path / "huge.pot"
+        pot.write_text("range 0\nshape 0\nval 1 1e308\n", encoding="utf-8")
+        out = run_cli(*command, "--shift", str(data_path(shift)),
+                      "--potential", str(pot))
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert [line for line in out.stderr.splitlines()
+                if line.startswith("error:")] == [out.stderr.rstrip("\n")]
+        assert "energy" in out.stderr and "leaves the float64 range" in out.stderr
+        assert "Traceback" not in out.stderr
+        assert "Warning" not in out.stderr
+
+    def test_t_step_overflowing_log_z(self):
+        out = run_cli("tangent", "--shift", str(data_path("even.shift")),
+                      "--potential", str(data_path("pair_beta.pot")),
+                      "--word", "1", "--n", "3", "--t-step", "1e308")
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr == ("error: log partition of length 7 leaves the "
+                              "float64 range\n")
+
     @pytest.mark.parametrize("flags", [("--m", "1.."), ("--m", "abc"),
                                        ("--m", "x"),
                                        ("--m", "1..3", "--delta", "0.5,,0.1"),

@@ -5,10 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from shiftgibbs import (Cylinder, EmptyCylinderWarning, Word, cylinder_prob,
+from shiftgibbs import (EmptyCylinderWarning, Word, cylinder_prob,
                         empirical_pairing, energy_density_gap,
-                        equilibrium_measure, enumerate_words,
-                        point_from_words)
+                        equilibrium_measure, enumerate_words, point_from_words)
 from shiftgibbs.bundled import BINARY, SITE_FIELD
 from shiftgibbs.measures import cylinder_log_probs, strong_gibbs_constant
 from shiftgibbs.pressure import word_energies
@@ -77,10 +76,6 @@ class TestCylinderProb:
     def test_empty_cylinder_flagged(self, parry):
         with pytest.warns(EmptyCylinderWarning):
             assert cylinder_prob(parry, word((1, 1))) == 0.0
-
-    def test_cylinder_type_accepted(self, parry):
-        c = Cylinder(word((0, 1, 0), start=-1))
-        assert cylinder_prob(parry, c) == cylinder_prob(parry, c.center_word)
 
     def test_even_shift_forward_product_oracle(self, ev, even_eq, pot_zero):
         # constrained/total partition ratio at window 30, via the word-sum

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -29,6 +32,20 @@ class TestEnergy:
         w = word((0, 0, 1, 0, 1), start=-2)
         for j in (-3, 0, 5):
             assert energy(pot_pair, w.shifted(j)) == energy(pot_pair, w)
+
+    def test_overflowing_sum_refused(self):
+        huge = Potential(BINARY, 0, (ShapeTable((0,), {(1,): 1e308}),))
+        assert energy(huge, word((1, 0))) == 1e308
+        with pytest.raises(ValidationError,
+                           match="energy of 0110 leaves the float64 range"):
+            energy(huge, word((0, 1, 1, 0)))
+
+    def test_overflowing_step_energy_refused(self):
+        huge = Potential(BINARY, 1, (ShapeTable((0,), {(1,): 1e308}),
+                                     ShapeTable((0, 1), {(1, 1): 1e308})))
+        with pytest.raises(ValidationError,
+                           match="step energy of 11 leaves the float64 range"):
+            huge.step_tables
 
     @settings(deadline=None, max_examples=60)
     @given(letters=st.lists(st.integers(0, 1), min_size=2, max_size=14),
@@ -107,7 +124,44 @@ class TestPhiFunction:
         assert phi_function(pot_pair, pt, 0) == pytest.approx(PAIR_COUPLING)
 
 
+def boundary_norm_oracle(potential, m):
+    """The boundary sum by counting, for each translate through the origin,
+    the positions j in [-m, m] from which it stays inside the window."""
+    total = 0.0
+    for s in potential.shapes:
+        sup = s.sup_norm
+        if sup == 0.0:
+            continue
+        for o in s.offsets:
+            n_inside = 0
+            for j in range(-m, m + 1):
+                if j - o >= -m and j - o + s.span <= m:
+                    n_inside += 1
+            total += sup * ((2 * m + 1) - n_inside)
+    return total
+
+
+def random_potential(rng):
+    """A seeded binary potential of range at most 8 with 1 to 3 shapes."""
+    span = rng.randrange(9)
+    shapes = {(0, *[o for o in range(1, span + 1) if rng.random() < 0.5])
+              for _ in range(rng.randrange(1, 4))}
+    tables = tuple(
+        ShapeTable(offs, {pat: rng.uniform(-3, 3) for pat in
+                          itertools.product((0, 1), repeat=len(offs))})
+        for offs in sorted(shapes))
+    return Potential(BINARY, span, tables)
+
+
 class TestBoundaryBound:
+    def test_matches_counting_oracle(self, pot_zero, pot_site, pot_pair):
+        rng = random.Random(2019)
+        pots = [pot_zero, pot_site, pot_pair] + [random_potential(rng)
+                                                 for _ in range(200)]
+        for pot in pots:
+            for m in range(40):
+                assert boundary_norm_bound(pot, m) == boundary_norm_oracle(pot, m)
+
     def test_zero(self, pot_zero):
         assert boundary_norm_bound(pot_zero, 5) == 0.0
 

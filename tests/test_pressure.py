@@ -10,9 +10,11 @@ from shiftgibbs import (ValidationError, add_potentials, brute_partition,
                         pressure_limit)
 from shiftgibbs.bundled import BINARY, SITE_FIELD, data_path
 from shiftgibbs.fileio import load_potential, load_shift
-from shiftgibbs.potentials import Potential, ShapeTable, zero_potential
+from shiftgibbs.potentials import (Potential, ShapeTable, _step_energy,
+                                   zero_potential)
 from shiftgibbs.pressure import (_dp_log_partition, log_sum_exp,
                                  perron_residual, word_energies)
+from test_verify import range_three_sft
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -313,3 +315,70 @@ class TestLadderOracle:
 
     def test_no_lengths(self, ev, pot_pair):
         assert _dp_log_partition(ev, pot_pair, []) == []
+
+    def test_overflowing_log_z_refused(self, full):
+        # each letter 1 adds 1e308: log Z is +inf from length 2 on
+        huge = Potential(BINARY, 0, (ShapeTable((0,), {(1,): 1e308}),))
+        assert _dp_log_partition(full, huge, [1, 0]) == [1e308, 0.0]
+        with pytest.raises(ValidationError,
+                           match="log partition of length 2 leaves the float64 range"):
+            _dp_log_partition(full, huge, [1, 2])
+
+    def test_overflowing_word_energy_refused(self, full):
+        huge = Potential(BINARY, 0, (ShapeTable((0,), {(1,): 1e308}),))
+        with pytest.raises(ValidationError,
+                           match="word energy leaves the float64 range"):
+            word_energies(huge, np.array([[1, 0], [1, 1]]))
+
+
+def tuple_transfer(presentation, potential):
+    """The cover as (vertex, context-tuple) pairs: the sorted states reached
+    by R-edge paths from every vertex, and the weighted transitions."""
+    R = max(1, potential.span)
+    frontier = {(v, ()) for v in range(presentation.n_vertices)}
+    for _ in range(R):
+        nxt = set()
+        for (v, ctx) in frontier:
+            for e in presentation.out_edges(v):
+                nxt.add((presentation.edge_target(e),
+                         (ctx + (presentation.edge_symbol(e),))[-R:]))
+        frontier = nxt
+    states = tuple(sorted(frontier))
+    index = {s: i for i, s in enumerate(states)}
+    trans = np.zeros((len(presentation.alphabet), len(states), len(states)))
+    for (v, ctx), i in index.items():
+        for e in presentation.out_edges(v):
+            a = presentation.edge_symbol(e)
+            j = index[(presentation.edge_target(e), (ctx + (a,))[-R:])]
+            trans[a, i, j] = math.exp(_step_energy(potential, ctx + (a,)))
+    return states, trans
+
+
+class TestCoverKeys:
+    """The cover's integer keys against the (vertex, context-tuple) walk."""
+
+    def assert_matches_tuple_walk(self, presentation, potential):
+        transfer = build_transfer(presentation, potential)
+        states, trans = tuple_transfer(presentation, potential)
+        K, R = len(presentation.alphabet), transfer.context_len
+        assert [(key // K ** R, tuple(key // K ** p % K for p in range(R - 1, -1, -1)))
+                for key in transfer.keys.tolist()] == list(states)
+        assert [transfer.state_name(i) for i in range(transfer.n_states)] == [
+            presentation.vertices[v] + "|" + presentation.alphabet.text(ctx)
+            for v, ctx in states]
+        assert np.array_equal(transfer.trans, trans)
+
+    @pytest.mark.parametrize("shift", SHIFT_FILES)
+    @pytest.mark.parametrize("pot", POTENTIAL_FILES)
+    def test_bundled(self, shift, pot):
+        pres = load_shift(data_path(shift))
+        self.assert_matches_tuple_walk(
+            pres, load_potential(data_path(pot), pres.alphabet))
+
+    def test_range_three_on_golden_mean_sft(self):
+        self.assert_matches_tuple_walk(load_shift(data_path("golden_mean.sft")),
+                                       _range_three(11))
+
+    def test_hundred_state_sft(self):
+        presentation, potential = range_three_sft(1)
+        self.assert_matches_tuple_walk(presentation, potential)
