@@ -317,10 +317,16 @@ def finite_pressure(presentation: SoficPresentation, potential: Potential,
 
 
 def _state_multiplier_spread(h: np.ndarray, nu: np.ndarray) -> float:
-    """log(max/min) over the state multipliers {h_s} U {nu_s} U {1}."""
+    """log(max/min) over the state multipliers {h_s} U {nu_s} U {1}; the
+    difference of the logs when the quotient leaves the float64 range.
+    Refused (``ValidationError``) when a multiplier underflows to 0."""
     hi = max(float(h.max()), float(nu.max()), 1.0)
     lo = min(float(h.min()), float(nu.min()), 1.0)
-    return math.log(hi / lo)
+    if lo == 0.0:
+        raise ValidationError("a Perron vector entry underflows to 0: the "
+                              "pressure envelope is unbounded")
+    ratio = hi / lo
+    return math.log(ratio) if math.isfinite(ratio) else math.log(hi) - math.log(lo)
 
 
 def pressure_envelope(transfer: TransferSystem, h: np.ndarray, nu: np.ndarray,

@@ -4,11 +4,13 @@ inequalities behind it.
 Every check substitutes exact computable constants for the asymptotic
 epsilon terms, so each recorded inequality is unconditional and meaningful
 at small volumes.  Partition-type quantities that get compared against one
-another are accumulated as exact dyadic integers over a shared term list,
-which makes subset and partition relations hold exactly rather than up to
-rounding.  The lemma suites group words by integer class ids of their
-column windows (``_class_ids``) and sum the terms per class exactly
-(``_class_sums``).  Each suite is split in two: a tables builder
+another are exact integers: each word's term exp(E - max E) is a dyadic
+rational, and its multiple by 2**_SHIFT is split into 32-bit limbs in int64
+arrays (``_exact_terms``).  The lemma suites group words by integer class
+ids of their column windows (``_class_ids``, rows packed into int64 codes)
+and sum the limbs per class (``_limb_sums``); only the per-class totals
+become Python integers, so subset and partition relations hold exactly
+rather than up to rounding.  Each suite is split in two: a tables builder
 (``lemma_212_tables``, ``decoupling_1d_tables``) does everything that does
 not read the center word once per volume, and the per-center check
 (``lemma_212_check``, ``decoupling_1d_check``) adds the rows that do.
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ValidationError
+from .exceptions import ValidationError, VolumeGuardError
 from . import _kernels
 from .measures import RPFMeasure, cylinder_prob, equilibrium_measure
 from .potentials import (Potential, ShapeTable, add_potentials,
@@ -32,21 +34,62 @@ from .shifts import SoficPresentation, Word, decoupling_gap
 
 _LN2 = math.log(2.0)
 _SHIFT = 1100  # dyadic rescale exponent; covers the double exponent range
+# Exact sums in int64 arrays of 32-bit limbs.  frexp gives a term t in
+# [0, 1] as a 53-bit mantissa at bit e - 53 + _SHIFT of t * 2**_SHIFT.
+# That bit is negative for a subnormal t (t * 2**_SHIFT is still an
+# integer), so every term carries _BIAS more low bits.  A term adds below
+# 2**32, 2**33 and 2**21 to three consecutive limbs, so fewer than
+# _MAX_ENTRIES = 2**30 entries per sum keep every limb, with the carry it
+# takes in, below 2**63.  A term is at most 2**(_SHIFT + _BIAS), so such a
+# sum has at most _SHIFT + _BIAS + 30 bits: _LIMBS limbs.
+_BIAS = 32
+_LIMB_MASK = 0xFFFFFFFF
+_MAX_ENTRIES = 1 << 30
+_LIMBS = (_SHIFT + _BIAS + 30) // 32 + 1
 
 
-def _dyadic_ints(values: list[float]) -> list[int]:
-    """The integers t * 2**_SHIFT of floats t in [0, 1]: each t is m / d with
-    d a power of two at most 2**1074, so t * 2**_SHIFT = m * 2**(_SHIFT -
-    log2 d) exactly."""
-    return [m << (_SHIFT + 1 - d.bit_length())
-            for m, d in map(float.as_integer_ratio, values)]
+def _limb_terms(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split floats t in [0, 1], exactly, into limb contributions of
+    t * 2**(_SHIFT + _BIAS): ``limb[i]`` is the lowest of the three limbs
+    of term i and ``parts[k, i]`` what it adds to limb ``limb[i] + k``."""
+    frac, exp = np.frexp(values)
+    mant = (frac * 2.0 ** 53).astype(np.int64)
+    pos = exp.astype(np.int64) + (_SHIFT + _BIAS - 53)
+    limb, off = pos >> 5, pos & 31
+    lo = (mant & _LIMB_MASK) << off
+    hi = (mant >> 32) << off
+    return limb, np.stack([lo & _LIMB_MASK, (lo >> 32) + (hi & _LIMB_MASK),
+                           hi >> 32])
 
 
-def _exact_terms(energies: np.ndarray) -> tuple[list[int], float]:
-    """Represent exp(energies) exactly as integers times 2**-_SHIFT relative
-    to the common scale max(energies)."""
+def _exact_terms(energies: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], float]:
+    """The limb terms (``_limb_terms``) of exp(energies) relative to the
+    common scale max(energies), and that scale."""
     scale = float(energies.max()) if energies.size else 0.0
-    return _dyadic_ints(np.exp(energies - scale).tolist()), scale
+    return _limb_terms(np.exp(energies - scale)), scale
+
+
+def _limb_sums(ids: np.ndarray, terms: tuple[np.ndarray, np.ndarray],
+               n_classes: int, rows=slice(None)) -> np.ndarray:
+    """Exact per-class sums, as an object array of Python ints: entry c is
+    the sum of the terms (``_exact_terms``) of the words ``rows[i]`` over
+    the entries i with ``ids[i] == c``, times 2**_SHIFT.  Refuses
+    (``VolumeGuardError``) as many entries as could overflow a limb."""
+    if len(ids) >= _MAX_ENTRIES:
+        raise VolumeGuardError(f"{len(ids)} terms in one exact sum exceed the "
+                               f"limb bound {_MAX_ENTRIES}")
+    limb, parts = terms
+    acc = np.zeros((n_classes, _LIMBS), dtype=np.int64)
+    flat = acc.ravel()
+    at = ids * _LIMBS + limb[rows]
+    for k in range(3):
+        np.add.at(flat[k:], at, parts[k, rows])
+    for k in range(_LIMBS - 1):
+        acc[:, k + 1] += acc[:, k] >> 32
+    data = (acc & _LIMB_MASK).astype("<u4").tobytes()
+    step = 4 * _LIMBS
+    return np.array([int.from_bytes(data[i:i + step], "little") >> _BIAS
+                     for i in range(0, len(data), step)], dtype=object)
 
 
 def _log_scaled(total: int, scale: float) -> float:
@@ -258,14 +301,21 @@ def _require_allowed_center(presentation: SoficPresentation, v: Word) -> None:
 
 
 def _class_ids(windows: np.ndarray) -> tuple[np.ndarray, int]:
-    """Dense class ids of the rows of a 2-D word array, numbered in the
-    rows' byte order (``np.unique`` over an ``np.void`` view), and the
-    number of classes.  Rows of width 0 form one class."""
-    rows = np.ascontiguousarray(windows if windows.shape[1] else
-                                np.zeros((len(windows), 1), dtype=windows.dtype))
-    keys, ids = np.unique(rows.view(np.dtype((np.void, rows[0].nbytes))).ravel(),
-                          return_inverse=True)
-    return ids, len(keys)
+    """Dense class ids of the rows of a 2-D uint8 word array, numbered in
+    the rows' byte order, and the number of classes.  The columns fold
+    into int64 codes base 256, a chunk at a time: each code is the dense id
+    of the row's columns so far followed by as many more columns as keep
+    it below 2**63.  Rows of width 0 form one class."""
+    ids = np.zeros(len(windows), dtype=np.intp)
+    n_ids, col = 1, 0
+    while col < windows.shape[1]:
+        width = (63 - (n_ids - 1).bit_length()) // 8
+        codes = ids.astype(np.int64)
+        for letters in windows[:, col:col + width].T:
+            codes = codes * 256 + letters
+        keys, ids = np.unique(codes, return_inverse=True)
+        n_ids, col = len(keys), col + width
+    return ids, n_ids
 
 
 def _shifted_class_ids(words: np.ndarray, window: tuple[int, int],
@@ -284,32 +334,6 @@ def _distinct_per_word(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ids = np.sort(ids, axis=0)
     first = np.diff(ids, axis=0, prepend=-1) != 0
     return ids[first], np.broadcast_to(np.arange(ids.shape[1]), ids.shape)[first]
-
-
-def _class_sums(ids, terms: np.ndarray, shape) -> np.ndarray:
-    """Exact per-class sums of Python-int terms: entry c of the object
-    array is the sum of ``terms[i]`` over ``ids[i] == c`` (``ids`` may be a
-    tuple of index arrays, as for ``np.add.at``)."""
-    sums = np.zeros(shape, dtype=object)
-    np.add.at(sums, ids, terms)
-    return sums
-
-
-def constrained_partition(presentation: SoficPresentation, potential: Potential,
-                          n: int, j: int, ell: int, v: Word) -> float:
-    """log of the partition sum over allowed (2n+1)-words whose restriction
-    to the shifted center window equals the given pattern: one partition
-    pass with the window's letters pinned, so no word is enumerated."""
-    _require_allowed_center(presentation, v)
-    m = len(v) // 2
-    q = decoupling_gap(presentation, "bounded-length").gap
-    if abs(ell) > q:
-        raise ValidationError(f"windows inconsistent: |ell| must be at most q={q}")
-    if abs(j) > n - (m + q):
-        raise ValidationError("windows inconsistent: |j| must be at most n-(m+q)")
-    lo = n + j + ell - m  # column of window position j+ell-m
-    pins = {lo + i: a for i, a in enumerate(v.letters)}
-    return _dp_log_partition(presentation, potential, [2 * n + 1], pins)[0]
 
 
 def lemma_211_check(presentation: SoficPresentation, potential: Potential,
@@ -347,7 +371,7 @@ def lemma_211_check(presentation: SoficPresentation, potential: Potential,
 @dataclass(frozen=True, eq=False)
 class Lemma212Tables:
     """The center-free part of the 212 suite at one (n, m, j): the brute
-    partition, its exact dyadic terms, the class ids and exact class sums,
+    partition, the class ids and exact class sums (times 2**_SHIFT),
     the rows that do not read the center word, and the constants.
     ``lemma_212_check`` evaluates one center word from them."""
 
@@ -358,7 +382,6 @@ class Lemma212Tables:
     j: int
     q: int
     partition: BrutePartition
-    terms: np.ndarray        # exact dyadic terms, object array of ints
     scale: float
     z_n: int
     center_ids: np.ndarray   # center pattern class per (shift, word)
@@ -373,8 +396,8 @@ class Lemma212Tables:
 @dataclass(frozen=True, eq=False)
 class Decoupling1dTables:
     """The center-free part of the 1d suite at one (n, m, j, q_bar): the
-    brute partition, its exact dyadic terms, the class ids and exact class
-    sums, the rows that do not read the center word, and the constants.
+    brute partition, the class ids and exact class sums (times 2**_SHIFT),
+    the rows that do not read the center word, and the constants.
     ``decoupling_1d_check`` evaluates one center word from them."""
 
     presentation: SoficPresentation
@@ -386,7 +409,6 @@ class Decoupling1dTables:
     lam_minus: tuple[int, int]
     lam_plus: tuple[int, int]
     partition: BrutePartition
-    terms: np.ndarray        # exact dyadic terms, object array of ints
     scale: float
     z_n: int
     center_ids: np.ndarray   # center pattern class per word
@@ -435,8 +457,6 @@ def lemma_212_tables(presentation: SoficPresentation, potential: Potential,
     bp = brute_partition(presentation, potential, n, cap=cap)
     words = bp.words
     terms, scale = _exact_terms(bp.energies)
-    z_n = sum(terms)
-    terms = np.array(terms, dtype=object)
     shifts = range(-q, q + 1)
 
     # class ids: the center pattern at every shift (one numbering across
@@ -444,12 +464,13 @@ def lemma_212_tables(presentation: SoficPresentation, potential: Potential,
     center_ids, n_centers = _shifted_class_ids(words, (j - m, j + m), shifts)
     ext_ids, n_ext = _class_ids(words[:, np.abs(np.arange(-n, n + 1) - j) > m + q])
 
-    # Z_{n,ell}(v) per (shift, center); Zbar(v) takes each word once per
-    # center it shows at some shift
-    z_ell = _class_sums((np.arange(len(shifts))[:, None], center_ids), terms,
-                        (len(shifts), n_centers))
+    # Z_{n,ell}(v) per (shift, center), one shift at a time; each shift
+    # splits Z_n.  Zbar(v) takes each word once per center it shows at
+    # some shift
+    z_ell = np.stack([_limb_sums(ids, terms, n_centers) for ids in center_ids])
+    z_n = z_ell[0].sum()
     pair_center, pair_word = _distinct_per_word(center_ids)
-    z_bar = _class_sums(pair_center, terms[pair_word], n_centers)
+    z_bar = _limb_sums(pair_center, terms, n_centers, pair_word)
 
     records: list[InequalityRecord] = []
 
@@ -478,7 +499,7 @@ def lemma_212_tables(presentation: SoficPresentation, potential: Potential,
         z_bar_total <= (2 * q + 1) * z_n)
 
     return Lemma212Tables(
-        presentation, potential, n, m, j, q, bp, terms, scale, z_n,
+        presentation, potential, n, m, j, q, bp, scale, z_n,
         center_ids, ext_ids, n_ext, z_ell, z_bar, tuple(records),
         {"log_C": sandwich_log_constant(potential, m, q),
          "log_K": ratio_log_constant(potential, m, q, len(presentation.alphabet)),
@@ -534,8 +555,6 @@ def decoupling_1d_tables(presentation: SoficPresentation, potential: Potential,
     bp = brute_partition(presentation, potential, n, cap=cap)
     words, energies = bp.words, bp.energies
     terms, scale = _exact_terms(energies)
-    z_n = sum(terms)
-    terms = np.array(terms, dtype=object)
     n_words, length = words.shape[0], 2 * m + 1
 
     # window geometry (positions, then columns by +n)
@@ -559,8 +578,6 @@ def decoupling_1d_tables(presentation: SoficPresentation, potential: Potential,
         np.tile(center_ids, n_pairs) * n_tails + tails, return_inverse=True)
     pair_class, pair_word = _distinct_per_word(class_ids.reshape(n_pairs, n_words))
     sizes = np.bincount(pair_class)
-    # each word's tail multiplicity: its number of distinct (w-, w+)
-    mult = np.bincount(pair_word, minlength=n_words)
 
     # every (v, w-, w+) triple with allowed components must be realized
     expected = (presentation.word_count(length)
@@ -580,11 +597,13 @@ def decoupling_1d_tables(presentation: SoficPresentation, potential: Potential,
     add("cardinality_upper", float(max_size), float(card_bound),
         max_size <= card_bound)
 
-    # trick: Z_n(v) <= Zbar_n(v) <= (2q+1)^2 Z_n(v), union weighted with
-    # tail-class multiplicity; each row is the first smallest slack in
-    # center order
-    z_v = _class_sums(center_ids, terms, n_centers)
-    z_bar = _class_sums(center_ids, terms * mult.astype(object), n_centers)
+    # trick: Z_n(v) <= Zbar_n(v) <= (2q+1)^2 Z_n(v), the union taking each
+    # word once per class (v, w-, w+) it lies in; each row is the first
+    # smallest slack in center order
+    z_v = _limb_sums(center_ids, terms, n_centers)
+    z_n = z_v.sum()
+    z_bar = _limb_sums(class_keys[pair_class] // n_tails, terms, n_centers,
+                       pair_word)
 
     def log_terms(total: int) -> float:
         return _log_scaled(total, scale)
@@ -605,7 +624,7 @@ def decoupling_1d_tables(presentation: SoficPresentation, potential: Potential,
 
     return Decoupling1dTables(
         presentation, potential, n, m, j, q_bar, lam_minus, lam_plus, bp,
-        terms, scale, z_n, center_ids, class_keys, n_tails, g_min, g_max,
+        scale, z_n, center_ids, class_keys, n_tails, g_min, g_max,
         z_v, z_bar, tuple(records),
         {"log_C_prime": sandwich_1d_log_constant(potential, m, q_bar),
          "log_K_bar": ratio_1d_log_constant(potential, m, q_bar,

@@ -192,6 +192,27 @@ class TestCli:
         assert out.returncode == 0
         assert out.stdout == "q\t2\n"
 
+    @pytest.mark.parametrize("val_11, code", [("val 11 699\n", 0), ("", 2)],
+                             ids=["subnormal", "zero"])
+    def test_pressure_envelope_near_the_float_range(self, tmp_path, capsys,
+                                                    val_11, code):
+        # values near +-700 leave a subnormal (or, without val 11, a zero)
+        # Perron multiplier
+        path = tmp_path / "wide.pot"
+        path.write_text("range 1\nshape 0,1\nval 00 700\nval 01 -700\n" + val_11,
+                        encoding="utf-8")
+        assert cli.main(["pressure", "--shift", str(data_path("full2.shift")),
+                         "--potential", str(path), "--n-max", "4"]) == code
+        out = capsys.readouterr()
+        if code == 0:
+            rows = [line.split("\t") for line in out.out.splitlines()[1:5]]
+            assert [n for n, _p, _env in rows] == ["1", "2", "3", "4"]
+            assert all(math.isfinite(float(env)) for _n, _p, env in rows)
+        else:
+            assert out.out == ""
+            assert out.err == ("error: a Perron vector entry underflows to 0: "
+                               "the pressure envelope is unbounded\n")
+
     def test_pressure_full_shift(self):
         out = run_cli("pressure", "--shift", str(data_path("full2.shift")),
                       "--potential", str(data_path("zero.pot")), "--n-max", "5")

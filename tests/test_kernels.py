@@ -140,6 +140,26 @@ def test_forward_leaves_numpy_ma_unimported():
     assert out.returncode == 0, out.stderr
 
 
+def test_lemma_ladder_commands_leave_numpy_ma_unimported():
+    # the commands of the benchmark's lemma-ladder workload, in one process
+    script = ("import contextlib, io, sys\n"
+              "from shiftgibbs import cli\n"
+              "from shiftgibbs.bundled import data_path\n"
+              "files = ['--shift', str(data_path('even.shift')),\n"
+              "         '--potential', str(data_path('pair_beta.pot'))]\n"
+              "for argv in (['lemma', '--which', '212', '--n', '6', '--m', '1'],\n"
+              "             ['lemma', '--which', '1d', '--n', '6', '--m', '1',\n"
+              "              '--q-bar', '1'],\n"
+              "             ['pressure', '--n-max', '8'],\n"
+              "             ['tangent', '--word', '010', '--n', '4']):\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        assert cli.main([argv[0], *files, *argv[1:]]) == 0, argv\n"
+              "    assert 'numpy.ma' not in sys.modules, argv\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True)
+    assert out.returncode == 0, out.stderr
+
+
 class TestBackendSelection:
     def test_backend_reported(self):
         assert _kernels.backend_name() == "numpy"

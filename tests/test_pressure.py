@@ -173,6 +173,18 @@ class TestPressureLimit:
                           if n >= pot.span]
                 assert max(scaled) - min(scaled) <= 1e-9
 
+    @pytest.mark.parametrize("val_11", [699, 705, 709])
+    def test_envelope_finite_with_a_subnormal_multiplier(self, full, val_11):
+        # nu has a subnormal entry, so max/min of the multipliers overflows
+        pot = Potential(BINARY, 1, (ShapeTable(
+            (0, 1), {(0, 0): 700.0, (0, 1): -700.0, (1, 1): float(val_11)}),))
+        _lam, h, nu = perron(build_transfer(full, pot))
+        assert min(h.min(), nu.min()) < 2.0 ** -1022
+        est = pressure_limit(full, pot, ladder=(1, 2, 3, 4))
+        for (_n, p_n, env) in est.finite_volume:
+            assert math.isfinite(env)
+            assert abs(p_n - est.log_lambda) <= env
+
     def test_residual_reported(self, ev, pot_pair):
         assert pressure_limit(ev, pot_pair).residual <= 1e-11
 

@@ -8,22 +8,25 @@ import numpy as np
 import pytest
 
 from shiftgibbs import (ValidationError, VolumeGuardError, Word, _kernels,
-                        brute_partition, constrained_partition,
-                        decoupling_1d_check, decoupling_1d_tables,
-                        decoupling_gap, energy, enumerate_words,
-                        equilibrium_measure, indicator_potential,
-                        lemma_211_check, lemma_212_check, lemma_212_tables,
-                        tangent_derivative_check, verify, weak_gibbs_scan)
+                        brute_partition, cli, decoupling_1d_check,
+                        decoupling_1d_tables, decoupling_gap, energy,
+                        enumerate_words, equilibrium_measure,
+                        indicator_potential, lemma_211_check, lemma_212_check,
+                        lemma_212_tables, tangent_derivative_check, verify,
+                        weak_gibbs_scan)
 from shiftgibbs.bundled import (BINARY, data_path, equal_pair, even_shift,
                                 full_shift_2, golden_mean, single_site, zero)
 from shiftgibbs.fileio import load_potential, load_shift
 from shiftgibbs.measures import (cylinder_log_probs, cylinder_prob,
                                  strong_gibbs_constant)
 from shiftgibbs.potentials import Potential, ShapeTable
-from shiftgibbs.pressure import finite_pressure, log_sum_exp, word_energies
+from shiftgibbs.pressure import (_dp_log_partition, finite_pressure,
+                                 log_sum_exp, word_energies)
 from shiftgibbs.shifts import Alphabet, sft_presentation
-from shiftgibbs.verify import (_SHIFT, InequalityRecord, LemmaReport,
-                               _dyadic_ints, _exact_terms, _log_scaled,
+from shiftgibbs.verify import (_BIAS, _LIMBS, _MAX_ENTRIES, _SHIFT,
+                               InequalityRecord, LemmaReport, _center_id,
+                               _class_ids, _exact_terms, _limb_sums,
+                               _limb_terms, _log_scaled,
                                _require_allowed_center, ratio_1d_log_constant,
                                ratio_log_constant, sandwich_1d_log_constant,
                                sandwich_log_constant)
@@ -91,7 +94,41 @@ class TestTangentDerivative:
         assert len(built) == 3
 
 
+def constrained_partition(presentation, potential, n, j, ell, v):
+    """log of the partition sum over allowed (2n+1)-words whose restriction
+    to the shifted center window equals the pattern ``v``: one partition
+    pass with the window's letters pinned, so no word is enumerated."""
+    _require_allowed_center(presentation, v)
+    m = len(v) // 2
+    q = decoupling_gap(presentation, "bounded-length").gap
+    if abs(ell) > q:
+        raise ValidationError(f"windows inconsistent: |ell| must be at most q={q}")
+    if abs(j) > n - (m + q):
+        raise ValidationError("windows inconsistent: |j| must be at most n-(m+q)")
+    lo = n + j + ell - m  # column of window position j+ell-m
+    pins = {lo + i: a for i, a in enumerate(v.letters)}
+    return _dp_log_partition(presentation, potential, [2 * n + 1], pins)[0]
+
+
 class TestConstrainedPartition:
+    def test_matches_212_class_sums(self, ev, pot_pair):
+        # Z_{n,ell}(v) of the 212 tables, per shift and center, against
+        # one pinned pass each
+        n, m = 6, 1
+        q = decoupling_gap(ev, "bounded-length").gap
+        checked = 0
+        for j in range(-(n - m - q), n - m - q + 1):
+            tables = lemma_212_tables(ev, pot_pair, n, m, j)
+            for v in enumerate_words(ev, m):
+                c = _center_id(tables, tables.center_ids[q], v)
+                for s, ell in enumerate(range(-q, q + 1)):
+                    want = constrained_partition(ev, pot_pair, n, j, ell, v)
+                    got = _log_scaled(tables.z_ell[s, c], tables.scale)
+                    assert got == pytest.approx(want, rel=1e-12, abs=0)
+                    checked += 1
+        assert checked == ((2 * (n - m - q) + 1) * ev.word_count(2 * m + 1)
+                           * (2 * q + 1))
+
     def test_partition_identity(self, ev, pot_pair):
         n, j, ell = 4, 1, -1
         parts = [constrained_partition(ev, pot_pair, n, j, ell, w)
@@ -231,6 +268,13 @@ class TestDecoupling1d:
 # lemma suites against their per-word oracles
 # ---------------------------------------------------------------------------
 
+def dyadic_terms(energies):
+    """Each word's term exp(E - max E) as the Python int of its multiple by
+    2**_SHIFT (``_dyadic_ints``), and the scale max E."""
+    scale = float(energies.max()) if energies.size else 0.0
+    return _dyadic_ints(np.exp(energies - scale).tolist()), scale
+
+
 def oracle_lemma_212(presentation, potential, n, m, j, u_bar, cap=None):
     """``lemma_212_check`` by per-word loops: ``bytes`` keys and sets of
     word indices per class."""
@@ -242,7 +286,7 @@ def oracle_lemma_212(presentation, potential, n, m, j, u_bar, cap=None):
         raise ValidationError("windows inconsistent: |j| must be at most n-(m+q)")
     bp = brute_partition(presentation, potential, n, cap=cap)
     words, energies = bp.words, bp.energies
-    terms, scale = _exact_terms(energies)
+    terms, scale = dyadic_terms(energies)
     z_n = sum(terms)
     length = 2 * m + 1
     shifts = range(-q, q + 1)
@@ -350,7 +394,7 @@ def oracle_decoupling_1d(presentation, potential, n, m, j, u_bar,
             "window preconditions violated: need |j| < n - (m + 3*q_bar)")
     bp = brute_partition(presentation, potential, n, cap=cap)
     words, energies = bp.words, bp.energies
-    terms, scale = _exact_terms(energies)
+    terms, scale = dyadic_terms(energies)
     length = 2 * m + 1
     n_words = words.shape[0]
 
@@ -680,28 +724,125 @@ class TestLemmaOracles:
             check(tables, word((0, 0)))
 
 
+def _dyadic_ints(values):
+    """The integers t * 2**_SHIFT of floats t in [0, 1], one per word: each
+    t is m / d with d a power of two at most 2**1074, so t * 2**_SHIFT =
+    m * 2**(_SHIFT - log2 d) exactly."""
+    return [m << (_SHIFT + 1 - d.bit_length())
+            for m, d in map(float.as_integer_ratio, values)]
+
+
 def fraction_ints(values):
     """The reference route: each term through exact rational arithmetic."""
     return [int(Fraction(float(t)) * (1 << _SHIFT)) for t in values]
 
 
+def void_class_ids(windows):
+    """Dense class ids of the rows of a 2-D uint8 array by one ``np.unique``
+    over an ``np.void`` view of the rows, and the number of classes."""
+    rows = np.ascontiguousarray(windows if windows.shape[1] else
+                                np.zeros((len(windows), 1), dtype=windows.dtype))
+    keys, ids = np.unique(rows.view(np.dtype((np.void, rows[0].nbytes))).ravel(),
+                          return_inverse=True)
+    return ids, len(keys)
+
+
+EDGE_TERMS = [0.0, 5e-324, 2.0 ** -1022, 1.0, 1.0 - 2.0 ** -53, 0.5]
+
+
 class TestExactTerms:
     def test_dyadic_ints_match_fraction_form(self):
         rng = np.random.default_rng(11)
-        values = ([0.0, 1.0, 5e-324, 2.0 ** -1022, 0.5, 1.0 - 2.0 ** -53]
-                  + rng.random(200).tolist() + (rng.random(50) ** 40).tolist())
+        values = (EDGE_TERMS + rng.random(200).tolist()
+                  + (rng.random(50) ** 40).tolist())
         ints = _dyadic_ints(values)
         assert ints == fraction_ints(values)
-        assert ints[:4] == [0, 1 << _SHIFT, 1 << (_SHIFT - 1074),
-                            1 << (_SHIFT - 1022)]
+        assert ints[:4] == [0, 1 << (_SHIFT - 1074), 1 << (_SHIFT - 1022),
+                            1 << _SHIFT]
+
+    def test_limb_sums_match_per_word_ints(self):
+        rng = np.random.default_rng(12)
+        values = np.array(EDGE_TERMS + rng.random(200).tolist()
+                          + (rng.random(50) ** 40).tolist())
+        ints = _dyadic_ints(values.tolist())
+        terms = _limb_terms(values)
+        # every contribution below 2**33, at limbs inside the accumulator
+        assert terms[1].min() >= 0 and terms[1].max() < 1 << 33
+        assert terms[0].min() >= 0 and terms[0].max() + 2 < _LIMBS
+        # one class per word, then one class for all
+        per_word = _limb_sums(np.arange(len(values)), terms, len(values))
+        assert list(per_word) == ints
+        assert all(type(x) is int for x in per_word)
+        assert list(_limb_sums(np.zeros(len(values), dtype=np.intp), terms, 1)) \
+            == [sum(ints)]
+        # pair entries: words repeated within and across classes, and an
+        # empty class
+        rows = rng.integers(0, len(values), 3000)
+        ids = rng.integers(0, 6, 3000)
+        want = [0] * 7
+        for c, r in zip(ids.tolist(), rows.tolist()):
+            want[c] += ints[r]
+        assert list(_limb_sums(ids, terms, 7, rows)) == want
+        # the largest terms, many times over: every carry is taken
+        ones = _limb_terms(np.full(5000, 1.0 - 2.0 ** -53))
+        assert list(_limb_sums(np.zeros(5000, dtype=np.intp), ones, 1)) \
+            == [5000 * _dyadic_ints([1.0 - 2.0 ** -53])[0]]
+
+    def test_limb_bound(self):
+        # fewer than 2**30 entries, each below 2**33, plus the carry from
+        # the limb below: no int64 limb wraps
+        most = (_MAX_ENTRIES - 1) * ((1 << 33) - 1)
+        assert most + (most >> 32) < 1 << 63
+        # the sum of as many terms of 1 fits in the accumulator
+        assert ((_MAX_ENTRIES - 1) << (_SHIFT + _BIAS)).bit_length() <= 32 * _LIMBS
+
+    def test_limb_guard_counts_entries(self):
+        # zero-stride views: the count is 2**30, nothing that size is built
+        terms = _limb_terms(np.ones(1))
+        ids = np.broadcast_to(np.intp(0), (_MAX_ENTRIES,))
+        with pytest.raises(VolumeGuardError,
+                           match=f"{_MAX_ENTRIES} terms in one exact sum"):
+            _limb_sums(ids, terms, 1, ids)
+
+    def test_limb_guard_boundary(self, monkeypatch):
+        monkeypatch.setattr(verify, "_MAX_ENTRIES", 8)
+        terms = _limb_terms(np.ones(1))
+        rows = np.zeros(8, dtype=np.intp)
+        assert list(_limb_sums(rows[:7], terms, 1, rows[:7])) == [7 << _SHIFT]
+        with pytest.raises(VolumeGuardError, match="8 terms in one exact sum"):
+            _limb_sums(rows, terms, 1, rows)
+
+    def test_limb_guard_exit_code(self, monkeypatch, capsys):
+        monkeypatch.setattr(verify, "_MAX_ENTRIES", 100)
+        code = cli.main(["lemma", "--which", "212", "--shift",
+                         str(data_path("even.shift")), "--potential",
+                         str(data_path("pair_beta.pot")), "--n", "4", "--m", "1"])
+        assert code == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and "exceed the limb bound 100" in out.err
 
     def test_exact_terms_relative_to_max(self):
         # a normal, a subnormal and a vanishing term below the scale
         energies = np.array([-3.0, 0.25, -700.0, -740.0, -746.0, 0.25])
-        ints, scale = _exact_terms(energies)
+        terms, scale = _exact_terms(energies)
         assert scale == 0.25
+        ints = list(_limb_sums(np.arange(6), terms, 6))
         assert ints == fraction_ints(np.exp(energies - scale))
         assert ints[1] == ints[5] == 1 << _SHIFT and ints[4] == 0
+
+
+@pytest.mark.parametrize("width", [0, 1, 3, 7, 8, 13, 30])
+@pytest.mark.parametrize("n_letters", [2, 5, 256])
+def test_class_ids_match_void_rows(width, n_letters):
+    # widths up to 7 take one int64 code, wider ones fold more than once
+    rng = np.random.default_rng(width * 1000 + n_letters)
+    windows = rng.integers(0, n_letters, (400, width), dtype=np.uint8)
+    windows = np.concatenate([windows, windows[::3]])  # repeated rows
+    ids, n_ids = _class_ids(windows)
+    want_ids, want_n = void_class_ids(windows)
+    assert n_ids == want_n
+    assert np.array_equal(ids, want_ids)
 
 
 class TestWeakGibbsScan:
