@@ -3,7 +3,8 @@ transfer cover.
 
 Kernels operate on batches of words encoded as ``uint8`` symbol indices,
 shape ``(n_words, length)``.  Finite-range potentials are passed as their
-per-position step tables, ``Potential.step_tables``.
+per-position step tables, ``Potential.step_tables``, and the cover as its
+(letter, state) table of targets with a dead sink.
 """
 
 from __future__ import annotations
@@ -47,22 +48,23 @@ def batch_energy(words, step_tables):
 # log of label-restricted forward products (hidden-Markov marginals)
 # ---------------------------------------------------------------------------
 
-def batch_forward_logprob(words, trans, start):
-    """Log of ``start @ trans[w_0] @ ... @ trans[w_{L-1}]`` summed over the
-    end states, by the scaled forward recursion; ``-inf`` for a word that no
-    path presents."""
+def batch_forward_logprob(words, succ, prob, start):
+    """Log of each word's forward product from ``start``, summed over the
+    end states, by the scaled forward recursion; ``-inf`` for a word that
+    no path presents.  State s reads letter a into ``succ[a, s]`` (the dead
+    sink ``n_states`` when it cannot) with probability ``prob[a, s]``; each
+    position is one flat ``np.bincount`` over (word, target) slots."""
     n_words, length = words.shape
     n_states = start.shape[0]
+    width = n_states + 1  # the targets and the dead sink
+    slots = np.arange(n_words)[:, None] * width
     v = np.broadcast_to(start, (n_words, n_states)).copy()
     acc = np.zeros(n_words)
     alive = np.ones(n_words, dtype=bool)
     for i in range(length):
         col = words[:, i]
-        w = np.empty_like(v)
-        # letters present (a plain np.unique imports numpy.ma on first use)
-        for a in np.flatnonzero(np.bincount(col, minlength=trans.shape[0])):
-            rows = col == a
-            w[rows] = v[rows] @ trans[a]
+        w = np.bincount((slots + succ[col]).ravel(), (v * prob[col]).ravel(),
+                        minlength=n_words * width).reshape(n_words, width)[:, :n_states]
         tot = w.sum(axis=1)
         dead = tot <= 0.0
         alive &= ~dead

@@ -91,16 +91,12 @@ def _cmd_measure(args) -> str:
     presentation, potential = _load(args)
     measure = equilibrium_measure(presentation, potential)
     lines = [f"lambda\t{_fmt(measure.log_lambda)}"]
-    for i in range(measure.transfer.n_states):
-        lines.append(f"state\t{i}\t{measure.transfer.state_name(i)}\t"
-                     f"{_fmt(float(measure.stationary[i]))}")
-    q = measure.q_by_symbol
-    for a in range(q.shape[0]):
-        sym = presentation.alphabet.symbols[a]
-        for i in range(q.shape[1]):
-            for k in range(q.shape[2]):
-                if q[a, i, k] > 0:
-                    lines.append(f"trans\t{i}\t{k}\t{sym}\t{_fmt(float(q[a, i, k]))}")
+    for i, p in enumerate(measure.stationary):
+        lines.append(f"state\t{i}\t{measure.transfer.state_name(i)}\t{_fmt(float(p))}")
+    for a, sym in enumerate(presentation.alphabet.symbols):
+        for i, (k, p) in enumerate(zip(measure.transfer.succ[a], measure.q[a])):
+            if p > 0:
+                lines.append(f"trans\t{i}\t{k}\t{sym}\t{_fmt(float(p))}")
     return "\n".join(lines) + "\n"
 
 

@@ -1,9 +1,9 @@
 """Equilibrium measures as stationary Markov chains on the transfer cover.
 
-The chain is assembled from Perron data of the weighted transfer system;
-cylinder probabilities on the sofic shift are label-restricted forward
-products (hidden-Markov marginalization), one code path for SFTs and
-proper sofic shifts alike.
+The chain is assembled from Perron data of the weighted transfer system
+on its (letter, state) table; cylinder probabilities on the sofic shift
+are label-restricted forward products over that table (hidden-Markov
+marginalization), one code path for SFTs and proper sofic shifts alike.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from . import _kernels
 from .exceptions import EmptyCylinderWarning, ValidationError
 from .potentials import Potential, energy, phi_function
-from .pressure import TransferSystem, build_transfer, perron
+from .pressure import TransferSystem, _push, build_transfer, perron
 from .shifts import Point, SoficPresentation, Word
 
 _STOCHASTIC_TOL = 1e-12
@@ -27,9 +27,9 @@ _STOCHASTIC_TOL = 1e-12
 @dataclass(frozen=True, eq=False)
 class RPFMeasure:
     """Equilibrium measure data: Perron eigendata, the stationary state
-    distribution p = nu * h, and the stochastic transition matrix
-    Q[u, v] = M[u, v] h_v / (lambda h_u), sliced per label for cylinder
-    evaluation."""
+    distribution p = nu * h, and the transition probabilities on the
+    transfer table, q[a, i] = weight[a, i] h[succ[a, i]] / (lambda h[i])
+    for state i's a-edge (zero when absent)."""
 
     transfer: TransferSystem
     lam: float
@@ -41,13 +41,9 @@ class RPFMeasure:
         return self.nu * self.h
 
     @cached_property
-    def q_by_symbol(self) -> np.ndarray:
-        t = self.transfer.trans
-        return t * self.h[None, None, :] / (self.lam * self.h[None, :, None])
-
-    @cached_property
-    def q_matrix(self) -> np.ndarray:
-        return self.q_by_symbol.sum(axis=0)
+    def q(self) -> np.ndarray:
+        t = self.transfer
+        return t.weight * np.append(self.h, 0.0)[t.succ] / (self.lam * self.h)
 
     @property
     def log_lambda(self) -> float:
@@ -58,13 +54,15 @@ class RPFMeasure:
         return self.transfer.presentation
 
     def validate(self, tol: float = _STOCHASTIC_TOL) -> None:
-        q = self.q_matrix
-        if np.abs(q.sum(axis=1) - 1.0).max() > tol:
+        q = self.q
+        if np.abs(q.sum(axis=0) - 1.0).max() > tol:
             raise ValidationError("transition matrix is not stochastic")
         p = self.stationary
-        if np.abs(p @ q - p).max() > tol:
+        if np.abs(_push(self.transfer.succ, q, p) - p).max() > tol:
             raise ValidationError("state distribution is not stationary")
-        if (p <= 0).any() or abs(p.sum() - 1.0) > tol:
+        if (p == 0).any():
+            raise ValidationError("a stationary entry nu * h underflows to 0")
+        if (p < 0).any() or abs(p.sum() - 1.0) > tol:
             raise ValidationError("state distribution is not a positive probability vector")
 
 
@@ -93,9 +91,9 @@ def cylinder_prob(measure: RPFMeasure, word: Word) -> float:
     """Measure of the cylinder set of a word: sum over state paths
     compatible with the labels, computed by the forward algorithm from the
     stationary distribution.  Returns 0 for words outside the language."""
-    v = measure.stationary.copy()
+    v = measure.stationary
     for a in word.letters:
-        v = v @ measure.q_by_symbol[a]
+        v = _push(measure.transfer.succ[a], measure.q[a], v)
     total = float(v.sum())
     if total == 0.0:
         warnings.warn("empty cylinder: word is not in the shift language",
@@ -106,9 +104,8 @@ def cylinder_prob(measure: RPFMeasure, word: Word) -> float:
 def cylinder_log_probs(measure: RPFMeasure, words: np.ndarray) -> np.ndarray:
     """log cylinder probabilities for a batch of words (kernel-backed)."""
     return _kernels.batch_forward_logprob(
-        np.ascontiguousarray(words, dtype=np.uint8),
-        np.ascontiguousarray(measure.q_by_symbol),
-        np.ascontiguousarray(measure.stationary))
+        np.ascontiguousarray(words, dtype=np.uint8), measure.transfer.succ,
+        measure.q, measure.stationary)
 
 
 def empirical_pairing(potential: Potential, point: Point, m: int) -> EmpiricalPairing:

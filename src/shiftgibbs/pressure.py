@@ -9,7 +9,8 @@ the potential's ``step_tables``, which each ``Potential`` builds once.
 Each word is one automaton path, so the two agree up to rounding even for
 sofic shifts where words carry several presenting paths.  The limiting
 pressure is the log Perron root of the weighted transfer system on the
-(vertex, trailing-context) cover.
+(vertex, trailing-context) cover, one (letter, state) table of targets and
+step weights that every product reads (``_pull``: M x, ``_push``: v M).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import partial
 
 import numpy as np
 
@@ -37,32 +38,21 @@ class TransferSystem:
     """Weighted transfer system on the (vertex, trailing R letters) cover.
 
     State i is ``keys[i]`` = vertex * K**R + base-K code of its last R
-    letters, in ascending order.  ``trans[a][u, v]`` is the step weight
-    exp(step energy) of the unique a-labeled transition u -> v, zero when
-    absent; ``matrix`` sums over labels.
+    letters, in ascending order.  ``succ[a, i]`` is the target of state i's
+    unique a-edge (``n_states``, a dead sink, when absent) and
+    ``weight[a, i]`` its step weight exp(step energy), zero when absent.
     """
 
     presentation: SoficPresentation
     potential: Potential
     context_len: int
     keys: np.ndarray
-    trans: np.ndarray
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        return self.trans.sum(axis=0)
+    succ: np.ndarray
+    weight: np.ndarray
 
     @property
     def n_states(self) -> int:
         return len(self.keys)
-
-    @cached_property
-    def irreducible(self) -> bool:
-        return strongly_connected(self.matrix > 0)
-
-    @cached_property
-    def primitive(self) -> bool:
-        return self.irreducible and support_period(self.matrix > 0) == 1
 
     def state_name(self, i: int) -> str:
         K = len(self.presentation.alphabet)
@@ -113,24 +103,24 @@ def build_transfer(presentation: SoficPresentation,
         raise VolumeGuardError(
             "volume too large for brute force: transfer cover for a "
             f"range-{potential.span} potential")
-    succ = np.full((presentation.n_vertices, K), -1)
+    out = np.full((presentation.n_vertices, K), -1)
     for (v, d, a) in presentation.edges:
-        succ[v, a] = d
+        out[v, a] = d
     # states reachable by R-edge paths: R steps from every vertex, code 0
     keys = np.arange(presentation.n_vertices) * n_codes
     for _ in range(R):
-        keys = np.array(sorted(set(_context_edges(succ, keys, n_codes)[3].tolist())))
+        keys = np.array(sorted(set(_context_edges(out, keys, n_codes)[3].tolist())))
     S = len(keys)
-    if K * S * S > DENSE_ENTRIES_CAP:
+    if S * S > DENSE_ENTRIES_CAP:
         raise VolumeGuardError(
-            f"volume too large for brute force: dense transfer arrays of {K} x "
-            f"{S} x {S} entries for a range-{potential.span} potential")
-    src, letter, context, target = _context_edges(succ, keys, n_codes)
-    tgt = np.searchsorted(keys, target)
+            f"volume too large for brute force: transfer support of {S} x {S} "
+            f"entries for a range-{potential.span} potential")
+    src, letter, context, target = _context_edges(out, keys, n_codes)
+    succ = np.full((K, S), S)
+    succ[letter, src] = np.searchsorted(keys, target)
     letters = context[:, None] // K ** np.arange(R, -1, -1) % K
-    trans = np.zeros((K, S, S))
-    for a, i, j, ctx in zip(letter.tolist(), src.tolist(), tgt.tolist(),
-                            letters.tolist()):
+    weight = np.zeros((K, S))
+    for a, i, ctx in zip(letter.tolist(), src.tolist(), letters.tolist()):
         step = _step_energy(potential, ctx)
         try:
             w = math.exp(step)
@@ -138,8 +128,19 @@ def build_transfer(presentation: SoficPresentation,
             w = math.inf
         if not 0.0 < w < math.inf:
             raise ValidationError(f"step weight exp({step!r}) leaves the float64 range")
-        trans[a, i, j] = w
-    return TransferSystem(presentation, potential, R, keys, trans)
+        weight[a, i] = w
+    return TransferSystem(presentation, potential, R, keys, succ, weight)
+
+
+def _pull(succ: np.ndarray, weight: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """M x over the table (``succ``, ``weight``); the dead sink reads 0."""
+    return (weight * np.append(x, 0.0)[succ]).sum(axis=0)
+
+
+def _push(succ: np.ndarray, weight: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """v M over the table (``succ``, ``weight``) or one letter's row of it;
+    the dead sink's entry is dropped."""
+    return np.bincount(succ.ravel(), (weight * v).ravel(), minlength=v.size + 1)[:v.size]
 
 
 def perron(transfer: TransferSystem, tol: float = PERRON_TOL,
@@ -148,24 +149,27 @@ def perron(transfer: TransferSystem, tol: float = PERRON_TOL,
     power iteration from the all-ones vector.
 
     Normalization: sum(nu) = 1 and sum(nu * h) = 1.  Requires a primitive
-    weight matrix; converged when successive eigenvalue estimates agree to
-    ``tol`` relative and the sup-norm residual is below 1e-12.
+    weight matrix, read off the boolean S x S support of ``succ``;
+    converged when successive eigenvalue estimates agree to ``tol``
+    relative and the sup-norm residual is below 1e-12.
     """
-    M = transfer.matrix
-    if not transfer.irreducible:
+    succ, weight, S = transfer.succ, transfer.weight, transfer.n_states
+    support = np.zeros((S, S + 1), dtype=bool)
+    support[np.arange(S), succ] = True  # the dead sink is the last column
+    if not strongly_connected(support[:, :S]):
         raise ValidationError("reducible transfer system: Perron data not computed")
-    if not transfer.primitive:
+    if support_period(support[:, :S]) != 1:
         raise ValidationError("periodic transfer system: Perron data not computed")
 
-    def iterate(mat: np.ndarray) -> tuple[float, np.ndarray]:
-        x = np.ones(mat.shape[0])
+    def iterate(product) -> tuple[float, np.ndarray]:
+        x = np.ones(S)
         x /= x.sum()
         lam = 0.0
         for _ in range(max_iter):
-            y = mat @ x
+            y = product(x)
             lam_new = y.sum()
             y /= lam_new
-            res = np.abs(mat @ y - lam_new * y).max() / np.abs(y).max()
+            res = np.abs(product(y) - lam_new * y).max() / np.abs(y).max()
             done = (abs(lam_new - lam) <= tol * abs(lam_new)
                     and res <= PERRON_RESIDUAL_TOL)
             x, lam = y, lam_new
@@ -173,8 +177,8 @@ def perron(transfer: TransferSystem, tol: float = PERRON_TOL,
                 return lam, x
         raise ValidationError("power iteration failed to converge")
 
-    lam, h = iterate(M)
-    lam_left, nu = iterate(M.T)
+    lam, h = iterate(partial(_pull, succ, weight))
+    lam_left, nu = iterate(partial(_push, succ, weight))
     lam = 0.5 * (lam + lam_left)
     nu = nu / nu.sum()
     h = h / float(nu @ h)
@@ -183,9 +187,9 @@ def perron(transfer: TransferSystem, tol: float = PERRON_TOL,
 
 def perron_residual(transfer: TransferSystem, lam: float, h: np.ndarray,
                     nu: np.ndarray) -> float:
-    M = transfer.matrix
-    right = np.abs(M @ h - lam * h).max() / np.abs(h).max()
-    left = np.abs(M.T @ nu - lam * nu).max() / np.abs(nu).max()
+    succ, weight = transfer.succ, transfer.weight
+    right = np.abs(_pull(succ, weight, h) - lam * h).max() / np.abs(h).max()
+    left = np.abs(_push(succ, weight, nu) - lam * nu).max() / np.abs(nu).max()
     return max(right, left)
 
 

@@ -222,10 +222,8 @@ def weak_gibbs_scan(measure: RPFMeasure, m_list,
     presentation.check_volume(max(lengths, default=0), cap)
     n_symbols = len(presentation.alphabet)
     n_states = transfer.n_states
-    delta = np.full((n_symbols, n_states + 1), n_states,
-                    dtype=np.min_scalar_type(n_states))
-    letter, source, target = np.nonzero(transfer.trans > 0)
-    delta[letter, source] = target
+    delta = np.pad(transfer.succ, ((0, 0), (0, 1)), constant_values=n_states
+                   ).astype(np.min_scalar_type(n_states))
     contexts = transfer.keys % n_symbols ** transfer.context_len
     worst = _kernels.class_deviation(
         delta, contexts, np.log(measure.stationary / measure.h),
@@ -385,6 +383,7 @@ class Lemma212Tables:
     scale: float
     z_n: int
     center_ids: np.ndarray   # center pattern class per (shift, word)
+    center_reps: tuple[np.ndarray, np.ndarray]  # (class, a word showing it) at shift 0
     ext_ids: np.ndarray      # exterior class per word
     n_ext: int
     z_ell: np.ndarray        # Z_{n,ell}(v) per (shift, center class)
@@ -411,7 +410,7 @@ class Decoupling1dTables:
     partition: BrutePartition
     scale: float
     z_n: int
-    center_ids: np.ndarray   # center pattern class per word
+    center_reps: tuple[np.ndarray, np.ndarray]  # (center class, a word showing it)
     class_keys: np.ndarray   # sorted packed keys center * n_tails + tail pair
     n_tails: int
     g_min: np.ndarray        # per (v, w-, w+) class: least energy minus center energy
@@ -429,12 +428,13 @@ def require_center(presentation: SoficPresentation, m: int, u_bar: Word) -> None
         raise ValidationError("windows inconsistent: center word must have length 2m+1")
 
 
-def _center_id(tables, ids: np.ndarray, u_bar: Word) -> int:
-    """The class id in ``ids`` (one per word) of the center word, read off a
-    word that shows it on the center window [j - m, j + m]."""
+def _center_id(tables, u_bar: Word) -> int:
+    """The class id of the center word: the class in ``tables.center_reps``
+    whose representative word shows it on the center window [j - m, j + m]."""
     require_center(tables.presentation, tables.m, u_bar)
     n, m, j = tables.n, tables.m, tables.j
-    rows = (tables.partition.words[:, n + j - m:n + j + m + 1]
+    ids, reps = tables.center_reps
+    rows = (tables.partition.words[reps, n + j - m:n + j + m + 1]
             == u_bar.letters).all(axis=1)
     if not rows.any():
         raise ValidationError("center word does not extend to the volume")
@@ -500,7 +500,8 @@ def lemma_212_tables(presentation: SoficPresentation, potential: Potential,
 
     return Lemma212Tables(
         presentation, potential, n, m, j, q, bp, scale, z_n,
-        center_ids, ext_ids, n_ext, z_ell, z_bar, tuple(records),
+        center_ids, np.unique(center_ids[q], return_index=True), ext_ids,
+        n_ext, z_ell, z_bar, tuple(records),
         {"log_C": sandwich_log_constant(potential, m, q),
          "log_K": ratio_log_constant(potential, m, q, len(presentation.alphabet)),
          "P_m": finite_pressure(presentation, potential, m)})
@@ -512,7 +513,7 @@ def lemma_212_check(tables: Lemma212Tables, u_bar: Word) -> LemmaReport:
     nonemptiness of the union classes for the word, and the two displayed
     two-sided bounds with exact constants."""
     t = tables
-    u_id = _center_id(t, t.center_ids[t.q], u_bar)
+    u_id = _center_id(t, u_bar)
     q, length = t.q, 2 * t.m + 1
     log_k, p_m = t.constants["log_K"], t.constants["P_m"]
     log_z_n = _log_scaled(t.z_n, t.scale)
@@ -624,8 +625,8 @@ def decoupling_1d_tables(presentation: SoficPresentation, potential: Potential,
 
     return Decoupling1dTables(
         presentation, potential, n, m, j, q_bar, lam_minus, lam_plus, bp,
-        scale, z_n, center_ids, class_keys, n_tails, g_min, g_max,
-        z_v, z_bar, tuple(records),
+        scale, z_n, np.unique(center_ids, return_index=True), class_keys,
+        n_tails, g_min, g_max, z_v, z_bar, tuple(records),
         {"log_C_prime": sandwich_1d_log_constant(potential, m, q_bar),
          "log_K_bar": ratio_1d_log_constant(potential, m, q_bar,
                                             len(presentation.alphabet)),
@@ -638,7 +639,7 @@ def decoupling_1d_check(tables: Decoupling1dTables, u_bar: Word) -> LemmaReport:
     sandwich between each class and the class of the word sharing both
     tails, and the final two-sided ratio bound with exact constants."""
     t = tables
-    u_id = _center_id(t, t.center_ids, u_bar)
+    u_id = _center_id(t, u_bar)
     length = 2 * t.m + 1
     log_c1, log_k, p_m = (t.constants["log_C_prime"], t.constants["log_K_bar"],
                           t.constants["P_m"])

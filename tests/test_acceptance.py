@@ -22,6 +22,7 @@ from shiftgibbs.bundled import BINARY, ten_detector_code
 from shiftgibbs.measures import cylinder_log_probs, cylinder_prob
 from shiftgibbs.pressure import word_energies
 
+from test_pressure import densify
 from test_shifts import check_splice_case, random_point
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -185,7 +186,7 @@ def test_criterion_9_measure_invariants(full, gm, ev, pot_zero, pot_site,
                (ev, pot_zero), (ev, pot_pair)]
     for pres, pot in systems:
         mu = equilibrium_measure(pres, pot)
-        q = mu.q_matrix
+        q = densify(mu.transfer.succ, mu.q).sum(axis=0)
         p = mu.stationary
         ok &= float(np.abs(q.sum(axis=1) - 1.0).max()) <= 1e-12
         ok &= float(np.abs(p @ q - p).max()) <= 1e-12
@@ -209,14 +210,14 @@ def test_criterion_9_measure_invariants(full, gm, ev, pot_zero, pot_site,
     # brute-force state-path oracle at small m
     for pres in (gm, ev):
         mu = equilibrium_measure(pres, pot_pair)
-        n_states = mu.transfer.n_states
+        n_states, q = mu.transfer.n_states, densify(mu.transfer.succ, mu.q)
         for m in (1, 4):
             for w in enumerate_words(pres, m)[:6]:
                 brute = 0.0
                 for path in itertools.product(range(n_states), repeat=len(w) + 1):
                     weight = mu.stationary[path[0]]
                     for i, a in enumerate(w.letters):
-                        weight *= mu.q_by_symbol[a][path[i], path[i + 1]]
+                        weight *= q[a][path[i], path[i + 1]]
                     brute += weight
                 ok &= abs(cylinder_prob(mu, w) - brute) <= 1e-10
         # strong-Gibbs boundedness: deviation sup at m=10 vs m=3

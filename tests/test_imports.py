@@ -1,4 +1,5 @@
-"""No module imports a name it never uses.
+"""No module imports a name it never uses, and no private helper is left
+unused.
 
 Every module under ``src/shiftgibbs/`` and ``tests/`` is parsed with
 ``ast``; each name an import statement binds must occur somewhere else in
@@ -6,6 +7,10 @@ the module (as a name, the root of an attribute chain, a string
 annotation, or an ``__all__`` entry).  Package ``__init__.py`` files are
 skipped, since their imports are the public re-exports, and so is
 ``from __future__``.
+
+Every private name a module under ``src/shiftgibbs/`` defines (a
+module-level ``_name`` or a ``_method`` of a module-level class) must be
+read somewhere in ``src/shiftgibbs/``, as a name or an attribute.
 """
 
 import ast
@@ -14,8 +19,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(p for d in (ROOT / "src" / "shiftgibbs", ROOT / "tests")
-                 for p in d.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted((ROOT / "src" / "shiftgibbs").glob("*.py"))
+MODULES = sorted(p for p in SOURCES + sorted((ROOT / "tests").glob("*.py"))
+                 if p.name != "__init__.py")
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -77,3 +83,62 @@ def test_scan_finds_unused_imports():
               "x: 'np.ndarray' = pi\n"
               "y = 'turn.pot'\n")
     assert unused_imports(source) == ["line 2: os", "line 4: turn"]
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Private module-level names and private methods of module-level
+    classes -> the line of their definition."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for n in ast.walk(target):
+                    if isinstance(n, ast.Name):
+                        defined[n.id] = node.lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    defined[item.name] = item.lineno
+    return {name: line for name, line in defined.items() if _private(name)}
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    """Names and attribute names the module reads."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}
+
+
+def unused_private(sources: dict[str, str]) -> list[str]:
+    """``module:line: name`` for each private definition in ``sources``
+    (module name -> source text) that no module reads."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    read = set().union(*map(read_names, trees.values()))
+    return [f"{module}:{line}: {name}" for module, tree in trees.items()
+            for name, line in private_definitions(tree).items() if name not in read]
+
+
+def test_no_unused_private_helpers():
+    assert unused_private({p.name: p.read_text(encoding="utf-8")
+                           for p in SOURCES}) == []
+
+
+def test_scan_finds_unused_private_helpers():
+    sources = {
+        "a.py": ("_LIMIT = 3\n_SPARE = 4\n"
+                 "def _used():\n    return _LIMIT\n"
+                 "def _dead():\n    _dead_local = 1\n"
+                 "class Box:\n"
+                 "    def __init__(self):\n        self._size = 0\n"
+                 "    def _grow(self):\n        return 1\n"
+                 "    def _shrink(self):\n        return 0\n"),
+        "b.py": "from a import _used, Box\nBox()._grow()\n_used()\n",
+    }
+    assert unused_private(sources) == ["a.py:2: _SPARE", "a.py:5: _dead",
+                                       "a.py:12: _shrink"]

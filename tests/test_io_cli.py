@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from shiftgibbs import Word, cli, energy, enumerate_words, pressure
+from shiftgibbs import (VolumeGuardError, Word, cli, energy, enumerate_words,
+                        pressure)
 from shiftgibbs.bundled import (BINARY, SITE_FIELD, data_path, even_shift,
                                 full_shift_2, golden_mean, periodic_cycle,
                                 reducible_pair)
@@ -213,6 +214,17 @@ class TestCli:
             assert out.err == ("error: a Perron vector entry underflows to 0: "
                                "the pressure envelope is unbounded\n")
 
+    def test_measure_stationary_underflow(self, tmp_path):
+        # nu[1] is subnormal and h[1] about 1e-304: pi = nu * h underflows to 0
+        path = tmp_path / "wide.pot"
+        path.write_text("range 1\nshape 0,1\nval 00 700\nval 01 -700\nval 11 699\n",
+                        encoding="utf-8")
+        out = run_cli("measure", "--shift", str(data_path("full2.shift")),
+                      "--potential", str(path))
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr == "error: a stationary entry nu * h underflows to 0\n"
+
     def test_pressure_full_shift(self):
         out = run_cli("pressure", "--shift", str(data_path("full2.shift")),
                       "--potential", str(data_path("zero.pot")), "--n-max", "5")
@@ -399,31 +411,27 @@ class TestCli:
     @pytest.mark.parametrize("command", [("measure",),
                                          ("tangent", "--word", "1", "--n", "3")])
     def test_dense_transfer_guard(self, tmp_path, command):
-        # 2 letters x (2^14 cover states)^2 exceeds the 2^27-entry bound
+        # a support of (2^14 cover states)^2 exceeds the 2^27-entry bound
         pot = tmp_path / "wide.pot"
         pot.write_text("range 14\nshape 0,14\nval 11 0.25\n", encoding="utf-8")
         out = run_cli(*command, "--shift", str(data_path("full2.shift")),
                       "--potential", str(pot))
         assert out.returncode == 3
         assert out.stdout == ""
-        assert "dense transfer arrays of 2 x 16384 x 16384 entries" in out.stderr
+        assert "transfer support of 16384 x 16384 entries" in out.stderr
         assert "Traceback" not in out.stderr
 
     def test_dense_transfer_guard_boundary(self, tmp_path, monkeypatch):
-        # range 13 gives exactly 2^27 entries: accepted up to the allocation
+        # a range-2 potential on full2 has 4 cover states: a 4 x 4 support
         pot = tmp_path / "wide.pot"
-        pot.write_text("range 13\nshape 0,13\nval 11 0.25\n", encoding="utf-8")
+        pot.write_text("range 2\nshape 0,2\nval 11 0.25\n", encoding="utf-8")
         full2 = full_shift_2()
         potential = load_potential(pot, full2.alphabet)
-
-        class Allocating(Exception):
-            pass
-
-        def refuse(shape, *args, **kwargs):
-            raise Allocating(shape)
-
-        monkeypatch.setattr(pressure.np, "zeros", refuse)
-        with pytest.raises(Allocating, match=r"\(2, 8192, 8192\)"):
+        monkeypatch.setattr(pressure, "DENSE_ENTRIES_CAP", 16)
+        assert pressure.build_transfer(full2, potential).n_states == 4
+        monkeypatch.setattr(pressure, "DENSE_ENTRIES_CAP", 15)
+        with pytest.raises(VolumeGuardError,
+                           match="transfer support of 4 x 4 entries for a range-2"):
             pressure.build_transfer(full2, potential)
 
     def test_volume_guard_exit_code(self):

@@ -13,6 +13,7 @@ from shiftgibbs.bundled import equal_pair, even_shift, single_site, zero
 from shiftgibbs.potentials import Potential, ShapeTable, add_potentials, energy
 from shiftgibbs.pressure import brute_partition
 from shiftgibbs.shifts import Alphabet, Word
+from test_pressure import densify
 
 
 def _five_letter_potential():
@@ -69,9 +70,7 @@ def workload():
     rng = np.random.default_rng(42)
     words = rng.integers(0, 2, size=(400, 11)).astype(np.uint8)
     mu = equilibrium_measure(even_shift(), equal_pair())
-    trans = np.ascontiguousarray(mu.q_by_symbol)
-    start = np.ascontiguousarray(mu.stationary)
-    return words, trans, start
+    return words, mu.transfer.succ, mu.q, mu.stationary
 
 
 class TestBackendAgreement:
@@ -99,9 +98,9 @@ class TestBackendAgreement:
         assert not any(t.flags.writeable for t in pot.step_tables)
 
     def test_forward_logprob(self, workload):
-        words, trans, start = workload
-        kernel = batch_forward_logprob(words, trans, start)
-        reference = _batch_forward_logprob_py(words, trans, start)
+        words, succ, prob, start = workload
+        kernel = batch_forward_logprob(words, succ, prob, start)
+        reference = _batch_forward_logprob_py(words, densify(succ, prob), start)
         dead = np.isinf(kernel)
         assert dead.any() and not dead.all()
         assert (dead == np.isinf(reference)).all()
@@ -110,9 +109,9 @@ class TestBackendAgreement:
     def test_dead_words_flagged(self, workload):
         # 101 is no word of the even shift: the 0 between the 1s is an odd run
         words = np.array([[1, 0, 1], [0, 0, 0]], dtype=np.uint8)
-        _w, trans, start = workload
-        for lp in (batch_forward_logprob(words, trans, start),
-                   _batch_forward_logprob_py(words, trans, start)):
+        _w, succ, prob, start = workload
+        for lp in (batch_forward_logprob(words, succ, prob, start),
+                   _batch_forward_logprob_py(words, densify(succ, prob), start)):
             assert np.isinf(lp[0]) and lp[0] < 0
             assert np.isfinite(lp[1])
 

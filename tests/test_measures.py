@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,13 +11,24 @@ from shiftgibbs import (EmptyCylinderWarning, Word, cylinder_prob,
                         equilibrium_measure, enumerate_words, point_from_words)
 from shiftgibbs.bundled import BINARY, SITE_FIELD
 from shiftgibbs.measures import cylinder_log_probs, strong_gibbs_constant
+from shiftgibbs.potentials import Potential, ShapeTable
 from shiftgibbs.pressure import word_energies
+from test_pressure import densify
 
 PHI = (1 + math.sqrt(5)) / 2
 
 
 def word(letters, start=0):
     return Word(BINARY, start, letters)
+
+
+def q_by_symbol(mu):
+    """The chain's transitions as one dense S x S matrix per letter."""
+    return densify(mu.transfer.succ, mu.q)
+
+
+def q_matrix(mu):
+    return q_by_symbol(mu).sum(axis=0)
 
 
 @pytest.fixture(scope="module")
@@ -38,13 +50,13 @@ class TestEquilibriumMeasure:
     def test_bernoulli_closed_form(self, bernoulli):
         q = math.exp(SITE_FIELD) / (1 + math.exp(SITE_FIELD))
         assert bernoulli.stationary == pytest.approx([1 - q, q], abs=1e-13)
-        assert np.allclose(bernoulli.q_matrix, [[1 - q, q], [1 - q, q]], atol=1e-13)
+        assert np.allclose(q_matrix(bernoulli), [[1 - q, q], [1 - q, q]], atol=1e-13)
 
     def test_parry_eigenvector_chain(self, parry):
         # from the eigenvectors of [[1,1],[1,0]]
-        assert parry.q_matrix[0, 0] == pytest.approx(1 / PHI, abs=1e-12)
-        assert parry.q_matrix[0, 1] == pytest.approx(1 / PHI ** 2, abs=1e-12)
-        assert parry.q_matrix[1, 0] == pytest.approx(1.0, abs=1e-12)
+        assert q_matrix(parry)[0, 0] == pytest.approx(1 / PHI, abs=1e-12)
+        assert q_matrix(parry)[0, 1] == pytest.approx(1 / PHI ** 2, abs=1e-12)
+        assert q_matrix(parry)[1, 0] == pytest.approx(1.0, abs=1e-12)
         assert parry.stationary == pytest.approx(
             [PHI ** 2 / (1 + PHI ** 2), 1 / (1 + PHI ** 2)], abs=1e-12)
 
@@ -69,7 +81,7 @@ class TestCylinderProb:
 
     def test_parry_two_block_marginal(self, parry):
         # direct 2-block distribution from (p, Q)
-        p, q = parry.stationary, parry.q_matrix
+        p, q = parry.stationary, q_matrix(parry)
         assert cylinder_prob(parry, word((0, 0))) == pytest.approx(
             p[0] * q[0, 0], abs=1e-13)
 
@@ -120,7 +132,7 @@ class TestCylinderProb:
         # exact stationary-chain marginal by summing over all state paths
         for pres in (gm, ev):
             mu = equilibrium_measure(pres, pot_pair)
-            n_states = mu.transfer.n_states
+            n_states, q = mu.transfer.n_states, q_by_symbol(mu)
             for m in (1, 2, 4):
                 for w in enumerate_words(pres, m)[:8]:
                     brute = 0.0
@@ -128,9 +140,24 @@ class TestCylinderProb:
                                                   repeat=len(w) + 1):
                         weight = mu.stationary[path[0]]
                         for i, a in enumerate(w.letters):
-                            weight *= mu.q_by_symbol[a][path[i], path[i + 1]]
+                            weight *= q[a][path[i], path[i + 1]]
                         brute += weight
                     assert cylinder_prob(mu, w) == pytest.approx(brute, abs=1e-10)
+
+    def test_wide_cover_stays_small(self, full):
+        # shapes (0, 10) and (0, 1) on full2: 1,024 cover states and 2,048
+        # edges, so no array of S x S floats may be built
+        pot = Potential(BINARY, 10, (ShapeTable((0, 10), {(1, 1): 0.25}),
+                                     ShapeTable((0, 1), {(0, 1): -0.5})))
+        tracemalloc.start()
+        try:
+            mu = equilibrium_measure(full, pot)
+            cylinder_prob(mu, word((1, 0, 1)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mu.transfer.n_states == 1024
+        assert peak < 16 * 2 ** 20
 
 
 class TestEmpiricalPairing:

@@ -19,6 +19,20 @@ from test_verify import range_three_sft
 PHI = (1 + math.sqrt(5)) / 2
 
 
+def densify(succ, weight):
+    """The dense (K, S, S) form of a (letter, state) table: entry [a, i, j]
+    is ``weight[a, i]`` where ``succ[a, i]`` is j, zero elsewhere (a target
+    of S, the dead sink, is dropped)."""
+    K, S = succ.shape
+    dense = np.zeros((K, S, S + 1))
+    dense[np.arange(K)[:, None], np.arange(S), succ] = weight
+    return dense[:, :, :S]
+
+
+def transfer_matrix(transfer):
+    return densify(transfer.succ, transfer.weight).sum(axis=0)
+
+
 class TestBrutePartition:
     def test_full_zero(self, full, pot_zero):
         assert brute_partition(full, pot_zero, 2).log_z == pytest.approx(
@@ -67,19 +81,19 @@ class TestBuildTransfer:
     def test_full_zero_matrix(self, full, pot_zero):
         t = build_transfer(full, pot_zero)
         assert t.n_states == 2  # range forced to 1: one state per letter
-        assert np.allclose(t.matrix, np.ones((2, 2)))
+        assert np.allclose(transfer_matrix(t), np.ones((2, 2)))
         lam, h, _nu = perron(t)
         assert lam == pytest.approx(2.0, abs=1e-12)
         assert np.allclose(h, h[0])
 
     def test_golden_adjacency(self, gm, pot_zero):
         t = build_transfer(gm, pot_zero)
-        assert np.allclose(t.matrix, [[1.0, 1.0], [1.0, 0.0]])
+        assert np.allclose(transfer_matrix(t), [[1.0, 1.0], [1.0, 0.0]])
 
     def test_bernoulli_columns(self, full, pot_site):
         t = build_transfer(full, pot_site)
         expected = np.array([[1.0, math.exp(SITE_FIELD)]] * 2)
-        assert np.allclose(t.matrix, expected)
+        assert np.allclose(transfer_matrix(t), expected)
         lam, _h, _nu = perron(t)
         assert lam == pytest.approx(1 + math.exp(SITE_FIELD), abs=1e-12)
 
@@ -88,7 +102,7 @@ class TestBuildTransfer:
         # the largest and a subnormal step weight still fit in float64
         site = Potential(BINARY, 0, (ShapeTable((0,), {(1,): value}),))
         t = build_transfer(full, site)
-        assert t.matrix[0, 1] == math.exp(value)
+        assert transfer_matrix(t)[0, 1] == math.exp(value)
 
     @pytest.mark.parametrize("value", [710.0, 800.0, -746.0, -800.0])
     def test_weights_out_of_range_refused(self, full, value):
@@ -136,8 +150,12 @@ class TestPerron:
     def test_cover_predicates_match_presentation(self, name):
         pres = load_shift(data_path(name))
         t = build_transfer(pres, zero_potential(pres.alphabet))
-        assert t.irreducible == pres.irreducible
-        assert t.primitive == (pres.irreducible and pres.aperiodic)
+        if pres.irreducible and pres.aperiodic:
+            perron(t)
+        else:
+            refusal = "reducible" if not pres.irreducible else "periodic"
+            with pytest.raises(ValidationError, match=f"^{refusal} transfer system"):
+                perron(t)
 
 
 class TestPressureLimit:
@@ -378,7 +396,7 @@ class TestCoverKeys:
         assert [transfer.state_name(i) for i in range(transfer.n_states)] == [
             presentation.vertices[v] + "|" + presentation.alphabet.text(ctx)
             for v, ctx in states]
-        assert np.array_equal(transfer.trans, trans)
+        assert np.array_equal(densify(transfer.succ, transfer.weight), trans)
 
     @pytest.mark.parametrize("shift", SHIFT_FILES)
     @pytest.mark.parametrize("pot", POTENTIAL_FILES)

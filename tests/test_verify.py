@@ -120,7 +120,7 @@ class TestConstrainedPartition:
         for j in range(-(n - m - q), n - m - q + 1):
             tables = lemma_212_tables(ev, pot_pair, n, m, j)
             for v in enumerate_words(ev, m):
-                c = _center_id(tables, tables.center_ids[q], v)
+                c = _center_id(tables, v)
                 for s, ell in enumerate(range(-q, q + 1)):
                     want = constrained_partition(ev, pot_pair, n, j, ell, v)
                     got = _log_scaled(tables.z_ell[s, c], tables.scale)
@@ -983,9 +983,10 @@ def trie_rows(measure, potential, m_list, cap=None):
     ms = sorted(m_list)
     lengths = [2 * m + 1 for m in ms]
     counts = presentation.check_volume(max(lengths, default=0), cap)
+    from test_pressure import densify  # test_pressure imports this module
     det, start = presentation._det
     worst = scan_deviation(
-        det, start, measure.q_by_symbol, measure.stationary,
+        det, start, densify(measure.transfer.succ, measure.q), measure.stationary,
         potential.step_tables, lengths, measure.log_lambda,
         [np.asarray(c, dtype=float) for c in counts])
     return [(m, float(dev) / length) for m, length, dev in zip(ms, lengths, worst)]
