@@ -2,12 +2,9 @@
 measures, and numerical weak-Gibbs certificates."""
 
 from .exceptions import EmptyCylinderWarning, ValidationError, VolumeGuardError
-from .measures import (EmpiricalPairing, RPFMeasure, cylinder_prob,
-                       empirical_pairing, energy_density_gap,
-                       equilibrium_measure)
+from .measures import RPFMeasure, cylinder_prob, equilibrium_measure
 from .potentials import (NormReport, Potential, ShapeTable, add_potentials,
-                         boundary_norm_bound, energy, interaction, norms,
-                         phi_function, zero_potential)
+                         boundary_norm_bound, energy, norms, zero_potential)
 from .pressure import (BrutePartition, PressureEstimate, TransferSystem,
                        brute_partition, build_transfer, finite_pressure,
                        perron, pressure_limit)

@@ -17,9 +17,9 @@ import numpy as np
 
 from . import _kernels
 from .exceptions import EmptyCylinderWarning, ValidationError
-from .potentials import Potential, energy, phi_function
+from .potentials import Potential
 from .pressure import TransferSystem, _push, build_transfer, perron
-from .shifts import Point, SoficPresentation, Word
+from .shifts import SoficPresentation, Word
 
 _STOCHASTIC_TOL = 1e-12
 
@@ -28,8 +28,10 @@ _STOCHASTIC_TOL = 1e-12
 class RPFMeasure:
     """Equilibrium measure data: Perron eigendata, the stationary state
     distribution p = nu * h, and the transition probabilities on the
-    transfer table, q[a, i] = weight[a, i] h[succ[a, i]] / (lambda h[i])
-    for state i's a-edge (zero when absent)."""
+    transfer table: state i's a-edge carries the flow weight[a, i]
+    h[succ[a, i]] (zero when absent), and q[a, i] is that flow over the sum
+    of state i's flows, which is lambda h[i] at the exact Perron vector;
+    so every row sums to 1 to rounding and a lone edge gets exactly 1."""
 
     transfer: TransferSystem
     lam: float
@@ -43,7 +45,8 @@ class RPFMeasure:
     @cached_property
     def q(self) -> np.ndarray:
         t = self.transfer
-        return t.weight * np.append(self.h, 0.0)[t.succ] / (self.lam * self.h)
+        flow = t.weight * np.append(self.h, 0.0)[t.succ]
+        return flow / flow.sum(axis=0)
 
     @property
     def log_lambda(self) -> float:
@@ -53,26 +56,17 @@ class RPFMeasure:
     def presentation(self) -> SoficPresentation:
         return self.transfer.presentation
 
-    def validate(self, tol: float = _STOCHASTIC_TOL) -> None:
+    def validate(self) -> None:
         q = self.q
-        if np.abs(q.sum(axis=0) - 1.0).max() > tol:
+        if np.abs(q.sum(axis=0) - 1.0).max() > _STOCHASTIC_TOL:
             raise ValidationError("transition matrix is not stochastic")
         p = self.stationary
-        if np.abs(_push(self.transfer.succ, q, p) - p).max() > tol:
+        if np.abs(_push(self.transfer.succ, q, p) - p).max() > _STOCHASTIC_TOL:
             raise ValidationError("state distribution is not stationary")
         if (p == 0).any():
             raise ValidationError("a stationary entry nu * h underflows to 0")
-        if (p < 0).any() or abs(p.sum() - 1.0) > tol:
+        if (p < 0).any() or abs(p.sum() - 1.0) > _STOCHASTIC_TOL:
             raise ValidationError("state distribution is not a positive probability vector")
-
-
-@dataclass(frozen=True)
-class EmpiricalPairing:
-    """Window average of the single-site function along a point's orbit."""
-
-    point: Point
-    m: int
-    value: float
 
 
 def equilibrium_measure(presentation: SoficPresentation,
@@ -106,22 +100,6 @@ def cylinder_log_probs(measure: RPFMeasure, words: np.ndarray) -> np.ndarray:
     return _kernels.batch_forward_logprob(
         np.ascontiguousarray(words, dtype=np.uint8), measure.transfer.succ,
         measure.q, measure.stationary)
-
-
-def empirical_pairing(potential: Potential, point: Point, m: int) -> EmpiricalPairing:
-    """Average of the single-site function over the orbit window [-m, m]."""
-    if m < 0:
-        raise ValidationError("m must be nonnegative")
-    vals = [phi_function(potential, point, k) for k in range(-m, m + 1)]
-    return EmpiricalPairing(point, m, math.fsum(vals) / (2 * m + 1))
-
-
-def energy_density_gap(potential: Potential, point: Point, m: int) -> float:
-    """|window-averaged pairing - energy density|; bounded by the boundary
-    norm bound divided by the window size."""
-    pairing = empirical_pairing(potential, point, m).value
-    u = energy(potential, point.word(-m, m))
-    return abs(pairing - u / (2 * m + 1))
 
 
 def strong_gibbs_constant(measure: RPFMeasure) -> float:

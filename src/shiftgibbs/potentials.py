@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .exceptions import ValidationError, VolumeGuardError
-from .shifts import Alphabet, Point, Word
+from .shifts import Alphabet, Word
 
 
 def _canonical_offsets(offsets: Sequence[int]) -> tuple[int, ...]:
@@ -182,52 +182,6 @@ def _check_context_space(potential: Potential) -> None:
             f"{K}^{R + 1} for a range-{potential.span} potential")
 
 
-def _config_accessor(x, positions: list[int]):
-    if isinstance(x, Point):
-        return x.symbol_at
-    if isinstance(x, Word):
-        for k in positions:
-            if not x.start <= k <= x.end:
-                raise ValidationError("configuration does not cover the regions")
-        return x.symbol_at
-    raise ValidationError("configuration must be a Word or Point")
-
-
-def interaction(potential: Potential, lam: tuple[int, int],
-                m_parts: Sequence[tuple[int, int]], x) -> float:
-    """Interaction energy between the interval ``lam`` and the disjoint
-    finite union of intervals ``m_parts``: the sum of shape values over
-    translated shapes inside the union that meet both parts."""
-    la, lb = lam
-    if la > lb:
-        raise ValidationError("empty interval")
-    lam_set = set(range(la, lb + 1))
-    m_set: set[int] = set()
-    for (a, b) in m_parts:
-        if a > b:
-            raise ValidationError("empty interval in M")
-        m_set.update(range(a, b + 1))
-    if lam_set & m_set:
-        raise ValidationError("not disjoint")
-    union = lam_set | m_set
-    sym = _config_accessor(x, sorted(union))
-    lo, hi = min(union), max(union)
-    terms = []
-    for s in potential.shapes:
-        for a in range(lo - s.span, hi + 1):
-            cells = [a + o for o in s.offsets]
-            if not all(c in union for c in cells):
-                continue
-            if not any(c in lam_set for c in cells):
-                continue
-            if not any(c in m_set for c in cells):
-                continue
-            v = s.value(tuple(sym(c) for c in cells))
-            if v != 0.0:
-                terms.append(v)
-    return math.fsum(terms)
-
-
 @dataclass(frozen=True)
 class NormReport:
     """Summability norm, the crossing norm, and per-shape sup norms."""
@@ -261,19 +215,6 @@ def norms(potential: Potential) -> NormReport:
             if min(cells) <= -2 and max(cells) >= 2:
                 cross += sup
     return NormReport(total, cross, tuple(per))
-
-
-def phi_function(potential: Potential, x: Point, k: int) -> float:
-    """The single-site function at T^k x: the sum over translated shapes
-    containing the origin of value / size."""
-    terms = []
-    for s in potential.shapes:
-        for o in s.offsets:
-            # translate anchored so that offset o sits at position k
-            v = s.value(tuple(x.symbol_at(k - o + oo) for oo in s.offsets))
-            if v != 0.0:
-                terms.append(v / s.size)
-    return math.fsum(terms)
 
 
 def boundary_norm_bound(potential: Potential, m: int) -> float:

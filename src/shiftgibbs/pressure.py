@@ -30,6 +30,7 @@ from .shifts import (DENSE_ENTRIES_CAP, SoficPresentation, strongly_connected,
 
 PERRON_TOL = 1e-13
 PERRON_RESIDUAL_TOL = 1e-12
+_PERRON_MAX_ITER = 200000
 _NEG_FLOOR = -np.finfo(float).max
 
 
@@ -143,15 +144,15 @@ def _push(succ: np.ndarray, weight: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.bincount(succ.ravel(), (weight * v).ravel(), minlength=v.size + 1)[:v.size]
 
 
-def perron(transfer: TransferSystem, tol: float = PERRON_TOL,
-           max_iter: int = 200000) -> tuple[float, np.ndarray, np.ndarray]:
+def perron(transfer: TransferSystem) -> tuple[float, np.ndarray, np.ndarray]:
     """Perron data (lambda, right vector h, left vector nu) by deterministic
     power iteration from the all-ones vector.
 
     Normalization: sum(nu) = 1 and sum(nu * h) = 1.  Requires a primitive
     weight matrix, read off the boolean S x S support of ``succ``;
-    converged when successive eigenvalue estimates agree to ``tol``
-    relative and the sup-norm residual is below 1e-12.
+    converged when successive eigenvalue estimates agree to ``PERRON_TOL``
+    relative and the sup-norm residual is below ``PERRON_RESIDUAL_TOL``,
+    and refused when that takes more than ``_PERRON_MAX_ITER`` steps.
     """
     succ, weight, S = transfer.succ, transfer.weight, transfer.n_states
     support = np.zeros((S, S + 1), dtype=bool)
@@ -165,12 +166,12 @@ def perron(transfer: TransferSystem, tol: float = PERRON_TOL,
         x = np.ones(S)
         x /= x.sum()
         lam = 0.0
-        for _ in range(max_iter):
+        for _ in range(_PERRON_MAX_ITER):
             y = product(x)
             lam_new = y.sum()
             y /= lam_new
             res = np.abs(product(y) - lam_new * y).max() / np.abs(y).max()
-            done = (abs(lam_new - lam) <= tol * abs(lam_new)
+            done = (abs(lam_new - lam) <= PERRON_TOL * abs(lam_new)
                     and res <= PERRON_RESIDUAL_TOL)
             x, lam = y, lam_new
             if done:
@@ -304,19 +305,18 @@ def _dp_log_partition(presentation: SoficPresentation, potential: Potential,
 
 
 def finite_pressure(presentation: SoficPresentation, potential: Potential,
-                    n: int, cap: int | None = None,
-                    method: str = "product") -> float:
+                    n: int, method: str = "product") -> float:
     """Finite-volume pressure P_n = log(Z_n) / (2n + 1).
 
     ``method`` picks the evaluation route: "product" runs the transfer
     product over the determinized automaton, "brute" enumerates words (up
-    to ``cap``).  The two routes agree to rounding.
+    to ``DEFAULT_ENUM_CAP``).  The two routes agree to rounding.
     """
     length = 2 * n + 1
     if method not in ("brute", "product"):
         raise ValidationError(f"unknown method {method!r}")
     if method == "brute":
-        return brute_partition(presentation, potential, n, cap=cap).log_z / length
+        return brute_partition(presentation, potential, n).log_z / length
     return _dp_log_partition(presentation, potential, [length])[0] / length
 
 

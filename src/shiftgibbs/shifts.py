@@ -1,9 +1,9 @@
 """Shift spaces presented by labeled graphs.
 
 Words, bi-infinite eventually-periodic points with presenting paths,
-cylinders, graph gap certificates, the splice construction, and
-sliding-block factor codes.  Graph questions go through three helpers on
-boolean adjacency matrices: ``strongly_connected``, ``support_period`` and
+graph gap certificates, the splice construction, and sliding-block factor
+codes.  Graph questions go through three helpers on boolean adjacency
+matrices: ``strongly_connected``, ``support_period`` and
 ``_forward_infinite`` (the vertices that start an infinite path; with its
 transpose it gives the essential part of a graph).  All types are
 immutable after construction and every operation is a pure function, so
@@ -13,7 +13,6 @@ everything here is safe to call concurrently.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator, Sequence
@@ -164,10 +163,6 @@ class Word:
         if a < self.start or b > self.end:
             raise ValidationError("restriction window exceeds word window")
         return Word(self.alphabet, a, self.letters[a - self.start:b - self.start + 1])
-
-    def shifted(self, j: int) -> "Word":
-        """The word ``T^j w`` living on ``window - j`` (same letters)."""
-        return Word(self.alphabet, self.start - j, self.letters)
 
     def text(self) -> str:
         return self.alphabet.text(self.letters)
@@ -375,35 +370,18 @@ class SoficPresentation:
                 f"{length} exceed the cap {limit}")
         return counts
 
-    def _word_blocks(self, length: int, cap: int | None,
-                     block_size: float) -> Iterator[np.ndarray]:
-        """The lexicographic word list in contiguous blocks of at most
-        ``block_size`` rows (one block for an infinite size): each block is
-        the subtree below one trie prefix, grown by ``_grow``."""
-        counts = self.check_volume(length, cap)
-        det, start = self._det
-
-        def emit(prefix: list[int], state: int, remaining: int):
-            if counts[remaining][state] <= block_size or remaining == 0:
-                yield self._grow(np.array([prefix], dtype=np.uint8),
-                                 np.array([state], dtype=np.int64), remaining)[0]
-                return
-            for a, t in enumerate(det[state]):
-                if t >= 0:
-                    yield from emit(prefix + [a], int(t), remaining - 1)
-
-        yield from emit([], start, length)
-
     def word_matrix(self, length: int, cap: int | None = None) -> np.ndarray:
         """All allowed words of the given length, lexicographic order, as a
-        ``(count, length)`` uint8 array.  Refuses above the enumeration cap."""
-        return next(self._word_blocks(length, cap, math.inf))
+        ``(count, length)`` uint8 array, grown by ``_grow`` from the start
+        state.  Refuses above the enumeration cap (``check_volume``)."""
+        self.check_volume(length, cap)
+        return self._grow(np.zeros((1, 0), dtype=np.uint8),
+                          np.array([self._det[1]]), length)[0]
 
-    def iter_word_blocks(self, length: int, cap: int | None = None,
-                         block_size: int = 1 << 20) -> Iterator[np.ndarray]:
-        """Yield the lexicographic word list in contiguous blocks of at most
-        ``block_size`` rows without materializing the whole list."""
-        yield from self._word_blocks(length, cap, block_size)
+    def iter_word_blocks(self, length: int, cap: int | None = None
+                         ) -> Iterator[np.ndarray]:
+        """Yield the word list of ``word_matrix`` as a single block."""
+        yield self.word_matrix(length, cap)
 
     # -- path utilities ---------------------------------------------------------
 
@@ -540,11 +518,6 @@ class Point:
     def word(self, a: int, b: int) -> Word:
         return Word(self.presentation.alphabet, a,
                     tuple(self.symbol_at(k) for k in range(a, b + 1)))
-
-    def shifted(self, j: int) -> "Point":
-        """The translate T^j of this point: ``(T^j x)(k) = x(k + j)``."""
-        return Point(self.presentation, self.left_cycle, self.core,
-                     self.right_cycle, self.core_start - j)
 
     def __repr__(self):
         w = self.word(-3, 3)

@@ -11,6 +11,13 @@ skipped, since their imports are the public re-exports, and so is
 Every private name a module under ``src/shiftgibbs/`` defines (a
 module-level ``_name`` or a ``_method`` of a module-level class) must be
 read somewhere in ``src/shiftgibbs/``, as a name or an attribute.
+
+Every public function, class and method there must be reached from
+``src/shiftgibbs/`` or the ``perfbench/`` harness: read as a name or an
+attribute, or named by a string constant (the tracer binds methods by
+name).  Re-exports in ``__init__.py`` do not count, ``bundled.py`` (the
+example systems) is exempt, and the few names kept for the tests alone
+are listed in ``KEPT`` with their reason.
 """
 
 import ast
@@ -22,6 +29,14 @@ ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "shiftgibbs").glob("*.py"))
 MODULES = sorted(p for p in SOURCES + sorted((ROOT / "tests").glob("*.py"))
                  if p.name != "__init__.py")
+HARNESS = sorted((ROOT / "perfbench").glob("*.py"))
+# public names that only the tests call, with the reason they stay
+KEPT = {
+    "strong_gibbs_constant": "bounds (2m+1) D_m in acceptance criterion 4 "
+                             "and TestStrongGibbs",
+    "apply_block_code": "the per-word oracle of factor_presentation",
+    "LemmaReport.all_hold": "the tests' verdict over a report's rows",
+}
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -142,3 +157,64 @@ def test_scan_finds_unused_private_helpers():
     }
     assert unused_private(sources) == ["a.py:2: _SPARE", "a.py:5: _dead",
                                        "a.py:12: _shrink"]
+
+
+def public_definitions(tree: ast.Module) -> dict[str, int]:
+    """Public module-level functions and classes, and public methods of
+    module-level classes as ``Class.method`` -> the line of their
+    definition."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    defined[f"{node.name}.{item.name}"] = item.lineno
+    return {name: line for name, line in defined.items()
+            if not name.split(".")[-1].startswith("_")}
+
+
+def referenced_names(tree: ast.Module) -> set[str]:
+    """``read_names`` plus the identifiers of every string constant that is
+    a dotted name (such as a traced span, ``"shifts.word_matrix"``)."""
+    strings = [n.value for n in ast.walk(tree)
+               if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+    return read_names(tree) | {part for text in strings
+                               if all(p.isidentifier() for p in text.split("."))
+                               for part in text.split(".")}
+
+
+def unreached_public(sources: dict[str, str], readers: dict[str, str],
+                     kept: dict[str, str]) -> list[str]:
+    """``module:line: name`` for each public definition in ``sources`` that
+    no module of ``readers`` (module name -> source text, both) references
+    and that is not in ``kept``."""
+    read = set().union(*(referenced_names(ast.parse(t)) for t in readers.values()))
+    return [f"{module}:{line}: {name}" for module, text in sources.items()
+            for name, line in public_definitions(ast.parse(text)).items()
+            if name.split(".")[-1] not in read and name not in kept]
+
+
+def test_no_unreached_public_code():
+    readers = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8")
+               for p in SOURCES + HARNESS if p.name != "__init__.py"}
+    sources = {name: text for name, text in readers.items()
+               if name.startswith("src/") and not name.endswith("/bundled.py")}
+    assert unreached_public(sources, readers, KEPT) == []
+
+
+def test_scan_finds_unreached_public_code():
+    sources = {
+        "a.py": ("def run():\n    return Box().size\n"
+                 "def spare():\n    return 0\n"
+                 "def oracle():\n    return 1\n"
+                 "class Box:\n"
+                 "    def __init__(self):\n        self.n = 0\n"
+                 "    @property\n    def size(self):\n        return self.n\n"
+                 "    def grow(self):\n        return 1\n"
+                 "    def shrink(self):\n        return 0\n"),
+    }
+    readers = dict(sources, harness="run()\nSPANS = ('a.grow', 'shrink it')\n")
+    assert unreached_public(sources, readers, {"oracle": "test-only"}) == [
+        "a.py:3: spare", "a.py:15: Box.shrink"]

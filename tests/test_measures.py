@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from shiftgibbs import (EmptyCylinderWarning, Word, cylinder_prob,
-                        empirical_pairing, energy_density_gap,
-                        equilibrium_measure, enumerate_words, point_from_words)
-from shiftgibbs.bundled import BINARY, SITE_FIELD
+                        equilibrium_measure, enumerate_words)
+from shiftgibbs.bundled import BINARY, SITE_FIELD, data_path
+from shiftgibbs.fileio import load_potential, load_shift
 from shiftgibbs.measures import cylinder_log_probs, strong_gibbs_constant
 from shiftgibbs.potentials import Potential, ShapeTable
 from shiftgibbs.pressure import word_energies
-from test_pressure import densify
+from test_pressure import _bundled_pairs, densify
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -71,6 +71,24 @@ class TestEquilibriumMeasure:
             (("a", "a", "0"), ("a", "b", "0"), ("b", "a", "1"), ("b", "a", "0")))
         with pytest.raises(ValidationError, match="right-resolving"):
             equilibrium_measure(pres, pot_zero)
+
+
+class TestChainRows:
+    """Each row of q is normalised by its own flow: a lone edge carries
+    exactly 1 and every row sums to 1 to rounding."""
+
+    @pytest.mark.parametrize("shift, pot", _bundled_pairs())
+    def test_rows_sum_to_one(self, shift, pot):
+        pres = load_shift(data_path(shift))
+        mu = equilibrium_measure(pres, load_potential(data_path(pot), pres.alphabet))
+        present = mu.transfer.succ < mu.transfer.n_states
+        lone = present.sum(axis=0) == 1
+        assert (mu.q[:, lone][present[:, lone]] == 1.0).all()
+        assert np.abs(mu.q.sum(axis=0) - 1.0).max() <= 4 * np.finfo(float).eps
+
+    def test_parry_symbol_marginal(self, parry):
+        assert abs(cylinder_prob(parry, word((0,)))
+                   - PHI ** 2 / (1 + PHI ** 2)) <= 5e-15
 
 
 class TestCylinderProb:
@@ -158,34 +176,6 @@ class TestCylinderProb:
             tracemalloc.stop()
         assert mu.transfer.n_states == 1024
         assert peak < 16 * 2 ** 20
-
-
-class TestEmpiricalPairing:
-    def test_zero_potential(self, ev, pot_zero):
-        pt = point_from_words(ev, (0,), (), (0,))
-        assert empirical_pairing(pot_zero, pt, 4).value == 0.0
-
-    def test_single_site_all_ones(self, full, pot_site):
-        pt = point_from_words(full, (1,), (), (1,))
-        for m in (0, 2, 5):
-            assert empirical_pairing(pot_site, pt, m).value == pytest.approx(
-                SITE_FIELD)
-
-    def test_pair_alternating(self, full, pot_pair):
-        pt = point_from_words(full, (0, 1), (), (0, 1))
-        assert empirical_pairing(pot_pair, pt, 1).value == pytest.approx(0.0)
-
-    def test_density_gap_bound(self, ev, pot_pair):
-        pt = point_from_words(ev, (1,), (0, 0), (0,))
-        for m in range(0, 8):
-            from shiftgibbs import boundary_norm_bound
-            assert energy_density_gap(pot_pair, pt, m) <= \
-                boundary_norm_bound(pot_pair, m) / (2 * m + 1) + 1e-13
-
-    def test_single_site_gap_vanishes(self, full, pot_site):
-        pt = point_from_words(full, (1, 0, 0), (), (1,))
-        for m in range(0, 6):
-            assert energy_density_gap(pot_site, pt, m) <= 1e-14
 
 
 class TestStrongGibbs:

@@ -1,12 +1,13 @@
 import itertools
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from shiftgibbs import (Potential, ShapeTable, ValidationError, Word,
-                        add_potentials, boundary_norm_bound, energy,
-                        interaction, norms, phi_function, point_from_words)
+                        add_potentials, boundary_norm_bound, energy, norms,
+                        point_from_words)
 from shiftgibbs.bundled import BINARY, SITE_FIELD, PAIR_COUPLING
 
 
@@ -31,7 +32,8 @@ class TestEnergy:
     def test_translation_covariance(self, pot_pair):
         w = word((0, 0, 1, 0, 1), start=-2)
         for j in (-3, 0, 5):
-            assert energy(pot_pair, w.shifted(j)) == energy(pot_pair, w)
+            moved = word(w.letters, start=w.start - j)
+            assert energy(pot_pair, moved) == energy(pot_pair, w)
 
     def test_overflowing_sum_refused(self):
         huge = Potential(BINARY, 0, (ShapeTable((0,), {(1,): 1e308}),))
@@ -56,31 +58,14 @@ class TestEnergy:
         cut = data.draw(st.integers(0, len(letters) - 2))
         left = w.restrict(0, cut)
         right = w.restrict(cut + 1, len(letters) - 1)
+        # the shape translates inside w that straddle the cut
+        crossing = [s.value(tuple(letters[a + o] for o in s.offsets))
+                    for s in pot.shapes
+                    for a in range(max(0, cut - s.span + 1), cut + 1)
+                    if a + s.span < len(letters)]
         total = energy(pot, w)
-        split = (energy(pot, left) + energy(pot, right)
-                 + interaction(pot, (0, cut), [(cut + 1, len(letters) - 1)], w))
+        split = energy(pot, left) + energy(pot, right) + math.fsum(crossing)
         assert total == pytest.approx(split, abs=1e-12)
-
-
-class TestInteraction:
-    def test_zero(self, pot_zero):
-        w = word((0, 1, 0, 1, 0, 1, 0, 1, 0, 1))
-        assert interaction(pot_zero, (0, 3), [(5, 9)], w) == 0.0
-
-    def test_gap_beyond_range(self, pot_pair):
-        w = word((0, 1, 0, 1, 0, 1, 0, 1, 0, 1))
-        assert interaction(pot_pair, (0, 3), [(5, 9)], w) == 0.0
-
-    def test_single_crossing_pair(self, pot_pair):
-        w = word((0, 0, 1, 1, 0, 1, 1))
-        # the only crossing translate is {2,3} with letters (1,1)
-        assert interaction(pot_pair, (0, 2), [(3, 6)], w) == pytest.approx(
-            PAIR_COUPLING, abs=1e-15)
-
-    def test_disjointness_enforced(self, pot_pair):
-        w = word((0, 0, 1, 1))
-        with pytest.raises(ValidationError, match="not disjoint"):
-            interaction(pot_pair, (0, 2), [(2, 3)], w)
 
 
 class TestNorms:
@@ -107,21 +92,6 @@ class TestNorms:
         assert rep.norm == pytest.approx(2 * c)
         assert rep.cross_norm == pytest.approx(c)
         assert rep.per_shape == (((0, 4), c),)
-
-
-class TestPhiFunction:
-    def test_zero(self, ev, pot_zero):
-        pt = point_from_words(ev, (0,), (), (0,))
-        assert phi_function(pot_zero, pt, 0) == 0.0
-
-    def test_single_site_all_ones(self, full, pot_site):
-        pt = point_from_words(full, (1,), (), (1,))
-        assert phi_function(pot_site, pt, 3) == pytest.approx(SITE_FIELD)
-
-    def test_pair_all_zeros(self, full, pot_pair):
-        pt = point_from_words(full, (0,), (), (0,))
-        # two translates through the origin, each weighted 1/2
-        assert phi_function(pot_pair, pt, 0) == pytest.approx(PAIR_COUPLING)
 
 
 def boundary_norm_oracle(potential, m):
@@ -180,16 +150,26 @@ class TestBoundaryBound:
         assert r100 < r10
 
     def test_pairing_vs_energy_density(self, ev, gm, full, pot_pair, pot_site):
-        from shiftgibbs import energy_density_gap, point_from_words
+        def pairing(pot, pt, m):
+            """Window average over [-m, m] of the single-site function: the
+            value / size of every translate through the site."""
+            return math.fsum(
+                s.value(tuple(pt.symbol_at(k - o + p) for p in s.offsets)) / s.size
+                for k in range(-m, m + 1) for s in pot.shapes
+                for o in s.offsets) / (2 * m + 1)
+
         points = [point_from_words(ev, (0,), (), (0,)),
                   point_from_words(ev, (1,), (0, 0, 1), (0,)),
+                  point_from_words(ev, (1,), (0, 0), (0,)),
                   point_from_words(gm, (0, 1), (), (0,)),
-                  point_from_words(full, (1, 1, 0), (), (1,))]
-        pot = add_potentials(pot_pair, pot_site)
-        for pt in points:
-            for m in range(0, 13):
-                gap = energy_density_gap(pot, pt, m)
-                assert gap <= boundary_norm_bound(pot, m) / (2 * m + 1) + 1e-13
+                  point_from_words(full, (1, 1, 0), (), (1,)),
+                  point_from_words(full, (1, 0, 0), (), (1,))]
+        for pot in (pot_pair, pot_site, add_potentials(pot_pair, pot_site)):
+            for pt in points:
+                for m in range(0, 13):
+                    gap = abs(pairing(pot, pt, m)
+                              - energy(pot, pt.word(-m, m)) / (2 * m + 1))
+                    assert gap <= boundary_norm_bound(pot, m) / (2 * m + 1) + 1e-14
 
 
 class TestPotentialAlgebra:

@@ -54,8 +54,7 @@ class TestEnumeration:
 
     def test_blocks_concatenate_to_word_matrix(self, ev, full):
         for pres in (ev, full):
-            blocks = list(pres.iter_word_blocks(9, block_size=7))
-            assert all(0 < b.shape[0] <= 7 for b in blocks)
+            blocks = list(pres.iter_word_blocks(9))
             assert np.array_equal(np.concatenate(blocks), pres.word_matrix(9))
 
     def test_word_count_matches_enumeration(self, ev):
@@ -286,12 +285,6 @@ class TestPoints:
     def test_point_rejects_bad_word(self, gm):
         with pytest.raises(ValidationError, match="no presenting path"):
             point_from_words(gm, (1,), (), (1,))  # ...111... is forbidden
-
-    def test_shifted(self, ev):
-        pt = point_from_words(ev, (0,), (1,), (0,))
-        moved = pt.shifted(4)
-        for k in range(-10, 10):
-            assert moved.symbol_at(k) == pt.symbol_at(k + 4)
 
     def test_invalid_path_rejected(self, ev):
         # edge ids: 0: E->E (1), 1: E->O (0), 2: O->E (0)

@@ -577,7 +577,7 @@ class TestTangentOracle:
             raise AssertionError("word enumeration")
 
         pres, potential = load_pair("even.shift", "pair_beta.pot")
-        monkeypatch.setattr(type(pres), "_word_blocks", refuse)
+        monkeypatch.setattr(type(pres), "word_matrix", refuse)
         _fd, formula, cyl = tangent_derivative_check(
             pres, potential, word((0, 1, 0)), 40, 1e-3)
         # E[count] / L tends to the cylinder probability at rate 1/L
