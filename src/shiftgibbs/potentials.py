@@ -9,12 +9,16 @@ unlisted patterns have value 0.
 Every kernel reads a potential through one compiled form, its step tables
 (``Potential.step_tables``, built once per object): the energy increment
 of each letter under the letters before it, one table per position up to
-the range.  ``energy`` stays the definition and the per-word oracle.
+the range.  A step energy is the exact sum (``math.fsum``) of the values
+of the shape translates whose max lands on the new letter.
+``_step_energies`` gathers those values for a batch of contexts from one
+dense value array per shape and sums each context's values in one
+``map``; the step tables and the transfer weights both come from it.
+``energy`` stays the definition and the per-word oracle.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -93,21 +97,40 @@ class Potential:
 
     @cached_property
     def step_tables(self) -> tuple[np.ndarray, ...]:
-        """``_step_energy`` of every context, one table per position
-        p = 0..range: entry ``code`` of table p is the increment of the
-        (p+1)-letter context whose base-K code is ``code`` (first letter
-        most significant).  Later positions use the last table on their
-        trailing range+1 letters.  Built on first use and kept; read-only,
-        since every caller shares them."""
+        """The step energy of every context (``_step_energies``), one
+        table per position p = 0..range: entry ``code`` of table p is the
+        increment of the (p+1)-letter context whose base-K code is
+        ``code`` (first letter most significant).  Later positions use the
+        last table on their trailing range+1 letters.  Built on first use
+        and kept; read-only, since every caller shares them."""
         _check_context_space(self)
         K = len(self.alphabet)
-        tables = tuple(
-            np.array([_step_energy(self, ctx)
-                      for ctx in itertools.product(range(K), repeat=p + 1)])
-            for p in range(self.span + 1))
-        for table in tables:
+        tables = []
+        for p in range(self.span + 1):
+            table, refusal = _step_energies(self, np.arange(K ** (p + 1)), p + 1)
+            if refusal is not None:
+                raise refusal
             table.flags.writeable = False
-        return tables
+            tables.append(table)
+        return tuple(tables)
+
+    @cached_property
+    def _dense_values(self) -> tuple[np.ndarray, ...]:
+        """Per shape, its value on every pattern, indexed by the pattern's
+        base-K code (first letter most significant); unlisted and zero
+        values are +0.0, and patterns with a letter outside the alphabet
+        are left out."""
+        K = len(self.alphabet)
+        dense = []
+        for s in self.shapes:
+            values = np.zeros(K ** s.size)
+            patterns = np.array(list(s.values), dtype=np.int64).reshape(-1, s.size)
+            inside = ((patterns >= 0) & (patterns < K)).all(axis=1)
+            values[patterns[inside] @ K ** np.arange(s.size - 1, -1, -1)] = \
+                np.array(list(s.values.values()))[inside]
+            values[values == 0.0] = 0.0  # +0.0: no sum can come out -0.0
+            dense.append(values)
+        return tuple(dense)
 
 
 def zero_potential(alphabet: Alphabet) -> Potential:
@@ -152,23 +175,39 @@ def energy(potential: Potential, w: Word) -> float:
             f"energy of {w.text()} leaves the float64 range") from None
 
 
-def _step_energy(potential: Potential, context: tuple[int, ...]) -> float:
-    """Energy increment collected when the last letter of ``context`` is
-    appended: all shape translates inside the context whose max lands on it.
-    A sum past the float64 range is refused."""
-    pos = len(context) - 1
-    terms = []
-    for s in potential.shapes:
-        a = pos - s.span
-        if a >= 0:
-            v = s.value(tuple(context[a + o] for o in s.offsets))
-            if v != 0.0:
-                terms.append(v)
+def _step_energies(potential: Potential, codes: np.ndarray, length: int
+                   ) -> tuple[np.ndarray, ValidationError | None]:
+    """Step energy of each ``length``-letter context in ``codes`` (base-K
+    codes, first letter most significant), in order: the energy increment
+    collected when the context's last letter is appended, i.e. the sum of
+    the values of the shape translates inside the context whose max lands
+    on it.  Each context's values are gathered from the shapes' dense value
+    arrays, in shape order, and summed exactly by ``math.fsum``; the zeros
+    of unlisted patterns change no sum.  Returns the step energies of the
+    contexts before the first whose sum leaves the float64 range, and the
+    refusal that names it (None when every sum fits)."""
+    K = len(potential.alphabet)
+    pos = length - 1
+    letters = np.asarray(codes)[:, None] // K ** np.arange(pos, -1, -1) % K
+    columns = [values[letters[:, [pos - s.span + o for o in s.offsets]]
+                      @ K ** np.arange(s.size - 1, -1, -1)]
+               for s, values in zip(potential.shapes, potential._dense_values)
+               if s.span <= pos]
+    rows = np.stack(columns, axis=1).tolist() if columns else [[]] * len(letters)
+    refusal = None
     try:
-        return math.fsum(terms)
+        sums = list(map(math.fsum, rows))
     except OverflowError:
-        raise ValidationError(f"step energy of {potential.alphabet.text(context)} "
-                              "leaves the float64 range") from None
+        # sum again, one context at a time, up to the first refused one
+        sums = []
+        for row in rows:
+            try:
+                sums.append(math.fsum(row))
+            except OverflowError:
+                break
+        context = potential.alphabet.text(letters[len(sums)].tolist())
+        refusal = ValidationError(f"step energy of {context} leaves the float64 range")
+    return np.array(sums, dtype=float), refusal
 
 
 def _check_context_space(potential: Potential) -> None:

@@ -4,13 +4,16 @@ Finite-volume partition sums are computed two ways: brute-force over the
 enumerated word list (the oracle), and by one log-domain pass over the
 determinized word automaton (``_dp_log_partition``), whose keys pair an
 automaton state with the code of the last letters and whose edges are
-built once and weighed by per-position step tables.  Both routes read
-the potential's ``step_tables``, which each ``Potential`` builds once.
-Each word is one automaton path, so the two agree up to rounding even for
-sofic shifts where words carry several presenting paths.  The limiting
-pressure is the log Perron root of the weighted transfer system on the
-(vertex, trailing-context) cover, one (letter, state) table of targets and
-step weights that every product reads (``_pull``: M x, ``_push``: v M).
+built once per presentation and K**R (``_partition_graph``) and weighed
+by per-position step tables.  Both routes read the potential's
+``step_tables``, which each ``Potential`` builds once.  Each word is one
+automaton path, so the two agree up to rounding even for sofic shifts
+where words carry several presenting paths.  The limiting pressure is the
+log Perron root of the weighted transfer system on the (vertex,
+trailing-context) cover, one (letter, state) table of targets and step
+weights that every product reads (``_pull``: M x, ``_push``: v M); its
+step energies come from ``potentials._step_energies`` directly, not from
+the step tables and their context-space guard.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 
 from . import _kernels
 from .exceptions import ValidationError, VolumeGuardError
-from .potentials import Potential, _step_energy, boundary_norm_bound
+from .potentials import Potential, _step_energies, boundary_norm_bound
 from .shifts import (DENSE_ENTRIES_CAP, SoficPresentation, strongly_connected,
                      support_period)
 
@@ -119,10 +122,11 @@ def build_transfer(presentation: SoficPresentation,
     src, letter, context, target = _context_edges(out, keys, n_codes)
     succ = np.full((K, S), S)
     succ[letter, src] = np.searchsorted(keys, target)
-    letters = context[:, None] // K ** np.arange(R, -1, -1) % K
     weight = np.zeros((K, S))
-    for a, i, ctx in zip(letter.tolist(), src.tolist(), letters.tolist()):
-        step = _step_energy(potential, ctx)
+    # the edges before the first overflowing step energy, in (state,
+    # letter) order: a step weight refused there comes first
+    steps, refusal = _step_energies(potential, context, R + 1)
+    for a, i, step in zip(letter.tolist(), src.tolist(), steps.tolist()):
         try:
             w = math.exp(step)
         except OverflowError:
@@ -130,6 +134,8 @@ def build_transfer(presentation: SoficPresentation,
         if not 0.0 < w < math.inf:
             raise ValidationError(f"step weight exp({step!r}) leaves the float64 range")
         weight[a, i] = w
+    if refusal is not None:
+        raise refusal
     return TransferSystem(presentation, potential, R, keys, succ, weight)
 
 
@@ -233,6 +239,62 @@ def brute_partition(presentation: SoficPresentation, potential: Potential,
     return BrutePartition(log_sum_exp(energies), words, energies)
 
 
+@dataclass(frozen=True, eq=False)
+class _PartitionGraph:
+    """The partition pass's graph on the determinized automaton for one
+    K**R: ``n_keys`` keys (automaton state, base-K code of the last R
+    letters), reachable from ``home``, the start key (empty context), and
+    their letter edges sorted by target.  Edge e runs ``src[e]`` ->
+    ``tgt[e]`` with ``letter[e]`` and the base-K code ``context[e]`` of the
+    source's R letters followed by the letter; the edges into key k are
+    ``starts[k]`` up to ``starts[k + 1]``.  Edge ``dead`` is a self-loop on
+    ``home`` with letter -1 that weighs nothing (its context is 0), so that
+    every key has an incoming edge.  The arrays are read-only: one graph
+    serves every pass on the presentation."""
+
+    n_keys: int
+    home: int
+    dead: int
+    src: np.ndarray
+    letter: np.ndarray
+    context: np.ndarray
+    tgt: np.ndarray
+    starts: np.ndarray
+
+
+def _partition_graph(presentation: SoficPresentation, n_codes: int
+                     ) -> _PartitionGraph:
+    """The ``_PartitionGraph`` of ``presentation`` for n_codes = K**R,
+    built on first use and kept next to ``presentation._det``."""
+    graph = presentation._partition_graphs.get(n_codes)
+    if graph is not None:
+        return graph
+    det, start = presentation._det
+    # reachable keys, encoded as state * n_codes + code (a Python set: a
+    # plain np.unique would import numpy.ma on first use)
+    seen = {start * n_codes}
+    frontier = list(seen)
+    while frontier:
+        reached = _context_edges(det, np.array(frontier), n_codes)[3]
+        frontier = list(set(reached.tolist()) - seen)
+        seen.update(frontier)
+    keys = np.array(sorted(seen))
+    src, letter, context, target = _context_edges(det, keys, n_codes)
+    tgt = np.searchsorted(keys, target)
+    home = int(np.searchsorted(keys, start * n_codes))
+    order = np.argsort(np.append(tgt, home), kind="stable")
+    src, letter, context, tgt = (
+        np.append(src, home)[order], np.append(letter, -1)[order],
+        np.append(context, 0)[order], np.append(tgt, home)[order])
+    starts = np.flatnonzero(np.diff(tgt, prepend=-1))
+    for array in (src, letter, context, tgt, starts):
+        array.flags.writeable = False
+    graph = _PartitionGraph(keys.size, home, int(np.flatnonzero(letter < 0)[0]),
+                            src, letter, context, tgt, starts)
+    presentation._partition_graphs[n_codes] = graph
+    return graph
+
+
 def _dp_log_partition(presentation: SoficPresentation, potential: Potential,
                       lengths: Sequence[int],
                       fixed: dict[int, int] | None = None) -> list[float]:
@@ -244,9 +306,11 @@ def _dp_log_partition(presentation: SoficPresentation, potential: Potential,
     to the deepest length and reads log Z at every requested length on the
     way.  A key is (automaton state, base-K code of the last R letters),
     R = max(1, range); the keys reachable from the start key (empty
-    context) and their letter edges are built once, with the edges sorted
-    by target.  Position p weighs an edge by ``potential.step_tables
-    [min(p, range)]``, so the first R letters need no separate treatment.
+    context) and their letter edges, sorted by target, come from
+    ``_partition_graph``, built once per presentation and K**R and shared
+    by every pass.  A pass only weighs the edges: position p by
+    ``potential.step_tables[min(p, range)]``, so the first R letters need
+    no separate treatment.
     Each step is a log-sum-exp over every target's incoming edges, shifted
     by that target's own maximum.  ``fixed`` optionally pins positions
     (0-based within the window) to single symbols by masking the other
@@ -254,35 +318,20 @@ def _dp_log_partition(presentation: SoficPresentation, potential: Potential,
     positions past a length do not constrain it.  A length that no word
     survives gets -inf; a log Z that overflows (+inf or nan) is refused.
     """
-    det, start = presentation._det
     fixed = fixed or {}
-    tables = potential.step_tables
-    n_codes = len(presentation.alphabet) ** max(1, potential.span)
-    # reachable keys, encoded as state * n_codes + code (a Python set: a
-    # plain np.unique would import numpy.ma on first use)
-    seen = {start * n_codes}
-    frontier = list(seen)
-    while frontier:
-        reached = _context_edges(det, np.array(frontier), n_codes)[3]
-        frontier = list(set(reached.tolist()) - seen)
-        seen.update(frontier)
-    keys = np.array(sorted(seen))
-    # every (key, letter) edge, plus a dead self-loop on the start key so
-    # that every key has an incoming edge; sorted by target
-    src, letter, context, target = _context_edges(det, keys, n_codes)
-    tgt = np.searchsorted(keys, target)
-    home = int(np.searchsorted(keys, start * n_codes))
-    src, letter, tgt = (np.append(src, home), np.append(letter, -1),
-                        np.append(tgt, home))
-    order = np.argsort(tgt, kind="stable")
-    src, letter, tgt = src[order], letter[order], tgt[order]
-    starts = np.flatnonzero(np.diff(tgt, prepend=-1))
-    weights = [np.append(t[context % t.size], -np.inf)[order] for t in tables]
+    graph = _partition_graph(
+        presentation, len(presentation.alphabet) ** max(1, potential.span))
+    src, letter, tgt, starts = graph.src, graph.letter, graph.tgt, graph.starts
+    weights = []
+    for t in potential.step_tables:
+        w = t[graph.context % t.size]
+        w[graph.dead] = -np.inf
+        weights.append(w)
 
     want = set(lengths)
     log_z = {0: 0.0}
-    cur = np.full(keys.size, -np.inf)
-    cur[home] = 0.0
+    cur = np.full(graph.n_keys, -np.inf)
+    cur[graph.home] = 0.0
     # log 0 = -inf on dead keys; overflow is refused below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for pos in range(max(want, default=0)):

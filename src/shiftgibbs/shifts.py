@@ -313,6 +313,12 @@ class SoficPresentation:
             i += 1
         return np.array(rows, dtype=np.int64), 0
 
+    @cached_property
+    def _partition_graphs(self) -> dict:
+        """The partition pass's graphs over ``_det`` by K**R, filled by
+        ``pressure._partition_graph``; kept with the presentation."""
+        return {}
+
     def _subtree_counts(self, length: int) -> list[np.ndarray]:
         """``counts[r][s]``: the exact number of allowed words of length
         ``r`` read from automaton state ``s``, for r = 0..length (Python
@@ -770,6 +776,21 @@ def factor_gap_bound(source_cert: DecouplingCertificate, k: int) -> int:
     return source_cert.gap + 2 * k
 
 
+def _forbidden_test(fwords: Sequence[tuple[int, ...]]
+                    ) -> Callable[[tuple[int, ...]], bool]:
+    """Predicate: does a letter tuple contain one of ``fwords``?  Each
+    window of each forbidden length is looked up in the set of forbidden
+    words of that length."""
+    by_length: dict[int, set[tuple[int, ...]]] = {}
+    for f in fwords:
+        by_length.setdefault(len(f), set()).add(tuple(f))
+
+    def contains_forbidden(seq: tuple[int, ...]) -> bool:
+        return any(seq[i:i + L] in words for L, words in by_length.items()
+                   for i in range(len(seq) - L + 1))
+    return contains_forbidden
+
+
 def sft_presentation(alphabet: Alphabet,
                      forbidden: Sequence[str]) -> SoficPresentation:
     """Vertex-shift presentation of the SFT with the given forbidden words.
@@ -786,10 +807,7 @@ def sft_presentation(alphabet: Alphabet,
     memory = max(memory, 1)
     K = len(alphabet)
 
-    def contains_forbidden(seq: tuple[int, ...]) -> bool:
-        return any(seq[i:i + len(f)] == f
-                   for f in fwords for i in range(len(seq) - len(f) + 1))
-
+    contains_forbidden = _forbidden_test(fwords)
     blocks = [b for b in itertools.product(range(K), repeat=memory)
               if not contains_forbidden(b)]
     index = {b: i for i, b in enumerate(blocks)}

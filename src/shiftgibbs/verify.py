@@ -7,10 +7,11 @@ at small volumes.  Partition-type quantities that get compared against one
 another are exact integers: each word's term exp(E - max E) is a dyadic
 rational, and its multiple by 2**_SHIFT is split into 32-bit limbs in int64
 arrays (``_exact_terms``).  The lemma suites group words by integer class
-ids of their column windows (``_class_ids``, rows packed into int64 codes)
-and sum the limbs per class (``_limb_sums``); only the per-class totals
-become Python integers, so subset and partition relations hold exactly
-rather than up to rounding.  Each suite is split in two: a tables builder
+ids of their column windows (``_class_ids``, rows folded into int64 codes
+and renumbered through a presence table, with no sort) and sum the limbs
+per class (``_limb_sums``); only the per-class totals become Python
+integers, so subset and partition relations hold exactly rather than up
+to rounding.  Each suite is split in two: a tables builder
 (``lemma_212_tables``, ``decoupling_1d_tables``) does everything that does
 not read the center word once per volume, and the per-center check
 (``lemma_212_check``, ``decoupling_1d_check``) adds the rows that do.
@@ -300,19 +301,28 @@ def _require_allowed_center(presentation: SoficPresentation, v: Word) -> None:
 
 def _class_ids(windows: np.ndarray) -> tuple[np.ndarray, int]:
     """Dense class ids of the rows of a 2-D uint8 word array, numbered in
-    the rows' byte order, and the number of classes.  The columns fold
-    into int64 codes base 256, a chunk at a time: each code is the dense id
-    of the row's columns so far followed by as many more columns as keep
-    it below 2**63.  Rows of width 0 form one class."""
-    ids = np.zeros(len(windows), dtype=np.intp)
+    the lexicographic order of the rows' letters, and the number of
+    classes.  The columns fold into int64 codes base b = largest letter + 1,
+    a chunk at a time: each code is the dense id of the row's columns so
+    far followed by as many more columns as keep the code space within
+    rows * b.  A boolean presence table over the code space and its
+    running count renumber the codes densely after each fold, with no
+    sort.  Rows of width 0 form one class."""
+    rows, width = windows.shape
+    base = int(windows.max(initial=0)) + 1
+    ids = np.zeros(rows, dtype=np.intp)
     n_ids, col = 1, 0
-    while col < windows.shape[1]:
-        width = (63 - (n_ids - 1).bit_length()) // 8
-        codes = ids.astype(np.int64)
-        for letters in windows[:, col:col + width].T:
-            codes = codes * 256 + letters
-        keys, ids = np.unique(codes, return_inverse=True)
-        n_ids, col = len(keys), col + width
+    while col < width and n_ids:
+        step = 1
+        while col + step < width and n_ids * base ** (step + 1) <= rows * base:
+            step += 1
+        codes = ids
+        for letters in windows[:, col:col + step].T:
+            codes = codes * base + letters
+        present = np.zeros(n_ids * base ** step, dtype=bool)
+        present[codes] = True
+        rank = np.cumsum(present)
+        ids, n_ids, col = rank[codes] - 1, int(rank[-1]), col + step
     return ids, n_ids
 
 

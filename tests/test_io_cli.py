@@ -434,6 +434,26 @@ class TestCli:
                            match="transfer support of 4 x 4 entries for a range-2"):
             pressure.build_transfer(full2, potential)
 
+    def test_measure_without_the_tabulation_guard(self, tmp_path):
+        # 17 letters, range 3: 4,913 cover states.  The transfer weighs its
+        # edges without the step tables, whose 17^4 contexts the
+        # tabulation guard refuses
+        letters = "0123456789abcdefg"
+        shift = tmp_path / "full17.shift"
+        shift.write_text("vertex v\n" + "".join(f"edge v v {a}\n" for a in letters),
+                         encoding="utf-8")
+        pot = tmp_path / "range3.pot"
+        pot.write_text("range 3\nshape 0,3\nval 0g 0.5\nshape 0,1\nval 33 -0.25\n",
+                       encoding="utf-8")
+        out = run_cli("measure", "--shift", str(shift), "--potential", str(pot))
+        assert out.returncode == 0
+        assert out.stderr == ""
+        assert out.stdout
+        tabulated = run_cli("pressure", "--shift", str(shift), "--potential",
+                            str(pot), "--n-max", "2")
+        assert tabulated.returncode == 3
+        assert "transfer context space 17^4" in tabulated.stderr
+
     def test_volume_guard_exit_code(self):
         out = run_cli("weakgibbs", "--shift", str(data_path("full2.shift")),
                       "--potential", str(data_path("site_a.pot")),

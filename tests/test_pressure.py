@@ -10,10 +10,10 @@ from shiftgibbs import (ValidationError, add_potentials, brute_partition,
                         pressure_limit)
 from shiftgibbs.bundled import BINARY, SITE_FIELD, data_path
 from shiftgibbs.fileio import load_potential, load_shift
-from shiftgibbs.potentials import (Potential, ShapeTable, _step_energy,
-                                   zero_potential)
-from shiftgibbs.pressure import (_dp_log_partition, log_sum_exp,
-                                 perron_residual, word_energies)
+from shiftgibbs.potentials import Potential, ShapeTable, zero_potential
+from shiftgibbs.pressure import (_dp_log_partition, _partition_graph,
+                                 log_sum_exp, perron_residual, word_energies)
+from test_potentials import step_energy
 from test_verify import range_three_sft
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -361,6 +361,43 @@ class TestLadderOracle:
             word_energies(huge, np.array([[1, 0], [1, 1]]))
 
 
+class TestPartitionGraph:
+    """The partition pass's keys and edges, built once per presentation
+    and K**R and shared by every pass on it."""
+
+    def test_one_presentation_many_potentials(self):
+        shared, range_three = range_three_sft(1)
+        rng = random.Random(4)
+        range_one = Potential(shared.alphabet, 1, (ShapeTable(
+            (0, 1), {pat: rng.uniform(-1, 1)
+                     for pat in itertools.product(range(5), repeat=2)}),))
+        range_zero = Potential(shared.alphabet, 0,
+                               (ShapeTable((0,), {(2,): 0.75}),))
+        lengths = [1, 2, 4, 9]
+        # range 0 and range 1 share K**1; the pins mask edges per pass only
+        for potential, fixed in [(range_one, None), (range_three, None),
+                                 (range_zero, {1: 3}),
+                                 (range_three, {0: 2, 3: 4}),
+                                 (range_one, {2: 0})]:
+            fresh = range_three_sft(1)[0]
+            assert (_dp_log_partition(shared, potential, lengths, fixed)
+                    == _dp_log_partition(fresh, potential, lengths, fixed))
+        assert sorted(shared._partition_graphs) == [5, 125]
+
+    def test_graph_built_once_and_read_only(self):
+        pres = load_shift(data_path("even.shift"))
+        pair = load_potential(data_path("pair_beta.pot"), pres.alphabet)
+        _dp_log_partition(pres, pair, [3])
+        graph = pres._partition_graphs[2]
+        _dp_log_partition(pres, pair, [5], {0: 1})
+        assert _partition_graph(pres, 2) is graph
+        assert graph.letter[graph.dead] == -1 and graph.src[graph.dead] == graph.home
+        for array in (graph.src, graph.letter, graph.context, graph.tgt,
+                      graph.starts):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+
 def tuple_transfer(presentation, potential):
     """The cover as (vertex, context-tuple) pairs: the sorted states reached
     by R-edge paths from every vertex, and the weighted transitions."""
@@ -380,7 +417,7 @@ def tuple_transfer(presentation, potential):
         for e in presentation.out_edges(v):
             a = presentation.edge_symbol(e)
             j = index[(presentation.edge_target(e), (ctx + (a,))[-R:])]
-            trans[a, i, j] = math.exp(_step_energy(potential, ctx + (a,)))
+            trans[a, i, j] = math.exp(step_energy(potential, ctx + (a,)))
     return states, trans
 
 

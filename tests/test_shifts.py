@@ -11,8 +11,8 @@ from shiftgibbs import (Alphabet, BlockCode, Point, SoficPresentation,
                         point_from_words, sft_presentation, splice)
 from shiftgibbs.bundled import BINARY, data_path, ten_detector_code
 from shiftgibbs.fileio import load_shift
-from shiftgibbs.shifts import (_forward_infinite, strongly_connected,
-                               support_period)
+from shiftgibbs.shifts import (_forbidden_test, _forward_infinite,
+                               strongly_connected, support_period)
 
 
 def texts(words):
@@ -489,6 +489,17 @@ def oracle_point_from_words(presentation, left, core, right, core_start=0):
                  core_start - len(left_lead))
 
 
+def oracle_contains_forbidden(fwords, seq):
+    """Oracle: does ``seq`` contain a forbidden word?  Every forbidden word
+    compared at every offset."""
+    for f in fwords:
+        L = len(f)
+        for i in range(len(seq) - L + 1):
+            if seq[i:i + L] == tuple(f):
+                return True
+    return False
+
+
 def oracle_sft_presentation(alphabet, forbidden):
     """Oracle: ``sft_presentation`` by a joint two-sided prune loop that
     re-evaluates the forbidden-word test on every pass."""
@@ -500,12 +511,7 @@ def oracle_sft_presentation(alphabet, forbidden):
     K = len(alphabet)
 
     def contains_forbidden(seq: tuple[int, ...]) -> bool:
-        for f in fwords:
-            L = len(f)
-            for i in range(len(seq) - L + 1):
-                if seq[i:i + L] == tuple(f):
-                    return True
-        return False
+        return oracle_contains_forbidden(fwords, seq)
 
     blocks = [b for b in itertools.product(range(K), repeat=memory)
               if not contains_forbidden(b)]
@@ -637,6 +643,30 @@ class TestGraphSearchOracles:
                 solved += not isinstance(got, str)
                 failed += isinstance(got, str)
         assert solved > 500 and failed > 500
+
+    def test_forbidden_test_by_set_lookup(self):
+        rng = random.Random(29)
+        for _ in range(400):
+            K = rng.randint(1, 4)
+            fwords = [tuple(rng.randrange(K) for _ in range(rng.randint(1, 5)))
+                      for _ in range(rng.randint(0, 6))]
+            fwords += rng.sample(fwords, min(2, len(fwords)))  # repeats
+            contains = _forbidden_test(fwords)
+            for _ in range(20):
+                seq = tuple(rng.randrange(K) for _ in range(rng.randint(0, 7)))
+                assert contains(seq) == oracle_contains_forbidden(fwords, seq)
+
+    def test_five_letter_sfts(self):
+        # the benchmark's generated SFTs: one forbidden 3-word after each
+        # 2-block of a 5-letter alphabet
+        alphabet = Alphabet(tuple("01234"))
+        for seed in range(5):
+            rng = random.Random(seed)
+            forbidden = [f"{a}{b}{rng.randrange(5)}" for a in range(5)
+                         for b in range(5)]
+            # equal vertex and edge tuples: the same order
+            assert (sft_presentation(alphabet, forbidden)
+                    == oracle_sft_presentation(alphabet, forbidden))
 
     def test_random_sfts(self):
         rng = random.Random(23)

@@ -742,7 +742,7 @@ def void_class_ids(windows):
     over an ``np.void`` view of the rows, and the number of classes."""
     rows = np.ascontiguousarray(windows if windows.shape[1] else
                                 np.zeros((len(windows), 1), dtype=windows.dtype))
-    keys, ids = np.unique(rows.view(np.dtype((np.void, rows[0].nbytes))).ravel(),
+    keys, ids = np.unique(rows.view(np.dtype((np.void, rows.shape[1]))).ravel(),
                           return_inverse=True)
     return ids, len(keys)
 
@@ -833,9 +833,10 @@ class TestExactTerms:
 
 
 @pytest.mark.parametrize("width", [0, 1, 3, 7, 8, 13, 30])
-@pytest.mark.parametrize("n_letters", [2, 5, 256])
+@pytest.mark.parametrize("n_letters", [1, 2, 5, 256])
 def test_class_ids_match_void_rows(width, n_letters):
-    # widths up to 7 take one int64 code, wider ones fold more than once
+    # the code space stays within rows * (largest letter + 1): 533 rows of
+    # two letters fold ten columns at a time, 256 letters one or two
     rng = np.random.default_rng(width * 1000 + n_letters)
     windows = rng.integers(0, n_letters, (400, width), dtype=np.uint8)
     windows = np.concatenate([windows, windows[::3]])  # repeated rows
@@ -843,6 +844,32 @@ def test_class_ids_match_void_rows(width, n_letters):
     want_ids, want_n = void_class_ids(windows)
     assert n_ids == want_n
     assert np.array_equal(ids, want_ids)
+
+
+@pytest.mark.parametrize("rows", [0, 1, 2, 9])
+@pytest.mark.parametrize("width", [0, 1, 4, 40])
+def test_class_ids_edge_cases(rows, width):
+    # few rows against many columns: one column per fold; letter 255 is
+    # the largest base; rows of width 0 form one class
+    rng = np.random.default_rng(rows * 100 + width)
+    windows = rng.choice(np.array([0, 7, 254, 255], dtype=np.uint8), (rows, width))
+    ids, n_ids = _class_ids(windows)
+    assert ids.dtype == np.intp and ids.shape == (rows,)
+    if width == 0:
+        assert n_ids == 1 and not ids.any()
+    else:
+        want_ids, want_n = void_class_ids(windows)
+        assert n_ids == want_n
+        assert np.array_equal(ids, want_ids)
+
+
+def test_class_ids_order_is_lexicographic():
+    # a smaller letter first wins, however large the letters after it
+    windows = np.array([[1, 0, 0], [0, 255, 255], [0, 255, 254], [1, 0, 0],
+                        [0, 0, 1]], dtype=np.uint8)
+    ids, n_ids = _class_ids(windows)
+    assert n_ids == 4
+    assert ids.tolist() == [3, 2, 1, 3, 0]
 
 
 class TestWeakGibbsScan:
