@@ -4,7 +4,10 @@ transfer cover.
 Kernels operate on batches of words encoded as ``uint8`` symbol indices,
 shape ``(n_words, length)``.  Finite-range potentials are passed as their
 per-position step tables, ``Potential.step_tables``, and the cover as its
-(letter, state) table of targets with a dead sink.
+(letter, state) table of targets with a dead sink.  The word classes of a
+length are (prefix code, map id) pairs into a table of that length's
+distinct state maps, and their deviation is summed in blocks of at most
+about ``BLOCK`` terms.
 """
 
 from __future__ import annotations
@@ -80,6 +83,11 @@ def batch_forward_logprob(words, succ, prob, start):
 # weak-Gibbs deviation over the reachable word classes
 # ---------------------------------------------------------------------------
 
+# terms per block of the deviation's log-sum-exp: a block holds
+# max(1, BLOCK // S) classes of S terms each
+BLOCK = 1 << 16
+
+
 def word_classes(delta, prefix_len, depth):
     """Yield the classes of the allowed words of each length 0..depth, one
     level per length, shortest first.
@@ -88,33 +96,47 @@ def word_classes(delta, prefix_len, depth):
     ``a``; the last index is a dead sink (no such transition), which maps to
     itself.  The class of a word ``u`` is its first ``prefix_len`` letters
     (all of ``u`` while it is shorter) together with the map ``s -> t_s(u)``
-    over the cover states.  A level is a pair ``(prefix, maps)``: the
-    base-K code of each class's prefix (first letter most significant) and
-    its map as a row of ``delta``'s dtype.  The next level maps through
-    ``delta[a][map]`` for every letter; words no state reads are dropped and
-    repeated classes kept once, so no level holds more classes than there
-    are words of its length.
+    over the cover states.  A level is a triple ``(prefix, ids, table)``:
+    ``table`` holds the level's distinct maps, one row of ``delta``'s dtype
+    each, and class ``i`` has the base-K code ``prefix[i]`` (first letter
+    most significant) and the map ``table[ids[i]]``.
+
+    A class's next map is ``delta[a][map]``, a function of its map and the
+    letter alone, so the next table comes from the ``K x n_maps`` candidate
+    rows ``delta[:, table]``: rows no state reads are dropped and the rest
+    are kept once (sorted as bytes).  The next classes are the integer codes
+    ``prefix * n_maps + id`` of the children, kept once.  So no level holds
+    more classes than there are words of its length, and each distinct map
+    is S wide only once.
     """
     n_symbols, n_ext = delta.shape
     dead = n_ext - 1
+    row = np.dtype((np.void, dead * delta.itemsize))
     prefix = np.zeros(1, dtype=np.int64)
-    maps = np.arange(dead, dtype=delta.dtype)[None, :]
-    yield prefix, maps
+    ids = np.zeros(1, dtype=np.int64)
+    table = np.arange(dead, dtype=delta.dtype)[None, :]
+    yield prefix, ids, table
     letters = np.arange(n_symbols, dtype=np.int64)[:, None]
     for length in range(1, depth + 1):
-        maps = delta[:, maps].reshape(-1, dead)  # row a * n + i: class i, letter a
+        n_maps = table.shape[0]
+        # row a * n_maps + j: map j, then letter a
+        cand = np.take(delta, table, axis=1).reshape(-1, dead)
+        alive = (cand != dead).any(axis=1)
+        table, inv = np.unique(cand[alive].view(row).ravel(), return_inverse=True)
+        table = table.view(delta.dtype).reshape(-1, dead)
+        new_id = np.full(cand.shape[0], -1, dtype=np.int64)
+        new_id[alive] = inv.ravel()
+        child = new_id[ids + letters * n_maps]  # row a: letter a after each class
         if length <= prefix_len:
-            prefix = (prefix * n_symbols + letters).ravel()
+            prefix = prefix * n_symbols + letters
         else:
-            prefix = np.tile(prefix, n_symbols)
-        alive = (maps != dead).any(axis=1)
-        prefix, maps = prefix[alive], maps[alive]
-        rows = np.concatenate([prefix[:, None].view(np.uint8), maps.view(np.uint8)],
-                              axis=1)
-        _keys, keep = np.unique(rows.view(np.dtype((np.void, rows.shape[1]))).ravel(),
-                                return_index=True)
-        prefix, maps = prefix[keep], maps[keep]
-        yield prefix, maps
+            prefix = np.broadcast_to(prefix, child.shape)
+        keep = child >= 0
+        codes = np.sort(prefix[keep] * table.shape[0] + child[keep])
+        first = np.ones(codes.shape, dtype=bool)
+        first[1:] = codes[1:] != codes[:-1]
+        prefix, ids = np.divmod(codes[first], table.shape[0])
+        yield prefix, ids, table
 
 
 def class_deviation(delta, contexts, log_start, log_end, step_tables, lengths,
@@ -135,7 +157,10 @@ def class_deviation(delta, contexts, log_start, log_end, step_tables, lengths,
     last ``i + 1`` letters; the last table serves every later position, and
     there are at least ``prefix_len`` tables).  ``log_end`` ends in
     ``-inf`` for the dead sink.  The sum is a log-sum-exp shifted by its
-    largest term.
+    largest term, taken over blocks of ``max(1, BLOCK // S)`` classes; each
+    row's operands and summation do not depend on the block, so neither
+    does any ``val``.  A requested length without classes raises
+    ``ValueError``.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
     worst = np.zeros(lengths.shape[0])
@@ -144,8 +169,9 @@ def class_deviation(delta, contexts, log_start, log_end, step_tables, lengths,
     n_symbols = delta.shape[0]
     last = step_tables[-1]
     modulus = last.shape[0]
+    rows = max(1, BLOCK // (delta.shape[1] - 1))
     levels = word_classes(delta, prefix_len, int(lengths.max()))
-    for length, (prefix, maps) in enumerate(levels):
+    for length, (prefix, ids, table) in enumerate(levels):
         hit = lengths == length
         if not hit.any():
             continue
@@ -161,10 +187,13 @@ def class_deviation(delta, contexts, log_start, log_end, step_tables, lengths,
             cross += last[ctx]
             head += step_tables[i][first]
         log_g = log_start + cross - head[:, None]
-        terms = log_end[maps]
-        terms += log_g[which]
-        top = terms.max(axis=1)
-        terms -= top[:, None]
-        val = top + np.log(np.exp(terms, out=terms).sum(axis=1))
+        ends = log_end[table]
+        val = np.empty(ids.shape[0])
+        for lo in range(0, ids.shape[0], rows):
+            terms = ends[ids[lo:lo + rows]]
+            terms += log_g[which[lo:lo + rows]]
+            top = terms.max(axis=1)
+            terms -= top[:, None]
+            val[lo:lo + rows] = top + np.log(np.exp(terms, out=terms).sum(axis=1))
         worst[hit] = float(np.abs(val).max())
     return worst

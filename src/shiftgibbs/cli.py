@@ -40,13 +40,16 @@ def _load(args) -> tuple[SoficPresentation, Potential | None]:
 
 
 def _parse_m_range(text: str) -> list[int]:
+    bad = ValidationError(f"bad --m {text!r}; want a range 1..10 or a list 1,2,5")
     try:
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            return list(range(int(lo), int(hi) + 1))
-        return [int(t) for t in text.split(",")]
+        if ".." not in text:
+            return [int(t) for t in text.split(",")]
+        lo, hi = (int(t) for t in text.split("..", 1))
     except ValueError:
-        raise ValidationError(f"bad --m {text!r}; want a range 1..10 or a list 1,2,5") from None
+        raise bad from None
+    if lo > hi:  # an empty range would print a certificate without rows
+        raise bad
+    return list(range(lo, hi + 1))
 
 
 def _parse_deltas(text: str) -> list[float]:

@@ -201,12 +201,14 @@ def weak_gibbs_scan(measure: RPFMeasure, m_list,
     cancels.  The right side depends only on the class of u: its first R
     letters and the map s -> t_s(u).  So each row is a max over the classes
     reached at its length (``_kernels.class_deviation``), one level per
-    length, each found from the last by mapping through the cover's
-    transitions; there are never more classes than words.  The enumeration
-    cap (``DEFAULT_ENUM_CAP`` when ``cap`` is None) still applies to the
-    deepest length and is checked before any work.  The tests keep the
-    per-word route (``iter_word_blocks`` words through ``word_energies`` and
-    ``cylinder_log_probs``) and the trie walk it replaced as oracles.
+    length, each found from the last by mapping the level's table of
+    distinct maps through the cover's transitions; a class is a (prefix,
+    map id) pair and there are never more classes than words.  The
+    enumeration cap (``DEFAULT_ENUM_CAP`` when ``cap`` is None) still
+    applies to the deepest length and is checked before any work.  The
+    tests keep the per-word route (``iter_word_blocks`` words through
+    ``word_energies`` and ``cylinder_log_probs``), the trie walk and the
+    pass with one S-wide map per class as oracles.
 
     The analytic bound per row combines the exact-constant cylinder
     sandwich, the finite-volume pressure gap |P_m - log lambda| (every P_m

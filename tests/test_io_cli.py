@@ -380,7 +380,7 @@ class TestCli:
                               "float64 range\n")
 
     @pytest.mark.parametrize("flags", [("--m", "1.."), ("--m", "abc"),
-                                       ("--m", "x"),
+                                       ("--m", "x"), ("--m", "3..2"),
                                        ("--m", "1..3", "--delta", "0.5,,0.1"),
                                        ("--m", "1..3", "--delta", "nan"),
                                        ("--m", "1..3", "--delta", "x")])

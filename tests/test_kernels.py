@@ -14,6 +14,7 @@ from shiftgibbs.potentials import Potential, ShapeTable, add_potentials, energy
 from shiftgibbs.pressure import brute_partition
 from shiftgibbs.shifts import Alphabet, Word
 from test_pressure import densify
+from test_verify import BUNDLED_SYSTEMS, range_three_sft
 
 
 def _five_letter_potential():
@@ -157,6 +158,165 @@ def test_lemma_ladder_commands_leave_numpy_ma_unimported():
     out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True)
     assert out.returncode == 0, out.stderr
+
+
+def oracle_word_classes(delta, prefix_len, depth):
+    """The class pass with one S-wide map row per class: yields
+    ``(prefix, maps)`` for each length 0..depth.  Each level maps every
+    class through ``delta[a][map]`` for every letter, drops the words no
+    state reads and keeps each (prefix, map) byte row once."""
+    n_symbols, n_ext = delta.shape
+    dead = n_ext - 1
+    prefix = np.zeros(1, dtype=np.int64)
+    maps = np.arange(dead, dtype=delta.dtype)[None, :]
+    yield prefix, maps
+    letters = np.arange(n_symbols, dtype=np.int64)[:, None]
+    for length in range(1, depth + 1):
+        maps = delta[:, maps].reshape(-1, dead)  # row a * n + i: class i, letter a
+        if length <= prefix_len:
+            prefix = (prefix * n_symbols + letters).ravel()
+        else:
+            prefix = np.tile(prefix, n_symbols)
+        alive = (maps != dead).any(axis=1)
+        prefix, maps = prefix[alive], maps[alive]
+        rows = np.concatenate([prefix[:, None].view(np.uint8), maps.view(np.uint8)],
+                              axis=1)
+        _keys, keep = np.unique(rows.view(np.dtype((np.void, rows.shape[1]))).ravel(),
+                                return_index=True)
+        prefix, maps = prefix[keep], maps[keep]
+        yield prefix, maps
+
+
+def oracle_class_deviation(delta, contexts, log_start, log_end, step_tables,
+                           lengths, prefix_len):
+    """``class_deviation`` over the S-wide classes, every class of a level
+    in one log-sum-exp."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    worst = np.zeros(lengths.shape[0])
+    if lengths.shape[0] == 0:
+        return worst
+    n_symbols = delta.shape[0]
+    last = step_tables[-1]
+    modulus = last.shape[0]
+    levels = oracle_word_classes(delta, prefix_len, int(lengths.max()))
+    for length, (prefix, maps) in enumerate(levels):
+        hit = lengths == length
+        if not hit.any():
+            continue
+        width = min(length, prefix_len)
+        codes, which = np.unique(prefix, return_inverse=True)
+        ctx = np.broadcast_to(contexts, (codes.shape[0], contexts.shape[0]))
+        cross = np.zeros(ctx.shape)
+        head = np.zeros(codes.shape[0])
+        for i in range(width):
+            first = codes // n_symbols ** (width - 1 - i)
+            ctx = (ctx * n_symbols + first[:, None] % n_symbols) % modulus
+            cross += last[ctx]
+            head += step_tables[i][first]
+        log_g = log_start + cross - head[:, None]
+        terms = log_end[maps]
+        terms += log_g[which]
+        top = terms.max(axis=1)
+        terms -= top[:, None]
+        val = top + np.log(np.exp(terms, out=terms).sum(axis=1))
+        worst[hit] = float(np.abs(val).max())
+    return worst
+
+
+def scan_inputs(measure):
+    """The class pass's arguments as ``weak_gibbs_scan`` builds them, less
+    the lengths."""
+    transfer = measure.transfer
+    n_states = transfer.n_states
+    delta = np.pad(transfer.succ, ((0, 0), (0, 1)), constant_values=n_states
+                   ).astype(np.min_scalar_type(n_states))
+    contexts = transfer.keys % len(measure.presentation.alphabet) ** transfer.context_len
+    return (delta, contexts, np.log(measure.stationary / measure.h),
+            np.append(np.log(measure.h), -np.inf),
+            transfer.potential.step_tables, transfer.context_len)
+
+
+def random_cover(rng, n_symbols, n_states, prefix_len, scale):
+    """Class-pass arguments for a random cover: each transition is the dead
+    sink with probability 1/3, except that state 0 reads letter 0 into
+    itself (so no level is empty), and every log weight and step energy is
+    uniform in [-scale, scale]."""
+    dead = n_states
+    delta = rng.integers(0, n_states, size=(n_symbols, n_states + 1))
+    delta[rng.random(delta.shape) < 1 / 3] = dead
+    delta[:, dead] = dead
+    delta[0, 0] = 0
+    delta = delta.astype(np.min_scalar_type(n_states))
+    contexts = rng.integers(0, n_symbols ** prefix_len, size=n_states)
+    step_tables = tuple(rng.uniform(-scale, scale, size=n_symbols ** (i + 1))
+                        for i in range(prefix_len + 1))
+    return (delta, contexts, rng.uniform(-scale, scale, size=n_states),
+            np.append(rng.uniform(-scale, scale, size=n_states), -np.inf),
+            step_tables, prefix_len)
+
+
+def _bundled_inputs():
+    for shift, pot in BUNDLED_SYSTEMS:
+        yield equilibrium_measure(shift(), pot()), 12
+    yield equilibrium_measure(*range_three_sft(1)), 7
+
+
+def _random_inputs():
+    rng = np.random.default_rng(20)
+    for n_symbols, n_states in [(1, 1), (1, 4), (2, 1), (3, 1), (2, 5), (3, 6),
+                                (4, 3), (2, 9)]:
+        for prefix_len in (1, 2, 3):
+            for scale in (1.0, 300.0):
+                yield random_cover(rng, n_symbols, n_states, prefix_len, scale)
+
+
+class TestWordClasses:
+    """The class pass over a table of distinct maps against the pass with
+    one S-wide map per class."""
+
+    @staticmethod
+    def check_levels(delta, prefix_len, depth):
+        levels = zip(_kernels.word_classes(delta, prefix_len, depth),
+                     oracle_word_classes(delta, prefix_len, depth), strict=True)
+        for (prefix, ids, table), (want_prefix, want_maps) in levels:
+            got = {(int(p), table[i].tobytes()) for p, i in zip(prefix, ids)}
+            want = {(int(p), m.tobytes()) for p, m in zip(want_prefix, want_maps)}
+            assert got == want
+            assert prefix.shape == ids.shape == (len(want),)  # each class once
+            # the table holds each map of the level's classes exactly once
+            assert len({row.tobytes() for row in table}) == table.shape[0]
+            assert table.dtype == delta.dtype
+            assert (np.unique(ids) == np.arange(table.shape[0])).all()
+
+    def test_bundled_levels(self):
+        for measure, depth in _bundled_inputs():
+            delta, *_rest, prefix_len = scan_inputs(measure)
+            self.check_levels(delta, prefix_len, depth)
+
+    def test_random_levels(self):
+        for delta, *_rest, prefix_len in _random_inputs():
+            self.check_levels(delta, prefix_len, 9)
+
+    @pytest.mark.parametrize("block", [1, 7, 64, _kernels.BLOCK])
+    def test_deviation_is_block_free(self, block, monkeypatch):
+        monkeypatch.setattr(_kernels, "BLOCK", block)
+        cases = [scan_inputs(measure) for measure, _depth in _bundled_inputs()]
+        cases += list(_random_inputs())
+        for delta, *rest, prefix_len in cases:
+            lengths = [0, 1, 2, 3, 5, 8]
+            args = (delta, *rest, lengths, prefix_len)
+            assert np.array_equal(_kernels.class_deviation(*args),
+                                  oracle_class_deviation(*args))
+
+    def test_empty_level_raises(self):
+        # every transition dies, so no word of length 1 has a class
+        delta = np.full((2, 4), 3, dtype=np.uint8)
+        args = (delta, np.zeros(3, dtype=np.int64), np.zeros(3),
+                np.append(np.zeros(3), -np.inf), (np.zeros(2), np.zeros(4)))
+        assert _kernels.class_deviation(*args, [0], 1).tolist() == [math.log(3)]
+        for deviation in (_kernels.class_deviation, oracle_class_deviation):
+            with pytest.raises(ValueError):
+                deviation(*args, [0, 1], 1)
 
 
 class TestBackendSelection:

@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -1104,6 +1105,17 @@ def range_three_sft(seed):
     return presentation, Potential(alphabet, 3, shapes)
 
 
+def full2_two_point(span):
+    """A seeded potential on the full 2-shift with the shapes (0,) and
+    (0, span): 2^span cover states."""
+    rng = random.Random(8)
+    shapes = tuple(
+        ShapeTable(offs, {pat: rng.uniform(-1, 1) for pat in
+                          itertools.product((0, 1), repeat=len(offs))})
+        for offs in ((0,), (0, span)))
+    return full_shift_2(), Potential(BINARY, span, shapes)
+
+
 class TestClassPass:
     """The scan's class pass against the trie walk and the word counts."""
 
@@ -1128,6 +1140,28 @@ class TestClassPass:
         for (_m, d, _b), (_m2, d_trie) in zip(report.rows, want):
             assert abs(d - d_trie) <= 1e-12
 
+    def test_agrees_with_trie_walk_at_range_five(self):
+        presentation, potential = full2_two_point(5)
+        mu = equilibrium_measure(presentation, potential)
+        assert mu.transfer.n_states == 32
+        report = weak_gibbs_scan(mu, range(1, 9))
+        want = trie_rows(mu, potential, range(1, 9))
+        for (_m, d, _b), (_m2, d_trie) in zip(report.rows, want, strict=True):
+            assert abs(d - d_trie) <= 1e-12
+
+    def test_memory_at_range_eight(self):
+        # 65,536 classes at length 17, each with its own 256-wide map row
+        # and their log-sum-exp in one piece, peaked at 426 MiB
+        mu = equilibrium_measure(*full2_two_point(8))
+        assert mu.transfer.n_states == 256
+        tracemalloc.start()
+        try:
+            weak_gibbs_scan(mu, range(1, 9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
+
     @pytest.mark.parametrize("shift, pot", BUNDLED_SYSTEMS,
                              ids=lambda f: f.__name__)
     def test_no_more_classes_than_words(self, shift, pot, monkeypatch):
@@ -1137,9 +1171,9 @@ class TestClassPass:
         levels = _kernels.word_classes
 
         def counted(*args):
-            for prefix, maps in levels(*args):
+            for prefix, ids, table in levels(*args):
                 sizes.append(prefix.shape[0])
-                yield prefix, maps
+                yield prefix, ids, table
 
         monkeypatch.setattr(_kernels, "word_classes", counted)
         weak_gibbs_scan(mu, range(1, 11), cap=1 << 21)
