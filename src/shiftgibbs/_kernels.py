@@ -1,13 +1,14 @@
-"""Batched numpy kernels over word lists and the word classes of the
-transfer cover.
+"""Batched numpy kernels: the energy of a word list and the word classes
+of the transfer cover.
 
-Kernels operate on batches of words encoded as ``uint8`` symbol indices,
-shape ``(n_words, length)``.  Finite-range potentials are passed as their
-per-position step tables, ``Potential.step_tables``, and the cover as its
-(letter, state) table of targets with a dead sink.  The word classes of a
-length are (prefix code, map id) pairs into a table of that length's
-distinct state maps, and their deviation is summed in blocks of at most
-about ``BLOCK`` terms.
+The energy kernel takes a batch of words encoded as ``uint8`` symbol
+indices, shape ``(n_words, length)``, and a finite-range potential as its
+per-position step tables, ``Potential.step_tables``.  The class pass takes
+the cover as its (letter, state) table of targets with a dead sink.
+The word classes of a length are (prefix code, map id) pairs into a table
+of that length's distinct state maps, and their deviation is summed in
+blocks of at most about ``BLOCK`` terms.  Cylinder probabilities are not
+computed here: ``measures.cylinder_prob`` is their one route.
 """
 
 from __future__ import annotations
@@ -45,38 +46,6 @@ def batch_energy(words, step_tables):
         code += words[:, p]
         out += step_tables[min(p, last)][code]
     return out
-
-
-# ---------------------------------------------------------------------------
-# log of label-restricted forward products (hidden-Markov marginals)
-# ---------------------------------------------------------------------------
-
-def batch_forward_logprob(words, succ, prob, start):
-    """Log of each word's forward product from ``start``, summed over the
-    end states, by the scaled forward recursion; ``-inf`` for a word that
-    no path presents.  State s reads letter a into ``succ[a, s]`` (the dead
-    sink ``n_states`` when it cannot) with probability ``prob[a, s]``; each
-    position is one flat ``np.bincount`` over (word, target) slots."""
-    n_words, length = words.shape
-    n_states = start.shape[0]
-    width = n_states + 1  # the targets and the dead sink
-    slots = np.arange(n_words)[:, None] * width
-    v = np.broadcast_to(start, (n_words, n_states)).copy()
-    acc = np.zeros(n_words)
-    alive = np.ones(n_words, dtype=bool)
-    for i in range(length):
-        col = words[:, i]
-        w = np.bincount((slots + succ[col]).ravel(), (v * prob[col]).ravel(),
-                        minlength=n_words * width).reshape(n_words, width)[:, :n_states]
-        tot = w.sum(axis=1)
-        dead = tot <= 0.0
-        alive &= ~dead
-        tot = np.where(dead, 1.0, tot)
-        v = w / tot[:, None]
-        v[dead] = 0.0
-        acc += np.log(tot)
-    acc[~alive] = -np.inf
-    return acc
 
 
 # ---------------------------------------------------------------------------

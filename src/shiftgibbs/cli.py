@@ -239,6 +239,9 @@ def _cmd_factor(args) -> str:
     lines = [f"gap_bound\t{factor_gap_bound(source_gap, args.k)}",
              f"image_gap\t{image_gap.gap}"]
     if args.dump:
+        # the gap lines become comments, so the whole output loads as a
+        # presentation file
+        lines = [f"# {line}" for line in lines]
         lines.append(dump_presentation(image).rstrip("\n"))
     return "\n".join(lines) + "\n"
 
@@ -328,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rule", default=None, help="comma list pattern=symbol")
     p.add_argument("--default", default=None, help="fallback output symbol")
     p.add_argument("--dump", action="store_true",
-                   help="print the image presentation file")
+                   help="print the image presentation file, the gap lines "
+                        "as comments")
     p.set_defaults(fn=_cmd_factor)
 
     return parser

@@ -1,9 +1,10 @@
 """Equilibrium measures as stationary Markov chains on the transfer cover.
 
 The chain is assembled from Perron data of the weighted transfer system
-on its (letter, state) table; cylinder probabilities on the sofic shift
-are label-restricted forward products over that table (hidden-Markov
-marginalization), one code path for SFTs and proper sofic shifts alike.
+on its (letter, state) table.  A cylinder probability on the sofic shift
+is one label-restricted forward product over that table (hidden-Markov
+marginalization), ``cylinder_prob``: the only cylinder route, for SFTs and
+proper sofic shifts alike.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import _kernels
 from .exceptions import EmptyCylinderWarning, ValidationError
 from .potentials import Potential
 from .pressure import TransferSystem, _push, build_transfer, perron
@@ -93,13 +93,6 @@ def cylinder_prob(measure: RPFMeasure, word: Word) -> float:
         warnings.warn("empty cylinder: word is not in the shift language",
                       EmptyCylinderWarning, stacklevel=2)
     return total
-
-
-def cylinder_log_probs(measure: RPFMeasure, words: np.ndarray) -> np.ndarray:
-    """log cylinder probabilities for a batch of words (kernel-backed)."""
-    return _kernels.batch_forward_logprob(
-        np.ascontiguousarray(words, dtype=np.uint8), measure.transfer.succ,
-        measure.q, measure.stationary)
 
 
 def strong_gibbs_constant(measure: RPFMeasure) -> float:

@@ -28,8 +28,7 @@ import numpy as np
 from . import _kernels
 from .exceptions import ValidationError, VolumeGuardError
 from .potentials import Potential, _step_energies, boundary_norm_bound
-from .shifts import (DENSE_ENTRIES_CAP, SoficPresentation, strongly_connected,
-                     support_period)
+from .shifts import DENSE_ENTRIES_CAP, SoficPresentation
 
 PERRON_TOL = 1e-13
 PERRON_RESIDUAL_TOL = 1e-12
@@ -72,7 +71,6 @@ class PressureEstimate:
 
     log_lambda: float
     finite_volume: tuple[tuple[int, float, float], ...]  # (n, P_n, envelope)
-    residual: float
 
 
 def _context_edges(succ: np.ndarray, keys: np.ndarray, n_codes: int
@@ -115,6 +113,8 @@ def build_transfer(presentation: SoficPresentation,
     for _ in range(R):
         keys = np.array(sorted(set(_context_edges(out, keys, n_codes)[3].tolist())))
     S = len(keys)
+    # nothing here builds an S x S array, but the cap bounds S for the
+    # weak-Gibbs class pass, whose tables of distinct maps are S wide
     if S * S > DENSE_ENTRIES_CAP:
         raise VolumeGuardError(
             f"volume too large for brute force: transfer support of {S} x {S} "
@@ -155,31 +155,34 @@ def perron(transfer: TransferSystem) -> tuple[float, np.ndarray, np.ndarray]:
     power iteration from the all-ones vector.
 
     Normalization: sum(nu) = 1 and sum(nu * h) = 1.  Requires a primitive
-    weight matrix, read off the boolean S x S support of ``succ``;
-    converged when successive eigenvalue estimates agree to ``PERRON_TOL``
+    weight matrix.  Every edge weight is positive and the cover keeps the
+    presentation's cycle lengths, so the matrix is primitive exactly when
+    the presentation is irreducible and aperiodic; those flags decide.
+    Converged when successive eigenvalue estimates agree to ``PERRON_TOL``
     relative and the sup-norm residual is below ``PERRON_RESIDUAL_TOL``,
-    and refused when that takes more than ``_PERRON_MAX_ITER`` steps.
+    and refused when that takes more than ``_PERRON_MAX_ITER`` steps.  The
+    product taken for a step's residual is the next step's product.
     """
-    succ, weight, S = transfer.succ, transfer.weight, transfer.n_states
-    support = np.zeros((S, S + 1), dtype=bool)
-    support[np.arange(S), succ] = True  # the dead sink is the last column
-    if not strongly_connected(support[:, :S]):
+    presentation = transfer.presentation
+    if not presentation.irreducible:
         raise ValidationError("reducible transfer system: Perron data not computed")
-    if support_period(support[:, :S]) != 1:
+    if not presentation.aperiodic:
         raise ValidationError("periodic transfer system: Perron data not computed")
+    succ, weight, S = transfer.succ, transfer.weight, transfer.n_states
 
     def iterate(product) -> tuple[float, np.ndarray]:
         x = np.ones(S)
         x /= x.sum()
+        y = product(x)
         lam = 0.0
         for _ in range(_PERRON_MAX_ITER):
-            y = product(x)
             lam_new = y.sum()
-            y /= lam_new
-            res = np.abs(product(y) - lam_new * y).max() / np.abs(y).max()
+            x = y / lam_new
+            y = product(x)
+            res = np.abs(y - lam_new * x).max() / np.abs(x).max()
             done = (abs(lam_new - lam) <= PERRON_TOL * abs(lam_new)
                     and res <= PERRON_RESIDUAL_TOL)
-            x, lam = y, lam_new
+            lam = lam_new
             if done:
                 return lam, x
         raise ValidationError("power iteration failed to converge")
@@ -190,14 +193,6 @@ def perron(transfer: TransferSystem) -> tuple[float, np.ndarray, np.ndarray]:
     nu = nu / nu.sum()
     h = h / float(nu @ h)
     return float(lam), h, nu
-
-
-def perron_residual(transfer: TransferSystem, lam: float, h: np.ndarray,
-                    nu: np.ndarray) -> float:
-    succ, weight = transfer.succ, transfer.weight
-    right = np.abs(_pull(succ, weight, h) - lam * h).max() / np.abs(h).max()
-    left = np.abs(_push(succ, weight, nu) - lam * nu).max() / np.abs(nu).max()
-    return max(right, left)
 
 
 @dataclass(frozen=True, eq=False)
@@ -416,5 +411,4 @@ def pressure_limit(presentation: SoficPresentation, potential: Potential,
             raise ValidationError(
                 f"pressure envelope violated at n={n}: |{p_n} - {log_lambda}| > {env}")
         rows.append((n, p_n, env))
-    residual = perron_residual(transfer, lam, h, nu)
-    return PressureEstimate(log_lambda, tuple(rows), residual)
+    return PressureEstimate(log_lambda, tuple(rows))

@@ -207,8 +207,9 @@ def weak_gibbs_scan(measure: RPFMeasure, m_list,
     enumeration cap (``DEFAULT_ENUM_CAP`` when ``cap`` is None) still
     applies to the deepest length and is checked before any work.  The
     tests keep the per-word route (``iter_word_blocks`` words through
-    ``word_energies`` and ``cylinder_log_probs``), the trie walk and the
-    pass with one S-wide map per class as oracles.
+    ``word_energies`` and a dense batched forward product, itself checked
+    against ``cylinder_prob``), the trie walk and the pass with one S-wide
+    map per class as oracles.
 
     The analytic bound per row combines the exact-constant cylinder
     sandwich, the finite-volume pressure gap |P_m - log lambda| (every P_m

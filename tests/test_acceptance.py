@@ -5,7 +5,6 @@ Runtime budgets are asserted where stated; kernels are warmed by the
 session fixture so JIT compilation is not charged against them.
 """
 
-import itertools
 import math
 import random
 import time
@@ -19,9 +18,10 @@ from shiftgibbs import (apply_block_code, brute_partition, decoupling_1d_check,
                         lemma_212_check, lemma_212_tables, pressure_limit,
                         tangent_derivative_check, weak_gibbs_scan, Word)
 from shiftgibbs.bundled import BINARY, ten_detector_code
-from shiftgibbs.measures import cylinder_log_probs, cylinder_prob
+from shiftgibbs.measures import cylinder_prob
 from shiftgibbs.pressure import word_energies
 
+from test_kernels import forward_logprob, state_path_sum
 from test_pressure import densify
 from test_shifts import check_splice_case, random_point
 
@@ -205,27 +205,20 @@ def test_criterion_9_measure_invariants(full, gm, ev, pot_zero, pot_site,
         # normalization over all center words up to m = 6
         for m in (3, 6):
             words = pres.word_matrix(2 * m + 1)
-            total = float(np.exp(cylinder_log_probs(mu, words)).sum())
+            total = float(np.exp(forward_logprob(mu, words)).sum())
             ok &= abs(total - 1.0) <= 1e-10
     # brute-force state-path oracle at small m
     for pres in (gm, ev):
         mu = equilibrium_measure(pres, pot_pair)
-        n_states, q = mu.transfer.n_states, densify(mu.transfer.succ, mu.q)
         for m in (1, 4):
             for w in enumerate_words(pres, m)[:6]:
-                brute = 0.0
-                for path in itertools.product(range(n_states), repeat=len(w) + 1):
-                    weight = mu.stationary[path[0]]
-                    for i, a in enumerate(w.letters):
-                        weight *= q[a][path[i], path[i + 1]]
-                    brute += weight
-                ok &= abs(cylinder_prob(mu, w) - brute) <= 1e-10
+                ok &= abs(cylinder_prob(mu, w) - state_path_sum(mu, w.letters)) <= 1e-10
         # strong-Gibbs boundedness: deviation sup at m=10 vs m=3
         sups = {}
         for m in (3, 10):
             words = pres.word_matrix(2 * m + 1)
             u = word_energies(pot_pair, words)
-            lp = cylinder_log_probs(mu, words)
+            lp = forward_logprob(mu, words)
             sups[m] = float(np.abs(lp - u + (2 * m + 1) * mu.log_lambda).max())
         ok &= sups[10] <= sups[3] + 1e-9
         details.append(f"sup@3={sups[3]:.4f} sup@10={sups[10]:.4f}")

@@ -292,15 +292,17 @@ class TestCli:
                       "--k", "1", "--rule", "010=1,100=1,101=1",
                       "--default", "0", "--dump")
         assert out.returncode == 0
-        lines = out.stdout.strip().split("\n")
-        assert lines[0] == "gap_bound\t4"
-        assert lines[1].startswith("image_gap\t")
-        assert int(lines[1].split("\t")[1]) <= 4
-        dumped = "\n".join(lines[2:]) + "\n"
+        # the gap lines are comments, so the whole stdout loads
+        lines = out.stdout.split("\n")
+        assert lines[0] == "# gap_bound\t4"
+        name, image_gap = lines[1].split("\t")
+        assert name == "# image_gap" and int(image_gap) <= 4
         path = tmp_path / "image.shift"
-        path.write_text(dumped, encoding="utf-8")
+        path.write_text(out.stdout, encoding="utf-8")
         reparsed = load_presentation(path)
-        assert dump_presentation(reparsed) == dumped
+        assert dump_presentation(reparsed) == "\n".join(lines[2:])
+        gap = run_cli("gap", "--shift", str(path))
+        assert (gap.returncode, gap.stdout) == (0, f"q\t{image_gap}\n")
 
     def test_factor_image_guard(self):
         # full2 at k = 7: 2^14 image vertices, (2^14)^2 > 2^27 matrix entries

@@ -3,13 +3,17 @@ import math
 import random
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from shiftgibbs import _kernels, equilibrium_measure
-from shiftgibbs._kernels import batch_energy, batch_forward_logprob
-from shiftgibbs.bundled import equal_pair, even_shift, single_site, zero
+from shiftgibbs._kernels import batch_energy
+from shiftgibbs.bundled import (equal_pair, even_shift, golden_mean,
+                                single_site, zero)
+from shiftgibbs.exceptions import EmptyCylinderWarning
+from shiftgibbs.measures import cylinder_prob
 from shiftgibbs.potentials import Potential, ShapeTable, add_potentials, energy
 from shiftgibbs.pressure import brute_partition
 from shiftgibbs.shifts import Alphabet, Word
@@ -36,46 +40,43 @@ ENERGY_POTENTIALS = {
 }
 
 
-def _batch_forward_logprob_py(words, trans, start):
-    n_words, length = words.shape
-    n_states = start.shape[0]
-    out = np.empty(n_words)
-    v = np.empty(n_states)
-    w = np.empty(n_states)
-    for b in range(n_words):
-        acc = 0.0
-        for s in range(n_states):
-            v[s] = start[s]
-        dead = False
-        for i in range(length):
-            a = words[b, i]
-            tot = 0.0
-            for t in range(n_states):
-                x = 0.0
-                for s in range(n_states):
-                    x += v[s] * trans[a, s, t]
-                w[t] = x
-                tot += x
-            if tot <= 0.0:
-                dead = True
-                break
-            for t in range(n_states):
-                v[t] = w[t] / tot
-            acc += np.log(tot)
-        out[b] = -np.inf if dead else acc
+def forward_logprob(measure, words):
+    """log cylinder probability of each row of ``words``, the tests'
+    per-word reference: a dense batched forward product from the
+    stationary law through ``densify(succ, q)``, one S x S matrix per
+    letter, the rows rescaled to sum 1 after each letter; -inf for a word
+    that no state path presents."""
+    dense = densify(measure.transfer.succ, measure.q)
+    v = np.tile(measure.stationary, (words.shape[0], 1))
+    out = np.zeros(words.shape[0])
+    with np.errstate(divide="ignore"):  # log 0 = -inf on dead words
+        for column in np.asarray(words).T:
+            for a, q_a in enumerate(dense):
+                rows = column == a
+                v[rows] = v[rows] @ q_a
+            total = v.sum(axis=1)
+            out += np.log(total)
+            v /= np.where(total > 0.0, total, 1.0)[:, None]
     return out
 
 
-@pytest.fixture(scope="module")
-def workload():
-    rng = np.random.default_rng(42)
-    words = rng.integers(0, 2, size=(400, 11)).astype(np.uint8)
-    mu = equilibrium_measure(even_shift(), equal_pair())
-    return words, mu.transfer.succ, mu.q, mu.stationary
+def state_path_sum(measure, letters):
+    """The cylinder probability of a word as the plain sum over every state
+    path of the stationary chain."""
+    n_states = measure.transfer.n_states
+    q = densify(measure.transfer.succ, measure.q)
+    total = 0.0
+    for path in itertools.product(range(n_states), repeat=len(letters) + 1):
+        weight = measure.stationary[path[0]]
+        for i, a in enumerate(letters):
+            weight *= q[a][path[i], path[i + 1]]
+        total += weight
+    return total
 
 
 class TestBackendAgreement:
-    """The numpy kernels against their per-word and loop oracles."""
+    """The energy kernel against its per-word oracle, and the dead words of
+    the forward reference."""
 
     @pytest.mark.parametrize("make", ENERGY_POTENTIALS.values(),
                              ids=ENERGY_POTENTIALS.keys())
@@ -98,23 +99,12 @@ class TestBackendAgreement:
         # shared by every caller, so no caller may write them
         assert not any(t.flags.writeable for t in pot.step_tables)
 
-    def test_forward_logprob(self, workload):
-        words, succ, prob, start = workload
-        kernel = batch_forward_logprob(words, succ, prob, start)
-        reference = _batch_forward_logprob_py(words, densify(succ, prob), start)
-        dead = np.isinf(kernel)
-        assert dead.any() and not dead.all()
-        assert (dead == np.isinf(reference)).all()
-        assert np.abs(kernel[~dead] - reference[~dead]).max() <= 1e-12
-
-    def test_dead_words_flagged(self, workload):
+    def test_dead_words_flagged(self):
         # 101 is no word of the even shift: the 0 between the 1s is an odd run
         words = np.array([[1, 0, 1], [0, 0, 0]], dtype=np.uint8)
-        _w, succ, prob, start = workload
-        for lp in (batch_forward_logprob(words, succ, prob, start),
-                   _batch_forward_logprob_py(words, densify(succ, prob), start)):
-            assert np.isinf(lp[0]) and lp[0] < 0
-            assert np.isfinite(lp[1])
+        lp = forward_logprob(equilibrium_measure(even_shift(), equal_pair()), words)
+        assert np.isinf(lp[0]) and lp[0] < 0
+        assert np.isfinite(lp[1])
 
     def test_no_shapes(self, ev):
         # the zero potential has no shapes; it takes the kernel like any other
@@ -123,35 +113,62 @@ class TestBackendAgreement:
         assert brute_partition(ev, zero(), 4).log_z == math.log(ev.word_count(9))
 
 
+class TestForwardReference:
+    """The tests' dense per-word reference against ``cylinder_prob``, the
+    one cylinder route, and against the state-path sum."""
+
+    @staticmethod
+    def cylinder_log_prob(measure, letters):
+        word = Word(measure.presentation.alphabet, 0, tuple(map(int, letters)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EmptyCylinderWarning)
+            p = cylinder_prob(measure, word)
+        return math.log(p) if p > 0.0 else -math.inf
+
+    def test_matches_cylinder_prob(self):
+        # random words over the alphabet, so that some of them are dead
+        rng = np.random.default_rng(42)
+        cases = [(equilibrium_measure(shift(), pot()), 11)
+                 for shift, pot in BUNDLED_SYSTEMS]
+        cases.append((equilibrium_measure(*range_three_sft(1)), 6))
+        dead_seen = []
+        for measure, length in cases:
+            K = len(measure.presentation.alphabet)
+            words = rng.integers(0, K, size=(200, length)).astype(np.uint8)
+            got = forward_logprob(measure, words)
+            want = np.array([self.cylinder_log_prob(measure, w) for w in words])
+            dead = np.isinf(want)
+            assert (np.isinf(got) == dead).all() and (got[dead] < 0).all()
+            assert np.abs(got[~dead] - want[~dead]).max(initial=0.0) <= 1e-12
+            dead_seen.append(dead.any() and not dead.all())
+        assert any(dead_seen)
+
+    def test_matches_state_path_sum(self):
+        words = np.array(list(itertools.product((0, 1), repeat=5)), dtype=np.uint8)
+        for shift in (golden_mean, even_shift):
+            measure = equilibrium_measure(shift(), equal_pair())
+            for w, lp in zip(words, forward_logprob(measure, words)):
+                brute = state_path_sum(measure, w)
+                if brute == 0.0:
+                    assert lp == -math.inf
+                else:
+                    assert lp == pytest.approx(math.log(brute), rel=0, abs=1e-12)
+
+
 def test_forward_leaves_numpy_ma_unimported():
-    # a plain np.unique imports numpy.ma on first use (numpy 2.4)
-    script = ("import sys\n"
-              "from shiftgibbs import equilibrium_measure\n"
-              "from shiftgibbs.bundled import equal_pair, even_shift\n"
-              "from shiftgibbs.measures import cylinder_log_probs\n"
-              "ev = even_shift()\n"
-              "measure = equilibrium_measure(ev, equal_pair())\n"
-              "assert 'numpy.ma' not in sys.modules\n"
-              "logp = cylinder_log_probs(measure, ev.word_matrix(7))\n"
-              "assert logp.shape == (ev.word_count(7),)\n"
-              "assert 'numpy.ma' not in sys.modules\n")
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                         text=True)
-    assert out.returncode == 0, out.stderr
-
-
-def test_lemma_ladder_commands_leave_numpy_ma_unimported():
-    # the commands of the benchmark's lemma-ladder workload, in one process
+    # a plain np.unique imports numpy.ma on first use (numpy 2.4); the
+    # commands of the benchmark's two workloads, in one process, must not
     script = ("import contextlib, io, sys\n"
               "from shiftgibbs import cli\n"
               "from shiftgibbs.bundled import data_path\n"
               "files = ['--shift', str(data_path('even.shift')),\n"
               "         '--potential', str(data_path('pair_beta.pot'))]\n"
-              "for argv in (['lemma', '--which', '212', '--n', '6', '--m', '1'],\n"
-              "             ['lemma', '--which', '1d', '--n', '6', '--m', '1',\n"
-              "              '--q-bar', '1'],\n"
+              "for argv in (['weakgibbs', '--m', '1..4'],\n"
               "             ['pressure', '--n-max', '8'],\n"
-              "             ['tangent', '--word', '010', '--n', '4']):\n"
+              "             ['tangent', '--word', '010', '--n', '4'],\n"
+              "             ['lemma', '--which', '212', '--n', '6', '--m', '1'],\n"
+              "             ['lemma', '--which', '1d', '--n', '6', '--m', '1',\n"
+              "              '--q-bar', '1']):\n"
               "    with contextlib.redirect_stdout(io.StringIO()):\n"
               "        assert cli.main([argv[0], *files, *argv[1:]]) == 0, argv\n"
               "    assert 'numpy.ma' not in sys.modules, argv\n")

@@ -1,4 +1,3 @@
-import itertools
 import math
 import tracemalloc
 import warnings
@@ -10,9 +9,10 @@ from shiftgibbs import (EmptyCylinderWarning, Word, cylinder_prob,
                         equilibrium_measure, enumerate_words)
 from shiftgibbs.bundled import BINARY, SITE_FIELD, data_path
 from shiftgibbs.fileio import load_potential, load_shift
-from shiftgibbs.measures import cylinder_log_probs, strong_gibbs_constant
+from shiftgibbs.measures import strong_gibbs_constant
 from shiftgibbs.potentials import Potential, ShapeTable
 from shiftgibbs.pressure import word_energies
+from test_kernels import forward_logprob, state_path_sum
 from test_pressure import _bundled_pairs, densify
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -143,23 +143,16 @@ class TestCylinderProb:
                 mu = equilibrium_measure(pres, pot)
                 for m in (2, 4, 6):
                     words = pres.word_matrix(2 * m + 1)
-                    total = float(np.exp(cylinder_log_probs(mu, words)).sum())
+                    total = float(np.exp(forward_logprob(mu, words)).sum())
                     assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_state_path_enumeration_oracle(self, gm, ev, pot_pair):
         # exact stationary-chain marginal by summing over all state paths
         for pres in (gm, ev):
             mu = equilibrium_measure(pres, pot_pair)
-            n_states, q = mu.transfer.n_states, q_by_symbol(mu)
             for m in (1, 2, 4):
                 for w in enumerate_words(pres, m)[:8]:
-                    brute = 0.0
-                    for path in itertools.product(range(n_states),
-                                                  repeat=len(w) + 1):
-                        weight = mu.stationary[path[0]]
-                        for i, a in enumerate(w.letters):
-                            weight *= q[a][path[i], path[i + 1]]
-                        brute += weight
+                    brute = state_path_sum(mu, w.letters)
                     assert cylinder_prob(mu, w) == pytest.approx(brute, abs=1e-10)
 
     def test_wide_cover_stays_small(self, full):
@@ -183,7 +176,7 @@ class TestStrongGibbs:
         pres = mu.presentation
         words = pres.word_matrix(2 * m + 1)
         u = word_energies(pot, words)
-        lp = cylinder_log_probs(mu, words)
+        lp = forward_logprob(mu, words)
         return float(np.abs(lp - u + (2 * m + 1) * mu.log_lambda).max())
 
     def test_bounded_in_m(self, gm, ev, pot_pair):

@@ -1,18 +1,20 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from shiftgibbs import (ValidationError, add_potentials, brute_partition,
-                        build_transfer, finite_pressure, perron,
-                        pressure_limit)
+from shiftgibbs import (SoficPresentation, ValidationError, add_potentials,
+                        brute_partition, build_transfer, finite_pressure,
+                        perron, pressure_limit)
 from shiftgibbs.bundled import BINARY, SITE_FIELD, data_path
 from shiftgibbs.fileio import load_potential, load_shift
-from shiftgibbs.potentials import Potential, ShapeTable, zero_potential
+from shiftgibbs.potentials import Potential, ShapeTable
 from shiftgibbs.pressure import (_dp_log_partition, _partition_graph,
-                                 log_sum_exp, perron_residual, word_energies)
+                                 log_sum_exp, word_energies)
+from shiftgibbs.shifts import Alphabet, strongly_connected, support_period
 from test_potentials import step_energy
 from test_verify import range_three_sft
 
@@ -31,6 +33,43 @@ def densify(succ, weight):
 
 def transfer_matrix(transfer):
     return densify(transfer.succ, transfer.weight).sum(axis=0)
+
+
+def perron_residual(transfer, lam, h, nu):
+    """Relative sup-norm residual of the Perron data on the dense transfer
+    matrix, the larger of the right and the left one."""
+    m = transfer_matrix(transfer)
+    return max(np.abs(m @ h - lam * h).max() / np.abs(h).max(),
+               np.abs(nu @ m - lam * nu).max() / np.abs(nu).max())
+
+
+def cover_support(transfer):
+    """The boolean S x S support of the cover (the dead sink dropped)."""
+    S = transfer.n_states
+    support = np.zeros((S, S + 1), dtype=bool)
+    support[np.arange(S), transfer.succ] = True
+    return support[:, :S]
+
+
+def random_right_resolving(rng):
+    """A seeded essential right-resolving presentation on 1-5 vertices and
+    1-3 letters.  Vertices get levels mod a period p in {1, 2, 3} and edges
+    only run from level l to level l + 1, so p divides the period; sparse
+    draws leave some of them reducible."""
+    while True:
+        n, K, p = rng.randint(1, 5), rng.randint(1, 3), rng.randint(1, 3)
+        level = [rng.randrange(p) for _ in range(n)]
+        edges = []
+        for v in range(n):
+            targets = [w for w in range(n) if level[w] == (level[v] + 1) % p]
+            for a in range(K):
+                if targets and rng.random() < 0.6:
+                    edges.append((f"v{v}", f"v{rng.choice(targets)}", str(a)))
+        try:
+            return SoficPresentation(Alphabet(tuple(map(str, range(K)))),
+                                     [f"v{v}" for v in range(n)], edges)
+        except ValidationError:  # not essential: draw again
+            continue
 
 
 class TestBrutePartition:
@@ -111,7 +150,6 @@ class TestBuildTransfer:
             build_transfer(full, site)
 
     def test_non_right_resolving_rejected(self, pot_zero):
-        from shiftgibbs import SoficPresentation
         pres = SoficPresentation(
             BINARY, ("a", "b"),
             (("a", "a", "0"), ("a", "b", "0"), ("b", "a", "1"), ("b", "a", "0")))
@@ -144,18 +182,58 @@ class TestPerron:
         with pytest.raises(ValidationError, match="periodic transfer system"):
             perron(t)
 
+    @staticmethod
+    def check_cover_predicates(pres):
+        """For contexts of 1-3 letters (ranges 0-3), the cover's own graph
+        predicates equal the presentation's flags, and ``perron`` refuses
+        exactly by them."""
+        for span in range(4):
+            t = build_transfer(pres, Potential(pres.alphabet, span, ()))
+            support = cover_support(t)
+            irreducible = strongly_connected(support)
+            assert irreducible == pres.irreducible
+            if irreducible:
+                assert support_period(support) == pres.period
+            if irreducible and pres.period == 1:
+                lam, h, nu = perron(t)
+                assert perron_residual(t, lam, h, nu) <= 1e-11
+            else:
+                refusal = "periodic" if irreducible else "reducible"
+                with pytest.raises(ValidationError,
+                                   match=f"^{refusal} transfer system"):
+                    perron(t)
+
     @pytest.mark.parametrize("name", ["full2.shift", "golden_mean.shift",
                                       "golden_mean.sft", "even.shift",
                                       "reducible.shift", "periodic.shift"])
     def test_cover_predicates_match_presentation(self, name):
-        pres = load_shift(data_path(name))
-        t = build_transfer(pres, zero_potential(pres.alphabet))
-        if pres.irreducible and pres.aperiodic:
+        self.check_cover_predicates(load_shift(data_path(name)))
+
+    def test_cover_predicates_on_random_presentations(self):
+        rng = random.Random(21)
+        kinds = set()
+        for _ in range(60):
+            pres = random_right_resolving(rng)
+            assert pres.right_resolving
+            self.check_cover_predicates(pres)
+            kinds.add("reducible" if not pres.irreducible
+                      else "periodic" if pres.period > 1 else "primitive")
+        assert kinds == {"reducible", "periodic", "primitive"}
+
+    def test_wide_cover_stays_small(self, full):
+        # shapes (0, 13) and (0, 1) on full2: 8,192 cover states, so no
+        # S x S array may be built (a boolean one is 64 MiB)
+        pot = Potential(BINARY, 13, (ShapeTable((0, 13), {(1, 1): 0.25}),
+                                     ShapeTable((0, 1), {(0, 1): -0.5})))
+        t = build_transfer(full, pot)
+        assert t.n_states == 8192
+        tracemalloc.start()
+        try:
             perron(t)
-        else:
-            refusal = "reducible" if not pres.irreducible else "periodic"
-            with pytest.raises(ValidationError, match=f"^{refusal} transfer system"):
-                perron(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
 
 class TestPressureLimit:
@@ -204,7 +282,12 @@ class TestPressureLimit:
             assert abs(p_n - est.log_lambda) <= env
 
     def test_residual_reported(self, ev, pot_pair):
-        assert pressure_limit(ev, pot_pair).residual <= 1e-11
+        # the limit is the log of the Perron root, whose data solve the
+        # eigenproblem to the residual bound
+        t = build_transfer(ev, pot_pair)
+        lam, h, nu = perron(t)
+        assert pressure_limit(ev, pot_pair).log_lambda == math.log(lam)
+        assert perron_residual(t, lam, h, nu) <= 1e-11
 
     def test_scaling_covariance(self, gm, ev, pot_pair):
         c = 0.37

@@ -18,8 +18,7 @@ from shiftgibbs import (ValidationError, VolumeGuardError, Word, _kernels,
 from shiftgibbs.bundled import (BINARY, data_path, equal_pair, even_shift,
                                 full_shift_2, golden_mean, single_site, zero)
 from shiftgibbs.fileio import load_potential, load_shift
-from shiftgibbs.measures import (cylinder_log_probs, cylinder_prob,
-                                 strong_gibbs_constant)
+from shiftgibbs.measures import cylinder_prob, strong_gibbs_constant
 from shiftgibbs.potentials import Potential, ShapeTable
 from shiftgibbs.pressure import (_dp_log_partition, finite_pressure,
                                  log_sum_exp, word_energies)
@@ -909,14 +908,15 @@ class TestWeakGibbsScan:
 
 def oracle_rows(measure, potential, m_list):
     """Scan rows (m, D_m) by the per-word route: every allowed word through
-    the batch energy and forward kernels."""
+    the batch energy kernel and the dense forward reference."""
+    from test_kernels import forward_logprob  # test_kernels imports this module
     presentation = measure.presentation
     rows = []
     for m in sorted(m_list):
         length = 2 * m + 1
         worst = 0.0
         for block in presentation.iter_word_blocks(length):
-            dev = np.abs(cylinder_log_probs(measure, block)
+            dev = np.abs(forward_logprob(measure, block)
                          - word_energies(potential, block)
                          + length * measure.log_lambda)
             worst = max(worst, float(dev.max()))
