@@ -9,6 +9,9 @@ The word classes of a length are (prefix code, map id) pairs into a table
 of that length's distinct state maps, and their deviation is summed in
 blocks of at most about ``BLOCK`` terms.  Cylinder probabilities are not
 computed here: ``measures.cylinder_prob`` is their one route.
+
+Every site in the package that numbers keys densely (word classes, lemma
+classes, cover states) goes through ``dense_ids``.
 """
 
 from __future__ import annotations
@@ -19,6 +22,50 @@ import numpy as np
 def backend_name() -> str:
     """Name of the kernel backend: always ``"numpy"``."""
     return "numpy"
+
+
+# ---------------------------------------------------------------------------
+# dense renumbering of keys
+# ---------------------------------------------------------------------------
+
+# integer keys whose bound is at most this many times their number are
+# renumbered through a presence table
+_PRESENCE_SPAN = 8
+
+
+def dense_ids(keys, bound=None):
+    """Dense ids of the 1-D array ``keys``, numbered in the sorted order of
+    the key values, and ``rep``: ``rep[i]`` is the index of some key with id
+    ``i``, so ``keys[rep]`` is the sorted distinct keys.  Which duplicate
+    ``rep`` names is unspecified.
+
+    Integer keys in ``[0, bound)`` with ``bound`` at most ``_PRESENCE_SPAN``
+    times their number are renumbered by a boolean presence table over the
+    key space and its running count, with no sort.  Any other keys (void
+    rows included) are argsorted with the default kind (a stable sort costs
+    more time and memory) and compared with their neighbours.  Neither
+    route calls ``np.unique``, which imports ``numpy.ma`` on first use
+    (numpy 2.4)."""
+    n_keys = keys.shape[0]
+    if bound is not None and bound <= _PRESENCE_SPAN * n_keys:
+        present = np.zeros(bound, dtype=bool)
+        present[keys] = True
+        rank = np.cumsum(present)
+        ids = rank[keys]
+        ids -= 1
+        rep = np.empty(int(rank[-1]) if bound else 0, dtype=np.intp)
+        rep[ids] = np.arange(n_keys)
+        return ids, rep
+    order = np.argsort(keys)
+    ordered = keys[order]
+    first = np.ones(n_keys, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    del ordered
+    rank = np.cumsum(first)
+    rank -= 1
+    ids = np.empty(n_keys, dtype=np.intp)
+    ids[order] = rank
+    return ids, order[first]
 
 
 # ---------------------------------------------------------------------------
@@ -74,9 +121,9 @@ def word_classes(delta, prefix_len, depth):
     letter alone, so the next table comes from the ``K x n_maps`` candidate
     rows ``delta[:, table]``: rows no state reads are dropped and the rest
     are kept once (sorted as bytes).  The next classes are the integer codes
-    ``prefix * n_maps + id`` of the children, kept once.  So no level holds
-    more classes than there are words of its length, and each distinct map
-    is S wide only once.
+    ``prefix * n_maps + id`` of the children, kept once.  Both are numbered
+    by ``dense_ids``.  So no level holds more classes than there are words
+    of its length, and each distinct map is S wide only once.
     """
     n_symbols, n_ext = delta.shape
     dead = n_ext - 1
@@ -90,21 +137,21 @@ def word_classes(delta, prefix_len, depth):
         n_maps = table.shape[0]
         # row a * n_maps + j: map j, then letter a
         cand = np.take(delta, table, axis=1).reshape(-1, dead)
-        alive = (cand != dead).any(axis=1)
-        table, inv = np.unique(cand[alive].view(row).ravel(), return_inverse=True)
-        table = table.view(delta.dtype).reshape(-1, dead)
+        alive = np.flatnonzero((cand != dead).any(axis=1))
+        inv, rep = dense_ids(cand[alive].view(row).ravel())
+        table = cand[alive[rep]]
         new_id = np.full(cand.shape[0], -1, dtype=np.int64)
-        new_id[alive] = inv.ravel()
+        new_id[alive] = inv
         child = new_id[ids + letters * n_maps]  # row a: letter a after each class
+        width = min(length, prefix_len)
         if length <= prefix_len:
             prefix = prefix * n_symbols + letters
         else:
             prefix = np.broadcast_to(prefix, child.shape)
         keep = child >= 0
-        codes = np.sort(prefix[keep] * table.shape[0] + child[keep])
-        first = np.ones(codes.shape, dtype=bool)
-        first[1:] = codes[1:] != codes[:-1]
-        prefix, ids = np.divmod(codes[first], table.shape[0])
+        codes = prefix[keep] * table.shape[0] + child[keep]
+        codes = codes[dense_ids(codes, n_symbols ** width * table.shape[0])[1]]
+        prefix, ids = np.divmod(codes, table.shape[0])
         yield prefix, ids, table
 
 
@@ -145,7 +192,8 @@ def class_deviation(delta, contexts, log_start, log_end, step_tables, lengths,
         if not hit.any():
             continue
         width = min(length, prefix_len)
-        codes, which = np.unique(prefix, return_inverse=True)
+        which, rep = dense_ids(prefix, n_symbols ** width)
+        codes = prefix[rep]
         # log g of every reached prefix, letter by letter
         ctx = np.broadcast_to(contexts, (codes.shape[0], contexts.shape[0]))
         cross = np.zeros(ctx.shape)

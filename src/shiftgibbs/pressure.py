@@ -111,7 +111,8 @@ def build_transfer(presentation: SoficPresentation,
     # states reachable by R-edge paths: R steps from every vertex, code 0
     keys = np.arange(presentation.n_vertices) * n_codes
     for _ in range(R):
-        keys = np.array(sorted(set(_context_edges(out, keys, n_codes)[3].tolist())))
+        keys = _context_edges(out, keys, n_codes)[3]
+        keys = keys[_kernels.dense_ids(keys, presentation.n_vertices * n_codes)[1]]
     S = len(keys)
     # nothing here builds an S x S array, but the cap bounds S for the
     # weak-Gibbs class pass, whose tables of distinct maps are S wide
@@ -265,8 +266,8 @@ def _partition_graph(presentation: SoficPresentation, n_codes: int
     if graph is not None:
         return graph
     det, start = presentation._det
-    # reachable keys, encoded as state * n_codes + code (a Python set: a
-    # plain np.unique would import numpy.ma on first use)
+    # reachable keys, encoded as state * n_codes + code: a search over a
+    # Python set of the keys visited, then sorted once
     seen = {start * n_codes}
     frontier = list(seen)
     while frontier:

@@ -347,18 +347,26 @@ class SoficPresentation:
 
     def _grow(self, words: np.ndarray, states: np.ndarray, steps: int
               ) -> tuple[np.ndarray, np.ndarray]:
+        """Extend each word (in automaton state ``states[i]``) by every
+        allowed letter, ``steps`` times.  Each word's children follow it
+        in increasing letter order, from its state's own allowed letters,
+        so lexicographic input stays lexicographic and no temporary has
+        more entries than the output has words."""
         det, _ = self._det
-        K = len(self.alphabet)
-        letters_tile = np.arange(K, dtype=np.uint8)
+        state_of, letter = np.nonzero(det >= 0)  # row-major: letters ascending
+        target = det[state_of, letter]
+        letter = letter.astype(np.uint8)
+        first = np.searchsorted(state_of, np.arange(det.shape[0] + 1))
+        degree = np.diff(first)
         for _ in range(steps):
-            n = words.shape[0]
-            rep = np.repeat(np.arange(n), K)
-            letters = np.tile(letters_tile, n)
-            nxt = det[states[rep], letters]
-            ok = nxt >= 0
+            fan = degree[states]
+            # the (state, letter) pair of each child: its parent's block of
+            # pairs, offset by the child's place among its siblings
+            pair = np.repeat(first[states] + fan - np.cumsum(fan), fan)
+            pair += np.arange(pair.shape[0])
             words = np.concatenate(
-                [words[rep[ok]], letters[ok][:, None]], axis=1)
-            states = nxt[ok]
+                [np.repeat(words, fan, axis=0), letter[pair][:, None]], axis=1)
+            states = target[pair]
         return words, states
 
     def check_volume(self, length: int, cap: int | None = None

@@ -8,13 +8,13 @@ another are exact integers: each word's term exp(E - max E) is a dyadic
 rational, and its multiple by 2**_SHIFT is split into 32-bit limbs in int64
 arrays (``_exact_terms``).  The lemma suites group words by integer class
 ids of their column windows (``_class_ids``, rows folded into int64 codes
-and renumbered through a presence table, with no sort) and sum the limbs
-per class (``_limb_sums``); only the per-class totals become Python
-integers, so subset and partition relations hold exactly rather than up
-to rounding.  Each suite is split in two: a tables builder
-(``lemma_212_tables``, ``decoupling_1d_tables``) does everything that does
-not read the center word once per volume, and the per-center check
-(``lemma_212_check``, ``decoupling_1d_check``) adds the rows that do.
+and renumbered by ``_kernels.dense_ids``) and sum the limbs per class
+(``_limb_sums``); only the per-class totals become Python integers, so
+subset and partition relations hold exactly rather than up to rounding.
+Each suite is split in two: a tables builder (``lemma_212_tables``,
+``decoupling_1d_tables``) does everything that does not read the center
+word once per volume, and the per-center check (``lemma_212_check``,
+``decoupling_1d_check``) adds the rows that do.
 """
 
 from __future__ import annotations
@@ -308,9 +308,9 @@ def _class_ids(windows: np.ndarray) -> tuple[np.ndarray, int]:
     classes.  The columns fold into int64 codes base b = largest letter + 1,
     a chunk at a time: each code is the dense id of the row's columns so
     far followed by as many more columns as keep the code space within
-    rows * b.  A boolean presence table over the code space and its
-    running count renumber the codes densely after each fold, with no
-    sort.  Rows of width 0 form one class."""
+    rows * b.  ``_kernels.dense_ids`` renumbers the codes densely after
+    each fold, bounded by that code space.  Rows of width 0 form one
+    class."""
     rows, width = windows.shape
     base = int(windows.max(initial=0)) + 1
     ids = np.zeros(rows, dtype=np.intp)
@@ -322,10 +322,8 @@ def _class_ids(windows: np.ndarray) -> tuple[np.ndarray, int]:
         codes = ids
         for letters in windows[:, col:col + step].T:
             codes = codes * base + letters
-        present = np.zeros(n_ids * base ** step, dtype=bool)
-        present[codes] = True
-        rank = np.cumsum(present)
-        ids, n_ids, col = rank[codes] - 1, int(rank[-1]), col + step
+        ids, rep = _kernels.dense_ids(codes, n_ids * base ** step)
+        n_ids, col = rep.shape[0], col + step
     return ids, n_ids
 
 
@@ -511,9 +509,10 @@ def lemma_212_tables(presentation: SoficPresentation, potential: Potential,
         math.log(2 * q + 1) + log_terms(z_n),
         z_bar_total <= (2 * q + 1) * z_n)
 
+    reps = _kernels.dense_ids(center_ids[q], n_centers)[1]
     return Lemma212Tables(
         presentation, potential, n, m, j, q, bp, scale, z_n,
-        center_ids, np.unique(center_ids[q], return_index=True), ext_ids,
+        center_ids, (center_ids[q, reps], reps), ext_ids,
         n_ext, z_ell, z_bar, tuple(records),
         {"log_C": sandwich_log_constant(potential, m, q),
          "log_K": ratio_log_constant(potential, m, q, len(presentation.alphabet)),
@@ -583,13 +582,14 @@ def decoupling_1d_tables(presentation: SoficPresentation, potential: Potential,
     # (w-, w+) pairs over all (ell-, ell+) are renumbered densely before
     # they are packed with v, so no packed key overflows.
     center_ids, n_centers = _class_ids(words[:, center])
-    minus_ids, _ = _shifted_class_ids(words, lam_minus, shifts)
+    minus_ids, n_minus = _shifted_class_ids(words, lam_minus, shifts)
     plus_ids, n_plus = _shifted_class_ids(words, lam_plus, shifts)
-    tails = np.unique((minus_ids[:, None] * n_plus + plus_ids[None]).ravel(),
-                      return_inverse=True)[1]
-    n_tails = int(tails.max()) + 1
-    class_keys, class_ids = np.unique(
-        np.tile(center_ids, n_pairs) * n_tails + tails, return_inverse=True)
+    tails, tail_reps = _kernels.dense_ids(
+        (minus_ids[:, None] * n_plus + plus_ids[None]).ravel(), n_minus * n_plus)
+    n_tails = tail_reps.shape[0]
+    class_keys = np.tile(center_ids, n_pairs) * n_tails + tails
+    class_ids, class_reps = _kernels.dense_ids(class_keys, n_centers * n_tails)
+    class_keys = class_keys[class_reps]
     pair_class, pair_word = _distinct_per_word(class_ids.reshape(n_pairs, n_words))
     sizes = np.bincount(pair_class)
 
@@ -636,9 +636,10 @@ def decoupling_1d_tables(presentation: SoficPresentation, potential: Potential,
     np.minimum.at(g_min, pair_class, g[pair_word])
     np.maximum.at(g_max, pair_class, g[pair_word])
 
+    reps = _kernels.dense_ids(center_ids, n_centers)[1]
     return Decoupling1dTables(
         presentation, potential, n, m, j, q_bar, lam_minus, lam_plus, bp,
-        scale, z_n, np.unique(center_ids, return_index=True), class_keys,
+        scale, z_n, (center_ids[reps], reps), class_keys,
         n_tails, g_min, g_max, z_v, z_bar, tuple(records),
         {"log_C_prime": sandwich_1d_log_constant(potential, m, q_bar),
          "log_K_bar": ratio_1d_log_constant(potential, m, q_bar,

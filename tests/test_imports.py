@@ -18,6 +18,10 @@ attribute, or named by a string constant (the tracer binds methods by
 name).  Re-exports in ``__init__.py`` do not count, ``bundled.py`` (the
 example systems) is exempt, and the few names kept for the tests alone
 are listed in ``KEPT`` with their reason.
+
+No module under ``src/shiftgibbs/`` calls ``np.unique`` or
+``sorted(set(...))``: keys are numbered densely by ``_kernels.dense_ids``
+alone.
 """
 
 import ast
@@ -218,3 +222,40 @@ def test_scan_finds_unreached_public_code():
     readers = dict(sources, harness="run()\nSPANS = ('a.grow', 'shrink it')\n")
     assert unreached_public(sources, readers, {"oracle": "test-only"}) == [
         "a.py:3: spare", "a.py:15: Box.shrink"]
+
+
+def renumbering_calls(source: str) -> list[str]:
+    """``line N: text`` for each ``np.unique`` / ``numpy.unique`` call and
+    each ``sorted(set(...))`` in ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        unique = (isinstance(func, ast.Attribute) and func.attr == "unique"
+                  and isinstance(func.value, ast.Name)
+                  and func.value.id in ("np", "numpy"))
+        sorted_set = (isinstance(func, ast.Name) and func.id == "sorted"
+                      and node.args and isinstance(node.args[0], ast.Call)
+                      and isinstance(node.args[0].func, ast.Name)
+                      and node.args[0].func.id == "set")
+        if unique or sorted_set:
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_second_renumbering(path):
+    assert renumbering_calls(path.read_text(encoding="utf-8")) == []
+
+
+def test_scan_finds_second_renumbering():
+    source = ("import numpy as np\nimport numpy\n"
+              "a = np.unique([2, 1])\n"
+              "b = numpy.unique(a, return_index=True)\n"
+              "c = sorted(set(a.tolist()))\n"
+              "d = sorted(a)\ne = set(a)\nf = a.unique\n")
+    assert renumbering_calls(source) == [
+        "line 3: np.unique([2, 1])",
+        "line 4: numpy.unique(a, return_index=True)",
+        "line 5: sorted(set(a.tolist()))"]

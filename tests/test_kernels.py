@@ -177,6 +177,73 @@ def test_forward_leaves_numpy_ma_unimported():
     assert out.returncode == 0, out.stderr
 
 
+def unique_ids(keys):
+    """The reference numbering: ``np.unique`` with its inverse."""
+    values, ids = np.unique(keys, return_inverse=True)
+    return ids.ravel(), values
+
+
+def void_rows(maps):
+    """The rows of a 2-D array as one ``np.void`` key each."""
+    return maps.view(np.dtype((np.void, maps.shape[1] * maps.itemsize))).ravel()
+
+
+class TestDenseIds:
+    """Both routes of ``dense_ids`` against ``np.unique``."""
+
+    @staticmethod
+    def check(keys, bound=None):
+        ids, rep = _kernels.dense_ids(keys, bound)
+        want_ids, want_values = unique_ids(keys)
+        assert np.array_equal(ids, want_ids)
+        assert np.array_equal(keys[rep], want_values)
+        return ids, rep
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_int_keys_at_the_presence_threshold(self, extra, monkeypatch):
+        # bound = 8 * len(keys) takes the presence table, one more the
+        # argsort; repeated keys and unused values below the bound
+        rng = np.random.default_rng(extra)
+        keys = rng.integers(0, 300, size=50, dtype=np.int64)
+        bound = _kernels._PRESENCE_SPAN * keys.shape[0] + extra
+        sorts = []
+        argsort = np.argsort
+
+        def counted(*args, **kwargs):
+            sorts.append(args)
+            return argsort(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "argsort", counted)
+            _kernels.dense_ids(keys, bound)
+        assert len(sorts) == extra
+        self.check(keys, bound)
+        self.check(keys)
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32])
+    def test_void_rows(self, dtype):
+        rng = np.random.default_rng(3)
+        # small and negative entries: byte order is not numeric order
+        maps = rng.integers(-300, 300, size=(200, 4)).astype(dtype)
+        maps = np.concatenate([maps, maps[::4], maps[:1]])
+        self.check(void_rows(maps))
+
+    @pytest.mark.parametrize("n_keys", [0, 1])
+    def test_no_key_and_one_key(self, n_keys):
+        for bound in (None, 1, 5):
+            ids, rep = self.check(np.zeros(n_keys, dtype=np.int64), bound)
+            assert ids.shape == (n_keys,) and rep.shape == (n_keys,)
+        ids, rep = self.check(void_rows(np.zeros((n_keys, 3), dtype=np.int16)))
+        assert rep.shape == (n_keys,)
+
+    def test_every_rep_shows_its_id(self):
+        keys = np.repeat(np.arange(20, dtype=np.int64) * 3, 7)
+        np.random.default_rng(4).shuffle(keys)
+        for bound in (None, 60):
+            ids, rep = _kernels.dense_ids(keys, bound)
+            assert np.array_equal(ids[rep], np.arange(20))
+
+
 def oracle_word_classes(delta, prefix_len, depth):
     """The class pass with one S-wide map row per class: yields
     ``(prefix, maps)`` for each length 0..depth.  Each level maps every
@@ -300,10 +367,14 @@ class TestWordClasses:
             want = {(int(p), m.tobytes()) for p, m in zip(want_prefix, want_maps)}
             assert got == want
             assert prefix.shape == ids.shape == (len(want),)  # each class once
-            # the table holds each map of the level's classes exactly once
-            assert len({row.tobytes() for row in table}) == table.shape[0]
+            # the table holds each map of the level's classes exactly once,
+            # sorted as bytes, and the classes ascend by (prefix, id)
+            map_ids, maps = unique_ids(void_rows(want_maps))
+            assert np.array_equal(table, maps.view(delta.dtype).reshape(table.shape))
             assert table.dtype == delta.dtype
-            assert (np.unique(ids) == np.arange(table.shape[0])).all()
+            codes = np.unique(want_prefix * table.shape[0] + map_ids)
+            assert np.array_equal(prefix, codes // table.shape[0])
+            assert np.array_equal(ids, codes % table.shape[0])
 
     def test_bundled_levels(self):
         for measure, depth in _bundled_inputs():

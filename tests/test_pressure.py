@@ -184,11 +184,18 @@ class TestPerron:
 
     @staticmethod
     def check_cover_predicates(pres):
-        """For contexts of 1-3 letters (ranges 0-3), the cover's own graph
+        """For contexts of 1-3 letters (ranges 0-3), the cover's states are
+        the (vertex, context) pairs that R-edge paths reach, its own graph
         predicates equal the presentation's flags, and ``perron`` refuses
         exactly by them."""
         for span in range(4):
             t = build_transfer(pres, Potential(pres.alphabet, span, ()))
+            R, K = t.context_len, len(pres.alphabet)
+            keys = {v * K ** R for v in range(pres.n_vertices)}
+            for _ in range(R):
+                keys = {d * K ** R + (key * K + a) % K ** R for key in keys
+                        for (s, d, a) in pres.edges if s == key // K ** R}
+            assert np.array_equal(t.keys, sorted(keys))
             support = cover_support(t)
             irreducible = strongly_connected(support)
             assert irreducible == pres.irreducible

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,16 @@ from shiftgibbs.shifts import (_forbidden_test, _forward_infinite,
 
 def texts(words):
     return [w.text() for w in words]
+
+
+def ring_shift(n_letters, steps):
+    """Letter i may be followed by letter i + d mod n_letters for each d in
+    ``steps``: one vertex per last letter, right-resolving."""
+    return SoficPresentation(
+        Alphabet(tuple(f"a{i}" for i in range(n_letters))),
+        [f"v{i}" for i in range(n_letters)],
+        [(f"v{i}", f"v{(i + d) % n_letters}", f"a{(i + d) % n_letters}")
+         for i in range(n_letters) for d in steps])
 
 
 class TestEnumeration:
@@ -56,6 +67,33 @@ class TestEnumeration:
         for pres in (ev, full):
             blocks = list(pres.iter_word_blocks(9))
             assert np.array_equal(np.concatenate(blocks), pres.word_matrix(9))
+
+    def test_word_matrix_is_lexicographic(self, gm, ev, full):
+        # the ring's edges list each vertex's letters out of order
+        for pres in (gm, ev, full, ring_shift(7, (1, 2, 3)), ring_shift(5, (4, 2))):
+            K = len(pres.alphabet)
+            for length in range(5):
+                want = [w for w in itertools.product(range(K), repeat=length)
+                        if pres.allows(w)]
+                assert np.array_equal(
+                    pres.word_matrix(length),
+                    np.array(want, dtype=np.uint8).reshape(len(want), length))
+
+    def test_word_matrix_memory_with_many_letters(self):
+        # 250 letters of out-degree 3: 1,640,250 words of length 9 (14 MiB).
+        # A (word, letter) candidate for every letter would make 137 million
+        # candidates at the last step, GiBs of int64 indices
+        pres = ring_shift(250, (1, 2, 3))
+        assert pres.word_count(9) == 250 * 3 ** 8  # the automaton, untraced
+        tracemalloc.start()
+        try:
+            words = pres.word_matrix(9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert words.shape == (250 * 3 ** 8, 9)
+        assert np.array_equal(words[:4, -2:], [[7, 8], [7, 9], [7, 10], [8, 9]])
+        assert peak < 96 * 2 ** 20
 
     def test_word_count_matches_enumeration(self, ev):
         for n in range(0, 5):

@@ -653,6 +653,54 @@ class TestLemmaOracles:
                             checked += 1
         assert checked > 0
 
+    @pytest.mark.parametrize("shift, pot", bundled_file_pairs()[::3])
+    def test_class_tables_match_unique(self, shift, pot):
+        # the class ids, keys and center representatives of both suites
+        # against np.unique over np.void views of the windows (one
+        # potential per shift: the classes do not read it)
+        pres, potential = load_pair(shift, pot)
+        gap = decoupling_gap(pres, "bounded-length").gap
+        checked = set()
+        for q_bar in (None, 1, 0):
+            q = gap if q_bar is None else q_bar
+            shifts = range(-q, q + 1)
+            for m in (0, 1):
+                n = m + 3 * q + 2
+                if pres.word_count(2 * n + 1) > ORACLE_WORDS:
+                    continue
+                for j in (-1, 0, 1):
+                    t = decoupling_1d_tables(pres, potential, n, m, j, q_bar=q_bar)
+                    words = t.partition.words
+
+                    def ids_at(lo, hi):
+                        ids, n_ids = void_class_ids(np.concatenate(
+                            [words[:, n + lo + ell:n + hi + ell + 1]
+                             for ell in shifts]))
+                        return ids.reshape(len(shifts), -1), n_ids
+
+                    center_ids = void_class_ids(words[:, n + j - m:n + j + m + 1])[0]
+                    minus_ids, _ = ids_at(*t.lam_minus)
+                    plus_ids, n_plus = ids_at(*t.lam_plus)
+                    tails, tail_ids = np.unique(
+                        (minus_ids[:, None] * n_plus + plus_ids[None]).ravel(),
+                        return_inverse=True)
+                    keys = np.unique(np.tile(center_ids, len(shifts) ** 2)
+                                     * len(tails) + tail_ids.ravel())
+                    assert t.n_tails == len(tails)
+                    assert np.array_equal(t.class_keys, keys)
+                    ids, reps = t.center_reps
+                    assert np.array_equal(ids, np.unique(center_ids))
+                    assert np.array_equal(center_ids[reps], ids)
+                    checked.add("1d")
+        for m in (0, 1):
+            for j in (-1, 0, 1):
+                t = lemma_212_tables(pres, potential, m + gap + 1, m, j)
+                ids, reps = t.center_reps
+                assert np.array_equal(ids, np.unique(t.center_ids[gap]))
+                assert np.array_equal(t.center_ids[gap][reps], ids)
+                checked.add("212")
+        assert checked == {"212", "1d"}
+
     def test_212_tie_takes_first_center(self, ev, pot_zero):
         # zero potential: every term is 2**_SHIFT, so the sums are counts.
         # Two (center, ell) cells tie on the smallest slack Zbar - Z with
@@ -861,6 +909,21 @@ def test_class_ids_edge_cases(rows, width):
         want_ids, want_n = void_class_ids(windows)
         assert n_ids == want_n
         assert np.array_equal(ids, want_ids)
+
+
+def test_class_ids_memory_with_many_letters():
+    # after the first fold nearly every row has its own id, so the next
+    # fold's code space is rows x 250 = 5e7 entries: a presence table and
+    # int64 running count over it take about 430 MiB
+    rng = np.random.default_rng(8)
+    windows = rng.integers(0, 250, (200_000, 5), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        _class_ids(windows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
 
 
 def test_class_ids_order_is_lexicographic():
