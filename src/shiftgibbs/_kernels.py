@@ -4,10 +4,12 @@ of the transfer cover.
 The energy kernel takes a batch of words encoded as ``uint8`` symbol
 indices, shape ``(n_words, length)``, and a finite-range potential as its
 per-position step tables, ``Potential.step_tables``.  The class pass takes
-the cover as its (letter, state) table of targets with a dead sink.
-The word classes of a length are (prefix code, map id) pairs into a table
-of that length's distinct state maps, and their deviation is summed in
-blocks of at most about ``BLOCK`` terms.  Cylinder probabilities are not
+the cover as its (letter, state) table of targets with a dead sink and
+keeps one table of distinct state maps per length.  Up to the context
+length R a class is a word; past it, a class is a (prefix, suffix map)
+pair, summed first over the prefix's image (at most one state per vertex)
+and re-summed S-wide only where it may attain the maximum.  Every sum runs
+in blocks of about ``BLOCK`` terms.  Cylinder probabilities are not
 computed here: ``measures.cylinder_prob`` is their one route.
 
 Every site in the package that numbers keys densely (word classes, lemma
@@ -99,40 +101,43 @@ def batch_energy(words, step_tables):
 # weak-Gibbs deviation over the reachable word classes
 # ---------------------------------------------------------------------------
 
-# terms per block of the deviation's log-sum-exp: a block holds
-# max(1, BLOCK // S) classes of S terms each
+# terms per block of the deviation's log-sum-exp: a block holds about BLOCK
+# terms, at least one row
 BLOCK = 1 << 16
 
 
 def word_classes(delta, prefix_len, depth):
-    """Yield the classes of the allowed words of each length 0..depth, one
-    level per length, shortest first.
+    """Yield one level per length 0..depth, shortest first: the table of
+    the distinct state maps of that length's allowed words, and, up to
+    ``prefix_len``, the words themselves.
 
     ``delta[a, s]`` is the cover state that state ``s`` reaches on letter
     ``a``; the last index is a dead sink (no such transition), which maps to
-    itself.  The class of a word ``u`` is its first ``prefix_len`` letters
-    (all of ``u`` while it is shorter) together with the map ``s -> t_s(u)``
-    over the cover states.  A level is a triple ``(prefix, ids, table)``:
-    ``table`` holds the level's distinct maps, one row of ``delta``'s dtype
-    each, and class ``i`` has the base-K code ``prefix[i]`` (first letter
-    most significant) and the map ``table[ids[i]]``.
+    itself.  The map of a word ``u`` is ``s -> t_s(u)`` over the cover
+    states.  A level is a triple ``(words, ids, table)``: ``table`` holds
+    the level's distinct maps, one row of ``delta``'s dtype each, sorted as
+    bytes.  While the length is at most ``prefix_len`` a class is a word:
+    ``words`` holds the base-K codes of the allowed words in ascending order
+    (first letter most significant) and word ``i`` has the map
+    ``table[ids[i]]``.  Past ``prefix_len`` the level is its table alone
+    (``words`` and ``ids`` are None), the maps of the suffixes that
+    ``class_deviation`` pairs with the words of length ``prefix_len``.
 
-    A class's next map is ``delta[a][map]``, a function of its map and the
+    A word's next map is ``delta[a][map]``, a function of its map and the
     letter alone, so the next table comes from the ``K x n_maps`` candidate
     rows ``delta[:, table]``: rows no state reads are dropped and the rest
-    are kept once (sorted as bytes).  The next classes are the integer codes
-    ``prefix * n_maps + id`` of the children, kept once.  Both are numbered
-    by ``dense_ids``.  So no level holds more classes than there are words
-    of its length, and each distinct map is S wide only once.
+    are kept once, numbered by ``dense_ids``.  So no table holds more maps
+    than there are words of its length, and each distinct map is S wide
+    only once.
     """
     n_symbols, n_ext = delta.shape
     dead = n_ext - 1
     row = np.dtype((np.void, dead * delta.itemsize))
-    prefix = np.zeros(1, dtype=np.int64)
+    words = np.zeros(1, dtype=np.int64)
     ids = np.zeros(1, dtype=np.int64)
     table = np.arange(dead, dtype=delta.dtype)[None, :]
-    yield prefix, ids, table
-    letters = np.arange(n_symbols, dtype=np.int64)[:, None]
+    yield words, ids, table
+    letters = np.arange(n_symbols, dtype=np.int64)
     for length in range(1, depth + 1):
         n_maps = table.shape[0]
         # row a * n_maps + j: map j, then letter a
@@ -140,19 +145,68 @@ def word_classes(delta, prefix_len, depth):
         alive = np.flatnonzero((cand != dead).any(axis=1))
         inv, rep = dense_ids(cand[alive].view(row).ravel())
         table = cand[alive[rep]]
+        if length > prefix_len:
+            yield None, None, table
+            continue
         new_id = np.full(cand.shape[0], -1, dtype=np.int64)
         new_id[alive] = inv
-        child = new_id[ids + letters * n_maps]  # row a: letter a after each class
-        width = min(length, prefix_len)
-        if length <= prefix_len:
-            prefix = prefix * n_symbols + letters
-        else:
-            prefix = np.broadcast_to(prefix, child.shape)
+        child = new_id[ids[:, None] + letters * n_maps]  # row i: word i, then each letter
         keep = child >= 0
-        codes = prefix[keep] * table.shape[0] + child[keep]
-        codes = codes[dense_ids(codes, n_symbols ** width * table.shape[0])[1]]
-        prefix, ids = np.divmod(codes, table.shape[0])
-        yield prefix, ids, table
+        words = (words[:, None] * n_symbols + letters)[keep]
+        ids = child[keep]
+        yield words, ids, table
+
+
+def _log_g(codes, width, n_symbols, contexts, log_start, step_tables):
+    """``log g[p, s] = log_start[s] + cross(s, p) - head(p)`` for the
+    ``width``-letter words with base-K codes ``codes``, letter by letter."""
+    last = step_tables[-1]
+    modulus = last.shape[0]
+    ctx = np.broadcast_to(contexts, (codes.shape[0], contexts.shape[0]))
+    cross = np.zeros(ctx.shape)
+    head = np.zeros(codes.shape[0])
+    for i in range(width):
+        first = codes // n_symbols ** (width - 1 - i)  # the first i + 1 letters
+        ctx = (ctx * n_symbols + first[:, None] % n_symbols) % modulus
+        cross += last[ctx]
+        head += step_tables[i][first]
+    return log_start + cross - head[:, None]
+
+
+def _lse_rows(terms):
+    """Log-sum-exp of each row of the 2-D ``terms`` (overwritten), shifted
+    by the row's largest term.  A row's operands and summation do not
+    depend on the other rows, so neither does its value."""
+    top = terms.max(axis=1)
+    terms -= top[:, None]
+    return top + np.log(np.exp(terms, out=terms).sum(axis=1))
+
+
+def _images(maps, log_g, dead):
+    """The image of each prefix's map and the mass it sends to each image
+    state: ``img[p, k]`` is the k-th state of T_p, in ascending order, and
+    ``log_h[p, k] = log sum over {s : maps[p, s] = img[p, k]} of
+    exp(log_g[p, s])``, each shifted by its own largest term.  The (prefix,
+    target) pairs are numbered by ``dense_ids``.  Rows are padded to the
+    widest image with state 0 and ``log_h = -inf``."""
+    n_prefixes = maps.shape[0]
+    keys = (np.arange(n_prefixes)[:, None] * (dead + 1) + maps).ravel()
+    pair, rep = dense_ids(keys, n_prefixes * (dead + 1))
+    g = log_g.ravel()
+    top = np.full(rep.shape[0], -np.inf)
+    np.maximum.at(top, pair, g)
+    log_h = top + np.log(np.bincount(pair, np.exp(g - top[pair]), rep.shape[0]))
+    owner, state = np.divmod(keys[rep], dead + 1)  # ascending by (owner, state)
+    image = state != dead
+    owner, state, log_h = owner[image], state[image], log_h[image]
+    count = np.bincount(owner, minlength=n_prefixes)
+    slot = np.arange(owner.shape[0]) - (np.cumsum(count) - count)[owner]
+    width = int(count.max()) if n_prefixes else 0
+    img = np.zeros((n_prefixes, width), dtype=np.intp)
+    img[owner, slot] = state
+    padded = np.full((n_prefixes, width), -np.inf)
+    padded[owner, slot] = log_h
+    return img, padded
 
 
 def class_deviation(delta, contexts, log_start, log_end, step_tables, lengths,
@@ -160,8 +214,8 @@ def class_deviation(delta, contexts, log_start, log_end, step_tables, lengths,
     """Largest ``|val(c)|`` over the classes ``c`` of the allowed words of
     each length in ``lengths`` (one entry per length).
 
-    The classes come from ``word_classes(delta, prefix_len, ...)``.  For a
-    class with prefix ``p`` and map ``t``,
+    The class of a word ``u`` is its first R = ``prefix_len`` letters ``p``
+    (all of ``u`` while it is shorter) and its map ``t: s -> t_s(u)``, and
 
         val = log sum_s exp(log g[p, s] + log_end[t(s)]),
         log g[p, s] = log_start[s] + cross(s, p) - head(p),
@@ -171,46 +225,124 @@ def class_deviation(delta, contexts, log_start, log_end, step_tables, lengths,
     the energy of ``p`` alone, both from ``step_tables`` (entry ``code`` of
     table ``i`` is the increment of the letter at position ``i`` under the
     last ``i + 1`` letters; the last table serves every later position, and
-    there are at least ``prefix_len`` tables).  ``log_end`` ends in
-    ``-inf`` for the dead sink.  The sum is a log-sum-exp shifted by its
-    largest term, taken over blocks of ``max(1, BLOCK // S)`` classes; each
-    row's operands and summation do not depend on the block, so neither
-    does any ``val``.  A requested length without classes raises
+    there are at least ``prefix_len`` tables).  ``log_start`` is finite and
+    ``log_end`` is finite but for its last entry, ``-inf`` for the dead sink.
+    This S-wide sum, shifted by its largest term (``_lse_rows``), is the
+    value reported; a requested length without classes raises
     ``ValueError``.
+
+    The levels come from ``word_classes``.  A length L <= R has one class
+    per word, each summed S-wide in blocks of ``max(1, BLOCK // S)`` words.
+    A longer word is ``u = p u'`` with ``|p| = R``, and ``t_s(u) =
+    t_{t_s(p)}(u')``, so
+
+        val(p, u') = log sum over sigma in T_p of
+                     exp(log_h[p, sigma] + log_end[t_sigma(u')]),
+
+    with T_p the image of p's map and ``log_h`` the log of the mass of
+    ``g[p, .]`` on each image state (``_images``).  Every state of T_p has
+    the context p, so T_p has at most as many states as the presentation
+    has vertices.  The table of level L - R of ``word_classes`` holds the
+    maps of the suffixes ``u'``; this short sum is taken over every
+    (prefix, suffix map) pair, in blocks of about ``BLOCK`` terms, and a pair
+    with no live term is not a class.
+
+    The short sum rounds differently from the S-wide one, so it only picks
+    the pairs to re-sum S-wide, with the map ``table[j][maps_p]``, in the
+    same blocks as the short words.  The margin: let eps be the machine
+    epsilon and ``a = max |log g| + max |log_end|`` over finite entries.  A
+    term of the S-wide sum is at most ``a`` in size; ``|log_h| <= max |log
+    g| + log S``, so a term of the short sum is at most ``a + S``.  A
+    log-sum-exp of at most S terms of size at most A is 1-Lipschitz in its
+    terms (sup norm), and its own rounding (a shift, an ``exp``, a sum of at
+    most S positive numbers, a ``log`` and an add) is below about
+    ``eps (2A + 4S)``.  The S-wide route adds the rounding of each term's
+    sum, the short route that of ``log_h`` (one more such log-sum-exp) and
+    of its terms, so each route is within ``16 eps (S + a)`` of the exact
+    value, and the two within ``32 eps (S + a)`` of each other.  A pair
+    whose S-wide value attains the largest ``|val|`` therefore has a short
+    value within ``64 eps (S + a)`` of the largest short one.  Only the pairs
+    within that margin are re-summed, and the largest of their S-wide values
+    is the largest over every class.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
     worst = np.zeros(lengths.shape[0])
     if lengths.shape[0] == 0:
         return worst
-    n_symbols = delta.shape[0]
-    last = step_tables[-1]
-    modulus = last.shape[0]
-    rows = max(1, BLOCK // (delta.shape[1] - 1))
-    levels = word_classes(delta, prefix_len, int(lengths.max()))
-    for length, (prefix, ids, table) in enumerate(levels):
+    n_symbols, n_ext = delta.shape
+    dead = n_ext - 1
+    rows = max(1, BLOCK // dead)
+    longest = int(lengths.max())
+    depth = longest if longest <= prefix_len else max(prefix_len, longest - prefix_len)
+    pending = []  # (length, suffix table) met before the prefixes' level
+    prefixes = None
+    for length, (words, ids, table) in enumerate(word_classes(delta, prefix_len, depth)):
         hit = lengths == length
-        if not hit.any():
-            continue
-        width = min(length, prefix_len)
-        which, rep = dense_ids(prefix, n_symbols ** width)
-        codes = prefix[rep]
-        # log g of every reached prefix, letter by letter
-        ctx = np.broadcast_to(contexts, (codes.shape[0], contexts.shape[0]))
-        cross = np.zeros(ctx.shape)
-        head = np.zeros(codes.shape[0])
-        for i in range(width):
-            first = codes // n_symbols ** (width - 1 - i)  # the first i + 1 letters
-            ctx = (ctx * n_symbols + first[:, None] % n_symbols) % modulus
-            cross += last[ctx]
-            head += step_tables[i][first]
-        log_g = log_start + cross - head[:, None]
-        ends = log_end[table]
-        val = np.empty(ids.shape[0])
-        for lo in range(0, ids.shape[0], rows):
-            terms = ends[ids[lo:lo + rows]]
-            terms += log_g[which[lo:lo + rows]]
-            top = terms.max(axis=1)
-            terms -= top[:, None]
-            val[lo:lo + rows] = top + np.log(np.exp(terms, out=terms).sum(axis=1))
-        worst[hit] = float(np.abs(val).max())
+        if length == prefix_len or (length < prefix_len and hit.any()):
+            log_g = _log_g(words, length, n_symbols, contexts, log_start, step_tables)
+            if hit.any():
+                ends = log_end[table]
+                val = np.empty(ids.shape[0])
+                for lo in range(0, ids.shape[0], rows):
+                    terms = ends[ids[lo:lo + rows]]
+                    terms += log_g[lo:lo + rows]
+                    val[lo:lo + rows] = _lse_rows(terms)
+                worst[hit] = float(np.abs(val).max())
+            if length == prefix_len:
+                maps = table[ids]
+                margin = 64 * np.finfo(float).eps * (
+                    dead + np.abs(log_g).max(initial=0.0)
+                    + np.abs(log_end[:-1]).max(initial=0.0))
+                prefixes = (maps, log_g, *_images(maps, log_g, dead))
+        if length and (lengths == prefix_len + length).any():
+            pending.append((prefix_len + length, table))
+        if prefixes is not None:
+            for total, suffixes in pending:
+                worst[lengths == total] = _suffix_level(
+                    prefixes, suffixes, log_end, margin, rows)
+            pending = []
     return worst
+
+
+def _suffix_level(prefixes, table, log_end, margin, rows):
+    """Largest S-wide ``|val|`` over the (prefix, suffix map) pairs of one
+    length past R: the short sums over each image pick the pairs within
+    ``margin`` of the largest, and only those are re-summed S-wide."""
+    maps, log_g, img, log_h = prefixes
+    n_prefixes, width = img.shape
+    n_maps, dead = table.shape
+    ends = np.empty((n_maps, dead + 1))
+    ends[:, :dead] = log_end[table]
+    ends[:, dead] = -np.inf
+    short = np.empty((n_maps, n_prefixes))
+    p_step = max(1, BLOCK // max(width, 1))
+    m_step = max(1, BLOCK // (max(width, 1) * max(1, min(n_prefixes, p_step))))
+    for plo in range(0, n_prefixes, p_step):
+        im, lh = img[plo:plo + p_step], log_h[plo:plo + p_step]
+        for mlo in range(0, n_maps, m_step):
+            terms = ends[mlo:mlo + m_step, im]  # (suffix map, prefix, image state)
+            terms += lh
+            top = terms.max(axis=2)
+            with np.errstate(invalid="ignore"):  # a dead pair's value is nan
+                terms -= top[..., None]
+            short[mlo:mlo + m_step, plo:plo + p_step] = top + np.log(
+                np.exp(terms, out=terms).sum(axis=2))
+    short = short.ravel()
+    live = np.flatnonzero(~np.isnan(short))
+    score = np.abs(short[live])
+    near = live[score >= score.max() - margin]
+    suffix, prefix = np.divmod(near, n_prefixes)
+    suffix *= dead + 1  # row offset into the flat ends
+    # one set of block buffers, filled by np.take (with a mode other than
+    # "raise" it writes straight into them; every index is in range)
+    shape = (min(rows, near.shape[0]), dead)
+    flat, terms, heads = np.empty(shape, dtype=np.intp), np.empty(shape), np.empty(shape)
+    val = np.empty(near.shape[0])
+    for lo in range(0, near.shape[0], rows):
+        p = prefix[lo:lo + rows]
+        n = p.shape[0]
+        np.add(suffix[lo:lo + rows, None], maps[p], out=flat[:n])
+        block = np.take(ends, flat[:n], out=terms[:n], mode="wrap")
+        block += np.take(log_g, p, axis=0, out=heads[:n], mode="wrap")
+        val[lo:lo + rows] = _lse_rows(block)
+    return float(np.abs(val).max())

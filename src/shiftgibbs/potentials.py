@@ -67,8 +67,10 @@ class ShapeTable:
     def size(self) -> int:
         return len(self.offsets)
 
-    @property
+    @cached_property
     def sup_norm(self) -> float:
+        """Largest |value|, found once per shape (every rung of the
+        pressure ladder reads it)."""
         return max((abs(v) for v in self.values.values()), default=0.0)
 
     def value(self, pattern: tuple[int, ...]) -> float:

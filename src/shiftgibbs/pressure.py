@@ -378,12 +378,12 @@ def _state_multiplier_spread(h: np.ndarray, nu: np.ndarray) -> float:
     return math.log(ratio) if math.isfinite(ratio) else math.log(hi) - math.log(lo)
 
 
-def pressure_envelope(transfer: TransferSystem, h: np.ndarray, nu: np.ndarray,
-                      n: int) -> float:
+def pressure_envelope(transfer: TransferSystem, spread: float, n: int) -> float:
     """Computable deviation envelope: |P_n - log lambda| is at most
-    (2 * boundary bound + 2 * multiplier spread + log #states) / (2n + 1)."""
+    (2 * boundary bound + 2 * multiplier spread + log #states) / (2n + 1),
+    with ``spread`` from ``_state_multiplier_spread``, which does not
+    depend on n."""
     bnb = boundary_norm_bound(transfer.potential, n)
-    spread = _state_multiplier_spread(h, nu)
     return (2.0 * bnb + 2.0 * spread + math.log(transfer.n_states)) / (2 * n + 1)
 
 
@@ -404,10 +404,13 @@ def pressure_limit(presentation: SoficPresentation, potential: Potential,
     log_lambda = math.log(lam)
     log_z = _dp_log_partition(presentation, potential,
                               [2 * n + 1 for n in ladder])
+    # the spread is refused when a Perron entry underflows; an empty ladder
+    # checks no envelope
+    spread = _state_multiplier_spread(h, nu) if ladder else 0.0
     rows = []
     for n, lz in zip(ladder, log_z):
         p_n = lz / (2 * n + 1)
-        env = pressure_envelope(transfer, h, nu, n)
+        env = pressure_envelope(transfer, spread, n)
         if abs(p_n - log_lambda) > env:
             raise ValidationError(
                 f"pressure envelope violated at n={n}: |{p_n} - {log_lambda}| > {env}")

@@ -200,10 +200,13 @@ def weak_gibbs_scan(measure: RPFMeasure, m_list,
     because every step energy past the first R = ``context_len`` letters
     cancels.  The right side depends only on the class of u: its first R
     letters and the map s -> t_s(u).  So each row is a max over the classes
-    reached at its length (``_kernels.class_deviation``), one level per
-    length, each found from the last by mapping the level's table of
-    distinct maps through the cover's transitions; a class is a (prefix,
-    map id) pair and there are never more classes than words.  The
+    reached at its length (``_kernels.class_deviation``).  Up to R a class
+    is a word.  Past R it is a pair of a prefix p and the map of the rest
+    of u, taken from one table of distinct maps per length (each found
+    from the last through the cover's transitions); its sum runs first over
+    the states p leads to (all with the context p, so at most one per
+    vertex), and only the pairs that may attain the row's maximum are
+    summed again over all S states, which gives the reported bits.  The
     enumeration cap (``DEFAULT_ENUM_CAP`` when ``cap`` is None) still
     applies to the deepest length and is checked before any work.  The
     tests keep the per-word route (``iter_word_blocks`` words through
@@ -339,9 +342,12 @@ def _shifted_class_ids(words: np.ndarray, window: tuple[int, int],
 
 def _distinct_per_word(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct class ids in each column of ``ids`` (column i belongs to
-    word i) as parallel arrays of (class id, word index)."""
-    ids = np.sort(ids, axis=0)
-    first = np.diff(ids, axis=0, prepend=-1) != 0
+    word i) as parallel arrays of (class id, word index).  Sorts ``ids`` in
+    place; a caller that reads them afterwards passes a copy."""
+    ids.sort(axis=0)
+    first = np.empty(ids.shape, dtype=bool)
+    first[:1] = True
+    np.not_equal(ids[1:], ids[:-1], out=first[1:])
     return ids[first], np.broadcast_to(np.arange(ids.shape[1]), ids.shape)[first]
 
 
@@ -480,7 +486,7 @@ def lemma_212_tables(presentation: SoficPresentation, potential: Potential,
     # some shift
     z_ell = np.stack([_limb_sums(ids, terms, n_centers) for ids in center_ids])
     z_n = z_ell[0].sum()
-    pair_center, pair_word = _distinct_per_word(center_ids)
+    pair_center, pair_word = _distinct_per_word(center_ids.copy())
     z_bar = _limb_sums(pair_center, terms, n_centers, pair_word)
 
     records: list[InequalityRecord] = []
@@ -590,6 +596,7 @@ def decoupling_1d_tables(presentation: SoficPresentation, potential: Potential,
     class_keys = np.tile(center_ids, n_pairs) * n_tails + tails
     class_ids, class_reps = _kernels.dense_ids(class_keys, n_centers * n_tails)
     class_keys = class_keys[class_reps]
+    # class_ids is not read again, so its columns are sorted where they lie
     pair_class, pair_word = _distinct_per_word(class_ids.reshape(n_pairs, n_words))
     sizes = np.bincount(pair_class)
 

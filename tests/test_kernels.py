@@ -10,7 +10,7 @@ import pytest
 
 from shiftgibbs import _kernels, equilibrium_measure
 from shiftgibbs._kernels import batch_energy
-from shiftgibbs.bundled import (equal_pair, even_shift, golden_mean,
+from shiftgibbs.bundled import (BINARY, equal_pair, even_shift, golden_mean,
                                 single_site, zero)
 from shiftgibbs.exceptions import EmptyCylinderWarning
 from shiftgibbs.measures import cylinder_prob
@@ -354,27 +354,46 @@ def _random_inputs():
                 yield random_cover(rng, n_symbols, n_states, prefix_len, scale)
 
 
+def _tied_inputs():
+    """Random covers whose log weights and step energies are whole numbers
+    in [-2, 2], so that many classes tie up to rounding; and two scan inputs
+    whose potential values are within 1e-13 of 0, so that every class of a
+    length ties up to rounding and the short sums and the S-wide sums round
+    to different largest classes (at lengths 7, 8 and 9): there a pair that
+    attains the S-wide maximum is re-summed only through the margin."""
+    for delta, contexts, log_start, log_end, step_tables, prefix_len in _random_inputs():
+        yield (delta, contexts, np.round(log_start * 2), np.round(log_end * 2),
+               tuple(np.round(t * 2) for t in step_tables), prefix_len)
+    for shift, span, scale in ((golden_mean, 5, 1e-15), (even_shift, 3, 1e-13)):
+        rng = random.Random(span)
+        shapes = tuple(
+            ShapeTable(offs, {pat: rng.uniform(-scale, scale)
+                              for pat in itertools.product((0, 1), repeat=len(offs))})
+            for offs in ((0,), (0, span)))
+        yield scan_inputs(equilibrium_measure(shift(), Potential(BINARY, span, shapes)))
+
+
 class TestWordClasses:
-    """The class pass over a table of distinct maps against the pass with
+    """The class pass over tables of distinct maps against the pass with
     one S-wide map per class."""
 
     @staticmethod
     def check_levels(delta, prefix_len, depth):
         levels = zip(_kernels.word_classes(delta, prefix_len, depth),
                      oracle_word_classes(delta, prefix_len, depth), strict=True)
-        for (prefix, ids, table), (want_prefix, want_maps) in levels:
-            got = {(int(p), table[i].tobytes()) for p, i in zip(prefix, ids)}
-            want = {(int(p), m.tobytes()) for p, m in zip(want_prefix, want_maps)}
-            assert got == want
-            assert prefix.shape == ids.shape == (len(want),)  # each class once
-            # the table holds each map of the level's classes exactly once,
-            # sorted as bytes, and the classes ascend by (prefix, id)
-            map_ids, maps = unique_ids(void_rows(want_maps))
+        for length, ((words, ids, table), (want_prefix, want_maps)) in enumerate(levels):
+            # the table holds each map of the level's words exactly once,
+            # sorted as bytes
+            _map_ids, maps = unique_ids(void_rows(want_maps))
             assert np.array_equal(table, maps.view(delta.dtype).reshape(table.shape))
             assert table.dtype == delta.dtype
-            codes = np.unique(want_prefix * table.shape[0] + map_ids)
-            assert np.array_equal(prefix, codes // table.shape[0])
-            assert np.array_equal(ids, codes % table.shape[0])
+            if length > prefix_len:
+                assert words is None and ids is None
+                continue
+            # up to the prefix length a class is a word, in ascending order
+            order = np.argsort(want_prefix)
+            assert np.array_equal(words, want_prefix[order])
+            assert np.array_equal(table[ids], want_maps[order])
 
     def test_bundled_levels(self):
         for measure, depth in _bundled_inputs():
@@ -385,13 +404,38 @@ class TestWordClasses:
         for delta, *_rest, prefix_len in _random_inputs():
             self.check_levels(delta, prefix_len, 9)
 
+    def test_images_against_brute_sums(self):
+        # the even shift reaches both vertices after a 0, and random covers
+        # reach many states, so images are wider than one state there
+        cases = [scan_inputs(equilibrium_measure(even_shift(), equal_pair()))]
+        cases += list(_random_inputs())
+        widths = []
+        for delta, contexts, log_start, _end, step_tables, prefix_len in cases:
+            dead = delta.shape[1] - 1
+            *_shorter, (words, ids, table) = _kernels.word_classes(
+                delta, prefix_len, prefix_len)
+            maps = table[ids]
+            log_g = _kernels._log_g(words, prefix_len, delta.shape[0], contexts,
+                                    log_start, step_tables)
+            img, log_h = _kernels._images(maps, log_g, dead)
+            widths.append(img.shape[1])
+            for p in range(maps.shape[0]):
+                image = sorted(set(maps[p].tolist()) - {dead})
+                assert img[p, :len(image)].tolist() == image
+                assert (log_h[p, len(image):] == -np.inf).all()
+                for k, state in enumerate(image):
+                    want = np.logaddexp.reduce(log_g[p][maps[p] == state])
+                    assert log_h[p, k] == pytest.approx(want, rel=1e-13, abs=1e-13)
+        assert widths[0] == 2
+        assert max(widths) >= 5
+
     @pytest.mark.parametrize("block", [1, 7, 64, _kernels.BLOCK])
     def test_deviation_is_block_free(self, block, monkeypatch):
         monkeypatch.setattr(_kernels, "BLOCK", block)
         cases = [scan_inputs(measure) for measure, _depth in _bundled_inputs()]
-        cases += list(_random_inputs())
+        cases += list(_random_inputs()) + list(_tied_inputs())
         for delta, *rest, prefix_len in cases:
-            lengths = [0, 1, 2, 3, 5, 8]
+            lengths = [0, 1, 2, 3, 5, 7, 8, 9, 13]
             args = (delta, *rest, lengths, prefix_len)
             assert np.array_equal(_kernels.class_deviation(*args),
                                   oracle_class_deviation(*args))

@@ -25,8 +25,8 @@ from shiftgibbs.pressure import (_dp_log_partition, finite_pressure,
 from shiftgibbs.shifts import Alphabet, sft_presentation
 from shiftgibbs.verify import (_BIAS, _LIMBS, _MAX_ENTRIES, _SHIFT,
                                InequalityRecord, LemmaReport, _center_id,
-                               _class_ids, _exact_terms, _limb_sums,
-                               _limb_terms, _log_scaled,
+                               _class_ids, _distinct_per_word, _exact_terms,
+                               _limb_sums, _limb_terms, _log_scaled,
                                _require_allowed_center, ratio_1d_log_constant,
                                ratio_log_constant, sandwich_1d_log_constant,
                                sandwich_log_constant)
@@ -798,6 +798,27 @@ def void_class_ids(windows):
 EDGE_TERMS = [0.0, 5e-324, 2.0 ** -1022, 1.0, 1.0 - 2.0 ** -53, 0.5]
 
 
+class TestDistinctPerWord:
+    def test_against_per_column_sets(self):
+        rng = np.random.default_rng(3)
+        ids = rng.integers(0, 6, size=(5, 40))
+        want = sorted((int(c), w) for w in range(40) for c in set(ids[:, w].tolist()))
+        got_ids, got_words = _distinct_per_word(ids.copy())
+        assert sorted(zip(got_ids.tolist(), got_words.tolist())) == want
+
+    def test_sorts_in_place_with_no_temporary_of_the_ids_size(self):
+        ids = np.random.default_rng(4).integers(0, 1 << 40, size=(9, 100_000))
+        tracemalloc.start()
+        try:
+            got_ids, got_words = _distinct_per_word(ids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (np.diff(ids, axis=0) >= 0).all()
+        # the outputs, the boolean mask and little else
+        assert peak < got_ids.nbytes + got_words.nbytes + ids.size + 2 ** 20
+
+
 class TestExactTerms:
     def test_dyadic_ints_match_fraction_form(self):
         rng = np.random.default_rng(11)
@@ -1212,39 +1233,58 @@ class TestClassPass:
         for (_m, d, _b), (_m2, d_trie) in zip(report.rows, want, strict=True):
             assert abs(d - d_trie) <= 1e-12
 
-    def test_memory_at_range_eight(self):
-        # 65,536 classes at length 17, each with its own 256-wide map row
-        # and their log-sum-exp in one piece, peaked at 426 MiB
-        mu = equilibrium_measure(*full2_two_point(8))
+    @staticmethod
+    def scan_peak(presentation, potential):
+        mu = equilibrium_measure(presentation, potential)
         assert mu.transfer.n_states == 256
         tracemalloc.start()
         try:
             weak_gibbs_scan(mu, range(1, 9))
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 32 * 2 ** 20
+
+    def test_memory_at_range_eight(self):
+        # 65,536 classes at length 17, each with its own 256-wide map row
+        # and their log-sum-exp in one piece, peaked at 426 MiB
+        assert self.scan_peak(*full2_two_point(8)) < 32 * 2 ** 20
+
+    def test_memory_at_range_eight_with_every_pair_tied(self):
+        # under the zero potential every (prefix, suffix map) pair ties, so
+        # every pair is re-summed S-wide; in one piece that peaked at 295 MiB
+        presentation, potential = full2_two_point(8)
+        zero_values = Potential(potential.alphabet, 8, tuple(
+            ShapeTable(s.offsets, dict.fromkeys(s.values, 0.0))
+            for s in potential.shapes))
+        assert self.scan_peak(presentation, zero_values) < 32 * 2 ** 20
 
     @pytest.mark.parametrize("shift, pot", BUNDLED_SYSTEMS,
                              ids=lambda f: f.__name__)
     def test_no_more_classes_than_words(self, shift, pot, monkeypatch):
+        # up to the context length R a level holds its words; past R it
+        # holds only the table of its suffix maps, down to the deepest
+        # length (21) less R
         presentation, potential = shift(), pot()
         mu = equilibrium_measure(presentation, potential)
-        sizes = []
-        levels = _kernels.word_classes
+        prefix_len = mu.transfer.context_len
+        levels = []
+        classes = _kernels.word_classes
 
         def counted(*args):
-            for prefix, ids, table in levels(*args):
-                sizes.append(prefix.shape[0])
-                yield prefix, ids, table
+            for words, ids, table in classes(*args):
+                levels.append((words, table.shape[0]))
+                yield words, ids, table
 
         monkeypatch.setattr(_kernels, "word_classes", counted)
         weak_gibbs_scan(mu, range(1, 11), cap=1 << 21)
-        assert len(sizes) == 22
-        for length, n_classes in enumerate(sizes):
-            assert 1 <= n_classes <= presentation.word_count(length)
-        # repeated classes are merged, so the count settles
-        assert sizes[-1] == sizes[-2] <= 10
+        assert len(levels) == max(prefix_len, 21 - prefix_len) + 1
+        for length, (words, n_maps) in enumerate(levels):
+            assert (words is None) == (length > prefix_len)
+            if words is not None:
+                assert words.shape[0] == presentation.word_count(length)
+            assert 1 <= n_maps <= presentation.word_count(length)
+        # repeated maps are merged, so the table size settles
+        assert levels[-1][1] == levels[-2][1] <= 10
 
     @pytest.mark.parametrize("shift, pot", BUNDLED_SYSTEMS,
                              ids=lambda f: f.__name__)
