@@ -5,11 +5,12 @@ The energy kernel takes a batch of words encoded as ``uint8`` symbol
 indices, shape ``(n_words, length)``, and a finite-range potential as its
 per-position step tables, ``Potential.step_tables``.  The class pass takes
 the cover as its (letter, state) table of targets with a dead sink and
-keeps one table of distinct state maps per length.  Up to the context
-length R a class is a word; past it, a class is a (prefix, suffix map)
-pair, summed first over the prefix's image (at most one state per vertex)
-and re-summed S-wide only where it may attain the maximum.  Every sum runs
-in blocks of about ``BLOCK`` terms.  Cylinder probabilities are not
+keeps one table of distinct state maps per length.  Every length is a set
+of (prefix, suffix map) pairs, a length up to the context length R with
+the identity table, and one routine sums them: first over the prefix's
+image (grouped by state only at R letters, where it has at most one state
+per vertex), then S-wide only where a pair may attain the maximum.  Every
+sum runs in blocks of about ``BLOCK`` terms.  Cylinder probabilities are not
 computed here: ``measures.cylinder_prob`` is their one route.
 
 Every site in the package that numbers keys densely (word classes, lemma
@@ -120,8 +121,9 @@ def word_classes(delta, prefix_len, depth):
     ``words`` holds the base-K codes of the allowed words in ascending order
     (first letter most significant) and word ``i`` has the map
     ``table[ids[i]]``.  Past ``prefix_len`` the level is its table alone
-    (``words`` and ``ids`` are None), the maps of the suffixes that
-    ``class_deviation`` pairs with the words of length ``prefix_len``.
+    (``words`` and ``ids`` are None).  ``class_deviation`` pairs the words
+    of one level with the table of another as the suffix maps; level 0's
+    table is the identity, the suffix of a length that is all prefix.
 
     A word's next map is ``delta[a][map]``, a function of its map and the
     letter alone, so the next table comes from the ``K x n_maps`` candidate
@@ -159,27 +161,31 @@ def word_classes(delta, prefix_len, depth):
 
 def _log_g(codes, width, n_symbols, contexts, log_start, step_tables):
     """``log g[p, s] = log_start[s] + cross(s, p) - head(p)`` for the
-    ``width``-letter words with base-K codes ``codes``, letter by letter."""
+    ``width``-letter words with base-K codes ``codes``, letter by letter.
+    After i + 1 letters of p, state s's context is the code of its letters
+    still in the window plus that of p's letters, both below the last
+    table's size K^(r+1) and with disjoint digits, so with no reduction."""
     last = step_tables[-1]
     modulus = last.shape[0]
-    ctx = np.broadcast_to(contexts, (codes.shape[0], contexts.shape[0]))
-    cross = np.zeros(ctx.shape)
+    cross = np.zeros((codes.shape[0], contexts.shape[0]))
     head = np.zeros(codes.shape[0])
     for i in range(width):
         first = codes // n_symbols ** (width - 1 - i)  # the first i + 1 letters
-        ctx = (ctx * n_symbols + first[:, None] % n_symbols) % modulus
-        cross += last[ctx]
+        kept = contexts * n_symbols ** (i + 1) % modulus
+        cross += last[(first % modulus)[:, None] + kept]
         head += step_tables[i][first]
     return log_start + cross - head[:, None]
 
 
 def _lse_rows(terms):
-    """Log-sum-exp of each row of the 2-D ``terms`` (overwritten), shifted
-    by the row's largest term.  A row's operands and summation do not
-    depend on the other rows, so neither does its value."""
-    top = terms.max(axis=1)
-    terms -= top[:, None]
-    return top + np.log(np.exp(terms, out=terms).sum(axis=1))
+    """Log-sum-exp over the last axis of ``terms`` (overwritten), each row
+    shifted by its largest term; a row with no live term gives nan.  A
+    row's operands and summation do not depend on the other rows, so
+    neither does its value."""
+    top = terms.max(axis=-1)
+    with np.errstate(invalid="ignore"):
+        terms -= top[..., None]
+    return top + np.log(np.exp(terms, out=terms).sum(axis=-1))
 
 
 def _images(maps, log_g, dead):
@@ -231,39 +237,42 @@ def class_deviation(delta, contexts, log_start, log_end, step_tables, lengths,
     value reported; a requested length without classes raises
     ``ValueError``.
 
-    The levels come from ``word_classes``.  A length L <= R has one class
-    per word, each summed S-wide in blocks of ``max(1, BLOCK // S)`` words.
-    A longer word is ``u = p u'`` with ``|p| = R``, and ``t_s(u) =
-    t_{t_s(p)}(u')``, so
+    One routine, ``_pair_level``, evaluates every length.  With width =
+    min(R, longest requested length), a word of length L is ``u = p u'``
+    with ``|p| = k = min(L, width)`` and ``t_s(u) = t_{t_s(p)}(u')``: a
+    length is the set of pairs of a k-letter prefix (level k of
+    ``word_classes``) and a suffix map (the table of level L - k, the
+    identity when L <= width), and
 
         val(p, u') = log sum over sigma in T_p of
                      exp(log_h[p, sigma] + log_end[t_sigma(u')]),
 
     with T_p the image of p's map and ``log_h`` the log of the mass of
-    ``g[p, .]`` on each image state (``_images``).  Every state of T_p has
-    the context p, so T_p has at most as many states as the presentation
-    has vertices.  The table of level L - R of ``word_classes`` holds the
-    maps of the suffixes ``u'``; this short sum is taken over every
-    (prefix, suffix map) pair, in blocks of about ``BLOCK`` terms, and a pair
-    with no live term is not a class.
+    ``g[p, .]`` on each image state (``_images``).  Only at R letters does
+    grouping shorten the sum: every state of T_p then has the context p, so
+    there is at most one per vertex.  A shorter level keeps T_p = p's map
+    and ``log_h = log g``, the S-wide operands.  The short sum runs over
+    every pair, in blocks of about ``BLOCK`` terms; a pair with no live term
+    is not a class.  A level shorter than width is evaluated as it arrives
+    and dropped.
 
-    The short sum rounds differently from the S-wide one, so it only picks
-    the pairs to re-sum S-wide, with the map ``table[j][maps_p]``, in the
-    same blocks as the short words.  The margin: let eps be the machine
-    epsilon and ``a = max |log g| + max |log_end|`` over finite entries.  A
-    term of the S-wide sum is at most ``a`` in size; ``|log_h| <= max |log
-    g| + log S``, so a term of the short sum is at most ``a + S``.  A
-    log-sum-exp of at most S terms of size at most A is 1-Lipschitz in its
-    terms (sup norm), and its own rounding (a shift, an ``exp``, a sum of at
-    most S positive numbers, a ``log`` and an add) is below about
-    ``eps (2A + 4S)``.  The S-wide route adds the rounding of each term's
-    sum, the short route that of ``log_h`` (one more such log-sum-exp) and
-    of its terms, so each route is within ``16 eps (S + a)`` of the exact
-    value, and the two within ``32 eps (S + a)`` of each other.  A pair
-    whose S-wide value attains the largest ``|val|`` therefore has a short
-    value within ``64 eps (S + a)`` of the largest short one.  Only the pairs
-    within that margin are re-summed, and the largest of their S-wide values
-    is the largest over every class.
+    The short sum may round differently from the S-wide one, so it only
+    picks the pairs to re-sum S-wide, with the map ``table[j][maps_p]``, in
+    blocks of ``max(1, BLOCK // S)`` pairs.  The margin, one per prefix
+    level: let eps be the machine epsilon and ``a = max |log g| + max
+    |log_end|`` over finite entries.  A term of the S-wide sum is at most
+    ``a`` in size; ``|log_h| <= max |log g| + log S``, so a term of the
+    short sum is at most ``a + S``.  A log-sum-exp of at most S terms of
+    size at most A is 1-Lipschitz in its terms (sup norm), and its own
+    rounding (a shift, an ``exp``, a sum of at most S positive numbers, a
+    ``log`` and an add) is below about ``eps (2A + 4S)``.  The S-wide route
+    adds the rounding of each term's sum, the short route that of ``log_h``
+    (one more such log-sum-exp) and of its terms, so each route is within
+    ``16 eps (S + a)`` of the exact value, and the two within ``32 eps (S +
+    a)`` of each other.  A pair whose S-wide value attains the largest
+    ``|val|`` therefore has a short value within ``64 eps (S + a)`` of the
+    largest short one.  Only the pairs within that margin are re-summed, and
+    the largest of their S-wide values is the largest over every class.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
     worst = np.zeros(lengths.shape[0])
@@ -271,46 +280,40 @@ def class_deviation(delta, contexts, log_start, log_end, step_tables, lengths,
         return worst
     n_symbols, n_ext = delta.shape
     dead = n_ext - 1
-    rows = max(1, BLOCK // dead)
-    longest = int(lengths.max())
-    depth = longest if longest <= prefix_len else max(prefix_len, longest - prefix_len)
-    pending = []  # (length, suffix table) met before the prefixes' level
-    prefixes = None
-    for length, (words, ids, table) in enumerate(word_classes(delta, prefix_len, depth)):
-        hit = lengths == length
-        if length == prefix_len or (length < prefix_len and hit.any()):
-            log_g = _log_g(words, length, n_symbols, contexts, log_start, step_tables)
-            if hit.any():
-                ends = log_end[table]
-                val = np.empty(ids.shape[0])
-                for lo in range(0, ids.shape[0], rows):
-                    terms = ends[ids[lo:lo + rows]]
-                    terms += log_g[lo:lo + rows]
-                    val[lo:lo + rows] = _lse_rows(terms)
-                worst[hit] = float(np.abs(val).max())
-            if length == prefix_len:
-                maps = table[ids]
-                margin = 64 * np.finfo(float).eps * (
-                    dead + np.abs(log_g).max(initial=0.0)
-                    + np.abs(log_end[:-1]).max(initial=0.0))
-                prefixes = (maps, log_g, *_images(maps, log_g, dead))
-        if length and (lengths == prefix_len + length).any():
-            pending.append((prefix_len + length, table))
-        if prefixes is not None:
-            for total, suffixes in pending:
-                worst[lengths == total] = _suffix_level(
-                    prefixes, suffixes, log_end, margin, rows)
-            pending = []
+    width = min(prefix_len, int(lengths.max()))
+    suffix_len = lengths - np.minimum(lengths, width)
+    end_size = np.abs(log_end[:-1]).max(initial=0.0)
+    tables = {}  # suffix length -> its table of maps
+    levels = word_classes(delta, prefix_len, max(width, int(suffix_len.max())))
+    for length, (words, ids, table) in enumerate(levels):
+        if (suffix_len == length).any():
+            tables[length] = table
+        if length > width or (length < width and not (lengths == length).any()):
+            continue
+        maps = table[ids]
+        log_g = _log_g(words, length, n_symbols, contexts, log_start, step_tables)
+        margin = 64 * np.finfo(float).eps * (dead + np.abs(log_g).max(initial=0.0)
+                                             + end_size)
+        grouped = _images(maps, log_g, dead) if length == prefix_len else (maps, log_g)
+        level = (maps, log_g, *grouped, margin)
+        if length < width:
+            worst[lengths == length] = _pair_level(level, tables[0], log_end)
+    for suffix, table in tables.items():
+        hit = lengths == width + suffix
+        if hit.any():
+            worst[hit] = _pair_level(level, table, log_end)
     return worst
 
 
-def _suffix_level(prefixes, table, log_end, margin, rows):
-    """Largest S-wide ``|val|`` over the (prefix, suffix map) pairs of one
-    length past R: the short sums over each image pick the pairs within
-    ``margin`` of the largest, and only those are re-summed S-wide."""
-    maps, log_g, img, log_h = prefixes
+def _pair_level(level, table, log_end):
+    """Largest S-wide ``|val|`` over the pairs of one prefix level
+    ``(maps, log_g, img, log_h, margin)`` and one table of suffix maps: the
+    short sums over each prefix's ``img`` pick the pairs within ``margin``
+    of the largest, and only those are re-summed S-wide."""
+    maps, log_g, img, log_h, margin = level
     n_prefixes, width = img.shape
     n_maps, dead = table.shape
+    rows = max(1, BLOCK // dead)
     ends = np.empty((n_maps, dead + 1))
     ends[:, :dead] = log_end[table]
     ends[:, dead] = -np.inf
@@ -322,11 +325,7 @@ def _suffix_level(prefixes, table, log_end, margin, rows):
         for mlo in range(0, n_maps, m_step):
             terms = ends[mlo:mlo + m_step, im]  # (suffix map, prefix, image state)
             terms += lh
-            top = terms.max(axis=2)
-            with np.errstate(invalid="ignore"):  # a dead pair's value is nan
-                terms -= top[..., None]
-            short[mlo:mlo + m_step, plo:plo + p_step] = top + np.log(
-                np.exp(terms, out=terms).sum(axis=2))
+            short[mlo:mlo + m_step, plo:plo + p_step] = _lse_rows(terms)
     short = short.ravel()
     live = np.flatnonzero(~np.isnan(short))
     score = np.abs(short[live])

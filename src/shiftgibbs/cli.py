@@ -112,7 +112,7 @@ def _cmd_cylinder(args) -> str:
 
 def _cmd_weakgibbs(args) -> str:
     m_list = _parse_m_range(args.m)
-    deltas = _parse_deltas(args.delta) if args.delta else []
+    deltas = _parse_deltas(args.delta) if args.delta is not None else []
     presentation, potential = _load(args)
     measure = equilibrium_measure(presentation, potential)
     report = weak_gibbs_scan(measure, m_list, cap=args.cap)
@@ -171,7 +171,7 @@ def _cmd_lemma(args) -> str:
 
     # every center is refused before the tables are built, so a bad --u is
     # reported ahead of a bad --j
-    if args.u:
+    if args.u is not None:
         targets = [_word(presentation, args.u)]
     else:
         targets = enumerate_words(presentation, args.m)

@@ -13,6 +13,7 @@ everything here is safe to call concurrently.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator, Sequence
@@ -24,6 +25,15 @@ from .exceptions import ValidationError, VolumeGuardError
 DEFAULT_ENUM_CAP = 2_000_000
 _DET_STATE_CAP = 65536
 DENSE_ENTRIES_CAP = 2 ** 27  # entries of the largest dense matrix a guard lets through
+
+
+def _count_text(count: int) -> str:
+    """A volume guard's count in decimal, or ``~10^k`` (k the rounded
+    log10) when it has more digits than Python converts to a string."""
+    try:
+        return str(count)
+    except ValueError:
+        return f"~10^{round(math.log10(count))}"
 
 
 def strongly_connected(support: np.ndarray) -> bool:
@@ -380,8 +390,8 @@ class SoficPresentation:
         limit = DEFAULT_ENUM_CAP if cap is None else cap
         if count > limit:
             raise VolumeGuardError(
-                f"volume too large for brute force: {count} words of length "
-                f"{length} exceed the cap {limit}")
+                f"volume too large for brute force: {_count_text(count)} words "
+                f"of length {length} exceed the cap {limit}")
         return counts
 
     def word_matrix(self, length: int, cap: int | None = None) -> np.ndarray:
@@ -751,9 +761,10 @@ def factor_presentation(presentation: SoficPresentation,
         counts = mult @ counts
     n_image = int(counts.sum())
     if n_image ** 2 > DENSE_ENTRIES_CAP:
+        n_text = _count_text(n_image)
         raise VolumeGuardError(
-            f"volume too large for brute force: factor image with {n_image} "
-            f"vertices needs {n_image} x {n_image} matrices")
+            f"volume too large for brute force: factor image with {n_text} "
+            f"vertices needs {n_text} x {n_text} matrices")
     if k == 0:
         keys = [(v, ()) for v in range(p.n_vertices)]
     else:

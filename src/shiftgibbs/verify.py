@@ -200,13 +200,15 @@ def weak_gibbs_scan(measure: RPFMeasure, m_list,
     because every step energy past the first R = ``context_len`` letters
     cancels.  The right side depends only on the class of u: its first R
     letters and the map s -> t_s(u).  So each row is a max over the classes
-    reached at its length (``_kernels.class_deviation``).  Up to R a class
-    is a word.  Past R it is a pair of a prefix p and the map of the rest
-    of u, taken from one table of distinct maps per length (each found
-    from the last through the cover's transitions); its sum runs first over
-    the states p leads to (all with the context p, so at most one per
-    vertex), and only the pairs that may attain the row's maximum are
-    summed again over all S states, which gives the reported bits.  The
+    reached at its length (``_kernels.class_deviation``).  Every row goes
+    through one routine: a class is a pair of a prefix p (the first R
+    letters of u, all of u while it is shorter) and the map of the rest of
+    u, the identity when nothing is left, taken from one table of distinct
+    maps per length (each found from the last through the cover's
+    transitions).  Its sum runs first over the states p leads to (at R
+    letters all with the context p, so at most one per vertex), and only
+    the pairs that may attain the row's maximum are summed again over all
+    S states, which gives the reported bits.  The
     enumeration cap (``DEFAULT_ENUM_CAP`` when ``cap`` is None) still
     applies to the deepest length and is checked before any work.  The
     tests keep the per-word route (``iter_word_blocks`` words through
@@ -404,7 +406,6 @@ class Lemma212Tables:
     ext_ids: np.ndarray      # exterior class per word
     n_ext: int
     z_ell: np.ndarray        # Z_{n,ell}(v) per (shift, center class)
-    z_bar: np.ndarray        # Zbar(v) per center class
     records: tuple[InequalityRecord, ...]
     constants: dict
 
@@ -433,7 +434,6 @@ class Decoupling1dTables:
     g_min: np.ndarray        # per (v, w-, w+) class: least energy minus center energy
     g_max: np.ndarray        # ... and the greatest
     z_v: np.ndarray          # Z_n(v) per center class
-    z_bar: np.ndarray        # Zbar_n(v) per center class
     records: tuple[InequalityRecord, ...]
     constants: dict
 
@@ -519,7 +519,7 @@ def lemma_212_tables(presentation: SoficPresentation, potential: Potential,
     return Lemma212Tables(
         presentation, potential, n, m, j, q, bp, scale, z_n,
         center_ids, (center_ids[q, reps], reps), ext_ids,
-        n_ext, z_ell, z_bar, tuple(records),
+        n_ext, z_ell, tuple(records),
         {"log_C": sandwich_log_constant(potential, m, q),
          "log_K": ratio_log_constant(potential, m, q, len(presentation.alphabet)),
          "P_m": finite_pressure(presentation, potential, m)})
@@ -647,7 +647,7 @@ def decoupling_1d_tables(presentation: SoficPresentation, potential: Potential,
     return Decoupling1dTables(
         presentation, potential, n, m, j, q_bar, lam_minus, lam_plus, bp,
         scale, z_n, (center_ids[reps], reps), class_keys,
-        n_tails, g_min, g_max, z_v, z_bar, tuple(records),
+        n_tails, g_min, g_max, z_v, tuple(records),
         {"log_C_prime": sandwich_1d_log_constant(potential, m, q_bar),
          "log_K_bar": ratio_1d_log_constant(potential, m, q_bar,
                                             len(presentation.alphabet)),

@@ -384,6 +384,7 @@ class TestCli:
     @pytest.mark.parametrize("flags", [("--m", "1.."), ("--m", "abc"),
                                        ("--m", "x"), ("--m", "3..2"),
                                        ("--m", "1..3", "--delta", "0.5,,0.1"),
+                                       ("--m", "1..3", "--delta", ""),
                                        ("--m", "1..3", "--delta", "nan"),
                                        ("--m", "1..3", "--delta", "x")])
     def test_malformed_weakgibbs_values(self, flags):
@@ -456,12 +457,24 @@ class TestCli:
         assert tabulated.returncode == 3
         assert "transfer context space 17^4" in tabulated.stderr
 
-    def test_volume_guard_exit_code(self):
-        out = run_cli("weakgibbs", "--shift", str(data_path("full2.shift")),
-                      "--potential", str(data_path("site_a.pot")),
-                      "--m", "12..12")
+    @pytest.mark.parametrize("shift, args", [
+        ("full2.shift", ("weakgibbs", "--potential", "site_a.pot", "--m", "12..12")),
+        # counts past Python's int-to-str digit limit (4,300 digits)
+        ("even.shift", ("weakgibbs", "--potential", "pair_beta.pot", "--m", "1,20000")),
+        ("even.shift", ("lemma", "--which", "212", "--potential", "pair_beta.pot",
+                        "--n", "20000", "--m", "1", "--u", "000")),
+        ("even.shift", ("lemma", "--which", "1d", "--potential", "pair_beta.pot",
+                        "--n", "20000", "--m", "1")),
+        ("even.shift", ("lemma", "--which", "211", "--potential", "pair_beta.pot",
+                        "--n", "20000", "--m", "1")),
+        ("full2.shift", ("factor", "--k", "10000", "--default", "0"))])
+    def test_volume_guard_exit_code(self, shift, args):
+        args = [str(data_path(a)) if a.endswith(".pot") else a for a in args]
+        out = run_cli(*args, "--shift", str(data_path(shift)))
         assert out.returncode == 3
-        assert "volume too large" in out.stderr
+        assert out.stdout == ""
+        assert out.stderr.startswith("error: volume too large")
+        assert "Traceback" not in out.stderr
 
     def test_envelope_violation_exit_code(self, monkeypatch, capsys):
         monkeypatch.setattr(pressure, "pressure_envelope",
@@ -570,7 +583,8 @@ class TestCli:
     @pytest.mark.parametrize("center, message", [
         ("00000", "windows inconsistent: center word must have length 2m+1"),
         ("101", "disallowed word"),
-        ("10", "center word must live on a symmetric window [-m, m]")])
+        ("10", "center word must live on a symmetric window [-m, m]"),
+        ("", "center word must live on a symmetric window [-m, m]")])
     def test_lemma_refuses_bad_center_before_bad_j(self, which, volume, center,
                                                    message, capsys):
         code = cli.main(["lemma", "--which", which,
