@@ -220,7 +220,7 @@ def _cmd_factor(args) -> str:
     presentation, _ = _load(args)
     table: dict[tuple[int, ...], int] = {}
     target = presentation.alphabet
-    if args.rule:
+    if args.rule is not None:
         for item in args.rule.split(","):
             pattern_text, _, sym = item.partition("=")
             if not sym:
@@ -354,7 +354,7 @@ def main(argv=None) -> int:
     try:
         _validate_numeric(args)
         text = args.fn(args)
-        if args.out:
+        if args.out is not None:
             with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
     except VolumeGuardError as exc:
@@ -363,7 +363,7 @@ def main(argv=None) -> int:
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if not args.out:
+    if args.out is None:
         sys.stdout.write(text)
     return 0
 

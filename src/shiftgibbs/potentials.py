@@ -225,11 +225,10 @@ def _check_context_space(potential: Potential) -> None:
 
 @dataclass(frozen=True)
 class NormReport:
-    """Summability norm, the crossing norm, and per-shape sup norms."""
+    """Summability norm and the crossing norm."""
 
     norm: float
     cross_norm: float
-    per_shape: tuple[tuple[tuple[int, ...], float], ...]
 
 
 def norms(potential: Potential) -> NormReport:
@@ -242,12 +241,10 @@ def norms(potential: Potential) -> NormReport:
     complement of [-1, 1] diverges for any nonzero covariant potential, so
     only these crossing translates are counted (see README).
     """
-    per = []
     total = 0.0
     cross = 0.0
     for s in potential.shapes:
         sup = s.sup_norm
-        per.append((s.offsets, sup))
         total += s.size * sup
         for t in range(2 - s.span, -1):  # t <= -2 and t + span >= 2
             cells = {t + o for o in s.offsets}
@@ -255,7 +252,7 @@ def norms(potential: Potential) -> NormReport:
                 continue
             if min(cells) <= -2 and max(cells) >= 2:
                 cross += sup
-    return NormReport(total, cross, tuple(per))
+    return NormReport(total, cross)
 
 
 def boundary_norm_bound(potential: Potential, m: int) -> float:

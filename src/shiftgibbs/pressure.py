@@ -3,12 +3,12 @@
 Finite-volume partition sums are computed two ways: brute-force over the
 enumerated word list (the oracle), and by one log-domain pass over the
 determinized word automaton (``_dp_log_partition``), whose keys pair an
-automaton state with the code of the last letters and whose edges are
-built once per presentation and K**R (``_partition_graph``) and weighed
-by per-position step tables.  Both routes read the potential's
-``step_tables``, which each ``Potential`` builds once.  Each word is one
-automaton path, so the two agree up to rounding even for sofic shifts
-where words carry several presenting paths.  The limiting pressure is the
+automaton state with the code of the last letters and whose edges
+(``_partition_graph``) are weighed by per-position step tables.  Both
+routes read the potential's ``step_tables``, which each ``Potential``
+builds once.  Each word is one automaton path, so the two agree up to
+rounding even for sofic shifts where words carry several presenting
+paths.  The limiting pressure is the
 log Perron root of the weighted transfer system on the (vertex,
 trailing-context) cover, one (letter, state) table of targets and step
 weights that every product reads (``_pull``: M x, ``_push``: v M); its
@@ -235,36 +235,19 @@ def brute_partition(presentation: SoficPresentation, potential: Potential,
     return BrutePartition(log_sum_exp(energies), words, energies)
 
 
-@dataclass(frozen=True, eq=False)
-class _PartitionGraph:
-    """The partition pass's graph on the determinized automaton for one
-    K**R: ``n_keys`` keys (automaton state, base-K code of the last R
-    letters), reachable from ``home``, the start key (empty context), and
-    their letter edges sorted by target.  Edge e runs ``src[e]`` ->
-    ``tgt[e]`` with ``letter[e]`` and the base-K code ``context[e]`` of the
-    source's R letters followed by the letter; the edges into key k are
-    ``starts[k]`` up to ``starts[k + 1]``.  Edge ``dead`` is a self-loop on
-    ``home`` with letter -1 that weighs nothing (its context is 0), so that
-    every key has an incoming edge.  The arrays are read-only: one graph
-    serves every pass on the presentation."""
-
-    n_keys: int
-    home: int
-    dead: int
-    src: np.ndarray
-    letter: np.ndarray
-    context: np.ndarray
-    tgt: np.ndarray
-    starts: np.ndarray
-
-
 def _partition_graph(presentation: SoficPresentation, n_codes: int
-                     ) -> _PartitionGraph:
-    """The ``_PartitionGraph`` of ``presentation`` for n_codes = K**R,
-    built on first use and kept next to ``presentation._det``."""
-    graph = presentation._partition_graphs.get(n_codes)
-    if graph is not None:
-        return graph
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+                                int, int]:
+    """The partition pass's graph on the determinized automaton for
+    n_codes = K**R: its keys (automaton state, base-K code of the last R
+    letters) reachable from the start key (empty context), and their
+    letter edges sorted by target.  Returns ``(src, context, tgt, starts,
+    home, dead)``: edge e runs ``src[e]`` -> ``tgt[e]`` with the base-K
+    code ``context[e]`` of the source's R letters followed by its letter;
+    the edges into key k are ``starts[k]`` up to ``starts[k + 1]``;
+    ``home`` is the start key, and edge ``dead`` a self-loop on it that
+    the pass weighs -inf, so that every key has an incoming edge (and
+    ``starts`` one entry per key)."""
     det, start = presentation._det
     # reachable keys, encoded as state * n_codes + code: a search over a
     # Python set of the keys visited, then sorted once
@@ -275,78 +258,84 @@ def _partition_graph(presentation: SoficPresentation, n_codes: int
         frontier = list(set(reached.tolist()) - seen)
         seen.update(frontier)
     keys = np.array(sorted(seen))
-    src, letter, context, target = _context_edges(det, keys, n_codes)
+    src, _letter, context, target = _context_edges(det, keys, n_codes)
     tgt = np.searchsorted(keys, target)
     home = int(np.searchsorted(keys, start * n_codes))
     order = np.argsort(np.append(tgt, home), kind="stable")
-    src, letter, context, tgt = (
-        np.append(src, home)[order], np.append(letter, -1)[order],
-        np.append(context, 0)[order], np.append(tgt, home)[order])
+    src, context, tgt = (np.append(src, home)[order],
+                         np.append(context, 0)[order],
+                         np.append(tgt, home)[order])
     starts = np.flatnonzero(np.diff(tgt, prepend=-1))
-    for array in (src, letter, context, tgt, starts):
-        array.flags.writeable = False
-    graph = _PartitionGraph(keys.size, home, int(np.flatnonzero(letter < 0)[0]),
-                            src, letter, context, tgt, starts)
-    presentation._partition_graphs[n_codes] = graph
-    return graph
+    # the stable sort puts the appended loop last among home's edges
+    dead = int(np.searchsorted(tgt, home, side="right")) - 1
+    return src, context, tgt, starts, home, dead
 
 
 def _dp_log_partition(presentation: SoficPresentation, potential: Potential,
                       lengths: Sequence[int],
-                      fixed: dict[int, int] | None = None) -> list[float]:
+                      along: Potential | None = None) -> list[float]:
     """Word-sum log partitions over the determinized automaton, one per
-    entry of ``lengths`` (in the same order).
+    entry of ``lengths`` (in the same order); with ``along``, the
+    derivative d/dt log Z(potential + t along) at t = 0 instead, that is
+    the Gibbs mean of ``along``'s word energy over the words of that
+    length.
 
     Each allowed word corresponds to exactly one automaton path from the
     start state, so each value equals the brute-force sum.  One pass runs
-    to the deepest length and reads log Z at every requested length on the
-    way.  A key is (automaton state, base-K code of the last R letters),
-    R = max(1, range); the keys reachable from the start key (empty
-    context) and their letter edges, sorted by target, come from
-    ``_partition_graph``, built once per presentation and K**R and shared
-    by every pass.  A pass only weighs the edges: position p by
+    to the deepest length and reads every requested length on the way.  A
+    key is (automaton state, base-K code of the last R letters), R = max(1,
+    range of ``potential`` and of ``along``); the keys reachable from the
+    start key and their letter edges, sorted by target, come from
+    ``_partition_graph``.  Position p weighs the edges by
     ``potential.step_tables[min(p, range)]``, so the first R letters need
-    no separate treatment.
-    Each step is a log-sum-exp over every target's incoming edges, shifted
-    by that target's own maximum.  ``fixed`` optionally pins positions
-    (0-based within the window) to single symbols by masking the other
-    letters' edges there, which restricts every sum to matching words;
-    positions past a length do not constrain it.  A length that no word
-    survives gets -inf; a log Z that overflows (+inf or nan) is refused.
+    no separate treatment.  Each step is a log-sum-exp over every target's
+    incoming edges, shifted by that target's own maximum.  With ``along``,
+    each key also carries the mean of ``along``'s energy over the paths
+    into it (the first-order expectation semiring, Eisner 2002): the same
+    edge weights' average of the source's mean plus ``along``'s step on
+    the edge.  A log Z that overflows (+inf or nan) is refused.
     """
-    fixed = fixed or {}
-    graph = _partition_graph(
-        presentation, len(presentation.alphabet) ** max(1, potential.span))
-    src, letter, tgt, starts = graph.src, graph.letter, graph.tgt, graph.starts
-    weights = []
-    for t in potential.step_tables:
-        w = t[graph.context % t.size]
-        w[graph.dead] = -np.inf
-        weights.append(w)
+    R = max(1, potential.span, 0 if along is None else along.span)
+    src, context, tgt, starts, home, dead = _partition_graph(
+        presentation, len(presentation.alphabet) ** R)
+    weights = [t[context % t.size] for t in potential.step_tables]
+    for w in weights:
+        w[dead] = -np.inf
+    steps = [] if along is None else [t[context % t.size]
+                                      for t in along.step_tables]
 
     want = set(lengths)
     log_z = {0: 0.0}
-    cur = np.full(graph.n_keys, -np.inf)
-    cur[graph.home] = 0.0
+    value = {0: 0.0}
+    cur = np.full(starts.size, -np.inf)
+    cur[home] = 0.0
+    mean = np.zeros(starts.size)
     # log 0 = -inf on dead keys; overflow is refused below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for pos in range(max(want, default=0)):
-            w = weights[min(pos, len(weights) - 1)]
-            if pos in fixed:
-                w = np.where(letter == fixed[pos], w, -np.inf)
-            v = cur[src] + w
+            v = cur[src] + weights[min(pos, len(weights) - 1)]
             # a dead key (every incoming edge -inf) is shifted by a finite
             # floor, so it stays -inf instead of becoming nan
             top = np.maximum(np.maximum.reduceat(v, starts), _NEG_FLOOR)
             v -= top[tgt]
             np.exp(v, out=v)
-            cur = top + np.log(np.add.reduceat(v, starts))
+            total = np.add.reduceat(v, starts)
+            cur = top + np.log(total)
+            if steps:
+                # a dead key keeps mean 0, so no nan spreads from it
+                v *= mean[src] + steps[min(pos, len(steps) - 1)]
+                mean = np.add.reduceat(v, starts) / np.where(total > 0, total, 1)
             if pos + 1 in want:
                 log_z[pos + 1] = log_sum_exp(cur)
+                if steps:
+                    # softmax(cur) @ mean, shifted by the largest entry
+                    # rather than log Z, whose rounding grows with the length
+                    p = np.exp(cur - cur.max())
+                    value[pos + 1] = float(p @ mean / p.sum())
     for L in lengths:
         if not log_z[L] < math.inf:  # +inf or nan
             raise ValidationError(f"log partition of length {L} leaves the float64 range")
-    return [log_z[L] for L in lengths]
+    return [(log_z if along is None else value)[L] for L in lengths]
 
 
 def finite_pressure(presentation: SoficPresentation, potential: Potential,

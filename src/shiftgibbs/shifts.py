@@ -323,26 +323,16 @@ class SoficPresentation:
             i += 1
         return np.array(rows, dtype=np.int64), 0
 
-    @cached_property
-    def _partition_graphs(self) -> dict:
-        """The partition pass's graphs over ``_det`` by K**R, filled by
-        ``pressure._partition_graph``; kept with the presentation."""
-        return {}
-
-    def _subtree_counts(self, length: int) -> list[np.ndarray]:
-        """``counts[r][s]``: the exact number of allowed words of length
-        ``r`` read from automaton state ``s``, for r = 0..length (Python
-        integers, so no count overflows)."""
-        det, _ = self._det
-        allowed = det >= 0
-        counts = [np.ones(det.shape[0], dtype=object)]
-        for _ in range(length):
-            counts.append(np.where(allowed, counts[-1][det], 0).sum(axis=1))
-        return counts
-
     def word_count(self, length: int) -> int:
-        """Exact number of allowed words of the given length (exact integers)."""
-        return int(self._subtree_counts(length)[length][self._det[1]])
+        """Exact number of allowed words of the given length (exact
+        integers): one vector of per-state counts of the words read from
+        each automaton state, extended a letter at a time."""
+        det, start = self._det
+        allowed = det >= 0
+        counts = np.ones(det.shape[0], dtype=object)
+        for _ in range(length):
+            counts = np.where(allowed, counts[det], 0).sum(axis=1)
+        return int(counts[start])
 
     def allows(self, letters: Sequence[int]) -> bool:
         """True iff the letter sequence labels at least one path."""
@@ -379,20 +369,16 @@ class SoficPresentation:
             states = target[pair]
         return words, states
 
-    def check_volume(self, length: int, cap: int | None = None
-                     ) -> list[np.ndarray]:
+    def check_volume(self, length: int, cap: int | None = None) -> None:
         """Refuse (``VolumeGuardError``) when the allowed words of the given
-        length exceed the enumeration cap (``DEFAULT_ENUM_CAP`` when ``cap``
-        is None); otherwise return the subtree counts of
-        ``_subtree_counts``."""
-        counts = self._subtree_counts(length)
-        count = counts[length][self._det[1]]
+        length (``word_count``) exceed the enumeration cap
+        (``DEFAULT_ENUM_CAP`` when ``cap`` is None)."""
+        count = self.word_count(length)
         limit = DEFAULT_ENUM_CAP if cap is None else cap
         if count > limit:
             raise VolumeGuardError(
                 f"volume too large for brute force: {_count_text(count)} words "
                 f"of length {length} exceed the cap {limit}")
-        return counts
 
     def word_matrix(self, length: int, cap: int | None = None) -> np.ndarray:
         """All allowed words of the given length, lexicographic order, as a

@@ -270,29 +270,28 @@ def tangent_derivative_check(presentation: SoficPresentation, potential: Potenti
 
     * central finite difference of P_n along the indicator direction, from
       partition passes on f + t 1_u and f - t 1_u,
-    * the exact derivative E[occurrences of u] / (2n+1), one pass with u
-      pinned at each placement against the unpinned pass,
+    * the exact derivative E[occurrences of u] / (2n+1), from one pass on
+      f that carries the mean of the indicator's energy
+      (``_dp_log_partition``'s ``along``),
     * the equilibrium measure's cylinder probability.
 
-    The measure comes first, so a refused transfer or a reducible or
-    periodic shift costs no pass.  No word is enumerated.
+    That is three partition passes for every n.  The measure comes first,
+    so a refused transfer or a reducible or periodic shift costs no pass.
+    No word is enumerated.
     """
     indicator = indicator_potential(presentation, u_bar)  # refuses a bad center
     measure = equilibrium_measure(presentation, potential)
     cylinder_value = cylinder_prob(measure, u_bar)
     length = 2 * n + 1
 
-    def log_z(pot: Potential, fixed: dict[int, int] | None = None) -> float:
-        return _dp_log_partition(presentation, pot, [length], fixed)[0]
+    def log_z(pot: Potential) -> float:
+        return _dp_log_partition(presentation, pot, [length])[0]
 
     finite_diff = (log_z(add_potentials(potential, indicator, t_step))
                    - log_z(add_potentials(potential, indicator, -t_step))
                    ) / (2.0 * t_step * length)
-    base = log_z(potential)
-    formula = math.fsum(
-        math.exp(log_z(potential, {a + i: x for i, x in enumerate(u_bar.letters)})
-                 - base)
-        for a in range(length - len(u_bar) + 1)) / length
+    formula = _dp_log_partition(presentation, potential, [length],
+                                indicator)[0] / length
     return finite_diff, formula, cylinder_value
 
 

@@ -313,6 +313,14 @@ class TestCli:
         assert "16384 vertices" in out.stderr
         assert "Traceback" not in out.stderr
 
+    @pytest.mark.parametrize("rule", ["", ","])
+    def test_bad_rule_item(self, rule):
+        out = run_cli("factor", "--shift", str(data_path("even.shift")),
+                      "--k", "0", "--rule", rule, "--default", "0")
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr == "error: bad rule item ''; want pattern=symbol\n"
+
     def test_determinism_across_runs_and_threads(self):
         args = ("weakgibbs", "--shift", str(data_path("even.shift")),
                 "--potential", str(data_path("pair_beta.pot")), "--m", "1..5")
@@ -598,14 +606,17 @@ class TestCli:
         *((command, case) for case in ("missing", "not-utf8")
           for command in CLI_ARGS),
         ("gap", "unwritable-out"),
+        ("gap", "empty-out"),
     ])
     def test_bad_file_exits_2_without_traceback(self, tmp_path, command, case):
         shift = {"missing": tmp_path / "missing.shift",
                  "not-utf8": tmp_path / "binary.shift",
-                 "unwritable-out": data_path("even.shift")}[case]
+                 "unwritable-out": data_path("even.shift"),
+                 "empty-out": data_path("even.shift")}[case]
         (tmp_path / "binary.shift").write_bytes(b"vertex a\n\x7fELF\xff\xfe\n")
-        out_flags = (("--out", str(tmp_path / "no-such-dir" / "report.tsv"))
-                     if case == "unwritable-out" else ())
+        out_flags = {"unwritable-out": ("--out", str(tmp_path / "no-such-dir"
+                                                     / "report.tsv")),
+                     "empty-out": ("--out", "")}.get(case, ())
         out = run_cli(command, "--shift", str(shift), *CLI_ARGS[command],
                       *out_flags)
         assert out.returncode == 2

@@ -107,15 +107,11 @@ class TestCylinderProb:
         with pytest.warns(EmptyCylinderWarning):
             assert cylinder_prob(parry, word((1, 1))) == 0.0
 
-    def test_even_shift_forward_product_oracle(self, ev, even_eq, pot_zero):
-        # constrained/total partition ratio at window 30, via the word-sum
-        # transfer product with the center pinned
-        from shiftgibbs.pressure import _dp_log_partition
-        length = 61
-        [log_total] = _dp_log_partition(ev, pot_zero, [length])
-        [log_one] = _dp_log_partition(ev, pot_zero, [length], fixed={30: 1})
+    def test_even_shift_closed_form(self, even_eq):
+        # the even shift's measure of maximal entropy gives the letter 1
+        # the weight 1/sqrt(5)
         assert cylinder_prob(even_eq, word((1,))) == pytest.approx(
-            math.exp(log_one - log_total), abs=1e-8)
+            1 / math.sqrt(5), abs=1e-12)
 
     def test_kolmogorov_consistency(self, parry, even_eq):
         for mu in (parry, even_eq):

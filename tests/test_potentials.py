@@ -271,7 +271,6 @@ class TestNorms:
         rep = norms(pot)
         assert rep.norm == pytest.approx(2 * c)
         assert rep.cross_norm == pytest.approx(c)
-        assert rep.per_shape == (((0, 4), c),)
 
 
 def boundary_norm_oracle(potential, m):

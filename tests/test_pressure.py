@@ -6,14 +6,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from shiftgibbs import (SoficPresentation, ValidationError, add_potentials,
-                        brute_partition, build_transfer, finite_pressure,
-                        perron, pressure_limit)
+from shiftgibbs import (SoficPresentation, ValidationError, Word,
+                        add_potentials, brute_partition, build_transfer,
+                        finite_pressure, indicator_potential, perron,
+                        pressure_limit)
 from shiftgibbs.bundled import BINARY, SITE_FIELD, data_path
 from shiftgibbs.fileio import load_potential, load_shift
 from shiftgibbs.potentials import Potential, ShapeTable
-from shiftgibbs.pressure import (_dp_log_partition, _partition_graph,
-                                 log_sum_exp, word_energies)
+from shiftgibbs.pressure import (_dp_log_partition, log_sum_exp,
+                                 word_energies)
 from shiftgibbs.shifts import Alphabet, strongly_connected, support_period
 from test_potentials import step_energy
 from test_verify import range_three_sft
@@ -382,22 +383,6 @@ class TestLadderOracle:
             [alone] = _dp_log_partition(ev, pot_pair, [2 * n + 1])
             assert p_n == alone / (2 * n + 1)
 
-    def test_fixed_positions_in_every_length(self, ev):
-        potential = _range_three(7)
-        lengths = [9, 2, 5, 13, 4, 9]
-        fixed = {1: 0, 3: 1}
-        many = _dp_log_partition(ev, potential, lengths, fixed=fixed)
-        for length, value in zip(lengths, many):
-            assert value == _dp_log_partition(ev, potential, [length],
-                                              fixed=fixed)[0]
-            words = ev.word_matrix(length)
-            keep = np.ones(words.shape[0], dtype=bool)
-            for pos, a in fixed.items():
-                if pos < length:
-                    keep &= words[:, pos] == a
-            brute = log_sum_exp(word_energies(potential, words[keep]))
-            assert value == pytest.approx(brute, rel=0, abs=1e-12)
-
     @pytest.mark.parametrize("shift", SHIFT_FILES)
     def test_head_lengths_match_brute(self, shift):
         # lengths up to R + 1 read the per-position head tables
@@ -410,28 +395,18 @@ class TestLadderOracle:
                 brute = _brute_log_z(pres, potential, length, {})
                 assert value == pytest.approx(brute, rel=0, abs=1e-12)
 
-    @pytest.mark.parametrize("fixed", [{}, {0: 1, 6: 1}])
-    def test_steep_mixed_sign_shapes(self, full, ev, fixed):
-        # on the even shift the heaviest words 100000... end in an odd run
-        # of zeros, at least 800 above every word that the pin 1 at
-        # position 6 lets through: one shift for all keys would underflow
-        # the survivors
+    def test_steep_mixed_sign_shapes(self, full, ev):
+        # step energies of +-800: the keys' log weights lie far apart, and
+        # each target is shifted by its own maximum
         potential = Potential(BINARY, 1, (
             ShapeTable((0,), {(0,): 800.0, (1,): -800.0}),
             ShapeTable((0, 1), {(1, 1): 800.0, (0, 1): -800.0})))
         lengths = list(range(1, 12))
         for pres in (full, ev):
-            values = _dp_log_partition(pres, potential, lengths, fixed=fixed)
+            values = _dp_log_partition(pres, potential, lengths)
             for length, value in zip(lengths, values):
-                brute = _brute_log_z(pres, potential, length, fixed)
+                brute = _brute_log_z(pres, potential, length, {})
                 assert value == pytest.approx(brute, rel=1e-12, abs=0)
-
-    def test_dead_pattern_gives_minus_inf(self, ev, pot_pair):
-        # an odd run of zeros between two ones is not in the even shift
-        out = _dp_log_partition(ev, pot_pair, [5, 1, 2, 3],
-                                fixed={0: 1, 1: 0, 2: 1})
-        assert out[0] == out[3] == -math.inf
-        assert math.isfinite(out[1]) and math.isfinite(out[2])
 
     def test_no_lengths(self, ev, pot_pair):
         assert _dp_log_partition(ev, pot_pair, []) == []
@@ -451,41 +426,41 @@ class TestLadderOracle:
             word_energies(huge, np.array([[1, 0], [1, 1]]))
 
 
-class TestPartitionGraph:
-    """The partition pass's keys and edges, built once per presentation
-    and K**R and shared by every pass on it."""
+def _brute_mean(pres, potential, along, length):
+    """The Gibbs mean of ``along``'s word energies over the enumerated
+    words of one length, weighted by ``potential``."""
+    words = pres.word_matrix(length)
+    log_w = word_energies(potential, words)
+    return float(np.exp(log_w - log_sum_exp(log_w)) @ word_energies(along, words))
 
-    def test_one_presentation_many_potentials(self):
-        shared, range_three = range_three_sft(1)
-        rng = random.Random(4)
-        range_one = Potential(shared.alphabet, 1, (ShapeTable(
-            (0, 1), {pat: rng.uniform(-1, 1)
-                     for pat in itertools.product(range(5), repeat=2)}),))
-        range_zero = Potential(shared.alphabet, 0,
-                               (ShapeTable((0,), {(2,): 0.75}),))
-        lengths = [1, 2, 4, 9]
-        # range 0 and range 1 share K**1; the pins mask edges per pass only
-        for potential, fixed in [(range_one, None), (range_three, None),
-                                 (range_zero, {1: 3}),
-                                 (range_three, {0: 2, 3: 4}),
-                                 (range_one, {2: 0})]:
-            fresh = range_three_sft(1)[0]
-            assert (_dp_log_partition(shared, potential, lengths, fixed)
-                    == _dp_log_partition(fresh, potential, lengths, fixed))
-        assert sorted(shared._partition_graphs) == [5, 125]
 
-    def test_graph_built_once_and_read_only(self):
-        pres = load_shift(data_path("even.shift"))
-        pair = load_potential(data_path("pair_beta.pot"), pres.alphabet)
-        _dp_log_partition(pres, pair, [3])
-        graph = pres._partition_graphs[2]
-        _dp_log_partition(pres, pair, [5], {0: 1})
-        assert _partition_graph(pres, 2) is graph
-        assert graph.letter[graph.dead] == -1 and graph.src[graph.dead] == graph.home
-        for array in (graph.src, graph.letter, graph.context, graph.tgt,
-                      graph.starts):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0
+class TestAlongMean:
+    """The pass with ``along`` against the brute Gibbs mean of its word
+    energies: d/dt log Z(f + t g) at t = 0."""
+
+    LENGTHS = [9, 0, 3, 9, 1, 12, 2]  # unsorted, with a repeat and 0
+
+    def check(self, pres, potential, along):
+        values = _dp_log_partition(pres, potential, self.LENGTHS, along)
+        for length, value in zip(self.LENGTHS, values):
+            brute = _brute_mean(pres, potential, along, length)
+            assert value == pytest.approx(brute, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("shift, pot", _bundled_pairs())
+    def test_bundled_pairs(self, shift, pot):
+        pres = load_shift(data_path(shift))
+        potential = load_potential(data_path(pot), pres.alphabet)
+        u_bar = Word(pres.alphabet, -1, tuple(int(a) for a in pres.word_matrix(3)[-1]))
+        for along in (potential, indicator_potential(pres, u_bar)):
+            self.check(pres, potential, along)
+
+    def test_range_three_potential(self, ev):
+        self.check(ev, _range_three(5), _range_three(6))
+
+    def test_along_wider_than_potential(self, ev, pot_zero):
+        # the graph's context comes from the indicator's range 2, not the
+        # zero potential's range 0
+        self.check(ev, pot_zero, indicator_potential(ev, Word(BINARY, -1, (1, 0, 0))))
 
 
 def tuple_transfer(presentation, potential):

@@ -79,7 +79,7 @@ class TestTangentDerivative:
 
     @pytest.mark.parametrize("n", [4, 12])
     def test_step_tables_built_per_potential(self, ev, monkeypatch, n):
-        # f, f + t 1_u and f - t 1_u: three builds, however many passes
+        # f, 1_u, f + t 1_u and f - t 1_u: four builds for every n
         built = []
         build = Potential.__dict__["step_tables"].func
 
@@ -91,13 +91,26 @@ class TestTangentDerivative:
         prop.__set_name__(Potential, "step_tables")
         monkeypatch.setattr(Potential, "step_tables", prop)
         tangent_derivative_check(ev, equal_pair(), word((0, 1, 0)), n, 1e-3)
-        assert len(built) == 3
+        assert len(built) == 4
+
+    @pytest.mark.parametrize("n", [4, 40])
+    def test_three_passes(self, ev, pot_pair, monkeypatch, n):
+        # two finite-difference passes and one exact-derivative pass
+        passes = []
+
+        def counted(*args):
+            passes.append(args)
+            return _dp_log_partition(*args)
+
+        monkeypatch.setattr(verify, "_dp_log_partition", counted)
+        tangent_derivative_check(ev, pot_pair, word((0, 1, 0)), n, 1e-3)
+        assert len(passes) == 3
 
 
 def constrained_partition(presentation, potential, n, j, ell, v):
     """log of the partition sum over allowed (2n+1)-words whose restriction
-    to the shifted center window equals the pattern ``v``: one partition
-    pass with the window's letters pinned, so no word is enumerated."""
+    to the shifted center window equals the pattern ``v``: a brute sum over
+    the enumerated words with the window's letters pinned."""
     _require_allowed_center(presentation, v)
     m = len(v) // 2
     q = decoupling_gap(presentation, "bounded-length").gap
@@ -107,13 +120,14 @@ def constrained_partition(presentation, potential, n, j, ell, v):
         raise ValidationError("windows inconsistent: |j| must be at most n-(m+q)")
     lo = n + j + ell - m  # column of window position j+ell-m
     pins = {lo + i: a for i, a in enumerate(v.letters)}
-    return _dp_log_partition(presentation, potential, [2 * n + 1], pins)[0]
+    from test_pressure import _brute_log_z  # test_pressure imports this module
+    return _brute_log_z(presentation, potential, 2 * n + 1, pins)
 
 
 class TestConstrainedPartition:
     def test_matches_212_class_sums(self, ev, pot_pair):
         # Z_{n,ell}(v) of the 212 tables, per shift and center, against
-        # one pinned pass each
+        # one masked brute sum each
         n, m = 6, 1
         q = decoupling_gap(ev, "bounded-length").gap
         checked = 0
@@ -139,7 +153,7 @@ class TestConstrainedPartition:
 
     def test_full_shift_counting(self, full, pot_zero):
         # 2^(2n+1-(2m+1)) words extend any center pattern
-        for n in (3, 11):  # 2^23 words at n = 11: more than brute force takes
+        for n in (3, 6):
             val = constrained_partition(full, pot_zero, n, 0, 0, word((1, 0, 1)))
             assert val == pytest.approx(math.log(2 ** (2 * n + 1 - 3)), abs=1e-12)
 
@@ -1094,13 +1108,17 @@ def trie_rows(measure, potential, m_list, cap=None):
     presentation = measure.presentation
     ms = sorted(m_list)
     lengths = [2 * m + 1 for m in ms]
-    counts = presentation.check_volume(max(lengths, default=0), cap)
+    presentation.check_volume(max(lengths, default=0), cap)
     from test_pressure import densify  # test_pressure imports this module
     det, start = presentation._det
+    # counts[r][s]: the number of allowed words of length r read from
+    # automaton state s
+    counts = [np.ones(det.shape[0])]
+    for _ in range(max(lengths, default=0)):
+        counts.append(np.where(det >= 0, counts[-1][det], 0).sum(axis=1))
     worst = scan_deviation(
         det, start, densify(measure.transfer.succ, measure.q), measure.stationary,
-        potential.step_tables, lengths, measure.log_lambda,
-        [np.asarray(c, dtype=float) for c in counts])
+        potential.step_tables, lengths, measure.log_lambda, counts)
     return [(m, float(dev) / length) for m, length, dev in zip(ms, lengths, worst)]
 
 
