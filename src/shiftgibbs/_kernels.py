@@ -4,14 +4,16 @@ of the transfer cover.
 The energy kernel takes a batch of words encoded as ``uint8`` symbol
 indices, shape ``(n_words, length)``, and a finite-range potential as its
 per-position step tables, ``Potential.step_tables``.  The class pass takes
-the cover as its (letter, state) table of targets with a dead sink and
-keeps one table of distinct state maps per length.  Every length is a set
-of (prefix, suffix map) pairs, a length up to the context length R with
-the identity table, and one routine sums them: first over the prefix's
-image (grouped by state only at R letters, where it has at most one state
-per vertex), then S-wide only where a pair may attain the maximum.  Every
-sum runs in blocks of about ``BLOCK`` terms.  Cylinder probabilities are not
-computed here: ``measures.cylinder_prob`` is their one route.
+the cover as its (letter, state) tables of targets and step energies with
+a dead sink, and its prefix words from ``word_matrix``; it keeps one table
+of distinct state maps per length, and walks the cover for each prefix's
+map and log g.  Every length is a set of (prefix, suffix map) pairs, a
+length up to the context length R with the identity table, and one
+routine sums them: first over the prefix's image (grouped by state only
+at R letters, where it has at most one state per vertex), then S-wide
+only where a pair may attain the maximum.  Every sum runs in blocks of
+about ``BLOCK`` terms.  Cylinder probabilities are not computed here:
+``measures.cylinder_prob`` is their one route.
 
 Every site in the package that numbers keys densely (word classes, lemma
 classes, cover states) goes through ``dense_ids``.
@@ -107,23 +109,16 @@ def batch_energy(words, step_tables):
 BLOCK = 1 << 16
 
 
-def word_classes(delta, prefix_len, depth):
-    """Yield one level per length 0..depth, shortest first: the table of
-    the distinct state maps of that length's allowed words, and, up to
-    ``prefix_len``, the words themselves.
+def word_classes(delta, depth):
+    """Yield the table of distinct state maps of each length 0..depth,
+    shortest first.
 
     ``delta[a, s]`` is the cover state that state ``s`` reaches on letter
     ``a``; the last index is a dead sink (no such transition), which maps to
     itself.  The map of a word ``u`` is ``s -> t_s(u)`` over the cover
-    states.  A level is a triple ``(words, ids, table)``: ``table`` holds
-    the level's distinct maps, one row of ``delta``'s dtype each, sorted as
-    bytes.  While the length is at most ``prefix_len`` a class is a word:
-    ``words`` holds the base-K codes of the allowed words in ascending order
-    (first letter most significant) and word ``i`` has the map
-    ``table[ids[i]]``.  Past ``prefix_len`` the level is its table alone
-    (``words`` and ``ids`` are None).  ``class_deviation`` pairs the words
-    of one level with the table of another as the suffix maps; level 0's
-    table is the identity, the suffix of a length that is all prefix.
+    states.  A level's table holds the distinct maps of the words of that
+    length that some state reads, one row of ``delta``'s dtype each, sorted
+    as bytes; level 0's table is the identity.
 
     A word's next map is ``delta[a][map]``, a function of its map and the
     letter alone, so the next table comes from the ``K x n_maps`` candidate
@@ -132,49 +127,36 @@ def word_classes(delta, prefix_len, depth):
     than there are words of its length, and each distinct map is S wide
     only once.
     """
-    n_symbols, n_ext = delta.shape
-    dead = n_ext - 1
+    dead = delta.shape[1] - 1
     row = np.dtype((np.void, dead * delta.itemsize))
-    words = np.zeros(1, dtype=np.int64)
-    ids = np.zeros(1, dtype=np.int64)
     table = np.arange(dead, dtype=delta.dtype)[None, :]
-    yield words, ids, table
-    letters = np.arange(n_symbols, dtype=np.int64)
-    for length in range(1, depth + 1):
-        n_maps = table.shape[0]
-        # row a * n_maps + j: map j, then letter a
+    yield table
+    for _ in range(depth):
         cand = np.take(delta, table, axis=1).reshape(-1, dead)
-        alive = np.flatnonzero((cand != dead).any(axis=1))
-        inv, rep = dense_ids(cand[alive].view(row).ravel())
-        table = cand[alive[rep]]
-        if length > prefix_len:
-            yield None, None, table
-            continue
-        new_id = np.full(cand.shape[0], -1, dtype=np.int64)
-        new_id[alive] = inv
-        child = new_id[ids[:, None] + letters * n_maps]  # row i: word i, then each letter
-        keep = child >= 0
-        words = (words[:, None] * n_symbols + letters)[keep]
-        ids = child[keep]
-        yield words, ids, table
+        cand = cand[(cand != dead).any(axis=1)]
+        table = cand[dense_ids(cand.view(row).ravel())[1]]
+        yield table
 
 
-def _log_g(codes, width, n_symbols, contexts, log_start, step_tables):
-    """``log g[p, s] = log_start[s] + cross(s, p) - head(p)`` for the
-    ``width``-letter words with base-K codes ``codes``, letter by letter.
-    After i + 1 letters of p, state s's context is the code of its letters
-    still in the window plus that of p's letters, both below the last
-    table's size K^(r+1) and with disjoint digits, so with no reduction."""
-    last = step_tables[-1]
-    modulus = last.shape[0]
-    cross = np.zeros((codes.shape[0], contexts.shape[0]))
-    head = np.zeros(codes.shape[0])
-    for i in range(width):
-        first = codes // n_symbols ** (width - 1 - i)  # the first i + 1 letters
-        kept = contexts * n_symbols ** (i + 1) % modulus
-        cross += last[(first % modulus)[:, None] + kept]
-        head += step_tables[i][first]
-    return log_start + cross - head[:, None]
+def _walk(delta, step, words, log_start, step_tables):
+    """Each word's map and log g, read off the cover one letter column at a
+    time: ``maps[p, s]`` is the state that state ``s`` reaches along word
+    ``p`` (the dead sink once an edge is missing), and
+
+        log g[p, s] = log_start[s] + cross(s, p) - head(p),
+
+    where ``cross(s, p)`` sums ``step`` over the edges of that path (the
+    sink's column is 0) and ``head(p)`` is the energy of ``p`` alone
+    (``batch_energy``)."""
+    n_ext = delta.shape[1]
+    state = np.broadcast_to(np.arange(n_ext - 1), (words.shape[0], n_ext - 1))
+    cross = np.zeros(state.shape)
+    for letter in words.T:
+        at = letter.astype(np.intp)[:, None] * n_ext + state
+        cross += np.take(step, at)
+        state = np.take(delta, at)
+    head = batch_energy(words, step_tables)
+    return state, log_start + cross - head[:, None]
 
 
 def _lse_rows(terms):
@@ -215,8 +197,8 @@ def _images(maps, log_g, dead):
     return img, padded
 
 
-def class_deviation(delta, contexts, log_start, log_end, step_tables, lengths,
-                    prefix_len):
+def class_deviation(delta, step, log_start, log_end, step_tables, prefixes,
+                    lengths, prefix_len):
     """Largest ``|val(c)|`` over the classes ``c`` of the allowed words of
     each length in ``lengths`` (one entry per length).
 
@@ -224,25 +206,23 @@ def class_deviation(delta, contexts, log_start, log_end, step_tables, lengths,
     (all of ``u`` while it is shorter) and its map ``t: s -> t_s(u)``, and
 
         val = log sum_s exp(log g[p, s] + log_end[t(s)]),
-        log g[p, s] = log_start[s] + cross(s, p) - head(p),
 
-    where ``cross(s, p)`` sums the step energies of the letters of ``p``
-    read after the base-K context code ``contexts[s]`` and ``head(p)`` is
-    the energy of ``p`` alone, both from ``step_tables`` (entry ``code`` of
-    table ``i`` is the increment of the letter at position ``i`` under the
-    last ``i + 1`` letters; the last table serves every later position, and
-    there are at least ``prefix_len`` tables).  ``log_start`` is finite and
-    ``log_end`` is finite but for its last entry, ``-inf`` for the dead sink.
-    This S-wide sum, shifted by its largest term (``_lse_rows``), is the
-    value reported; a requested length without classes raises
-    ``ValueError``.
+    with ``log g`` from ``_walk``: ``step[a, s]`` is the step energy of
+    state ``s``'s ``a``-edge (0 where ``delta`` has none, and in the dead
+    sink's column) and ``step_tables`` give the energy of ``p`` alone.
+    ``prefixes[k]`` holds the k-letter words, one ``uint8`` row each, for
+    every k = min(L, R) with L in ``lengths``; a word no state reads is no
+    class.  ``log_start`` is finite and ``log_end`` is finite but for its
+    last entry, ``-inf`` for the dead sink.  This S-wide sum, shifted by
+    its largest term (``_lse_rows``), is the value reported; a requested
+    length without classes raises ``ValueError``.
 
     One routine, ``_pair_level``, evaluates every length.  With width =
     min(R, longest requested length), a word of length L is ``u = p u'``
     with ``|p| = k = min(L, width)`` and ``t_s(u) = t_{t_s(p)}(u')``: a
-    length is the set of pairs of a k-letter prefix (level k of
-    ``word_classes``) and a suffix map (the table of level L - k, the
-    identity when L <= width), and
+    length is the set of pairs of a k-letter prefix (``prefixes[k]``) and a
+    suffix map (the table of level L - k of ``word_classes``, the identity
+    when L <= width), and
 
         val(p, u') = log sum over sigma in T_p of
                      exp(log_h[p, sigma] + log_end[t_sigma(u')]),
@@ -253,19 +233,21 @@ def class_deviation(delta, contexts, log_start, log_end, step_tables, lengths,
     there is at most one per vertex.  A shorter level keeps T_p = p's map
     and ``log_h = log g``, the S-wide operands.  The short sum runs over
     every pair, in blocks of about ``BLOCK`` terms; a pair with no live term
-    is not a class.  A level shorter than width is evaluated as it arrives
-    and dropped.
+    is not a class.  The suffix tables are built first, then each prefix
+    level is walked, evaluated and dropped.
 
     The short sum may round differently from the S-wide one, so it only
     picks the pairs to re-sum S-wide, with the map ``table[j][maps_p]``, in
     blocks of ``max(1, BLOCK // S)`` pairs.  The margin, one per prefix
     level: let eps be the machine epsilon and ``a = max |log g| + max
-    |log_end|`` over finite entries.  A term of the S-wide sum is at most
-    ``a`` in size; ``|log_h| <= max |log g| + log S``, so a term of the
-    short sum is at most ``a + S``.  A log-sum-exp of at most S terms of
-    size at most A is 1-Lipschitz in its terms (sup norm), and its own
-    rounding (a shift, an ``exp``, a sum of at most S positive numbers, a
-    ``log`` and an add) is below about ``eps (2A + 4S)``.  The S-wide route
+    |log_end|`` over finite entries (an entry of ``log g`` on a path into
+    the dead sink is finite too, and only widens the margin).  A term of
+    the S-wide sum is at most ``a`` in size; ``|log_h| <= max |log g| +
+    log S``, so a term of the short sum is at most ``a + S``.  A
+    log-sum-exp of at most S terms of size at most A is 1-Lipschitz in its
+    terms (sup norm), and its own rounding (a shift, an ``exp``, a sum of
+    at most S positive numbers, a ``log`` and an add) is below about ``eps
+    (2A + 4S)``.  The S-wide route
     adds the rounding of each term's sum, the short route that of ``log_h``
     (one more such log-sum-exp) and of its terms, so each route is within
     ``16 eps (S + a)`` of the exact value, and the two within ``32 eps (S +
@@ -278,30 +260,27 @@ def class_deviation(delta, contexts, log_start, log_end, step_tables, lengths,
     worst = np.zeros(lengths.shape[0])
     if lengths.shape[0] == 0:
         return worst
-    n_symbols, n_ext = delta.shape
-    dead = n_ext - 1
+    dead = delta.shape[1] - 1
     width = min(prefix_len, int(lengths.max()))
     suffix_len = lengths - np.minimum(lengths, width)
     end_size = np.abs(log_end[:-1]).max(initial=0.0)
     tables = {}  # suffix length -> its table of maps
-    levels = word_classes(delta, prefix_len, max(width, int(suffix_len.max())))
-    for length, (words, ids, table) in enumerate(levels):
+    for length, table in enumerate(word_classes(delta, int(suffix_len.max()))):
         if (suffix_len == length).any():
             tables[length] = table
-        if length > width or (length < width and not (lengths == length).any()):
-            continue
-        maps = table[ids]
-        log_g = _log_g(words, length, n_symbols, contexts, log_start, step_tables)
+    for length in dict.fromkeys(np.minimum(lengths, width).tolist()):
+        maps, log_g = _walk(delta, step, prefixes[length], log_start, step_tables)
         margin = 64 * np.finfo(float).eps * (dead + np.abs(log_g).max(initial=0.0)
                                              + end_size)
         grouped = _images(maps, log_g, dead) if length == prefix_len else (maps, log_g)
         level = (maps, log_g, *grouped, margin)
         if length < width:
             worst[lengths == length] = _pair_level(level, tables[0], log_end)
-    for suffix, table in tables.items():
-        hit = lengths == width + suffix
-        if hit.any():
-            worst[hit] = _pair_level(level, table, log_end)
+            continue
+        for suffix, table in tables.items():
+            hit = lengths == width + suffix
+            if hit.any():
+                worst[hit] = _pair_level(level, table, log_end)
     return worst
 
 

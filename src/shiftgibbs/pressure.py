@@ -10,8 +10,8 @@ builds once.  Each word is one automaton path, so the two agree up to
 rounding even for sofic shifts where words carry several presenting
 paths.  The limiting pressure is the
 log Perron root of the weighted transfer system on the (vertex,
-trailing-context) cover, one (letter, state) table of targets and step
-weights that every product reads (``_pull``: M x, ``_push``: v M); its
+trailing-context) cover, (letter, state) tables of targets, step
+energies and step weights; every product reads the targets and weights (``_pull``: M x, ``_push``: v M); its
 step energies come from ``potentials._step_energies`` directly, not from
 the step tables and their context-space guard.
 """
@@ -41,9 +41,11 @@ class TransferSystem:
     """Weighted transfer system on the (vertex, trailing R letters) cover.
 
     State i is ``keys[i]`` = vertex * K**R + base-K code of its last R
-    letters, in ascending order.  ``succ[a, i]`` is the target of state i's
-    unique a-edge (``n_states``, a dead sink, when absent) and
-    ``weight[a, i]`` its step weight exp(step energy), zero when absent.
+    letters, in ascending order; no other module reads that format.
+    ``succ[a, i]`` is the target of state i's unique a-edge (``n_states``,
+    a dead sink, when absent), ``step[a, i]`` its step energy and
+    ``weight[a, i]`` its step weight exp(step energy), both zero when
+    absent.
     """
 
     presentation: SoficPresentation
@@ -51,6 +53,7 @@ class TransferSystem:
     context_len: int
     keys: np.ndarray
     succ: np.ndarray
+    step: np.ndarray
     weight: np.ndarray
 
     @property
@@ -137,7 +140,9 @@ def build_transfer(presentation: SoficPresentation,
         weight[a, i] = w
     if refusal is not None:
         raise refusal
-    return TransferSystem(presentation, potential, R, keys, succ, weight)
+    step = np.zeros((K, S))
+    step[letter, src] = steps
+    return TransferSystem(presentation, potential, R, keys, succ, step, weight)
 
 
 def _pull(succ: np.ndarray, weight: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -293,8 +298,12 @@ def _dp_log_partition(presentation: SoficPresentation, potential: Potential,
     each key also carries the mean of ``along``'s energy over the paths
     into it (the first-order expectation semiring, Eisner 2002): the same
     edge weights' average of the source's mean plus ``along``'s step on
-    the edge.  A log Z that overflows (+inf or nan) is refused.
+    the edge.  A negative length, and a log Z that overflows (+inf or
+    nan), are refused.
     """
+    if min(lengths, default=0) < 0:
+        raise ValidationError(
+            f"word length must be nonnegative, not {min(lengths)}")
     R = max(1, potential.span, 0 if along is None else along.span)
     src, context, tgt, starts, home, dead = _partition_graph(
         presentation, len(presentation.alphabet) ** R)

@@ -326,7 +326,10 @@ class SoficPresentation:
     def word_count(self, length: int) -> int:
         """Exact number of allowed words of the given length (exact
         integers): one vector of per-state counts of the words read from
-        each automaton state, extended a letter at a time."""
+        each automaton state, extended a letter at a time.  A negative
+        length is refused."""
+        if length < 0:
+            raise ValidationError(f"word length must be nonnegative, not {length}")
         det, start = self._det
         allowed = det >= 0
         counts = np.ones(det.shape[0], dtype=object)

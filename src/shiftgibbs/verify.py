@@ -202,10 +202,12 @@ def weak_gibbs_scan(measure: RPFMeasure, m_list,
     letters and the map s -> t_s(u).  So each row is a max over the classes
     reached at its length (``_kernels.class_deviation``).  Every row goes
     through one routine: a class is a pair of a prefix p (the first R
-    letters of u, all of u while it is shorter) and the map of the rest of
-    u, the identity when nothing is left, taken from one table of distinct
-    maps per length (each found from the last through the cover's
-    transitions).  Its sum runs first over the states p leads to (at R
+    letters of u, all of u while it is shorter, from ``word_matrix``) and
+    the map of the rest of u, the identity when nothing is left, taken from
+    one table of distinct maps per length (each found from the last through
+    the cover's transitions).  A walk along the cover gives each prefix's
+    map and cross(ctx_s, p), the ``TransferSystem.step`` energies on the
+    path from s.  Its sum runs first over the states p leads to (at R
     letters all with the context p, so at most one per vertex), and only
     the pairs that may attain the row's maximum are summed again over all
     S states, which gives the reported bits.  The
@@ -233,11 +235,14 @@ def weak_gibbs_scan(measure: RPFMeasure, m_list,
     n_states = transfer.n_states
     delta = np.pad(transfer.succ, ((0, 0), (0, 1)), constant_values=n_states
                    ).astype(np.min_scalar_type(n_states))
-    contexts = transfer.keys % n_symbols ** transfer.context_len
+    R = transfer.context_len
+    prefixes = {k: presentation.word_matrix(k, cap)
+                for k in dict.fromkeys(min(length, R) for length in lengths)}
     worst = _kernels.class_deviation(
-        delta, contexts, np.log(measure.stationary / measure.h),
-        np.append(np.log(measure.h), -np.inf), potential.step_tables,
-        lengths, transfer.context_len)
+        delta, np.pad(transfer.step, ((0, 0), (0, 1))),
+        np.log(measure.stationary / measure.h),
+        np.append(np.log(measure.h), -np.inf), potential.step_tables, prefixes,
+        lengths, R)
     q = decoupling_gap(presentation, "bounded-length").gap
     log_z = _dp_log_partition(presentation, potential, lengths)
     rows = []

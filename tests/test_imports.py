@@ -22,6 +22,10 @@ are listed in ``KEPT`` with their reason.
 No module under ``src/shiftgibbs/`` calls ``np.unique`` or
 ``sorted(set(...))``: keys are numbered densely by ``_kernels.dense_ids``
 alone.
+
+No module under ``src/shiftgibbs/`` but ``pressure.py`` reads an attribute
+``.keys`` (a ``.keys()`` call does not count): the transfer cover's key
+and context format is known to ``pressure`` alone.
 """
 
 import ast
@@ -259,3 +263,27 @@ def test_scan_finds_second_renumbering():
         "line 3: np.unique([2, 1])",
         "line 4: numpy.unique(a, return_index=True)",
         "line 5: sorted(set(a.tolist()))"]
+
+
+def key_reads(source: str) -> list[str]:
+    """``line N: text`` for each read of an attribute ``.keys`` in
+    ``source`` that is not the callee of a call."""
+    tree = ast.parse(source)
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    return [f"line {node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "keys"
+            and id(node) not in called]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "pressure.py"],
+                         ids=lambda p: p.name)
+def test_cover_keys_read_in_pressure_alone(path):
+    assert key_reads(path.read_text(encoding="utf-8")) == []
+
+
+def test_scan_finds_key_reads():
+    source = ("a = transfer.keys % 4\n"
+              "b = table.keys()\n"
+              "c = len(t.keys)\n"
+              "d = keys + t.keyset\n")
+    assert key_reads(source) == ["line 1: transfer.keys", "line 3: t.keys"]

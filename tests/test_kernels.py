@@ -271,17 +271,42 @@ def oracle_word_classes(delta, prefix_len, depth):
         yield prefix, maps
 
 
-def oracle_class_deviation(delta, contexts, log_start, log_end, step_tables,
-                           lengths, prefix_len):
+def oracle_log_g(delta, step, log_start, step_tables, letters):
+    """``(ends, log_g)`` of one word, a state at a time along its cover
+    path: ``ends[s]`` is where state ``s``'s path ends (the dead sink once
+    an edge is missing, whose column of ``step`` is 0) and ``log_g[s] =
+    log_start[s] + cross - head``, with ``cross`` the step energies on the
+    path and ``head`` the word's energy, both summed letter by letter."""
+    last = len(step_tables) - 1
+    n_symbols = delta.shape[0]
+    head = 0.0
+    for i in range(len(letters)):
+        code = 0
+        for a in letters[max(0, i - last):i + 1]:
+            code = code * n_symbols + a
+        head += step_tables[min(i, last)][code]
+    ends, log_g = [], []
+    for s, start in enumerate(log_start.tolist()):
+        cross, t = 0.0, s
+        for a in letters:
+            cross += step[a, t]
+            t = delta[a, t]
+        ends.append(t)
+        log_g.append(start + cross - head)
+    return ends, log_g
+
+
+def oracle_class_deviation(delta, step, log_start, log_end, step_tables,
+                           _prefixes, lengths, prefix_len):
     """``class_deviation`` over the S-wide classes, every class of a level
-    in one log-sum-exp."""
+    in one log-sum-exp.  The classes and their prefixes come from
+    ``oracle_word_classes`` (the given prefix words are not read) and each
+    prefix's log g from ``oracle_log_g``."""
     lengths = np.asarray(lengths, dtype=np.int64)
     worst = np.zeros(lengths.shape[0])
     if lengths.shape[0] == 0:
         return worst
     n_symbols = delta.shape[0]
-    last = step_tables[-1]
-    modulus = last.shape[0]
     levels = oracle_word_classes(delta, prefix_len, int(lengths.max()))
     for length, (prefix, maps) in enumerate(levels):
         hit = lengths == length
@@ -289,17 +314,13 @@ def oracle_class_deviation(delta, contexts, log_start, log_end, step_tables,
             continue
         width = min(length, prefix_len)
         codes, which = np.unique(prefix, return_inverse=True)
-        ctx = np.broadcast_to(contexts, (codes.shape[0], contexts.shape[0]))
-        cross = np.zeros(ctx.shape)
-        head = np.zeros(codes.shape[0])
-        for i in range(width):
-            first = codes // n_symbols ** (width - 1 - i)
-            ctx = (ctx * n_symbols + first[:, None] % n_symbols) % modulus
-            cross += last[ctx]
-            head += step_tables[i][first]
-        log_g = log_start + cross - head[:, None]
+        log_g = np.array([
+            oracle_log_g(delta, step, log_start, step_tables,
+                         [code // n_symbols ** (width - 1 - i) % n_symbols
+                          for i in range(width)])[1]
+            for code in codes.tolist()]).reshape(codes.shape[0], -1)
         terms = log_end[maps]
-        terms += log_g[which]
+        terms += log_g[which.ravel()]
         top = terms.max(axis=1)
         terms -= top[:, None]
         val = top + np.log(np.exp(terms, out=terms).sum(axis=1))
@@ -309,34 +330,54 @@ def oracle_class_deviation(delta, contexts, log_start, log_end, step_tables,
 
 def scan_inputs(measure):
     """The class pass's arguments as ``weak_gibbs_scan`` builds them, less
-    the lengths."""
+    the prefix words and the lengths, and the presentation's
+    ``word_matrix``, which gives the prefix words."""
     transfer = measure.transfer
     n_states = transfer.n_states
     delta = np.pad(transfer.succ, ((0, 0), (0, 1)), constant_values=n_states
                    ).astype(np.min_scalar_type(n_states))
-    contexts = transfer.keys % len(measure.presentation.alphabet) ** transfer.context_len
-    return (delta, contexts, np.log(measure.stationary / measure.h),
+    return (delta, np.pad(transfer.step, ((0, 0), (0, 1))),
+            np.log(measure.stationary / measure.h),
             np.append(np.log(measure.h), -np.inf),
-            transfer.potential.step_tables, transfer.context_len)
+            transfer.potential.step_tables, transfer.context_len,
+            measure.presentation.word_matrix)
+
+
+def every_word(n_symbols):
+    """The ``word_matrix`` of the full shift on ``n_symbols`` letters."""
+    def words(length):
+        return np.array(list(itertools.product(range(n_symbols), repeat=length)),
+                        dtype=np.uint8).reshape(n_symbols ** length, length)
+    return words
+
+
+def deviation_args(case, lengths):
+    """``class_deviation``'s arguments for one input case and lengths: the
+    prefix words of every length min(L, R) from the case's ``word_matrix``."""
+    *cover, step_tables, prefix_len, words = case
+    prefixes = {k: words(k) for k in dict.fromkeys(min(n, prefix_len) for n in lengths)}
+    return (*cover, step_tables, prefixes, lengths, prefix_len)
 
 
 def random_cover(rng, n_symbols, n_states, prefix_len, scale):
-    """Class-pass arguments for a random cover: each transition is the dead
-    sink with probability 1/3, except that state 0 reads letter 0 into
-    itself (so no level is empty), and every log weight and step energy is
-    uniform in [-scale, scale]."""
+    """Class-pass inputs for a random cover (every word of the full shift
+    is a prefix word; one no state reads is no class): each transition is
+    the dead sink with probability 1/3, except that state 0 reads letter 0
+    into itself (so no level is empty), and every log weight and step
+    energy is uniform in [-scale, scale], 0 on missing edges."""
     dead = n_states
     delta = rng.integers(0, n_states, size=(n_symbols, n_states + 1))
     delta[rng.random(delta.shape) < 1 / 3] = dead
     delta[:, dead] = dead
     delta[0, 0] = 0
     delta = delta.astype(np.min_scalar_type(n_states))
-    contexts = rng.integers(0, n_symbols ** prefix_len, size=n_states)
+    step = np.where(delta == dead, 0.0,
+                    rng.uniform(-scale, scale, size=delta.shape))
     step_tables = tuple(rng.uniform(-scale, scale, size=n_symbols ** (i + 1))
                         for i in range(prefix_len + 1))
-    return (delta, contexts, rng.uniform(-scale, scale, size=n_states),
+    return (delta, step, rng.uniform(-scale, scale, size=n_states),
             np.append(rng.uniform(-scale, scale, size=n_states), -np.inf),
-            step_tables, prefix_len)
+            step_tables, prefix_len, every_word(n_symbols))
 
 
 def _bundled_inputs():
@@ -361,9 +402,10 @@ def _tied_inputs():
     length ties up to rounding and the short sums and the S-wide sums round
     to different largest classes (at lengths 7, 8 and 9): there a pair that
     attains the S-wide maximum is re-summed only through the margin."""
-    for delta, contexts, log_start, log_end, step_tables, prefix_len in _random_inputs():
-        yield (delta, contexts, np.round(log_start * 2), np.round(log_end * 2),
-               tuple(np.round(t * 2) for t in step_tables), prefix_len)
+    for delta, step, log_start, log_end, step_tables, *rest in _random_inputs():
+        yield (delta, np.round(step * 2), np.round(log_start * 2),
+               np.round(log_end * 2), tuple(np.round(t * 2) for t in step_tables),
+               *rest)
     for shift, span, scale in ((golden_mean, 5, 1e-15), (even_shift, 3, 1e-13)):
         rng = random.Random(span)
         shapes = tuple(
@@ -378,31 +420,37 @@ class TestWordClasses:
     one S-wide map per class."""
 
     @staticmethod
-    def check_levels(delta, prefix_len, depth):
-        levels = zip(_kernels.word_classes(delta, prefix_len, depth),
-                     oracle_word_classes(delta, prefix_len, depth), strict=True)
-        for length, ((words, ids, table), (want_prefix, want_maps)) in enumerate(levels):
+    def check_levels(delta, depth):
+        levels = zip(_kernels.word_classes(delta, depth),
+                     oracle_word_classes(delta, 0, depth), strict=True)
+        for table, (_prefix, want_maps) in levels:
             # the table holds each map of the level's words exactly once,
             # sorted as bytes
             _map_ids, maps = unique_ids(void_rows(want_maps))
             assert np.array_equal(table, maps.view(delta.dtype).reshape(table.shape))
             assert table.dtype == delta.dtype
-            if length > prefix_len:
-                assert words is None and ids is None
-                continue
-            # up to the prefix length a class is a word, in ascending order
-            order = np.argsort(want_prefix)
-            assert np.array_equal(words, want_prefix[order])
-            assert np.array_equal(table[ids], want_maps[order])
 
     def test_bundled_levels(self):
         for measure, depth in _bundled_inputs():
-            delta, *_rest, prefix_len = scan_inputs(measure)
-            self.check_levels(delta, prefix_len, depth)
+            self.check_levels(scan_inputs(measure)[0], depth)
 
     def test_random_levels(self):
-        for delta, *_rest, prefix_len in _random_inputs():
-            self.check_levels(delta, prefix_len, 9)
+        for delta, *_rest in _random_inputs():
+            self.check_levels(delta, 9)
+
+    def test_walk_against_cover_paths(self):
+        # every (word, state) entry, dead paths included, bit for bit
+        cases = [scan_inputs(measure) for measure, _depth in _bundled_inputs()]
+        for (delta, step, log_start, _end, step_tables, prefix_len,
+             words) in cases + list(_random_inputs()):
+            for length in range(prefix_len + 1):
+                prefix = words(length)
+                maps, log_g = _kernels._walk(delta, step, prefix, log_start,
+                                             step_tables)
+                want = [oracle_log_g(delta, step, log_start, step_tables,
+                                     letters.tolist()) for letters in prefix]
+                assert np.array_equal(maps, [ends for ends, _g in want])
+                assert np.array_equal(log_g, [g for _ends, g in want])
 
     def test_images_against_brute_sums(self):
         # the even shift reaches both vertices after a 0, and random covers
@@ -410,13 +458,10 @@ class TestWordClasses:
         cases = [scan_inputs(equilibrium_measure(even_shift(), equal_pair()))]
         cases += list(_random_inputs())
         widths = []
-        for delta, contexts, log_start, _end, step_tables, prefix_len in cases:
+        for delta, step, log_start, _end, step_tables, prefix_len, words in cases:
             dead = delta.shape[1] - 1
-            *_shorter, (words, ids, table) = _kernels.word_classes(
-                delta, prefix_len, prefix_len)
-            maps = table[ids]
-            log_g = _kernels._log_g(words, prefix_len, delta.shape[0], contexts,
-                                    log_start, step_tables)
+            maps, log_g = _kernels._walk(delta, step, words(prefix_len), log_start,
+                                         step_tables)
             img, log_h = _kernels._images(maps, log_g, dead)
             widths.append(img.shape[1])
             for p in range(maps.shape[0]):
@@ -434,24 +479,29 @@ class TestWordClasses:
         monkeypatch.setattr(_kernels, "BLOCK", block)
         cases = [scan_inputs(measure) for measure, _depth in _bundled_inputs()]
         cases += list(_random_inputs()) + list(_tied_inputs())
-        for delta, *rest, prefix_len in cases:
+        for case in cases:
+            prefix_len = case[-2]
             # the last two lists stop below R, so no level groups its states
             for lengths in ([0, 1, 2, 3, 5, 7, 8, 9, 13],
                             [n for n in (0, 1, 2) if n < prefix_len],
                             [n for n in (1, 3) if n < prefix_len]):
-                args = (delta, *rest, lengths, prefix_len)
+                args = deviation_args(case, lengths)
                 assert np.array_equal(_kernels.class_deviation(*args),
                                       oracle_class_deviation(*args))
 
     def test_empty_level_raises(self):
-        # every transition dies, so no word of length 1 has a class
+        # every transition dies, so no word of length 1 has a class; the
+        # pass is given no word of length 1 at all
         delta = np.full((2, 4), 3, dtype=np.uint8)
-        args = (delta, np.zeros(3, dtype=np.int64), np.zeros(3),
-                np.append(np.zeros(3), -np.inf), (np.zeros(2), np.zeros(4)))
-        assert _kernels.class_deviation(*args, [0], 1).tolist() == [math.log(3)]
+        cover = (delta, np.zeros((2, 4)), np.zeros(3),
+                 np.append(np.zeros(3), -np.inf), (np.zeros(2), np.zeros(4)))
+        no_word = np.zeros((0, 1), dtype=np.uint8)
+        empty_word = np.zeros((1, 0), dtype=np.uint8)
+        assert _kernels.class_deviation(*cover, {0: empty_word}, [0], 1
+                                        ).tolist() == [math.log(3)]
         for deviation in (_kernels.class_deviation, oracle_class_deviation):
             with pytest.raises(ValueError):
-                deviation(*args, [0, 1], 1)
+                deviation(*cover, {0: empty_word, 1: no_word}, [0, 1], 1)
 
 
 class TestBackendSelection:

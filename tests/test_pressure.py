@@ -117,6 +117,31 @@ class TestFinitePressure:
                     assert b == pytest.approx(a, rel=1e-10)
 
 
+class TestNegativeLengths:
+    """Every library route refuses a negative word length."""
+
+    REFUSED = "word length must be nonnegative, not -1"
+
+    @pytest.mark.parametrize("method", ["brute", "product"])
+    def test_finite_pressure(self, ev, pot_pair, method):
+        with pytest.raises(ValidationError, match=self.REFUSED):
+            finite_pressure(ev, pot_pair, -1, method)
+
+    def test_pressure_limit(self, ev, pot_pair):
+        with pytest.raises(ValidationError, match=self.REFUSED):
+            pressure_limit(ev, pot_pair, (2, -1))
+
+    def test_partition_pass(self, ev, pot_pair):
+        with pytest.raises(ValidationError, match=self.REFUSED):
+            _dp_log_partition(ev, pot_pair, [3, -1, 0])
+        with pytest.raises(ValidationError, match=self.REFUSED):
+            _dp_log_partition(ev, pot_pair, [-1], pot_pair)
+
+    def test_brute_partition(self, ev, pot_pair):
+        with pytest.raises(ValidationError, match=self.REFUSED):
+            brute_partition(ev, pot_pair, -1)
+
+
 class TestBuildTransfer:
     def test_full_zero_matrix(self, full, pot_zero):
         t = build_transfer(full, pot_zero)
@@ -465,7 +490,8 @@ class TestAlongMean:
 
 def tuple_transfer(presentation, potential):
     """The cover as (vertex, context-tuple) pairs: the sorted states reached
-    by R-edge paths from every vertex, and the weighted transitions."""
+    by R-edge paths from every vertex, the weighted transitions and their
+    step energies (``step_energy``), both dense (K, S, S)."""
     R = max(1, potential.span)
     frontier = {(v, ()) for v in range(presentation.n_vertices)}
     for _ in range(R):
@@ -478,12 +504,14 @@ def tuple_transfer(presentation, potential):
     states = tuple(sorted(frontier))
     index = {s: i for i, s in enumerate(states)}
     trans = np.zeros((len(presentation.alphabet), len(states), len(states)))
+    steps = np.zeros(trans.shape)
     for (v, ctx), i in index.items():
         for e in presentation.out_edges(v):
             a = presentation.edge_symbol(e)
             j = index[(presentation.edge_target(e), (ctx + (a,))[-R:])]
-            trans[a, i, j] = math.exp(step_energy(potential, ctx + (a,)))
-    return states, trans
+            steps[a, i, j] = step_energy(potential, ctx + (a,))
+            trans[a, i, j] = math.exp(steps[a, i, j])
+    return states, trans, steps
 
 
 class TestCoverKeys:
@@ -491,7 +519,7 @@ class TestCoverKeys:
 
     def assert_matches_tuple_walk(self, presentation, potential):
         transfer = build_transfer(presentation, potential)
-        states, trans = tuple_transfer(presentation, potential)
+        states, trans, steps = tuple_transfer(presentation, potential)
         K, R = len(presentation.alphabet), transfer.context_len
         assert [(key // K ** R, tuple(key // K ** p % K for p in range(R - 1, -1, -1)))
                 for key in transfer.keys.tolist()] == list(states)
@@ -499,6 +527,9 @@ class TestCoverKeys:
             presentation.vertices[v] + "|" + presentation.alphabet.text(ctx)
             for v, ctx in states]
         assert np.array_equal(densify(transfer.succ, transfer.weight), trans)
+        # the step energies the class pass walks, 0 where there is no edge
+        assert np.array_equal(densify(transfer.succ, transfer.step), steps)
+        assert not transfer.step[transfer.succ == transfer.n_states].any()
 
     @pytest.mark.parametrize("shift", SHIFT_FILES)
     @pytest.mark.parametrize("pot", POTENTIAL_FILES)

@@ -49,6 +49,14 @@ class TestEnumeration:
         with pytest.raises(VolumeGuardError, match="volume too large for brute force"):
             enumerate_words(full, 10)  # 2^21 candidates > default cap
 
+    @pytest.mark.parametrize("length", [-1, -2, -3])
+    def test_negative_length_refused(self, ev, length):
+        refused = f"word length must be nonnegative, not {length}"
+        for route in (ev.word_count, ev.check_volume, ev.word_matrix,
+                      lambda n: next(ev.iter_word_blocks(n))):
+            with pytest.raises(ValidationError, match=refused):
+                route(length)
+
     def test_cap_override(self, full):
         words = enumerate_words(full, 2, cap=64)
         assert len(words) == 32

@@ -1279,9 +1279,8 @@ class TestClassPass:
     @pytest.mark.parametrize("shift, pot", BUNDLED_SYSTEMS,
                              ids=lambda f: f.__name__)
     def test_no_more_classes_than_words(self, shift, pot, monkeypatch):
-        # up to the context length R a level holds its words; past R it
-        # holds only the table of its suffix maps, down to the deepest
-        # length (21) less R
+        # one table of suffix maps per length, down to the deepest length
+        # (21) less the context length R
         presentation, potential = shift(), pot()
         mu = equilibrium_measure(presentation, potential)
         prefix_len = mu.transfer.context_len
@@ -1289,20 +1288,17 @@ class TestClassPass:
         classes = _kernels.word_classes
 
         def counted(*args):
-            for words, ids, table in classes(*args):
-                levels.append((words, table.shape[0]))
-                yield words, ids, table
+            for table in classes(*args):
+                levels.append(table.shape[0])
+                yield table
 
         monkeypatch.setattr(_kernels, "word_classes", counted)
         weak_gibbs_scan(mu, range(1, 11), cap=1 << 21)
-        assert len(levels) == max(prefix_len, 21 - prefix_len) + 1
-        for length, (words, n_maps) in enumerate(levels):
-            assert (words is None) == (length > prefix_len)
-            if words is not None:
-                assert words.shape[0] == presentation.word_count(length)
+        assert len(levels) == 21 - prefix_len + 1
+        for length, n_maps in enumerate(levels):
             assert 1 <= n_maps <= presentation.word_count(length)
         # repeated maps are merged, so the table size settles
-        assert levels[-1][1] == levels[-2][1] <= 10
+        assert levels[-1] == levels[-2] <= 10
 
     @pytest.mark.parametrize("shift, pot", BUNDLED_SYSTEMS,
                              ids=lambda f: f.__name__)
