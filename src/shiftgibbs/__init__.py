@@ -14,8 +14,8 @@ from .shifts import (Alphabet, BlockCode, DecouplingCertificate, Point,
                      point_from_words, sft_presentation, splice)
 from .verify import (Decoupling1dTables, InequalityRecord, Lemma212Tables,
                      LemmaReport, WeakGibbsReport, decoupling_1d_check,
-                     decoupling_1d_tables, indicator_potential,
-                     lemma_211_check, lemma_212_check, lemma_212_tables,
+                     decoupling_1d_tables, indicator_potential, lemma_211_check,
+                     lemma_211_pairs, lemma_212_check, lemma_212_tables,
                      tangent_derivative_check, weak_gibbs_scan)
 
 __version__ = "0.1.0"

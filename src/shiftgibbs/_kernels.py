@@ -16,7 +16,8 @@ about ``BLOCK`` terms.  Cylinder probabilities are not computed here:
 ``measures.cylinder_prob`` is their one route.
 
 Every site in the package that numbers keys densely (word classes, lemma
-classes, cover states) goes through ``dense_ids``.
+classes and the 211 suite's exteriors, cover states, the partition pass's
+keys) goes through ``dense_ids``; none uses a Python set or dict.
 """
 
 from __future__ import annotations

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import random
 import sys
 
 from .exceptions import ValidationError, VolumeGuardError
@@ -22,7 +21,7 @@ from .shifts import (DEFAULT_ENUM_CAP, BlockCode, SoficPresentation, Word,
                      decoupling_gap, enumerate_words, factor_gap_bound,
                      factor_presentation, point_from_words, splice)
 from .verify import (decoupling_1d_check, decoupling_1d_tables,
-                     lemma_211_check, lemma_212_check, lemma_212_tables,
+                     lemma_211_pairs, lemma_212_check, lemma_212_tables,
                      require_center, tangent_derivative_check,
                      weak_gibbs_scan)
 
@@ -126,10 +125,8 @@ def _cmd_weakgibbs(args) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _report_lines(report, header: str | None = None) -> list[str]:
-    lines = []
-    if header:
-        lines.append(f"# {header}")
+def _report_lines(report, *comments: str) -> list[str]:
+    lines = [f"# {comment}" for comment in comments]
     for rec in report.inequalities:
         lines.append(f"{rec.name}\t{_fmt(rec.lhs)}\t{_fmt(rec.rhs)}\t"
                      f"{'true' if rec.holds else 'false'}")
@@ -149,23 +146,9 @@ def _cmd_lemma(args) -> str:
     presentation, potential = _load(args)
     lines = ["name\tlhs\trhs\tholds"]
     if args.which == "211":
-        q = decoupling_gap(presentation, "bounded-length").gap
-        words = enumerate_words(presentation, args.n, cap=args.cap)
-        rng = random.Random(0 if args.seed is None else args.seed)
-        by_exterior: dict[tuple, list[Word]] = {}
-        for w in words:
-            key = tuple(a for k, a in zip(range(-args.n, args.n + 1), w.letters)
-                        if abs(k - args.j) > args.m + q)
-            by_exterior.setdefault(key, []).append(w)
-        groups = [g for g in by_exterior.values() if len(g) >= 2]
-        if not groups:
-            raise ValidationError("no word pairs share an exterior at these windows")
-        for i in range(10 if args.count is None else args.count):
-            group = groups[rng.randrange(len(groups))]
-            x, y = rng.sample(group, 2)
-            ell, ell_p = rng.randint(-q, q), rng.randint(-q, q)
-            report = lemma_211_check(presentation, potential, args.n, args.m, q,
-                                     args.j, ell, ell_p, x, y)
+        for i, report in enumerate(lemma_211_pairs(presentation, potential, args.n, args.m,
+                                                   args.j, args.seed, args.count, args.cap)):
+            ell, ell_p = report.context["ell"], report.context["ell_prime"]
             lines.extend(_report_lines(report, f"pair {i} ell={ell} ell'={ell_p}"))
         return "\n".join(lines) + "\n"
 
@@ -185,8 +168,13 @@ def _cmd_lemma(args) -> str:
         tables = decoupling_1d_tables(presentation, potential, args.n, args.m,
                                       args.j, q_bar=args.q_bar, cap=args.cap)
         check = decoupling_1d_check
+    # the 1d lemma assumes q_bar >= gap; a comment in each center's block
+    # says when that fails
+    premise = ([f"premise q_bar={tables.q_bar} < gap={tables.gap}"]
+               if args.which == "1d" and tables.q_bar < tables.gap else [])
     for u_bar in targets:
-        lines.extend(_report_lines(check(tables, u_bar), f"u={u_bar.text()}"))
+        lines.extend(_report_lines(check(tables, u_bar), f"u={u_bar.text()}",
+                                   *premise))
     return "\n".join(lines) + "\n"
 
 

@@ -246,23 +246,22 @@ def _partition_graph(presentation: SoficPresentation, n_codes: int
     """The partition pass's graph on the determinized automaton for
     n_codes = K**R: its keys (automaton state, base-K code of the last R
     letters) reachable from the start key (empty context), and their
-    letter edges sorted by target.  Returns ``(src, context, tgt, starts,
-    home, dead)``: edge e runs ``src[e]`` -> ``tgt[e]`` with the base-K
-    code ``context[e]`` of the source's R letters followed by its letter;
-    the edges into key k are ``starts[k]`` up to ``starts[k + 1]``;
-    ``home`` is the start key, and edge ``dead`` a self-loop on it that
-    the pass weighs -inf, so that every key has an incoming edge (and
-    ``starts`` one entry per key)."""
+    letter edges sorted by target.  The keys, encoded as state * n_codes +
+    code, grow from the start key: each round adds the targets of every
+    key's edges (``_context_edges``) and keeps the sorted distinct keys
+    (``_kernels.dense_ids``), until a round adds none.  Returns ``(src,
+    context, tgt, starts, home, dead)``: edge e runs ``src[e]`` ->
+    ``tgt[e]`` with the base-K code ``context[e]`` of the source's R
+    letters followed by its letter; the edges into key k are ``starts[k]``
+    up to ``starts[k + 1]``; ``home`` is the start key, and edge ``dead`` a
+    self-loop on it that the pass weighs -inf, so that every key has an
+    incoming edge (and ``starts`` one entry per key)."""
     det, start = presentation._det
-    # reachable keys, encoded as state * n_codes + code: a search over a
-    # Python set of the keys visited, then sorted once
-    seen = {start * n_codes}
-    frontier = list(seen)
-    while frontier:
-        reached = _context_edges(det, np.array(frontier), n_codes)[3]
-        frontier = list(set(reached.tolist()) - seen)
-        seen.update(frontier)
-    keys = np.array(sorted(seen))
+    keys, n_keys = np.array([start * n_codes]), 0
+    while keys.shape[0] > n_keys:
+        n_keys = keys.shape[0]
+        keys = np.append(keys, _context_edges(det, keys, n_codes)[3])
+        keys = keys[_kernels.dense_ids(keys, det.shape[0] * n_codes)[1]]
     src, _letter, context, target = _context_edges(det, keys, n_codes)
     tgt = np.searchsorted(keys, target)
     home = int(np.searchsorted(keys, start * n_codes))

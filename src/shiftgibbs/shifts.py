@@ -323,19 +323,26 @@ class SoficPresentation:
             i += 1
         return np.array(rows, dtype=np.int64), 0
 
-    def word_count(self, length: int) -> int:
-        """Exact number of allowed words of the given length (exact
-        integers): one vector of per-state counts of the words read from
-        each automaton state, extended a letter at a time.  A negative
-        length is refused."""
+    def _counts(self, length: int) -> Iterator[int]:
+        """Yield the exact number of allowed words of each length 0..length
+        (Python integers): one vector of per-state counts of the words read
+        from each automaton state, extended a letter at a time, read at the
+        start state.  A negative length is refused."""
         if length < 0:
             raise ValidationError(f"word length must be nonnegative, not {length}")
         det, start = self._det
         allowed = det >= 0
         counts = np.ones(det.shape[0], dtype=object)
+        yield int(counts[start])
         for _ in range(length):
             counts = np.where(allowed, counts[det], 0).sum(axis=1)
-        return int(counts[start])
+            yield int(counts[start])
+
+    def word_count(self, length: int) -> int:
+        """Exact number of allowed words of the given length (``_counts``)."""
+        for count in self._counts(length):
+            pass
+        return count
 
     def allows(self, letters: Sequence[int]) -> bool:
         """True iff the letter sequence labels at least one path."""
@@ -374,14 +381,16 @@ class SoficPresentation:
 
     def check_volume(self, length: int, cap: int | None = None) -> None:
         """Refuse (``VolumeGuardError``) when the allowed words of the given
-        length (``word_count``) exceed the enumeration cap
-        (``DEFAULT_ENUM_CAP`` when ``cap`` is None)."""
-        count = self.word_count(length)
+        length exceed the enumeration cap (``DEFAULT_ENUM_CAP`` when ``cap``
+        is None).  The counts of ``_counts`` are read only up to the first
+        one past the cap, which settles it: every automaton state has an
+        allowed letter, so each shorter word extends to a word of the full
+        length and no count falls as the length grows."""
         limit = DEFAULT_ENUM_CAP if cap is None else cap
-        if count > limit:
+        if any(count > limit for count in self._counts(length)):
             raise VolumeGuardError(
-                f"volume too large for brute force: {_count_text(count)} words "
-                f"of length {length} exceed the cap {limit}")
+                f"volume too large for brute force: more than {limit} words "
+                f"of length {length}")
 
     def word_matrix(self, length: int, cap: int | None = None) -> np.ndarray:
         """All allowed words of the given length, lexicographic order, as a
@@ -734,10 +743,13 @@ def factor_presentation(presentation: SoficPresentation,
                         code: BlockCode) -> SoficPresentation:
     """Presentation of the image shift under a sliding-block code.
 
-    Vertices are length-2k paths of the source graph (the k = 0 case keeps
-    the source vertices); an edge extends the path by one source edge and
-    carries the code's output on the (2k+1)-letter label window.  The
-    presented language is exactly the image of the source language.
+    Vertices are length-2k paths of the source graph (for k = 0 the empty
+    path at each source vertex), listed by start vertex and then by edge
+    ids, the order they are grown in; an edge extends the path by one
+    source edge, carries the code's output on the (2k+1)-letter label
+    window and leads to the window's last 2k edges, started at the target
+    of its first edge.  The presented language is exactly the image of the
+    source language.
     """
     k = code.radius
     p = presentation
@@ -754,29 +766,18 @@ def factor_presentation(presentation: SoficPresentation,
         raise VolumeGuardError(
             f"volume too large for brute force: factor image with {n_text} "
             f"vertices needs {n_text} x {n_text} matrices")
-    if k == 0:
-        keys = [(v, ()) for v in range(p.n_vertices)]
-    else:
-        paths = [(v, ()) for v in range(p.n_vertices)]
-        for _ in range(2 * k):
-            paths = [(p.edge_target(e), es + (e,))
-                     for (v, es) in paths for e in p.out_edges(v)]
-        keys = sorted({(p.edge_source(es[0]), es) for (_v, es) in paths})
-    index = {key: i for i, key in enumerate(keys)}
-    names = [f"b{i}" for i in range(len(keys))]
+    paths = [(v, v, ()) for v in range(p.n_vertices)]  # (start, end, edges)
+    for _ in range(2 * k):
+        paths = [(v0, p.edge_target(e), es + (e,))
+                 for (v0, v, es) in paths for e in p.out_edges(v)]
+    index = {(v0, es): i for i, (v0, _v, es) in enumerate(paths)}
     edges = []
-    for (v0, es) in keys:
-        end = p.edge_target(es[-1]) if es else v0
-        for f in p.out_edges(end):
-            window = tuple(p.edge_symbol(e) for e in es) + (p.edge_symbol(f),)
-            label = code.block_map(window)
-            if es:
-                tgt = (p.edge_target(es[0]), es[1:] + (f,))
-            else:
-                tgt = (p.edge_target(f), ())
-            edges.append((names[index[(v0, es)]], names[index[tgt]],
-                          code.target_alphabet.symbols[label]))
-    return SoficPresentation(code.target_alphabet, names, edges)
+    for i, (_v0, end, es) in enumerate(paths):
+        for window in (es + (f,) for f in p.out_edges(end)):
+            label = code.block_map(tuple(p.edge_symbol(e) for e in window))
+            tgt = index[(p.edge_target(window[0]), window[1:])]
+            edges.append((f"b{i}", f"b{tgt}", code.target_alphabet.symbols[label]))
+    return SoficPresentation(code.target_alphabet, [f"b{i}" for i in range(len(paths))], edges)
 
 
 def factor_gap_bound(source_cert: DecouplingCertificate, k: int) -> int:

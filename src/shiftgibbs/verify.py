@@ -11,15 +11,20 @@ ids of their column windows (``_class_ids``, rows folded into int64 codes
 and renumbered by ``_kernels.dense_ids``) and sum the limbs per class
 (``_limb_sums``); only the per-class totals become Python integers, so
 subset and partition relations hold exactly rather than up to rounding.
-Each suite is split in two: a tables builder (``lemma_212_tables``,
-``decoupling_1d_tables``) does everything that does not read the center
-word once per volume, and the per-center check (``lemma_212_check``,
-``decoupling_1d_check``) adds the rows that do.
+The 211 pair draw (``lemma_211_pairs``) groups the word table by the same
+exterior ids as the 212 suite (``_exterior_ids``) and makes ``Word``
+objects for the drawn pairs alone.  The other two suites are split in
+two: a tables builder (``lemma_212_tables``, ``decoupling_1d_tables``)
+does everything that does not read the center word once per volume, and
+the per-center check (``lemma_212_check``, ``decoupling_1d_check``) adds
+the rows that do.
 """
 
 from __future__ import annotations
 
 import math
+import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -346,6 +351,24 @@ def _shifted_class_ids(words: np.ndarray, window: tuple[int, int],
     return ids.reshape(len(shifts), words.shape[0]), n_ids
 
 
+def _exterior_ids(words: np.ndarray, j: int, reach: int) -> tuple[np.ndarray, int]:
+    """``_class_ids`` of the exteriors of words on [-n, n]: the positions k
+    with |k - j| > ``reach``."""
+    n = words.shape[1] // 2
+    return _class_ids(words[:, np.abs(np.arange(-n, n + 1) - j) > reach])
+
+
+def _shared_exteriors(words: np.ndarray, j: int, reach: int
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Each word's exterior id (``_exterior_ids``) and the ids that two or
+    more words share, in the order of the first word that shows each."""
+    ids, n_ids = _exterior_ids(words, j, reach)
+    first = np.full(n_ids, words.shape[0])
+    np.minimum.at(first, ids, np.arange(words.shape[0]))
+    shared = np.flatnonzero(np.bincount(ids, minlength=n_ids) >= 2)
+    return ids, shared[np.argsort(first[shared])]
+
+
 def _distinct_per_word(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct class ids in each column of ``ids`` (column i belongs to
     word i) as parallel arrays of (class id, word index).  Sorts ``ids`` in
@@ -388,6 +411,32 @@ def lemma_211_check(presentation: SoficPresentation, potential: Potential,
         inequalities=records)
 
 
+def lemma_211_pairs(presentation: SoficPresentation, potential: Potential, n: int,
+                    m: int, j: int, seed: int | None = None, count: int | None = None,
+                    cap: int | None = None) -> Iterator[LemmaReport]:
+    """Yield ``lemma_211_check`` on ``count`` (10 when None) seeded draws of
+    two words on [-n, n] that agree outside the collar window (q the
+    bounded-length gap), each with shifts ell, ell' in [-q, q].
+
+    The words of the volume (``word_matrix``) are grouped by their exterior
+    (``_shared_exteriors``); a draw picks a group of two or more words, two
+    of its words and the two shifts from one ``random.Random(seed)`` (seed
+    0 when None).  Only a drawn group's word list and the drawn pair's
+    ``Word`` objects are built.  Refused, when the first report is asked
+    for, if no two words share an exterior."""
+    q = decoupling_gap(presentation, "bounded-length").gap
+    words = presentation.word_matrix(2 * n + 1, cap=cap)
+    ids, groups = _shared_exteriors(words, j, m + q)
+    if not groups.size:
+        raise ValidationError("no word pairs share an exterior at these windows")
+    rng = random.Random(0 if seed is None else seed)
+    for _ in range(10 if count is None else count):
+        group = np.flatnonzero(ids == groups[rng.randrange(len(groups))]).tolist()
+        x, y = (Word(presentation.alphabet, -n, tuple(words[i].tolist()))
+                for i in rng.sample(group, 2))
+        ell, ell_p = rng.randint(-q, q), rng.randint(-q, q)
+        yield lemma_211_check(presentation, potential, n, m, q, j, ell, ell_p, x, y)
+
 
 @dataclass(frozen=True, eq=False)
 class Lemma212Tables:
@@ -419,7 +468,9 @@ class Decoupling1dTables:
     """The center-free part of the 1d suite at one (n, m, j, q_bar): the
     brute partition, the class ids and exact class sums (times 2**_SHIFT),
     the rows that do not read the center word, and the constants.
-    ``decoupling_1d_check`` evaluates one center word from them."""
+    ``gap`` is the bounded-length gap, which the lemma's premise asks
+    q_bar to reach.  ``decoupling_1d_check`` evaluates one center word
+    from them."""
 
     presentation: SoficPresentation
     potential: Potential
@@ -427,6 +478,7 @@ class Decoupling1dTables:
     m: int
     j: int
     q_bar: int
+    gap: int
     lam_minus: tuple[int, int]
     lam_plus: tuple[int, int]
     partition: BrutePartition
@@ -483,7 +535,7 @@ def lemma_212_tables(presentation: SoficPresentation, potential: Potential,
     # class ids: the center pattern at every shift (one numbering across
     # shifts, in byte order of the patterns) and each word's exterior
     center_ids, n_centers = _shifted_class_ids(words, (j - m, j + m), shifts)
-    ext_ids, n_ext = _class_ids(words[:, np.abs(np.arange(-n, n + 1) - j) > m + q])
+    ext_ids, n_ext = _exterior_ids(words, j, m + q)
 
     # Z_{n,ell}(v) per (shift, center), one shift at a time; each shift
     # splits Z_n.  Zbar(v) takes each word once per center it shows at
@@ -649,7 +701,7 @@ def decoupling_1d_tables(presentation: SoficPresentation, potential: Potential,
 
     reps = _kernels.dense_ids(center_ids, n_centers)[1]
     return Decoupling1dTables(
-        presentation, potential, n, m, j, q_bar, lam_minus, lam_plus, bp,
+        presentation, potential, n, m, j, q_bar, gap, lam_minus, lam_plus, bp,
         scale, z_n, (center_ids[reps], reps), class_keys,
         n_tails, g_min, g_max, z_v, tuple(records),
         {"log_C_prime": sandwich_1d_log_constant(potential, m, q_bar),
@@ -685,7 +737,7 @@ def decoupling_1d_check(tables: Decoupling1dTables, u_bar: Word) -> LemmaReport:
     lhs_low = u_energy - pair_log - log_k - length * p_m
     rhs_up = pair_log + log_k + u_energy - length * p_m
     return LemmaReport(
-        context={"n": t.n, "m": t.m, "j": t.j, "q_bar": t.q_bar,
+        context={"n": t.n, "m": t.m, "j": t.j, "q_bar": t.q_bar, "gap": t.gap,
                  "u_bar": u_bar.text(), "lam_minus": t.lam_minus,
                  "lam_plus": t.lam_plus},
         constants=dict(t.constants),

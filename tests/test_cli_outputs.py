@@ -1,12 +1,16 @@
-"""Golden stdout, stderr and exit code of ``weakgibbs`` and ``measure``.
+"""Golden stdout, stderr and exit code of ``weakgibbs``, ``measure``,
+``lemma --which 211`` and ``factor --dump``.
 
 Every bundled shift runs with every bundled potential through
-``weakgibbs --m 0..9``, ``weakgibbs --m 2,2,7`` and ``measure``, refusals
-included, and the three streams must match ``data/cli_outputs.json`` byte
-for byte.  A refactor of the weak-Gibbs class pass or of the transfer
-cover must keep every one of them.  To record the file again (only after a
-deliberate change of output), run this module as a script:
-``python3 tests/test_cli_outputs.py``.
+``weakgibbs --m 0..9``, ``weakgibbs --m 2,2,7``, ``measure`` and six
+``lemma --which 211`` volumes (several n, m and j, with and without
+``--seed`` and ``--count``), and every bundled shift through ``factor
+--dump`` at radius k = 0..3, refusals included.  The three streams must
+match ``data/cli_outputs.json`` byte for byte.  A refactor of the
+weak-Gibbs class pass, of the transfer cover, of the 211 grouping and
+draw, or of the factor image must keep every one of them.  To record the
+file again (only after a deliberate change of output), run this module as
+a script: ``python3 tests/test_cli_outputs.py``.
 """
 
 import contextlib
@@ -26,19 +30,38 @@ SHIFTS = ("full2.shift", "golden_mean.shift", "golden_mean.sft",
 POTENTIALS = ("zero.pot", "site_a.pot", "pair_beta.pot")
 COMMANDS = (("weakgibbs", "--m", "0..9"), ("weakgibbs", "--m", "2,2,7"),
             ("measure",))
+# lemma 211 volumes: the default draw, seeded and counted draws, a shifted
+# j, an empty draw, a j whose collar leaves the volume, and a cap refusal
+LEMMA_211 = (("--n", "4", "--m", "1"),
+             ("--n", "5", "--m", "0", "--j", "1", "--seed", "7", "--count", "3"),
+             ("--n", "6", "--m", "1", "--j", "-1", "--seed", "3"),
+             ("--n", "3", "--m", "2", "--count", "0"),
+             ("--n", "5", "--m", "1", "--j", "3", "--count", "2"),
+             ("--n", "6", "--m", "1", "--cap", "10"))
+# factor codes of radius 0..3, each total on the binary windows
+FACTOR = (("--k", "0", "--rule", "0=1,1=0"),
+          ("--k", "1", "--rule", "010=1,100=1,101=1", "--default", "0"),
+          ("--k", "2", "--rule", "00100=1,11011=0", "--default", "1"),
+          ("--k", "3", "--rule", "0001000=1", "--default", "0"))
 
 
 def runs() -> dict[str, list[str]]:
     """Run name (its arguments, shell-quoted) -> CLI argv on the bundled
     data files."""
+    commands = (COMMANDS + tuple(("lemma", "--which", "211", *rest)
+                                 for rest in LEMMA_211))
     out = {}
     for shift in SHIFTS:
         for pot in POTENTIALS:
-            for cmd, *rest in COMMANDS:
+            for cmd, *rest in commands:
                 args = [cmd, "--shift", shift, "--potential", pot, *rest]
                 argv = [cmd, "--shift", str(data_path(shift)),
                         "--potential", str(data_path(pot)), *rest]
                 out[shlex.join(args)] = argv
+        for rest in FACTOR:
+            args = ["factor", "--shift", shift, *rest, "--dump"]
+            out[shlex.join(args)] = ["factor", "--shift", str(data_path(shift)),
+                                     *rest, "--dump"]
     return out
 
 

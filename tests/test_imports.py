@@ -19,9 +19,11 @@ name).  Re-exports in ``__init__.py`` do not count, ``bundled.py`` (the
 example systems) is exempt, and the few names kept for the tests alone
 are listed in ``KEPT`` with their reason.
 
-No module under ``src/shiftgibbs/`` calls ``np.unique`` or
-``sorted(set(...))``: keys are numbered densely by ``_kernels.dense_ids``
-alone.
+No module under ``src/shiftgibbs/`` calls ``np.unique``, sorts a set
+(``sorted(set(...))``, ``sorted`` of a set display or comprehension, or
+``sorted(name)`` where the enclosing function binds ``name`` to a set) or
+groups by ``.setdefault(key, []).append(...)``: keys are numbered densely
+by ``_kernels.dense_ids`` alone.
 
 No module under ``src/shiftgibbs/`` but ``pressure.py`` reads an attribute
 ``.keys`` (a ``.keys()`` call does not count): the transfer cover's key
@@ -228,24 +230,54 @@ def test_scan_finds_unreached_public_code():
         "a.py:3: spare", "a.py:15: Box.shrink"]
 
 
+def _is_set(node: ast.AST) -> bool:
+    """A set display, a set comprehension or a ``set(...)`` call."""
+    return (isinstance(node, (ast.Set, ast.SetComp))
+            or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "set"))
+
+
+def _set_names(function: ast.AST) -> set[str]:
+    """Names that ``function`` (nested functions included) binds to a set."""
+    return {target.id for node in ast.walk(function)
+            if isinstance(node, ast.Assign) and _is_set(node.value)
+            for target in node.targets if isinstance(target, ast.Name)}
+
+
 def renumbering_calls(source: str) -> list[str]:
-    """``line N: text`` for each ``np.unique`` / ``numpy.unique`` call and
-    each ``sorted(set(...))`` in ``source``."""
+    """``line N: text`` for each ``np.unique`` / ``numpy.unique`` call, each
+    ``sorted`` of a set (a ``set(...)`` call, a set display or
+    comprehension, or a name the enclosing function binds to one) and each
+    ``.setdefault(key, []).append(...)`` grouping in ``source``."""
+    tree = ast.parse(source)
+    set_names = {}  # id of each call -> the set names of its function
+    for function in ast.walk(tree):
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names = _set_names(function)
+            for node in ast.walk(function):
+                set_names.setdefault(id(node), set()).update(names)
     found = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
-        func = node.func
+        func, args = node.func, node.args
         unique = (isinstance(func, ast.Attribute) and func.attr == "unique"
                   and isinstance(func.value, ast.Name)
                   and func.value.id in ("np", "numpy"))
-        sorted_set = (isinstance(func, ast.Name) and func.id == "sorted"
-                      and node.args and isinstance(node.args[0], ast.Call)
-                      and isinstance(node.args[0].func, ast.Name)
-                      and node.args[0].func.id == "set")
-        if unique or sorted_set:
-            found.append(f"line {node.lineno}: {ast.unparse(node)}")
-    return found
+        sorted_set = (isinstance(func, ast.Name) and func.id == "sorted" and args
+                      and (_is_set(args[0])
+                           or (isinstance(args[0], ast.Name)
+                               and args[0].id in set_names.get(id(node), ()))))
+        grouping = (isinstance(func, ast.Attribute) and func.attr == "append"
+                    and isinstance(func.value, ast.Call)
+                    and isinstance(func.value.func, ast.Attribute)
+                    and func.value.func.attr == "setdefault"
+                    and len(func.value.args) == 2
+                    and isinstance(func.value.args[1], ast.List)
+                    and not func.value.args[1].elts)
+        if unique or sorted_set or grouping:
+            found.append((node.lineno, node.col_offset, ast.unparse(node)))
+    return [f"line {line}: {text}" for line, _col, text in sorted(found)]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -258,11 +290,27 @@ def test_scan_finds_second_renumbering():
               "a = np.unique([2, 1])\n"
               "b = numpy.unique(a, return_index=True)\n"
               "c = sorted(set(a.tolist()))\n"
-              "d = sorted(a)\ne = set(a)\nf = a.unique\n")
+              "d = sorted(a)\ne = set(a)\nf = a.unique\n"
+              "g = sorted({(k, 1) for k in a})\n"
+              "h = sorted({1, 2})\n"
+              "def walk(start):\n"
+              "    seen = {start}\n"
+              "    order = sorted(seen)\n"
+              "    return sorted(order)\n"
+              "def other(seen):\n"
+              "    return sorted(seen)\n"
+              "groups = {}\n"
+              "groups.setdefault(1, []).append(2)\n"
+              "groups.setdefault(1, set()).add(2)\n"
+              "groups.setdefault(1, [0]).append(2)\n")
     assert renumbering_calls(source) == [
         "line 3: np.unique([2, 1])",
         "line 4: numpy.unique(a, return_index=True)",
-        "line 5: sorted(set(a.tolist()))"]
+        "line 5: sorted(set(a.tolist()))",
+        "line 9: sorted({(k, 1) for k in a})",
+        "line 10: sorted({1, 2})",
+        "line 13: sorted(seen)",
+        "line 18: groups.setdefault(1, []).append(2)"]
 
 
 def key_reads(source: str) -> list[str]:

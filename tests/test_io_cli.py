@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -546,6 +547,49 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: --which {which} does not take {named}\n"
+
+    def test_lemma_211_memory(self, capsys):
+        # 64,079 words of length 23: the grouping reads the word table, and
+        # only the drawn pairs become Word objects
+        args = ["lemma", "--which", "211",
+                "--shift", str(data_path("even.shift")),
+                "--potential", str(data_path("pair_beta.pot")),
+                "--n", "11", "--m", "1"]
+        tracemalloc.start()
+        try:
+            code = cli.main(args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert capsys.readouterr().out.count("# pair ") == 10
+        assert peak < 16 * 2 ** 20
+
+    def test_lemma_1d_premise_line(self, capsys):
+        # the even shift's bounded-length gap is 2
+        base = ["lemma", "--which", "1d", "--shift", str(data_path("even.shift")),
+                "--potential", str(data_path("pair_beta.pot")), "--m", "1"]
+        assert cli.main(base + ["--n", "7", "--q-bar", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        centers = [i for i, line in enumerate(lines) if line.startswith("# u=")]
+        assert len(centers) == even_shift().word_count(3)
+        assert [lines[i + 1] for i in centers] == (
+            ["# premise q_bar=1 < gap=2"] * len(centers))
+        assert sum(line.startswith("#") for line in lines) == 2 * len(centers)
+        for q_bar in ([], ["--q-bar", "2"]):
+            assert cli.main(base + ["--n", "8", *q_bar]) == 0
+            assert "premise" not in capsys.readouterr().out
+
+    def test_lemma_huge_volume_refused_at_once(self, capsys):
+        # about 10^41798 words: the guard stops counting past the cap
+        code = cli.main(["lemma", "--which", "212",
+                         "--shift", str(data_path("even.shift")),
+                         "--potential", str(data_path("pair_beta.pot")),
+                         "--n", "100000", "--m", "1", "--u", "000"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: volume too large for brute force: more than 2000000 "
+            "words of length 200001\n")
 
     def test_lemma_211_seed_and_count(self, capsys):
         args = ["lemma", "--which", "211",

@@ -13,8 +13,8 @@ from shiftgibbs import (SoficPresentation, ValidationError, Word,
 from shiftgibbs.bundled import BINARY, SITE_FIELD, data_path
 from shiftgibbs.fileio import load_potential, load_shift
 from shiftgibbs.potentials import Potential, ShapeTable
-from shiftgibbs.pressure import (_dp_log_partition, log_sum_exp,
-                                 word_energies)
+from shiftgibbs.pressure import (_context_edges, _dp_log_partition,
+                                 _partition_graph, log_sum_exp, word_energies)
 from shiftgibbs.shifts import Alphabet, strongly_connected, support_period
 from test_potentials import step_energy
 from test_verify import range_three_sft
@@ -545,3 +545,51 @@ class TestCoverKeys:
     def test_hundred_state_sft(self):
         presentation, potential = range_three_sft(1)
         self.assert_matches_tuple_walk(presentation, potential)
+
+
+def visited_set_graph(presentation, n_codes):
+    """``_partition_graph`` with its keys found by a search over a Python
+    set of the keys visited, sorted once."""
+    det, start = presentation._det
+    seen = {start * n_codes}
+    frontier = list(seen)
+    while frontier:
+        reached = _context_edges(det, np.array(frontier), n_codes)[3]
+        frontier = list(set(reached.tolist()) - seen)
+        seen.update(frontier)
+    keys = np.array(sorted(seen))
+    src, _letter, context, target = _context_edges(det, keys, n_codes)
+    tgt = np.searchsorted(keys, target)
+    home = int(np.searchsorted(keys, start * n_codes))
+    order = np.argsort(np.append(tgt, home), kind="stable")
+    src, context, tgt = (np.append(src, home)[order],
+                         np.append(context, 0)[order],
+                         np.append(tgt, home)[order])
+    starts = np.flatnonzero(np.diff(tgt, prepend=-1))
+    dead = int(np.searchsorted(tgt, home, side="right")) - 1
+    return src, context, tgt, starts, home, dead
+
+
+class TestPartitionGraph:
+    """The grown key array against the visited-set search."""
+
+    def assert_same_graph(self, presentation, R):
+        n_codes = len(presentation.alphabet) ** R
+        got = _partition_graph(presentation, n_codes)
+        want = visited_set_graph(presentation, n_codes)
+        for a, b in zip(got, want, strict=True):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("shift", SHIFT_FILES)
+    @pytest.mark.parametrize("R", [1, 2, 3])
+    def test_bundled(self, shift, R):
+        self.assert_same_graph(load_shift(data_path(shift)), R)
+
+    @pytest.mark.parametrize("R", [1, 2, 3])
+    def test_random_presentations(self, R):
+        rng = random.Random(R)
+        for _ in range(40):
+            self.assert_same_graph(random_right_resolving(rng), R)
+
+    def test_hundred_state_sft(self):
+        self.assert_same_graph(range_three_sft(1)[0], 3)

@@ -14,6 +14,7 @@ from shiftgibbs.bundled import BINARY, data_path, ten_detector_code
 from shiftgibbs.fileio import load_shift
 from shiftgibbs.shifts import (_forbidden_test, _forward_infinite,
                                strongly_connected, support_period)
+from test_pressure import random_right_resolving
 
 
 def texts(words):
@@ -106,6 +107,41 @@ class TestEnumeration:
     def test_word_count_matches_enumeration(self, ev):
         for n in range(0, 5):
             assert ev.word_count(2 * n + 1) == len(enumerate_words(ev, n))
+
+    def test_guard_refuses_exactly_above_the_cap(self):
+        rng = random.Random(5)
+        for _ in range(30):
+            pres = random_right_resolving(rng)
+            for length in range(7):
+                count = pres.word_count(length)
+                for cap in {0, count - 1, count, count + 1, 10 ** 400}:
+                    refused = count > cap
+                    try:
+                        pres.check_volume(length, cap)
+                    except VolumeGuardError as exc:
+                        assert refused
+                        assert str(exc) == (
+                            "volume too large for brute force: more than "
+                            f"{cap} words of length {length}")
+                    else:
+                        assert not refused
+
+    def test_guard_refuses_at_the_first_count_past_the_cap(self, ev, monkeypatch):
+        # the full count has about 41,800 digits; the guard stops at the
+        # first length whose count passes the cap
+        counted = []
+        real = SoficPresentation._counts
+
+        def spy(self, length):
+            for count in real(self, length):
+                counted.append(count)
+                yield count
+        monkeypatch.setattr(SoficPresentation, "_counts", spy)
+        with pytest.raises(VolumeGuardError,
+                           match="more than 2000000 words of length 200001$"):
+            ev.check_volume(200001)
+        assert counted[-2] <= 2_000_000 < counted[-1]
+        assert len(counted) < 40
 
 
 class TestGraphPredicates:
@@ -362,7 +398,50 @@ class TestBlockCodes:
             apply_block_code(code, Word(BINARY, 0, (0, 1)))
 
 
+def sorted_set_factor(presentation, code):
+    """``factor_presentation`` with its image vertices listed by
+    ``sorted`` over a set of (start vertex, edge tuple) keys, and k = 0 and
+    the empty window as separate branches."""
+    k = code.radius
+    p = presentation
+    if k == 0:
+        keys = [(v, ()) for v in range(p.n_vertices)]
+    else:
+        paths = [(v, ()) for v in range(p.n_vertices)]
+        for _ in range(2 * k):
+            paths = [(p.edge_target(e), es + (e,))
+                     for (v, es) in paths for e in p.out_edges(v)]
+        keys = sorted({(p.edge_source(es[0]), es) for (_v, es) in paths})
+    index = {key: i for i, key in enumerate(keys)}
+    names = [f"b{i}" for i in range(len(keys))]
+    edges = []
+    for (v0, es) in keys:
+        end = p.edge_target(es[-1]) if es else v0
+        for f in p.out_edges(end):
+            window = tuple(p.edge_symbol(e) for e in es) + (p.edge_symbol(f),)
+            label = code.block_map(window)
+            if es:
+                tgt = (p.edge_target(es[0]), es[1:] + (f,))
+            else:
+                tgt = (p.edge_target(f), ())
+            edges.append((names[index[(v0, es)]], names[index[tgt]],
+                          code.target_alphabet.symbols[label]))
+    return SoficPresentation(code.target_alphabet, names, edges)
+
+
 class TestFactor:
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_matches_sorted_set_oracle(self, k):
+        rng = random.Random(k)
+        pres = [load_shift(data_path(name)) for name in (
+            "full2.shift", "golden_mean.shift", "even.shift", "reducible.shift",
+            "periodic.shift")] + [random_right_resolving(rng) for _ in range(20)]
+        for p in pres:
+            K = len(p.alphabet)
+            code = BlockCode(k, p.alphabet,
+                             lambda w, K=K: sum(a * (i + 1) for i, a in enumerate(w)) % K)
+            assert factor_presentation(p, code) == sorted_set_factor(p, code)
+
     def test_identity_code_preserves_language(self, gm):
         ident = BlockCode(0, BINARY, lambda p: p[0])
         image = factor_presentation(gm, ident)

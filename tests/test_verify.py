@@ -12,9 +12,9 @@ from shiftgibbs import (ValidationError, VolumeGuardError, Word, _kernels,
                         brute_partition, cli, decoupling_1d_check,
                         decoupling_1d_tables, decoupling_gap, energy,
                         enumerate_words, equilibrium_measure,
-                        indicator_potential, lemma_211_check, lemma_212_check,
-                        lemma_212_tables, tangent_derivative_check, verify,
-                        weak_gibbs_scan)
+                        indicator_potential, lemma_211_check, lemma_211_pairs,
+                        lemma_212_check, lemma_212_tables,
+                        tangent_derivative_check, verify, weak_gibbs_scan)
 from shiftgibbs.bundled import (BINARY, data_path, equal_pair, even_shift,
                                 full_shift_2, golden_mean, single_site, zero)
 from shiftgibbs.fileio import load_potential, load_shift
@@ -27,7 +27,8 @@ from shiftgibbs.verify import (_BIAS, _LIMBS, _MAX_ENTRIES, _SHIFT,
                                InequalityRecord, LemmaReport, _center_id,
                                _class_ids, _distinct_per_word, _exact_terms,
                                _limb_sums, _limb_terms, _log_scaled,
-                               _require_allowed_center, ratio_1d_log_constant,
+                               _require_allowed_center, _shared_exteriors,
+                               ratio_1d_log_constant,
                                ratio_log_constant, sandwich_1d_log_constant,
                                sandwich_log_constant)
 
@@ -171,6 +172,9 @@ class TestConstrainedPartition:
 
 
 def exterior_groups(presentation, n, m, q, j):
+    """The words on [-n, n] that share their exterior (the positions k with
+    |k - j| > m + q) with another word, grouped in a dict keyed by the
+    exterior's letters: the groups in the order of their first word."""
     groups = {}
     for w in enumerate_words(presentation, n):
         key = tuple(a for k, a in zip(range(-n, n + 1), w.letters)
@@ -179,7 +183,67 @@ def exterior_groups(presentation, n, m, q, j):
     return [g for g in groups.values() if len(g) >= 2]
 
 
+def oracle_211_pairs(presentation, potential, n, m, j, seed, count):
+    """``lemma_211_pairs`` over the dict groups of ``Word`` objects, drawn
+    from the groups themselves."""
+    q = decoupling_gap(presentation, "bounded-length").gap
+    groups = exterior_groups(presentation, n, m, q, j)
+    if not groups:
+        raise ValidationError("no word pairs share an exterior at these windows")
+    rng = random.Random(seed)
+    reports = []
+    for _ in range(count):
+        group = groups[rng.randrange(len(groups))]
+        x, y = rng.sample(group, 2)
+        ell, ell_p = rng.randint(-q, q), rng.randint(-q, q)
+        reports.append(lemma_211_check(presentation, potential, n, m, q, j,
+                                       ell, ell_p, x, y))
+    return reports
+
+
+def random_presentations(seed, count):
+    """``count`` seeded right-resolving presentations
+    (``test_pressure.random_right_resolving``), reducible ones included."""
+    from test_pressure import random_right_resolving  # it imports this module
+    rng = random.Random(seed)
+    return [random_right_resolving(rng) for _ in range(count)]
+
+
 class TestLemma211:
+    @pytest.mark.parametrize("reach", [0, 1, 3, 9])
+    @pytest.mark.parametrize("j", [-1, 0, 2])
+    def test_shared_exteriors_match_dict_groups(self, reach, j):
+        pres = [load_shift(data_path(name)) for name in (
+            "full2.shift", "golden_mean.shift", "even.shift", "reducible.shift",
+            "periodic.shift")] + random_presentations(reach * 10 + j, 12)
+        for p in pres:
+            for n in (0, 2, 4):
+                words = p.word_matrix(2 * n + 1)
+                ids, shared = _shared_exteriors(words, j, reach)
+                got = [np.flatnonzero(ids == g).tolist() for g in shared]
+                index = {w.letters: i for i, w in enumerate(enumerate_words(p, n))}
+                want = [[index[w.letters] for w in g]
+                        for g in exterior_groups(p, n, reach, 0, j)]
+                assert got == want, (p, n)
+
+    @pytest.mark.parametrize("shift, pot", [
+        ("full2.shift", "site_a.pot"), ("golden_mean.shift", "pair_beta.pot"),
+        ("golden_mean.sft", "zero.pot"), ("even.shift", "pair_beta.pot")])
+    def test_pairs_match_dict_draw(self, shift, pot):
+        pres, potential = load_pair(shift, pot)
+        q = decoupling_gap(pres, "bounded-length").gap
+        for n, m, j, seed, count in ((4, 1, 0, 0, 10), (5, 0, 1, 7, 12),
+                                     (6, 1, -1, 3, 5), (3, 2, 0, 1, 0)):
+            if abs(j) > n - (m + q):
+                continue
+            got = list(lemma_211_pairs(pres, potential, n, m, j, seed, count))
+            assert got == oracle_211_pairs(pres, potential, n, m, j, seed, count)
+            assert len(got) == count
+
+    def test_pairs_refused_without_shared_exterior(self, periodic, pot_zero):
+        with pytest.raises(ValidationError, match="no word pairs share"):
+            list(lemma_211_pairs(periodic, pot_zero, 4, 1, 0, 0, 10))
+
     def test_zero_potential_trivial(self, ev, pot_zero):
         groups = exterior_groups(ev, 6, 1, 2, 0)
         x, y = groups[0][0], groups[0][1]
@@ -521,8 +585,9 @@ def oracle_decoupling_1d(presentation, potential, n, m, j, u_bar,
     add("final_upper", ratio, rhs_up, ratio <= rhs_up)
 
     return LemmaReport(
-        context={"n": n, "m": m, "j": j, "q_bar": q_bar, "u_bar": u_bar.text(),
-                 "lam_minus": lam_minus, "lam_plus": lam_plus},
+        context={"n": n, "m": m, "j": j, "q_bar": q_bar, "gap": gap,
+                 "u_bar": u_bar.text(), "lam_minus": lam_minus,
+                 "lam_plus": lam_plus},
         constants={"log_C_prime": log_c1, "log_K_bar": log_k, "P_m": p_m},
         inequalities=tuple(records))
 
@@ -1178,7 +1243,7 @@ class TestWeakGibbsScanOracle:
                             lambda *args: calls.append(args))
         mu = equilibrium_measure(full, pot_site)
         with pytest.raises(VolumeGuardError,
-                           match="33554432 words of length 25 exceed the cap"):
+                           match="more than 2000000 words of length 25$"):
             weak_gibbs_scan(mu, [1, 12])
         assert calls == []
 
