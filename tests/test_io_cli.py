@@ -549,7 +549,7 @@ class TestCli:
         assert captured.err == f"error: --which {which} does not take {named}\n"
 
     def test_lemma_211_memory(self, capsys):
-        # 64,079 words of length 23: the grouping reads the word table, and
+        # 121,392 words of length 23: the grouping reads the word table, and
         # only the drawn pairs become Word objects
         args = ["lemma", "--which", "211",
                 "--shift", str(data_path("even.shift")),
