@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 
 from .exceptions import ValidationError, VolumeGuardError
 from .fileio import load_potential, load_shift, dump_presentation
@@ -74,8 +75,7 @@ def _word(presentation: SoficPresentation, text: str) -> Word:
 
 def _cmd_gap(args) -> str:
     presentation, _ = _load(args)
-    cert = decoupling_gap(presentation, args.variant)
-    return f"q\t{cert.gap}\n"
+    return f"q\t{decoupling_gap(presentation, args.variant).gap}\n"
 
 
 def _cmd_pressure(args) -> str:
@@ -106,7 +106,12 @@ def _cmd_cylinder(args) -> str:
     presentation, potential = _load(args)
     measure = equilibrium_measure(presentation, potential)
     word = _word(presentation, args.word)
-    return _fmt(cylinder_prob(measure, word)) + "\n"
+    # a warning (an empty cylinder, which prints 0) is one line on stderr
+    with warnings.catch_warnings(record=True, action="always") as caught:
+        prob = cylinder_prob(measure, word)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
+    return _fmt(prob) + "\n"
 
 
 def _cmd_weakgibbs(args) -> str:
@@ -193,15 +198,12 @@ def _cmd_splice(args) -> str:
     def periodic(text: str):
         letters = presentation.alphabet.parse(text)
         return point_from_words(presentation, letters, (), letters)
-    x_minus = periodic(args.left)
-    y = periodic(args.center)
-    x_plus = periodic(args.right)
-    z, l_minus, l_plus = splice(presentation, x_minus, y, x_plus, args.m)
+    points = (periodic(text) for text in (args.left, args.center, args.right))
+    z, l_minus, l_plus = splice(presentation, *points, args.m)
     window = args.window
-    zw = z.word(-window, window)
     return (f"l_minus\t{l_minus}\n"
             f"l_plus\t{l_plus}\n"
-            f"z[{-window},{window}]\t{zw.text()}\n")
+            f"z[{-window},{window}]\t{z.word(-window, window).text()}\n")
 
 
 def _cmd_factor(args) -> str:

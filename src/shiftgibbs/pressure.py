@@ -28,7 +28,7 @@ import numpy as np
 from . import _kernels
 from .exceptions import ValidationError, VolumeGuardError
 from .potentials import Potential, _step_energies, boundary_norm_bound
-from .shifts import DENSE_ENTRIES_CAP, SoficPresentation
+from .shifts import SoficPresentation
 
 PERRON_TOL = 1e-13
 PERRON_RESIDUAL_TOL = 1e-12
@@ -97,7 +97,10 @@ def build_transfer(presentation: SoficPresentation,
 
     For an SFT ingested as a vertex shift the context is determined by the
     vertex and the cover collapses to the defining graph.  Requires a
-    right-resolving presentation.
+    right-resolving presentation.  The one size refusal (exit 3) is on the
+    key space: at most 65,536 (vertex, context) codes.  Nothing here or in
+    the products that read the system is S x S, so S needs no bound of its
+    own; the weak-Gibbs scan, whose tables are S wide, bounds it there.
     """
     if not presentation.right_resolving:
         raise ValidationError("determinize or supply right-resolving presentation")
@@ -117,12 +120,6 @@ def build_transfer(presentation: SoficPresentation,
         keys = _context_edges(out, keys, n_codes)[3]
         keys = keys[_kernels.dense_ids(keys, presentation.n_vertices * n_codes)[1]]
     S = len(keys)
-    # nothing here builds an S x S array, but the cap bounds S for the
-    # weak-Gibbs class pass, whose tables of distinct maps are S wide
-    if S * S > DENSE_ENTRIES_CAP:
-        raise VolumeGuardError(
-            f"volume too large for brute force: transfer support of {S} x {S} "
-            f"entries for a range-{potential.span} potential")
     src, letter, context, target = _context_edges(out, keys, n_codes)
     succ = np.full((K, S), S)
     succ[letter, src] = np.searchsorted(keys, target)

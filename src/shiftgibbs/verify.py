@@ -36,7 +36,7 @@ from .potentials import (Potential, ShapeTable, add_potentials,
                          boundary_norm_bound, energy, norms)
 from .pressure import (BrutePartition, _dp_log_partition, brute_partition,
                        finite_pressure, word_energies)
-from .shifts import SoficPresentation, Word, decoupling_gap
+from .shifts import DENSE_ENTRIES_CAP, SoficPresentation, Word, decoupling_gap
 
 _LN2 = math.log(2.0)
 _SHIFT = 1100  # dyadic rescale exponent; covers the double exponent range
@@ -82,8 +82,9 @@ def _limb_sums(ids: np.ndarray, terms: tuple[np.ndarray, np.ndarray],
     the entries i with ``ids[i] == c``, times 2**_SHIFT.  Refuses
     (``VolumeGuardError``) as many entries as could overflow a limb."""
     if len(ids) >= _MAX_ENTRIES:
-        raise VolumeGuardError(f"{len(ids)} terms in one exact sum exceed the "
-                               f"limb bound {_MAX_ENTRIES}")
+        raise VolumeGuardError(
+            f"volume too large for brute force: {len(ids)} terms in one exact "
+            f"sum exceed the limb bound {_MAX_ENTRIES}")
     limb, parts = terms
     acc = np.zeros((n_classes, _LIMBS), dtype=np.int64)
     flat = acc.ravel()
@@ -215,9 +216,12 @@ def weak_gibbs_scan(measure: RPFMeasure, m_list,
     path from s.  Its sum runs first over the states p leads to (at R
     letters all with the context p, so at most one per vertex), and only
     the pairs that may attain the row's maximum are summed again over all
-    S states, which gives the reported bits.  The
+    S states, which gives the reported bits.  Those tables are S wide, so
+    the scan first refuses (``VolumeGuardError``) a cover whose S x S
+    exceeds ``DENSE_ENTRIES_CAP``; it is the only bound on S, since
+    ``build_transfer`` and the measure built on it hold nothing S x S.  The
     enumeration cap (``DEFAULT_ENUM_CAP`` when ``cap`` is None) still
-    applies to the deepest length and is checked before any work.  The
+    applies to the deepest length and is checked next, before any work.  The
     tests keep the per-word route (``iter_word_blocks`` words through
     ``word_energies`` and a dense batched forward product, itself checked
     against ``cylinder_prob``), the trie walk and the pass with one S-wide
@@ -231,15 +235,19 @@ def weak_gibbs_scan(measure: RPFMeasure, m_list,
     presentation = measure.presentation
     transfer = measure.transfer
     potential = transfer.potential
+    S = transfer.n_states
+    # the class pass's tables of distinct maps are S wide
+    if S * S > DENSE_ENTRIES_CAP:
+        raise VolumeGuardError(
+            f"volume too large for brute force: transfer support of {S} x {S} "
+            f"entries for a range-{potential.span} potential")
     ms = sorted(m_list)
     if any(m < 0 for m in ms):
         raise ValidationError("m must be nonnegative")
     lengths = [2 * m + 1 for m in ms]
     presentation.check_volume(max(lengths, default=0), cap)
-    n_symbols = len(presentation.alphabet)
-    n_states = transfer.n_states
-    delta = np.pad(transfer.succ, ((0, 0), (0, 1)), constant_values=n_states
-                   ).astype(np.min_scalar_type(n_states))
+    delta = np.pad(transfer.succ, ((0, 0), (0, 1)), constant_values=S
+                   ).astype(np.min_scalar_type(S))
     R = transfer.context_len
     prefixes = {k: presentation.word_matrix(k, cap)
                 for k in dict.fromkeys(min(length, R) for length in lengths)}
@@ -252,10 +260,9 @@ def weak_gibbs_scan(measure: RPFMeasure, m_list,
     log_z = _dp_log_partition(presentation, potential, lengths)
     rows = []
     for m, length, dev, lz in zip(ms, lengths, worst, log_z):
-        p_m = lz / length
-        log_k = ratio_log_constant(potential, m, q, n_symbols)
+        log_k = ratio_log_constant(potential, m, q, len(presentation.alphabet))
         bound = ((math.log(2 * q + 1) + log_k + boundary_norm_bound(potential, m))
-                 / length + abs(p_m - measure.log_lambda))
+                 / length + abs(lz / length - measure.log_lambda))
         rows.append((m, float(dev) / length, bound))
     return WeakGibbsReport(tuple(rows))
 

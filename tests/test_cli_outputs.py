@@ -1,16 +1,17 @@
 """Golden stdout, stderr and exit code of ``weakgibbs``, ``measure``,
-``lemma --which 211`` and ``factor --dump``.
+``cylinder``, ``lemma --which 211`` and ``factor --dump``.
 
 Every bundled shift runs with every bundled potential through
-``weakgibbs --m 0..9``, ``weakgibbs --m 2,2,7``, ``measure`` and six
-``lemma --which 211`` volumes (several n, m and j, with and without
-``--seed`` and ``--count``), and every bundled shift through ``factor
---dump`` at radius k = 0..3, refusals included.  The three streams must
-match ``data/cli_outputs.json`` byte for byte.  A refactor of the
-weak-Gibbs class pass, of the transfer cover, of the 211 grouping and
-draw, or of the factor image must keep every one of them.  To record the
-file again (only after a deliberate change of output), run this module as
-a script: ``python3 tests/test_cli_outputs.py``.
+``weakgibbs --m 0..9``, ``weakgibbs --m 2,2,7``, ``measure``, ``cylinder
+--word 11`` (an empty cylinder on golden_mean, with its one warning line
+on stderr) and six ``lemma --which 211`` volumes (several n, m and j,
+with and without ``--seed`` and ``--count``), and every bundled shift
+through ``factor --dump`` at radius k = 0..3, refusals included.  The
+three streams must match ``data/cli_outputs.json`` byte for byte.  A
+refactor of the weak-Gibbs class pass, of the transfer cover, of the 211
+grouping and draw, or of the factor image must keep every one of them.
+To record the file again (only after a deliberate change of output), run
+this module as a script: ``python3 tests/test_cli_outputs.py``.
 """
 
 import contextlib
@@ -29,7 +30,7 @@ SHIFTS = ("full2.shift", "golden_mean.shift", "golden_mean.sft",
           "even.shift", "reducible.shift", "periodic.shift")
 POTENTIALS = ("zero.pot", "site_a.pot", "pair_beta.pot")
 COMMANDS = (("weakgibbs", "--m", "0..9"), ("weakgibbs", "--m", "2,2,7"),
-            ("measure",))
+            ("measure",), ("cylinder", "--word", "11"))
 # lemma 211 volumes: the default draw, seeded and counted draws, a shifted
 # j, an empty draw, a j whose collar leaves the volume, and a cap refusal
 LEMMA_211 = (("--n", "4", "--m", "1"),

@@ -28,6 +28,10 @@ by ``_kernels.dense_ids`` alone.
 No module under ``src/shiftgibbs/`` but ``pressure.py`` reads an attribute
 ``.keys`` (a ``.keys()`` call does not count): the transfer cover's key
 and context format is known to ``pressure`` alone.
+
+Every ``VolumeGuardError(...)`` call under ``src/shiftgibbs/`` passes a
+message, a string constant or an f-string, that starts with
+``GUARD_PREFIX``: every exit-3 refusal reads the same way.
 """
 
 import ast
@@ -335,3 +339,61 @@ def test_scan_finds_key_reads():
               "c = len(t.keys)\n"
               "d = keys + t.keyset\n")
     assert key_reads(source) == ["line 1: transfer.keys", "line 3: t.keys"]
+
+
+GUARD_PREFIX = "volume too large for brute force:"
+
+
+def _leading_text(node: ast.AST) -> str | None:
+    """The literal text a string constant or an f-string starts with (up
+    to its first replacement field); None for any other expression."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if not isinstance(node, ast.JoinedStr):
+        return None
+    text = ""
+    for part in node.values:
+        if not isinstance(part, ast.Constant):
+            break
+        text += part.value
+    return text
+
+
+def unprefixed_guards(source: str) -> list[str]:
+    """``line N: text`` for each ``VolumeGuardError(...)`` call in
+    ``source`` whose first argument is not a string constant or f-string
+    starting with ``GUARD_PREFIX``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name != "VolumeGuardError":
+            continue
+        text = _leading_text(node.args[0]) if node.args else None
+        if text is None or not text.startswith(GUARD_PREFIX):
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_volume_guard_messages_share_the_prefix(path):
+    assert unprefixed_guards(path.read_text(encoding="utf-8")) == []
+
+
+def test_scan_finds_unprefixed_guards():
+    source = ("raise VolumeGuardError('volume too large for brute force: x')\n"
+              "raise VolumeGuardError(f'volume too large for brute force: {n}')\n"
+              "raise VolumeGuardError('volume too large '\n"
+              "                       f'for brute force: {n} x {n}')\n"
+              "raise VolumeGuardError(f'{n} terms exceed the limb bound')\n"
+              "raise exceptions.VolumeGuardError('too many words')\n"
+              "raise VolumeGuardError(message)\n"
+              "raise VolumeGuardError()\n"
+              "raise ValidationError('bad input')\n")
+    assert unprefixed_guards(source) == [
+        "line 5: VolumeGuardError(f'{n} terms exceed the limb bound')",
+        "line 6: exceptions.VolumeGuardError('too many words')",
+        "line 7: VolumeGuardError(message)",
+        "line 8: VolumeGuardError()"]

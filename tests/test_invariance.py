@@ -1,4 +1,5 @@
-"""Presentation invariance of the weak-Gibbs class pass and of pressure.
+"""Presentation invariance of the weak-Gibbs class pass, of pressure, of
+cylinder probabilities, of the tangent check and of the 212 lemma rows.
 
 Two right-resolving presentations of one shift must give the same numbers
 about the shift: the ``weak_gibbs_scan`` rows D_m, ``log lambda`` and the
@@ -10,21 +11,33 @@ its vertices, the golden-mean ``.sft`` file against the matching
 presentations against an in-split and a vertex permutation of each (on
 the drawn ones, relative to max(|x|, 1), P_n keeps 1e-13 and log lambda
 and D_m are compared at the precision the Perron stop reaches,
-``PERRON_REL_TOL``).  A row's
-``bound`` is left out: it reads the decoupling gap of the graph, which
-differs between presentations of one shift.
+``PERRON_REL_TOL``).  A row's ``bound`` is left out: it reads the
+decoupling gap of the graph, which differs between presentations of one
+shift.
+
+On the three fixed pairs the command line must print the same lines,
+numbers to 1e-13 relative, for ``cylinder`` on every allowed word of
+length at most 4, for the ``formula`` and ``cylinder`` lines of
+``tangent`` (n <= 4; its ``finite_diff`` divides rounding by the step)
+and for the rows of ``lemma --which 212``, whose windows read the graph's
+gap, equal on these pairs.
 
 What the code cannot do yet is recorded as strict expected failures, each
 naming the roadmap item that mends it:
 
 * item 1 (a certified Perron bracket): a draw whose copies miss 1e-13 on
   D_m, and a draw that ``equilibrium_measure`` refuses as not stationary;
-* item 4 (the Fischer cover): ``pressure`` and ``weakgibbs`` exit 2 with
-  "determinize or supply right-resolving presentation" on an out-split of
-  the even shift and on the golden-mean copy that ``factor --k 1`` prints
-  with the identity rule;
+* item 4 (the Fischer cover): ``pressure``, ``weakgibbs``, ``cylinder``
+  and ``tangent`` exit 2 with "determinize or supply right-resolving
+  presentation" on an out-split of the even shift and on the golden-mean
+  copy that ``factor --k 1`` prints with the identity rule;
 * item 9 (the shift's own gap): ``gap`` prints 3 on that copy where
-  golden_mean prints 2.
+  golden_mean prints 2, and ``lemma --which 212`` builds its windows from
+  that gap, so its rows differ there.
+
+``lemma --which 212`` reads the word automaton, not the presentation's
+graph, so it already agrees on the out-split, whose gap is the even
+shift's.
 """
 
 import contextlib
@@ -328,3 +341,120 @@ def test_partition_pass_already_invariant(build, tmp_path):
     for pot in (zero(), single_site(), equal_pair()):
         assert_same_numbers([finite_pressure(copy, pot, n) for n in range(9)],
                             [finite_pressure(original, pot, n) for n in range(9)])
+
+
+# ---------------------------------------------------------------------------
+# cylinder, tangent and the 212 lemma rows through the command line
+# ---------------------------------------------------------------------------
+
+POT_FILES = ("zero.pot", "site_a.pot", "pair_beta.pot")
+
+
+def pair_files(pair, tmp_path):
+    """The two presentation files of a pair in ``PAIRS``: the bundled
+    golden-mean files, or both built presentations as written by
+    ``dump_presentation``."""
+    if pair == "sft-file":
+        return data_path("golden_mean.shift"), data_path("golden_mean.sft")
+    paths = []
+    for i, build in enumerate(PAIRS[pair]):
+        path = tmp_path / f"{pair}-{i}.shift"
+        path.write_text(dump_presentation(build()), encoding="utf-8")
+        paths.append(path)
+    return paths
+
+
+def subcommand_runs(command, shift):
+    """The argument lists of ``command`` compared on a pair, from the words
+    of the presentation file ``shift``: ``cylinder`` on every allowed word
+    of length 1 to 4, ``tangent`` on every allowed word of length 1 and 3
+    at n = 1..4, and ``lemma --which 212`` (every center) at (n, m) =
+    (3, 0) and (4, 1)."""
+    pres = load_shift(shift)
+
+    def words(length):
+        return [pres.alphabet.text(w) for w in pres.word_matrix(length)]
+    if command == "cylinder":
+        return [["cylinder", "--word", w] for length in range(1, 5)
+                for w in words(length)]
+    if command == "tangent":
+        return [["tangent", "--word", w, "--n", n] for length in (1, 3)
+                for w in words(length) for n in range(1, 5)]
+    return [["lemma", "--which", "212", "--n", n, "--m", m]
+            for n, m in ((3, 0), (4, 1))]
+
+
+SUBCOMMANDS = ("cylinder", "tangent", "lemma-212")
+
+
+def assert_same_lines(want, got):
+    """Two reports line by line and field by field: a field that reads as
+    a number agrees to ``REL_TOL``, every other field exactly.  A
+    ``finite_diff`` line is skipped."""
+    def lines(text):
+        return [line.split("\t") for line in text.splitlines()
+                if not line.startswith("finite_diff\t")]
+    want_rows, got_rows = lines(want), lines(got)
+    assert [len(r) for r in want_rows] == [len(r) for r in got_rows]
+    for a_line, b_line in zip(want_rows, got_rows):
+        for a, b in zip(a_line, b_line):
+            try:
+                x, y = float(a), float(b)
+            except ValueError:
+                assert a == b, (a_line, b_line)
+                continue
+            assert math.isclose(x, y, rel_tol=REL_TOL, abs_tol=0.0), (a_line, b_line)
+
+
+def assert_same_subcommand(command, shift, copy, pot):
+    for args in subcommand_runs(command, shift):
+        argv = [*args, "--potential", data_path(pot)]
+        want = run_cli(argv + ["--shift", shift])
+        got = run_cli(argv + ["--shift", copy])
+        assert want[0] == 0 and want[2] == ""
+        assert (got[0], got[2]) == (0, ""), (args, got)
+        assert_same_lines(want[1], got[1])
+
+
+@pytest.mark.parametrize("pot", POT_FILES)
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+@pytest.mark.parametrize("pair", PAIRS)
+def test_same_subcommand_lines_on_both_presentations(pair, command, pot, tmp_path):
+    assert_same_subcommand(command, *pair_files(pair, tmp_path), pot)
+
+
+def test_same_lines_sees_a_changed_field():
+    assert_same_lines("x\t0.5\ttrue\n", "x\t0.5000000000000001\ttrue\n")
+    for got in ("x\t0.5000001\ttrue\n", "x\t0.5\tfalse\n", "x\t0.5\n"):
+        with pytest.raises(AssertionError):
+            assert_same_lines("x\t0.5\ttrue\n", got)
+
+
+@ITEM_4
+@pytest.mark.parametrize("command", ["cylinder", "tangent"])
+def test_subcommand_on_out_split_of_even(command, tmp_path):
+    assert_same_subcommand(command, data_path("even.shift"),
+                           out_split_file(tmp_path), "pair_beta.pot")
+
+
+@ITEM_4
+@pytest.mark.parametrize("command", ["cylinder", "tangent"])
+def test_subcommand_on_factor_copy_of_golden_mean(command, tmp_path):
+    assert_same_subcommand(command, data_path("golden_mean.shift"),
+                           golden_copy_file(tmp_path), "pair_beta.pot")
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 9: lemma --which 212 "
+                   "builds its windows from the graph's gap, 3 on the copy "
+                   "and 2 on golden_mean, until the shift's own gap lands")
+def test_lemma_212_on_factor_copy_of_golden_mean(tmp_path):
+    assert_same_subcommand("lemma-212", data_path("golden_mean.shift"),
+                           golden_copy_file(tmp_path), "pair_beta.pot")
+
+
+@pytest.mark.parametrize("pot", POT_FILES)
+def test_lemma_212_already_invariant_on_out_split(pot, tmp_path):
+    # the suite reads the word automaton, and the out-split's graph gap is
+    # the even shift's 2
+    assert_same_subcommand("lemma-212", data_path("even.shift"),
+                           out_split_file(tmp_path), pot)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -6,13 +7,15 @@ import tracemalloc
 
 import pytest
 
-from shiftgibbs import (VolumeGuardError, Word, cli, energy, enumerate_words,
-                        pressure)
+from shiftgibbs import (VolumeGuardError, Word, cli, cylinder_prob, energy,
+                        enumerate_words, equilibrium_measure, finite_pressure,
+                        pressure, verify, weak_gibbs_scan)
 from shiftgibbs.bundled import (BINARY, SITE_FIELD, data_path, even_shift,
                                 full_shift_2, golden_mean, periodic_cycle,
                                 reducible_pair)
 from shiftgibbs.fileio import (ParseError, dump_presentation, load_potential,
                                load_presentation, load_sft, load_shift)
+from test_invariance import run_cli as cli_in_process
 
 
 BUNDLED_SHIFTS = ("full2.shift", "golden_mean.shift", "golden_mean.sft",
@@ -42,6 +45,13 @@ def run_cli(*args, env_extra=None):
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "shiftgibbs", *args],
                           capture_output=True, text=True, env=env)
+
+
+def long_range_text(r: int) -> str:
+    """A range-r potential on the binary alphabet: 0.25 when the letters r
+    apart are both 1, and -0.3 on every 01 pair.  On full2 its transfer
+    cover has 2^r states."""
+    return f"range {r}\nshape 0,{r}\nval 11 0.25\nshape 0,1\nval 01 -0.3\n"
 
 
 class TestFileFormats:
@@ -420,31 +430,50 @@ class TestCli:
         assert out.returncode == 2
         assert "bad.shift" in out.stderr
 
-    @pytest.mark.parametrize("command", [("measure",),
-                                         ("tangent", "--word", "1", "--n", "3")])
-    def test_dense_transfer_guard(self, tmp_path, command):
-        # a support of (2^14 cover states)^2 exceeds the 2^27-entry bound
+    @pytest.mark.parametrize("m", ["1", "12..12", "-1"])
+    def test_dense_transfer_guard(self, tmp_path, m):
+        # a support of (2^14 cover states)^2 exceeds the 2^27-entry bound;
+        # the scan refuses it before its m and volume checks
         pot = tmp_path / "wide.pot"
-        pot.write_text("range 14\nshape 0,14\nval 11 0.25\n", encoding="utf-8")
-        out = run_cli(*command, "--shift", str(data_path("full2.shift")),
-                      "--potential", str(pot))
-        assert out.returncode == 3
-        assert out.stdout == ""
-        assert "transfer support of 16384 x 16384 entries" in out.stderr
-        assert "Traceback" not in out.stderr
+        pot.write_text(long_range_text(14), encoding="utf-8")
+        code, out, err = cli_in_process(
+            ["weakgibbs", "--shift", data_path("full2.shift"), "--potential", pot,
+             "--m", m])
+        assert (code, out) == (3, "")
+        assert err == ("error: volume too large for brute force: transfer "
+                       "support of 16384 x 16384 entries for a range-14 potential\n")
 
     def test_dense_transfer_guard_boundary(self, tmp_path, monkeypatch):
-        # a range-2 potential on full2 has 4 cover states: a 4 x 4 support
+        # a range-2 potential on full2 has 4 cover states: a 4 x 4 support.
+        # The cover itself reads no such bound; the scan does
         pot = tmp_path / "wide.pot"
         pot.write_text("range 2\nshape 0,2\nval 11 0.25\n", encoding="utf-8")
         full2 = full_shift_2()
-        potential = load_potential(pot, full2.alphabet)
-        monkeypatch.setattr(pressure, "DENSE_ENTRIES_CAP", 16)
-        assert pressure.build_transfer(full2, potential).n_states == 4
-        monkeypatch.setattr(pressure, "DENSE_ENTRIES_CAP", 15)
+        measure = equilibrium_measure(full2, load_potential(pot, full2.alphabet))
+        assert measure.transfer.n_states == 4
+        assert not hasattr(pressure, "DENSE_ENTRIES_CAP")
+        monkeypatch.setattr(verify, "DENSE_ENTRIES_CAP", 16)
+        assert len(weak_gibbs_scan(measure, [1]).rows) == 1
+        monkeypatch.setattr(verify, "DENSE_ENTRIES_CAP", 15)
         with pytest.raises(VolumeGuardError,
                            match="transfer support of 4 x 4 entries for a range-2"):
-            pressure.build_transfer(full2, potential)
+            weak_gibbs_scan(measure, [1])
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
+    def test_empty_cylinder_warns_in_one_line(self, tmp_path, to_file):
+        # 11 is not a golden-mean word: the probability 0 is printed and the
+        # library's EmptyCylinderWarning becomes one stderr line, not the
+        # warnings module's report with its source line
+        target = tmp_path / "p.tsv"
+        out = run_cli("cylinder", "--shift", str(data_path("golden_mean.shift")),
+                      "--potential", str(data_path("zero.pot")), "--word", "11",
+                      *(("--out", str(target)) if to_file else ()))
+        assert out.returncode == 0
+        assert out.stderr == ("warning: empty cylinder: word is not in the "
+                              "shift language\n")
+        assert out.stdout == ("" if to_file else "0\n")
+        if to_file:
+            assert target.read_text(encoding="utf-8") == "0\n"
 
     def test_measure_without_the_tabulation_guard(self, tmp_path):
         # 17 letters, range 3: 4,913 cover states.  The transfer weighs its
@@ -673,3 +702,97 @@ class TestCli:
                       "--out", str(target))
         assert out.returncode == 0 and out.stdout == ""
         assert target.read_text(encoding="utf-8") == "q\t2\n"
+
+
+class TestLongRange:
+    """Covers past the weak-Gibbs scan's S x S bound: full2 with the
+    range-14 and range-15 potentials of ``long_range_text`` (S = 16384 and
+    32768).  ``measure``, ``pressure``, ``cylinder`` and ``tangent`` build
+    nothing S x S and run on them; each CLI run here peaks under 64 MiB
+    under tracemalloc."""
+
+    PEAK_BYTES = 64 * 2 ** 20
+
+    @pytest.fixture(scope="class", params=[14, 15])
+    def long_range(self, request, tmp_path_factory):
+        r = request.param
+        path = tmp_path_factory.mktemp(f"range{r}") / f"range{r}.pot"
+        path.write_text(long_range_text(r), encoding="utf-8")
+        return r, path
+
+    @staticmethod
+    def traced(*args):
+        """``cli_in_process`` on full2 and ``args`` (the subcommand, then its
+        options), and the run's tracemalloc peak in bytes."""
+        tracemalloc.start()
+        try:
+            result = cli_in_process([args[0], "--shift", data_path("full2.shift"),
+                                     *args[1:]])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return result, peak
+
+    def test_pressure_ladder(self, long_range):
+        _, pot = long_range
+        (code, out, err), peak = self.traced("pressure", "--potential", pot,
+                                             "--n-max", "64")
+        assert (code, err) == (0, "")
+        assert peak < self.PEAK_BYTES
+        rows = [line.split("\t") for line in out.splitlines()]
+        assert rows[0] == ["n", "P_n", "envelope"] and rows[-1][0] == "lambda"
+        ladder = rows[1:-1]
+        assert [int(row[0]) for row in ladder] == list(range(1, 65))
+        log_lambda = float(rows[-1][1])
+        for _n, p_n, env in ladder:
+            assert abs(float(p_n) - log_lambda) <= float(env)
+        full2 = full_shift_2()
+        potential = load_potential(pot, full2.alphabet)
+        brute = finite_pressure(full2, potential, 3, method="brute")
+        for value in (finite_pressure(full2, potential, 3), float(ladder[2][1])):
+            assert abs(value - brute) <= 1e-12 * abs(brute)
+
+    def test_measure_lists_every_cover_state(self, long_range):
+        r, pot = long_range
+        (code, out, err), peak = self.traced("measure", "--potential", pot)
+        assert (code, err) == (0, "")
+        assert peak < self.PEAK_BYTES
+        states = [line for line in out.splitlines() if line.startswith("state\t")]
+        assert len(states) == 2 ** r
+
+    def test_cylinders_sum_to_one(self, long_range):
+        r, pot = long_range
+        (code, out, err), peak = self.traced("cylinder", "--potential", pot,
+                                             "--word", "1")
+        assert (code, err) == (0, "")
+        assert peak < self.PEAK_BYTES
+        full2 = full_shift_2()
+        measure = equilibrium_measure(full2, load_potential(pot, full2.alphabet))
+        assert measure.transfer.n_states == 2 ** r
+        assert float(out) == float(f"{cylinder_prob(measure, Word(BINARY, 0, (1,))):.15g}")
+        for length in (1, 2, 3, 8):
+            total = math.fsum(cylinder_prob(measure, Word(BINARY, 0, letters))
+                              for letters in itertools.product((0, 1), repeat=length))
+            assert abs(total - 1.0) <= 1e-12
+
+    def test_tangent(self, long_range):
+        _, pot = long_range
+        n, t_step = 3, 1e-3
+        (code, out, err), peak = self.traced("tangent", "--potential", pot,
+                                             "--word", "1", "--n", str(n))
+        assert (code, err) == (0, "")
+        assert peak < self.PEAK_BYTES
+        rows = dict(line.split("\t") for line in out.splitlines())
+        c_max = 2 * n + 2 - 1
+        tol = t_step ** 2 / 6 * c_max ** 3 / (2 * n + 1) + 1e-12
+        assert abs(float(rows["finite_diff"]) - float(rows["formula"])) <= tol
+        assert 0.0 < float(rows["cylinder"]) < 1.0
+
+    def test_weakgibbs_still_refused(self, long_range):
+        r, pot = long_range
+        code, out, err = cli_in_process(
+            ["weakgibbs", "--shift", data_path("full2.shift"), "--potential", pot,
+             "--m", "1"])
+        assert (code, out) == (3, "")
+        assert err == (f"error: volume too large for brute force: transfer support "
+                       f"of {2 ** r} x {2 ** r} entries for a range-{r} potential\n")
