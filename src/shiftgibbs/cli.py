@@ -75,7 +75,8 @@ def _word(presentation: SoficPresentation, text: str) -> Word:
 
 def _cmd_gap(args) -> str:
     presentation, _ = _load(args)
-    return f"q\t{decoupling_gap(presentation, args.variant).gap}\n"
+    cert = decoupling_gap(presentation, args.variant)
+    return f"q\t{cert.gap}\n"
 
 
 def _cmd_pressure(args) -> str:
@@ -107,7 +108,8 @@ def _cmd_cylinder(args) -> str:
     measure = equilibrium_measure(presentation, potential)
     word = _word(presentation, args.word)
     # a warning (an empty cylinder, which prints 0) is one line on stderr
-    with warnings.catch_warnings(record=True, action="always") as caught:
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         prob = cylinder_prob(measure, word)
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
@@ -198,12 +200,15 @@ def _cmd_splice(args) -> str:
     def periodic(text: str):
         letters = presentation.alphabet.parse(text)
         return point_from_words(presentation, letters, (), letters)
-    points = (periodic(text) for text in (args.left, args.center, args.right))
-    z, l_minus, l_plus = splice(presentation, *points, args.m)
+    x_minus = periodic(args.left)
+    y = periodic(args.center)
+    x_plus = periodic(args.right)
+    z, l_minus, l_plus = splice(presentation, x_minus, y, x_plus, args.m)
     window = args.window
+    zw = z.word(-window, window)
     return (f"l_minus\t{l_minus}\n"
             f"l_plus\t{l_plus}\n"
-            f"z[{-window},{window}]\t{z.word(-window, window).text()}\n")
+            f"z[{-window},{window}]\t{zw.text()}\n")
 
 
 def _cmd_factor(args) -> str:

@@ -27,7 +27,8 @@ import numpy as np
 
 from . import _kernels
 from .exceptions import ValidationError, VolumeGuardError
-from .potentials import Potential, _step_energies, boundary_norm_bound
+from .potentials import (Potential, _check_context_space, _step_energies,
+                         boundary_norm_bound)
 from .shifts import SoficPresentation
 
 PERRON_TOL = 1e-13
@@ -90,6 +91,18 @@ def _context_edges(succ: np.ndarray, keys: np.ndarray, n_codes: int
     return src, letter, context, nxt[src, letter] * n_codes + context % n_codes
 
 
+def _check_cover(presentation: SoficPresentation, potential: Potential) -> None:
+    """What ``build_transfer`` refuses before it builds anything: a
+    presentation that is not right-resolving, and more than 65,536
+    (vertex, context) codes."""
+    if not presentation.right_resolving:
+        raise ValidationError("determinize or supply right-resolving presentation")
+    if len(presentation.alphabet) ** max(1, potential.span) * presentation.n_vertices > 65536:
+        raise VolumeGuardError(
+            "volume too large for brute force: transfer cover for a "
+            f"range-{potential.span} potential")
+
+
 def build_transfer(presentation: SoficPresentation,
                    potential: Potential) -> TransferSystem:
     """Weighted transfer system whose states are reachable
@@ -102,15 +115,10 @@ def build_transfer(presentation: SoficPresentation,
     the products that read the system is S x S, so S needs no bound of its
     own; the weak-Gibbs scan, whose tables are S wide, bounds it there.
     """
-    if not presentation.right_resolving:
-        raise ValidationError("determinize or supply right-resolving presentation")
+    _check_cover(presentation, potential)
     R = max(1, potential.span)
     K = len(presentation.alphabet)
     n_codes = K ** R
-    if n_codes * presentation.n_vertices > 65536:
-        raise VolumeGuardError(
-            "volume too large for brute force: transfer cover for a "
-            f"range-{potential.span} potential")
     out = np.full((presentation.n_vertices, K), -1)
     for (v, d, a) in presentation.edges:
         out[v, a] = d
@@ -392,7 +400,10 @@ def pressure_limit(presentation: SoficPresentation, potential: Potential,
 
     Every rung's P_n = log Z_{2n+1} / (2n+1) comes from one partition-DP
     pass to the deepest rung; the rows follow the ladder's order, repeats
-    included."""
+    included.  A context space too large for the step tables is refused
+    after the cover's own checks and before the cover is built."""
+    _check_cover(presentation, potential)
+    _check_context_space(potential)
     transfer = build_transfer(presentation, potential)
     lam, h, nu = perron(transfer)
     log_lambda = math.log(lam)

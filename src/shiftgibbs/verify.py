@@ -32,10 +32,10 @@ import numpy as np
 from .exceptions import ValidationError, VolumeGuardError
 from . import _kernels
 from .measures import RPFMeasure, cylinder_prob, equilibrium_measure
-from .potentials import (Potential, ShapeTable, add_potentials,
-                         boundary_norm_bound, energy, norms)
-from .pressure import (BrutePartition, _dp_log_partition, brute_partition,
-                       finite_pressure, word_energies)
+from .potentials import (Potential, ShapeTable, _check_context_space,
+                         add_potentials, boundary_norm_bound, energy, norms)
+from .pressure import (BrutePartition, _check_cover, _dp_log_partition,
+                       brute_partition, finite_pressure, word_energies)
 from .shifts import DENSE_ENTRIES_CAP, SoficPresentation, Word, decoupling_gap
 
 _LN2 = math.log(2.0)
@@ -246,6 +246,7 @@ def weak_gibbs_scan(measure: RPFMeasure, m_list,
         raise ValidationError("m must be nonnegative")
     lengths = [2 * m + 1 for m in ms]
     presentation.check_volume(max(lengths, default=0), cap)
+    n_symbols = len(presentation.alphabet)
     delta = np.pad(transfer.succ, ((0, 0), (0, 1)), constant_values=S
                    ).astype(np.min_scalar_type(S))
     R = transfer.context_len
@@ -260,9 +261,10 @@ def weak_gibbs_scan(measure: RPFMeasure, m_list,
     log_z = _dp_log_partition(presentation, potential, lengths)
     rows = []
     for m, length, dev, lz in zip(ms, lengths, worst, log_z):
-        log_k = ratio_log_constant(potential, m, q, len(presentation.alphabet))
+        p_m = lz / length
+        log_k = ratio_log_constant(potential, m, q, n_symbols)
         bound = ((math.log(2 * q + 1) + log_k + boundary_norm_bound(potential, m))
-                 / length + abs(lz / length - measure.log_lambda))
+                 / length + abs(p_m - measure.log_lambda))
         rows.append((m, float(dev) / length, bound))
     return WeakGibbsReport(tuple(rows))
 
@@ -293,10 +295,13 @@ def tangent_derivative_check(presentation: SoficPresentation, potential: Potenti
     * the equilibrium measure's cylinder probability.
 
     That is three partition passes for every n.  The measure comes first,
-    so a refused transfer or a reducible or periodic shift costs no pass.
-    No word is enumerated.
+    so a refused transfer or a reducible or periodic shift costs no pass;
+    a context space of f too large for the step tables is refused after
+    the cover's own checks and before the measure.  No word is enumerated.
     """
     indicator = indicator_potential(presentation, u_bar)  # refuses a bad center
+    _check_cover(presentation, potential)
+    _check_context_space(potential)
     measure = equilibrium_measure(presentation, potential)
     cylinder_value = cylinder_prob(measure, u_bar)
     length = 2 * n + 1

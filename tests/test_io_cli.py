@@ -9,7 +9,7 @@ import pytest
 
 from shiftgibbs import (VolumeGuardError, Word, cli, cylinder_prob, energy,
                         enumerate_words, equilibrium_measure, finite_pressure,
-                        pressure, verify, weak_gibbs_scan)
+                        measures, pressure, verify, weak_gibbs_scan)
 from shiftgibbs.bundled import (BINARY, SITE_FIELD, data_path, even_shift,
                                 full_shift_2, golden_mean, periodic_cycle,
                                 reducible_pair)
@@ -787,6 +787,28 @@ class TestLongRange:
         tol = t_step ** 2 / 6 * c_max ** 3 / (2 * n + 1) + 1e-12
         assert abs(float(rows["finite_diff"]) - float(rows["formula"])) <= tol
         assert 0.0 < float(rows["cylinder"]) < 1.0
+
+    @pytest.mark.parametrize("command", [("pressure", "--n-max", "3"),
+                                         ("tangent", "--word", "1", "--n", "3")])
+    @pytest.mark.parametrize("r, refusal", [
+        # full2's range-16 cover (S = 65536) passes the key-space guard, and
+        # its step tables' 2^17 contexts are refused
+        (16, "transfer context space 2^17 for a range-16 potential"),
+        # the key-space guard keeps its place ahead of the context space
+        (17, "transfer cover for a range-17 potential")])
+    def test_table_refusals_come_before_the_cover(self, command, r, refusal,
+                                                  tmp_path, monkeypatch):
+        def no_cover(*args):
+            raise AssertionError("cover built before a table refusal")
+        monkeypatch.setattr(pressure, "build_transfer", no_cover)
+        monkeypatch.setattr(measures, "build_transfer", no_cover)
+        pot = tmp_path / f"range{r}.pot"
+        pot.write_text(long_range_text(r), encoding="utf-8")
+        code, out, err = cli_in_process([command[0], "--shift",
+                                         data_path("full2.shift"), "--potential",
+                                         pot, *command[1:]])
+        assert (code, out) == (3, "")
+        assert err == f"error: volume too large for brute force: {refusal}\n"
 
     def test_weakgibbs_still_refused(self, long_range):
         r, pot = long_range
