@@ -4,11 +4,14 @@ Subcommands: ``gap``, ``pressure``, ``measure``, ``cylinder``, ``weakgibbs``,
 ``lemma``, ``tangent``, ``splice``, ``factor``.  Output is deterministic TSV
 (tab separators, newline line endings, reals with 15 significant digits).
 Exit status: 0 success, 2 validation or parse error, 3 volume-guard refusal.
+The argument parser is built once per process, on the first ``main`` call,
+and is never mutated, so in-process callers pay for it once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import warnings
@@ -245,6 +248,7 @@ def _cmd_factor(args) -> str:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shiftgibbs",
@@ -266,27 +270,22 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, potential=False)
     p.add_argument("--variant", choices=("bounded-length", "exact-length"),
                    default="bounded-length")
-    p.set_defaults(fn=_cmd_gap)
 
     p = sub.add_parser("pressure", help="finite-volume pressure ladder and log Perron root")
     common(p)
     p.add_argument("--n-max", type=int, required=True)
-    p.set_defaults(fn=_cmd_pressure)
 
     p = sub.add_parser("measure", help="equilibrium chain: states, stationary law, transitions")
     common(p)
-    p.set_defaults(fn=_cmd_measure)
 
     p = sub.add_parser("cylinder", help="cylinder probability of a word")
     common(p)
     p.add_argument("--word", required=True)
-    p.set_defaults(fn=_cmd_cylinder)
 
     p = sub.add_parser("weakgibbs", help="weak-Gibbs deviation scan")
     common(p, cap=True)
     p.add_argument("--m", required=True, help="window list: 1..10 or 1,2,5")
     p.add_argument("--delta", default=None, help="comma list of deviation targets")
-    p.set_defaults(fn=_cmd_weakgibbs)
 
     p = sub.add_parser("lemma", help="lemma inequality suites")
     common(p, cap=True)
@@ -302,14 +301,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pair sampling seed (211 only; default 0)")
     p.add_argument("--count", type=int, default=None,
                    help="pair count (211 only; default 10)")
-    p.set_defaults(fn=_cmd_lemma)
 
     p = sub.add_parser("tangent", help="d/dt P_n along a word's indicator vs its cylinder")
     common(p)
     p.add_argument("--word", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t-step", type=float, default=1e-3)
-    p.set_defaults(fn=_cmd_tangent)
 
     p = sub.add_parser("splice", help="splice periodic points through the graph")
     common(p, potential=False)
@@ -318,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--center", required=True, help="periodic word for the center point")
     p.add_argument("--right", required=True, help="periodic word for the right point")
     p.add_argument("--window", type=int, default=12)
-    p.set_defaults(fn=_cmd_splice)
 
     p = sub.add_parser("factor", help="image presentation under a sliding-block code")
     common(p, potential=False)
@@ -328,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump", action="store_true",
                    help="print the image presentation file, the gap lines "
                         "as comments")
-    p.set_defaults(fn=_cmd_factor)
 
     return parser
 
@@ -344,11 +339,21 @@ def _validate_numeric(args) -> None:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and return its exit status.  The parser comes
+    from ``build_parser``, which builds it on the first call in a process
+    and returns that same parser afterwards; parsing does not mutate it.
+    The subcommand's ``_cmd_*`` function is looked up by its module name on
+    each call, not bound into the parser, so a replacement bound to that
+    name later is the one that runs."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         _validate_numeric(args)
-        text = args.fn(args)
+        run = {"gap": _cmd_gap, "pressure": _cmd_pressure, "measure": _cmd_measure,
+               "cylinder": _cmd_cylinder, "weakgibbs": _cmd_weakgibbs,
+               "lemma": _cmd_lemma, "tangent": _cmd_tangent, "splice": _cmd_splice,
+               "factor": _cmd_factor}[args.command]
+        text = run(args)
         if args.out is not None:
             with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)

@@ -1,5 +1,6 @@
 """Presentation invariance of the weak-Gibbs class pass, of pressure, of
-cylinder probabilities, of the tangent check and of the 212 lemma rows.
+cylinder probabilities, of the tangent check and of the 212 and 1d lemma
+rows.
 
 Two right-resolving presentations of one shift must give the same numbers
 about the shift: the ``weak_gibbs_scan`` rows D_m, ``log lambda`` and the
@@ -19,8 +20,15 @@ On the three fixed pairs the command line must print the same lines,
 numbers to 1e-13 relative, for ``cylinder`` on every allowed word of
 length at most 4, for the ``formula`` and ``cylinder`` lines of
 ``tangent`` (n <= 4; its ``finite_diff`` divides rounding by the step)
-and for the rows of ``lemma --which 212``, whose windows read the graph's
-gap, equal on these pairs.
+and for the rows of ``lemma --which 212`` and ``lemma --which 1d``, whose
+windows read the graph's gap, equal on these pairs.
+
+The ``lemma --which 211`` rows stay open.  They are the checks of ten
+seeded draws of word pairs, and the draw reads the lexicographic word
+table and the gap, so on these pairs they come out byte-identical; a
+comparison would test that the sampler is deterministic, not a number
+about the shift.  An invariant form would compare every pair's check,
+which the command line does not print.
 
 What the code cannot do yet is recorded as strict expected failures, each
 naming the roadmap item that mends it:
@@ -33,11 +41,12 @@ naming the roadmap item that mends it:
   copy that ``factor --k 1`` prints with the identity rule;
 * item 9 (the shift's own gap): ``gap`` prints 3 on that copy where
   golden_mean prints 2, and ``lemma --which 212`` builds its windows from
-  that gap, so its rows differ there.
+  that gap, so its rows differ there; ``lemma --which 1d`` takes its
+  default q_bar from that gap, so the copy refuses the volumes that
+  golden_mean admits.
 
-``lemma --which 212`` reads the word automaton, not the presentation's
-graph, so it already agrees on the out-split, whose gap is the even
-shift's.
+The lemma suites read the word automaton, not the presentation's graph,
+so they already agree on the out-split, whose gap is the even shift's.
 """
 
 import contextlib
@@ -368,8 +377,10 @@ def subcommand_runs(command, shift):
     """The argument lists of ``command`` compared on a pair, from the words
     of the presentation file ``shift``: ``cylinder`` on every allowed word
     of length 1 to 4, ``tangent`` on every allowed word of length 1 and 3
-    at n = 1..4, and ``lemma --which 212`` (every center) at (n, m) =
-    (3, 0) and (4, 1)."""
+    at n = 1..4, ``lemma --which 212`` (every center) at (n, m) = (3, 0)
+    and (4, 1), and ``lemma --which 1d`` (every center, the default q_bar)
+    at (n, m) = (7, 0) and (8, 1), the smallest volumes its windows admit
+    at gap 2 (n > m + 3 q_bar)."""
     pres = load_shift(shift)
 
     def words(length):
@@ -380,11 +391,14 @@ def subcommand_runs(command, shift):
     if command == "tangent":
         return [["tangent", "--word", w, "--n", n] for length in (1, 3)
                 for w in words(length) for n in range(1, 5)]
-    return [["lemma", "--which", "212", "--n", n, "--m", m]
-            for n, m in ((3, 0), (4, 1))]
+    if command == "lemma-212":
+        return [["lemma", "--which", "212", "--n", n, "--m", m]
+                for n, m in ((3, 0), (4, 1))]
+    return [["lemma", "--which", "1d", "--n", n, "--m", m]
+            for n, m in ((7, 0), (8, 1))]
 
 
-SUBCOMMANDS = ("cylinder", "tangent", "lemma-212")
+SUBCOMMANDS = ("cylinder", "tangent", "lemma-212", "lemma-1d")
 
 
 def assert_same_lines(want, got):
@@ -452,9 +466,24 @@ def test_lemma_212_on_factor_copy_of_golden_mean(tmp_path):
                            golden_copy_file(tmp_path), "pair_beta.pot")
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 9: lemma --which 1d "
+                   "takes its default q_bar and windows from the graph's gap, "
+                   "3 on the copy and 2 on golden_mean, until the shift's own "
+                   "gap lands")
+def test_lemma_1d_on_factor_copy_of_golden_mean(tmp_path):
+    assert_same_subcommand("lemma-1d", data_path("golden_mean.shift"),
+                           golden_copy_file(tmp_path), "pair_beta.pot")
+
+
 @pytest.mark.parametrize("pot", POT_FILES)
 def test_lemma_212_already_invariant_on_out_split(pot, tmp_path):
     # the suite reads the word automaton, and the out-split's graph gap is
     # the even shift's 2
     assert_same_subcommand("lemma-212", data_path("even.shift"),
+                           out_split_file(tmp_path), pot)
+
+
+@pytest.mark.parametrize("pot", POT_FILES)
+def test_lemma_1d_already_invariant_on_out_split(pot, tmp_path):
+    assert_same_subcommand("lemma-1d", data_path("even.shift"),
                            out_split_file(tmp_path), pot)

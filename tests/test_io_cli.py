@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 import math
 import os
@@ -818,3 +820,103 @@ class TestLongRange:
         assert (code, out) == (3, "")
         assert err == (f"error: volume too large for brute force: transfer support "
                        f"of {2 ** r} x {2 ** r} entries for a range-{r} potential\n")
+
+
+class TestParserReuse:
+    """``cli.main`` builds its parser once per process and reuses it; no
+    call leaves state that the next call reads."""
+
+    @staticmethod
+    def call(argv):
+        """``cli.main(argv)`` in this process: its exit status, stdout and
+        stderr, and whether it raised ``SystemExit`` (argparse's help and
+        usage errors do) rather than returning the status."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code, raised = cli.main(argv), False
+            except SystemExit as exc:
+                code, raised = exc.code, True
+        return code, out.getvalue(), err.getvalue(), raised
+
+    def test_no_state_crosses_calls(self, tmp_path, monkeypatch):
+        # argparse wraps help text at the terminal width: fix it on both sides
+        monkeypatch.setenv("COLUMNS", "80")
+        even, golden = str(data_path("even.shift")), str(data_path("golden_mean.shift"))
+        pot = str(data_path("pair_beta.pot"))
+        lemma = ["lemma", "--which", "212", "--shift", golden, "--potential", pot,
+                 "--n", "4", "--m", "1"]
+        steps = [
+            # different subcommands back to back
+            (["gap", "--shift", even], False),
+            (["pressure", "--shift", even, "--potential", pot, "--n-max", "3"], False),
+            (["weakgibbs", "--shift", even, "--potential", pot, "--m", "1..3"], False),
+            (["cylinder", "--shift", golden, "--potential", pot, "--word", "11"], False),
+            # --out, then the same command writing to stdout
+            (["gap", "--shift", even, "--out", "{out}"], False),
+            (["gap", "--shift", even], False),
+            # one center, then every center
+            (lemma + ["--u", "010"], False),
+            (lemma, False),
+            # a refused center, then a valid call
+            (lemma + ["--u", "11"], False),
+            (lemma + ["--u", "000"], False),
+            # an argparse error, then a valid call
+            (["lemma", "--which", "213", "--shift", golden, "--potential", pot,
+              "--n", "4", "--m", "1"], True),
+            (["gap", "--shift", golden], False),
+            (["--help"], True),
+            (["weakgibbs", "--help"], True),
+            (["gap", "--shift", golden, "--variant", "exact-length"], False),
+        ]
+        outs = []
+        for i, (argv, raises) in enumerate(steps):
+            alone, seq = (tmp_path / f"alone{i}.tsv", tmp_path / f"seq{i}.tsv")
+            want = run_cli(*(a.format(out=alone) for a in argv),
+                           env_extra={"COLUMNS": "80"})
+            *got, raised = self.call([a.format(out=seq) for a in argv])
+            assert tuple(got) == (want.returncode, want.stdout, want.stderr), argv
+            assert raised == raises, argv
+            outs.append(got[1])
+            if "--out" in argv:
+                assert want.stdout == "" and want.returncode == 0
+                assert seq.read_text(encoding="utf-8") == alone.read_text(encoding="utf-8")
+        assert outs[6].count("# u=") == 1
+        assert outs[7].count("# u=") == golden_mean().word_count(3)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["weakgibbs", "--help"]])
+    def test_help_equals_a_fresh_parser(self, argv, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        self.call(["gap", "--shift", str(data_path("even.shift"))])
+        fresh = io.StringIO()
+        with contextlib.redirect_stdout(fresh), pytest.raises(SystemExit):
+            cli.build_parser.__wrapped__().parse_args(argv)
+        assert self.call(argv) == (0, fresh.getvalue(), "", True)
+        assert fresh.getvalue().startswith("usage: shiftgibbs")
+
+    def test_parser_built_once(self):
+        cli.build_parser.cache_clear()
+        for _ in range(2):
+            assert self.call(["gap", "--shift", str(data_path("even.shift"))])[0] == 0
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert cli.build_parser() is cli.build_parser()
+
+    @pytest.mark.parametrize("build_first", [True, False])
+    def test_commands_looked_up_at_call_time(self, build_first, monkeypatch):
+        # a replacement bound to ``cli._cmd_gap`` (as a tracer binds its
+        # wrappers) runs whether the parser was built before or during it,
+        # and the original runs again once it is taken away
+        argv = ["gap", "--shift", str(data_path("even.shift"))]
+        cli.build_parser.cache_clear()
+        if build_first:
+            want = self.call(argv)
+        seen = []
+        monkeypatch.setattr(cli, "_cmd_gap", lambda args: seen.append(args) or "patched\n")
+        assert self.call(argv) == (0, "patched\n", "", False)
+        assert [a.command for a in seen] == ["gap"]
+        monkeypatch.undo()
+        got = self.call(argv)
+        assert got[1] != "patched\n" and len(seen) == 1
+        if build_first:
+            assert got == want
