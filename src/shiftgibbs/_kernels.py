@@ -7,12 +7,15 @@ per-position step tables, ``Potential.step_tables``.  The class pass takes
 the cover as its (letter, state) tables of targets and step energies with
 a dead sink, and its prefix words from ``word_matrix``; it keeps one table
 of distinct state maps per length, and walks the cover for each prefix's
-map and log g.  Every length is a set of (prefix, suffix map) pairs, a
-length up to the context length R with the identity table, and one
-routine sums them: first over the prefix's image (grouped by state only
-at R letters, where it has at most one state per vertex), then S-wide
-only where a pair may attain the maximum.  Every sum runs in blocks of
-about ``BLOCK`` terms.  Cylinder probabilities are not computed here:
+map and log g.  The tables repeat: each is a function of the one before,
+so from the first table equal to an earlier one the sequence runs round a
+cycle of stored tables, computed once.  Every length is a set of (prefix,
+suffix map) pairs, a length up to the context length R with the identity
+table, and one routine sums them, once per prefix level and distinct
+table: first over the prefix's image (grouped by state only at R letters,
+where it has at most one state per vertex), then S-wide only where a pair
+may attain the maximum.  Every sum runs in blocks of about ``BLOCK``
+terms.  Cylinder probabilities are not computed here:
 ``measures.cylinder_prob`` is their one route.
 
 Every site in the package that numbers keys densely (word classes, lemma
@@ -21,6 +24,8 @@ keys) goes through ``dense_ids``; none uses a Python set or dict.
 """
 
 from __future__ import annotations
+
+from itertools import cycle, islice
 
 import numpy as np
 
@@ -127,15 +132,27 @@ def word_classes(delta, depth):
     are kept once, numbered by ``dense_ids``.  So no table holds more maps
     than there are words of its length, and each distinct map is S wide
     only once.
+
+    Each table is a function of the one before, so the sequence of tables
+    is eventually periodic.  Each table is kept, under the hash of its
+    bytes; the first level whose table equals an earlier one's (compared
+    whole) closes the cycle, and it and every later level yield the stored
+    table of their place in the cycle, the same object, computing nothing.
     """
     dead = delta.shape[1] - 1
     row = np.dtype((np.void, dead * delta.itemsize))
     table = np.arange(dead, dtype=delta.dtype)[None, :]
+    orbit, seen = [table], {hash(table.tobytes()): 0}  # hash of the bytes -> level
     yield table
-    for _ in range(depth):
+    for level in range(1, depth + 1):
         cand = np.take(delta, table, axis=1).reshape(-1, dead)
         cand = cand[(cand != dead).any(axis=1)]
         table = cand[dense_ids(cand.view(row).ravel())[1]]
+        first = seen.setdefault(hash(table.tobytes()), level)
+        if first < level and np.array_equal(orbit[first], table):
+            yield from islice(cycle(orbit[first:]), depth + 1 - level)
+            return
+        orbit.append(table)
         yield table
 
 
@@ -235,7 +252,10 @@ def class_deviation(delta, step, log_start, log_end, step_tables, prefixes,
     and ``log_h = log g``, the S-wide operands.  The short sum runs over
     every pair, in blocks of about ``BLOCK`` terms; a pair with no live term
     is not a class.  The suffix tables are built first, then each prefix
-    level is walked, evaluated and dropped.
+    level is walked, evaluated and dropped.  Lengths whose suffix levels
+    lie on the tables' cycle a whole number of periods apart read one
+    table object, and each prefix level evaluates each distinct table
+    once.
 
     The short sum may round differently from the S-wide one, so it only
     picks the pairs to re-sum S-wide, with the map ``table[j][maps_p]``, in
@@ -265,10 +285,9 @@ def class_deviation(delta, step, log_start, log_end, step_tables, prefixes,
     width = min(prefix_len, int(lengths.max()))
     suffix_len = lengths - np.minimum(lengths, width)
     end_size = np.abs(log_end[:-1]).max(initial=0.0)
-    tables = {}  # suffix length -> its table of maps
-    for length, table in enumerate(word_classes(delta, int(suffix_len.max()))):
-        if (suffix_len == length).any():
-            tables[length] = table
+    # suffix length -> its table of maps (one object for repeating levels)
+    levels = enumerate(word_classes(delta, int(suffix_len.max())))
+    tables = {n: table for n, table in levels if (suffix_len == n).any()}
     for length in dict.fromkeys(np.minimum(lengths, width).tolist()):
         maps, log_g = _walk(delta, step, prefixes[length], log_start, step_tables)
         margin = 64 * np.finfo(float).eps * (dead + np.abs(log_g).max(initial=0.0)
@@ -278,10 +297,13 @@ def class_deviation(delta, step, log_start, log_end, step_tables, prefixes,
         if length < width:
             worst[lengths == length] = _pair_level(level, tables[0], log_end)
             continue
+        value = {}  # id of a suffix table -> its value at this level
         for suffix, table in tables.items():
             hit = lengths == width + suffix
             if hit.any():
-                worst[hit] = _pair_level(level, table, log_end)
+                if id(table) not in value:
+                    value[id(table)] = _pair_level(level, table, log_end)
+                worst[hit] = value[id(table)]
     return worst
 
 

@@ -11,7 +11,8 @@ rounding even for sofic shifts where words carry several presenting
 paths.  The limiting pressure is the
 log Perron root of the weighted transfer system on the (vertex,
 trailing-context) cover, (letter, state) tables of targets, step
-energies and step weights; every product reads the targets and weights (``_pull``: M x, ``_push``: v M); its
+energies and step weights; every product reads the targets and weights
+(M x and v M inside ``perron``, v M for the measures in ``_push``); its
 step energies come from ``potentials._step_energies`` directly, not from
 the step tables and their context-space guard.
 """
@@ -21,7 +22,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -150,11 +150,6 @@ def build_transfer(presentation: SoficPresentation,
     return TransferSystem(presentation, potential, R, keys, succ, step, weight)
 
 
-def _pull(succ: np.ndarray, weight: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """M x over the table (``succ``, ``weight``); the dead sink reads 0."""
-    return (weight * np.append(x, 0.0)[succ]).sum(axis=0)
-
-
 def _push(succ: np.ndarray, weight: np.ndarray, v: np.ndarray) -> np.ndarray:
     """v M over the table (``succ``, ``weight``) or one letter's row of it;
     the dead sink's entry is dropped."""
@@ -171,8 +166,13 @@ def perron(transfer: TransferSystem) -> tuple[float, np.ndarray, np.ndarray]:
     the presentation is irreducible and aperiodic; those flags decide.
     Converged when successive eigenvalue estimates agree to ``PERRON_TOL``
     relative and the sup-norm residual is below ``PERRON_RESIDUAL_TOL``,
-    and refused when that takes more than ``_PERRON_MAX_ITER`` steps.  The
-    product taken for a step's residual is the next step's product.
+    and refused when that takes more than ``_PERRON_MAX_ITER`` steps.  Each
+    step writes one product into a preallocated (S+1)-vector whose last
+    entry, the dead sink's, stays 0: M x gathers x along ``succ``,
+    multiplies by ``weight`` and sums over letters; v M multiplies by
+    ``weight`` and sums by target in one ``np.bincount``.  A step's
+    residual reads the next step's product, and is computed only once the
+    eigenvalue estimates agree.
     """
     presentation = transfer.presentation
     if not presentation.irreducible:
@@ -180,26 +180,33 @@ def perron(transfer: TransferSystem) -> tuple[float, np.ndarray, np.ndarray]:
     if not presentation.aperiodic:
         raise ValidationError("periodic transfer system: Perron data not computed")
     succ, weight, S = transfer.succ, transfer.weight, transfer.n_states
+    terms = np.empty(weight.shape)
+
+    def pull(x: np.ndarray, y: np.ndarray) -> None:
+        np.take(x, succ, out=terms, mode="wrap")  # every index is in range
+        np.multiply(terms, weight, out=terms).sum(axis=0, out=y[:S])
+
+    def push(x: np.ndarray, y: np.ndarray) -> None:
+        np.multiply(weight, x[:S], out=terms)
+        y[:S] = np.bincount(succ.ravel(), terms.ravel(), S + 1)[:S]
 
     def iterate(product) -> tuple[float, np.ndarray]:
-        x = np.ones(S)
-        x /= x.sum()
-        y = product(x)
+        x, y = np.append(np.full(S, 1.0 / S), 0.0), np.zeros(S + 1)
+        product(x, y)
         lam = 0.0
         for _ in range(_PERRON_MAX_ITER):
-            lam_new = y.sum()
-            x = y / lam_new
-            y = product(x)
-            res = np.abs(y - lam_new * x).max() / np.abs(x).max()
-            done = (abs(lam_new - lam) <= PERRON_TOL * abs(lam_new)
-                    and res <= PERRON_RESIDUAL_TOL)
+            lam_new = y[:S].sum()
+            np.divide(y, lam_new, out=x)
+            product(x, y)
+            if (abs(lam_new - lam) <= PERRON_TOL * abs(lam_new)
+                    and np.abs(y - lam_new * x).max() / np.abs(x).max()
+                    <= PERRON_RESIDUAL_TOL):
+                return lam_new, x[:S]
             lam = lam_new
-            if done:
-                return lam, x
         raise ValidationError("power iteration failed to converge")
 
-    lam, h = iterate(partial(_pull, succ, weight))
-    lam_left, nu = iterate(partial(_push, succ, weight))
+    lam, h = iterate(pull)
+    lam_left, nu = iterate(push)
     lam = 0.5 * (lam + lam_left)
     nu = nu / nu.sum()
     h = h / float(nu @ h)

@@ -380,6 +380,24 @@ def random_cover(rng, n_symbols, n_states, prefix_len, scale):
             step_tables, prefix_len, every_word(n_symbols))
 
 
+def periodic_cover(prefix_len):
+    """Class-pass inputs for a 2-letter, 5-state cover whose tables of
+    suffix maps are periodic from level ``PRE_PERIOD`` on with period
+    ``PERIOD``, with seeded log weights and step energies."""
+    delta = np.array([[0, 2, 3, 5, 0, 5], [5, 4, 5, 1, 5, 5]], dtype=np.uint8)
+    rng = np.random.default_rng(30)
+    step = np.where(delta == 5, 0.0, rng.uniform(-1, 1, size=delta.shape))
+    step_tables = tuple(rng.uniform(-1, 1, size=2 ** (i + 1))
+                        for i in range(prefix_len + 1))
+    return (delta, step, rng.uniform(-1, 1, size=5),
+            np.append(rng.uniform(-1, 1, size=5), -np.inf), step_tables,
+            prefix_len, every_word(2))
+
+
+PRE_PERIOD, PERIOD = 4, 3
+BLOCKS = [1, 7, 64, _kernels.BLOCK]
+
+
 def _bundled_inputs():
     for shift, pot in BUNDLED_SYSTEMS:
         yield equilibrium_measure(shift(), pot()), 12
@@ -474,7 +492,7 @@ class TestWordClasses:
         assert widths[0] == 2
         assert max(widths) >= 5
 
-    @pytest.mark.parametrize("block", [1, 7, 64, _kernels.BLOCK])
+    @pytest.mark.parametrize("block", BLOCKS)
     def test_deviation_is_block_free(self, block, monkeypatch):
         monkeypatch.setattr(_kernels, "BLOCK", block)
         cases = [scan_inputs(measure) for measure, _depth in _bundled_inputs()]
@@ -502,6 +520,37 @@ class TestWordClasses:
         for deviation in (_kernels.class_deviation, oracle_class_deviation):
             with pytest.raises(ValueError):
                 deviation(*cover, {0: empty_word, 1: no_word}, [0, 1], 1)
+
+
+class TestPeriodicTables:
+    """Past the first repeat, ``word_classes`` yields the stored tables of
+    the cycle, and ``class_deviation`` evaluates each once per prefix
+    level."""
+
+    def test_levels_against_the_oracle(self):
+        delta = periodic_cover(1)[0]
+        repeat = PRE_PERIOD + PERIOD  # the first level equal to an earlier one
+        depth = repeat + 2 * PERIOD
+        TestWordClasses.check_levels(delta, depth)
+        tables = list(_kernels.word_classes(delta, depth))
+        for level in range(repeat):
+            assert not any(np.array_equal(tables[j], tables[level])
+                           for j in range(level))
+        assert np.array_equal(tables[repeat], tables[PRE_PERIOD])
+        for level in range(repeat, depth + 1):
+            assert tables[level] is tables[level - PERIOD]
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_deviation_inside_the_cycle(self, block, monkeypatch):
+        monkeypatch.setattr(_kernels, "BLOCK", block)
+        for prefix_len in (1, 2, 3):
+            # suffix lengths from the pre-period's last level to two periods
+            # past the repeat, and lengths below R
+            first = prefix_len + PRE_PERIOD - 1
+            lengths = [0, 1, 2] + list(range(first, first + 2 * PERIOD + 2))
+            args = deviation_args(periodic_cover(prefix_len), lengths)
+            assert np.array_equal(_kernels.class_deviation(*args),
+                                  oracle_class_deviation(*args))
 
 
 class TestBackendSelection:

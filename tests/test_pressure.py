@@ -13,7 +13,8 @@ from shiftgibbs import (SoficPresentation, ValidationError, Word,
 from shiftgibbs.bundled import BINARY, SITE_FIELD, data_path
 from shiftgibbs.fileio import load_potential, load_shift
 from shiftgibbs.potentials import Potential, ShapeTable
-from shiftgibbs.pressure import (_context_edges, _dp_log_partition,
+from shiftgibbs.pressure import (_PERRON_MAX_ITER, PERRON_RESIDUAL_TOL,
+                                 PERRON_TOL, _context_edges, _dp_log_partition,
                                  _partition_graph, log_sum_exp, word_energies)
 from shiftgibbs.shifts import Alphabet, strongly_connected, support_period
 from test_potentials import step_energy
@@ -269,6 +270,101 @@ class TestPerron:
         assert peak < 8 * 2 ** 20
 
 
+def reference_perron(transfer):
+    """The power iteration with two temporaries per product (``np.append``
+    of the dead sink's 0, then the gather) and the residual on every step:
+    ``perron``'s oracle, which it must match bit for bit."""
+    succ, weight, S = transfer.succ, transfer.weight, transfer.n_states
+
+    def pull(x):
+        return (weight * np.append(x, 0.0)[succ]).sum(axis=0)
+
+    def push(v):
+        return np.bincount(succ.ravel(), (weight * v).ravel(), minlength=S + 1)[:S]
+
+    def iterate(product):
+        x = np.ones(S)
+        x /= x.sum()
+        y = product(x)
+        lam = 0.0
+        for _ in range(_PERRON_MAX_ITER):
+            lam_new = y.sum()
+            x = y / lam_new
+            y = product(x)
+            res = np.abs(y - lam_new * x).max() / np.abs(x).max()
+            done = (abs(lam_new - lam) <= PERRON_TOL * abs(lam_new)
+                    and res <= PERRON_RESIDUAL_TOL)
+            lam = lam_new
+            if done:
+                return lam, x
+        raise ValidationError("power iteration failed to converge")
+
+    lam, h = iterate(pull)
+    lam_left, nu = iterate(push)
+    lam = 0.5 * (lam + lam_left)
+    nu = nu / nu.sum()
+    h = h / float(nu @ h)
+    return float(lam), h, nu
+
+
+def subnormal_pair(val_11):
+    """The range-1 potential on full2 whose nu has a subnormal entry."""
+    return Potential(BINARY, 1, (ShapeTable(
+        (0, 1), {(0, 0): 700.0, (0, 1): -700.0, (1, 1): float(val_11)}),))
+
+
+class TestPerronOracle:
+    """``perron`` against ``reference_perron``: lambda, h and nu equal bit
+    for bit."""
+
+    @staticmethod
+    def check(presentation, potential):
+        transfer = build_transfer(presentation, potential)
+        lam, h, nu = perron(transfer)
+        want_lam, want_h, want_nu = reference_perron(transfer)
+        assert lam == want_lam
+        for got, want in ((h, want_h), (nu, want_nu)):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_bundled_pairs(self):
+        pairs = _bundled_pairs()
+        assert len(pairs) == 12
+        for shift, pot in pairs:
+            pres = load_shift(data_path(shift))
+            self.check(pres, load_potential(data_path(pot), pres.alphabet))
+
+    def test_range_three_sft(self):
+        self.check(*range_three_sft(1))
+
+    def test_random_presentations(self):
+        rng = random.Random(21)
+        checked = 0
+        for _ in range(60):
+            pres = random_right_resolving(rng)
+            if not (pres.irreducible and pres.aperiodic):
+                continue
+            K = len(pres.alphabet)
+            for span in (1, 2):
+                values = {pat: rng.uniform(-2, 2) for pat in
+                          itertools.product(range(K), repeat=2)}
+                self.check(pres, Potential(pres.alphabet, span,
+                                           (ShapeTable((0, span), values),)))
+                checked += 1
+        assert checked >= 30
+
+    @pytest.mark.parametrize("val_11", [699, 705, 709])
+    def test_subnormal_entries(self, full, val_11):
+        self.check(full, subnormal_pair(val_11))
+
+    def test_slow_second_eigenvalue_still_refused(self, ev):
+        # lambda_2 / lambda is about -0.990 on this cover, so the plain
+        # iteration does not get the residual under its bound in time
+        pot = Potential(BINARY, 0, (ShapeTable((0,), {(0,): 5.0}),))
+        with pytest.raises(ValidationError, match="power iteration failed to converge"):
+            perron(build_transfer(ev, pot))
+
+
 class TestPressureLimit:
     def test_full_exact(self, full, pot_zero):
         est = pressure_limit(full, pot_zero)
@@ -305,8 +401,7 @@ class TestPressureLimit:
     @pytest.mark.parametrize("val_11", [699, 705, 709])
     def test_envelope_finite_with_a_subnormal_multiplier(self, full, val_11):
         # nu has a subnormal entry, so max/min of the multipliers overflows
-        pot = Potential(BINARY, 1, (ShapeTable(
-            (0, 1), {(0, 0): 700.0, (0, 1): -700.0, (1, 1): float(val_11)}),))
+        pot = subnormal_pair(val_11)
         _lam, h, nu = perron(build_transfer(full, pot))
         assert min(h.min(), nu.min()) < 2.0 ** -1022
         est = pressure_limit(full, pot, ladder=(1, 2, 3, 4))
