@@ -380,6 +380,10 @@ def random_cover(rng, n_symbols, n_states, prefix_len, scale):
             step_tables, prefix_len, every_word(n_symbols))
 
 
+PRE_PERIOD, PERIOD = 4, 3
+BLOCKS = [1, 7, 64, _kernels.BLOCK]
+
+
 def periodic_cover(prefix_len):
     """Class-pass inputs for a 2-letter, 5-state cover whose tables of
     suffix maps are periodic from level ``PRE_PERIOD`` on with period
@@ -392,10 +396,6 @@ def periodic_cover(prefix_len):
     return (delta, step, rng.uniform(-1, 1, size=5),
             np.append(rng.uniform(-1, 1, size=5), -np.inf), step_tables,
             prefix_len, every_word(2))
-
-
-PRE_PERIOD, PERIOD = 4, 3
-BLOCKS = [1, 7, 64, _kernels.BLOCK]
 
 
 def _bundled_inputs():
@@ -547,7 +547,7 @@ class TestPeriodicTables:
             # suffix lengths from the pre-period's last level to two periods
             # past the repeat, and lengths below R
             first = prefix_len + PRE_PERIOD - 1
-            lengths = [0, 1, 2] + list(range(first, first + 2 * PERIOD + 2))
+            lengths = [0, 1, 2] + list(range(first, first + 3 * PERIOD + 2))
             args = deviation_args(periodic_cover(prefix_len), lengths)
             assert np.array_equal(_kernels.class_deviation(*args),
                                   oracle_class_deviation(*args))
