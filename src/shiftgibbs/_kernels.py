@@ -138,6 +138,10 @@ def word_classes(delta, depth):
     bytes; the first level whose table equals an earlier one's (compared
     whole) closes the cycle, and it and every later level yield the stored
     table of their place in the cycle, the same object, computing nothing.
+    So until the repeat the generator holds every distinct table so far,
+    not only the current one: on full2 at range 10 the table pass peaks
+    about 0.5 MiB higher (4.5 against 4.0 MiB), below the scan's own peak,
+    which the prefix walk sets (44 MiB at m = 9).
     """
     dead = delta.shape[1] - 1
     row = np.dtype((np.void, dead * delta.itemsize))

@@ -169,8 +169,7 @@ def perron(transfer: TransferSystem) -> tuple[float, np.ndarray, np.ndarray]:
     and refused when that takes more than ``_PERRON_MAX_ITER`` steps.  Each
     step writes one product into a preallocated (S+1)-vector whose last
     entry, the dead sink's, stays 0: M x gathers x along ``succ``,
-    multiplies by ``weight`` and sums over letters; v M multiplies by
-    ``weight`` and sums by target in one ``np.bincount``.  A step's
+    multiplies by ``weight`` and sums over letters; v M is ``_push``.  A step's
     residual reads the next step's product, and is computed only once the
     eigenvalue estimates agree.
     """
@@ -187,8 +186,7 @@ def perron(transfer: TransferSystem) -> tuple[float, np.ndarray, np.ndarray]:
         np.multiply(terms, weight, out=terms).sum(axis=0, out=y[:S])
 
     def push(x: np.ndarray, y: np.ndarray) -> None:
-        np.multiply(weight, x[:S], out=terms)
-        y[:S] = np.bincount(succ.ravel(), terms.ravel(), S + 1)[:S]
+        y[:S] = _push(succ, weight, x[:S])
 
     def iterate(product) -> tuple[float, np.ndarray]:
         x, y = np.append(np.full(S, 1.0 / S), 0.0), np.zeros(S + 1)
