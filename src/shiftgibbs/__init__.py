@@ -15,7 +15,7 @@ from .shifts import (Alphabet, BlockCode, DecouplingCertificate, Point,
 from .verify import (Decoupling1dTables, InequalityRecord, Lemma212Tables,
                      LemmaReport, WeakGibbsReport, decoupling_1d_check,
                      decoupling_1d_tables, indicator_potential, lemma_211_check,
-                     lemma_211_pairs, lemma_212_check, lemma_212_tables,
+                     lemma_211_worst, lemma_212_check, lemma_212_tables,
                      tangent_derivative_check, weak_gibbs_scan)
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ from .shifts import (DEFAULT_ENUM_CAP, BlockCode, SoficPresentation, Word,
                      decoupling_gap, enumerate_words, factor_gap_bound,
                      factor_presentation, point_from_words, splice)
 from .verify import (decoupling_1d_check, decoupling_1d_tables,
-                     lemma_211_pairs, lemma_212_check, lemma_212_tables,
+                     lemma_211_worst, lemma_212_check, lemma_212_tables,
                      require_center, tangent_derivative_check,
                      weak_gibbs_scan)
 
@@ -146,9 +146,7 @@ def _report_lines(report, *comments: str) -> list[str]:
 def _cmd_lemma(args) -> str:
     ignored = [flag for flag, value, used in (
         ("--q-bar", args.q_bar, args.which == "1d"),
-        ("--u", args.u, args.which != "211"),
-        ("--seed", args.seed, args.which == "211"),
-        ("--count", args.count, args.which == "211"))
+        ("--u", args.u, args.which != "211"))
         if value is not None and not used]
     if ignored:
         raise ValidationError(f"--which {args.which} does not take "
@@ -156,10 +154,11 @@ def _cmd_lemma(args) -> str:
     presentation, potential = _load(args)
     lines = ["name\tlhs\trhs\tholds"]
     if args.which == "211":
-        for i, report in enumerate(lemma_211_pairs(presentation, potential, args.n, args.m,
-                                                   args.j, args.seed, args.count, args.cap)):
-            ell, ell_p = report.context["ell"], report.context["ell_prime"]
-            lines.extend(_report_lines(report, f"pair {i} ell={ell} ell'={ell_p}"))
+        report = lemma_211_worst(presentation, potential, args.n, args.m, args.j,
+                                 args.cap)
+        c = report.context
+        lines.extend(_report_lines(
+            report, f"worst ell={c['ell']} ell'={c['ell_prime']} x={c['x']} y={c['y']}"))
         return "\n".join(lines) + "\n"
 
     # every center is refused before the tables are built, so a bad --u is
@@ -297,10 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="center word (212 and 1d; default: all)")
     p.add_argument("--q-bar", type=int, default=None,
                    help="override the 1-decoupling gap (1d only)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="pair sampling seed (211 only; default 0)")
-    p.add_argument("--count", type=int, default=None,
-                   help="pair count (211 only; default 10)")
 
     p = sub.add_parser("tangent", help="d/dt P_n along a word's indicator vs its cylinder")
     common(p)
@@ -329,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate_numeric(args) -> None:
-    for name in ("n", "m", "n_max", "k", "window", "count", "cap", "q_bar"):
+    for name in ("n", "m", "n_max", "k", "window", "cap", "q_bar"):
         value = getattr(args, name, None)
         if isinstance(value, int) and value < 0:
             raise ValidationError(f"--{name.replace('_', '-')} must be nonnegative")

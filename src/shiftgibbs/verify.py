@@ -11,20 +11,18 @@ ids of their column windows (``_class_ids``, rows folded into int64 codes
 and renumbered by ``_kernels.dense_ids``) and sum the limbs per class
 (``_limb_sums``); only the per-class totals become Python integers, so
 subset and partition relations hold exactly rather than up to rounding.
-The 211 pair draw (``lemma_211_pairs``) groups the word table by the same
-exterior ids as the 212 suite (``_exterior_ids``) and makes ``Word``
-objects for the drawn pairs alone.  The other two suites are split in
-two: a tables builder (``lemma_212_tables``, ``decoupling_1d_tables``)
-does everything that does not read the center word once per volume, and
-the per-center check (``lemma_212_check``, ``decoupling_1d_check``) adds
-the rows that do.
+The 211 pass (``lemma_211_worst``) groups the word table by the same
+exterior ids as the 212 suite (``_exterior_ids``), finds the worst pair
+over every pair and shift, and makes ``Word`` objects for that pair alone.
+The other two suites are split in two: a tables builder
+(``lemma_212_tables``, ``decoupling_1d_tables``) does everything that does
+not read the center word once per volume, and the per-center check
+(``lemma_212_check``, ``decoupling_1d_check``) adds the rows that do.
 """
 
 from __future__ import annotations
 
 import math
-import random
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -370,17 +368,6 @@ def _exterior_ids(words: np.ndarray, j: int, reach: int) -> tuple[np.ndarray, in
     return _class_ids(words[:, np.abs(np.arange(-n, n + 1) - j) > reach])
 
 
-def _shared_exteriors(words: np.ndarray, j: int, reach: int
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Each word's exterior id (``_exterior_ids``) and the ids that two or
-    more words share, in the order of the first word that shows each."""
-    ids, n_ids = _exterior_ids(words, j, reach)
-    first = np.full(n_ids, words.shape[0])
-    np.minimum.at(first, ids, np.arange(words.shape[0]))
-    shared = np.flatnonzero(np.bincount(ids, minlength=n_ids) >= 2)
-    return ids, shared[np.argsort(first[shared])]
-
-
 def _distinct_per_word(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct class ids in each column of ``ids`` (column i belongs to
     word i) as parallel arrays of (class id, word index).  Sorts ``ids`` in
@@ -418,36 +405,46 @@ def lemma_211_check(presentation: SoficPresentation, potential: Potential,
                          du_full <= du_small + log_c),
     )
     return LemmaReport(
-        context={"n": n, "m": m, "q": q, "j": j, "ell": ell, "ell_prime": ell_prime},
+        context={"n": n, "m": m, "q": q, "j": j, "ell": ell, "ell_prime": ell_prime,
+                 "x": x.text(), "y": y.text()},
         constants={"log_C": log_c},
         inequalities=records)
 
 
-def lemma_211_pairs(presentation: SoficPresentation, potential: Potential, n: int,
-                    m: int, j: int, seed: int | None = None, count: int | None = None,
-                    cap: int | None = None) -> Iterator[LemmaReport]:
-    """Yield ``lemma_211_check`` on ``count`` (10 when None) seeded draws of
-    two words on [-n, n] that agree outside the collar window (q the
-    bounded-length gap), each with shifts ell, ell' in [-q, q].
+def lemma_211_worst(presentation: SoficPresentation, potential: Potential,
+                    n: int, m: int, j: int, cap: int | None = None) -> LemmaReport:
+    """``lemma_211_check`` at the pair with the worst |du_full - du_small|
+    over every two words on [-n, n] that agree outside the collar window (q
+    the bounded-length gap) and every two shifts ell, ell' in [-q, q].
 
-    The words of the volume (``word_matrix``) are grouped by their exterior
-    (``_shared_exteriors``); a draw picks a group of two or more words, two
-    of its words and the two shifts from one ``random.Random(seed)`` (seed
-    0 when None).  Only a drawn group's word list and the drawn pair's
-    ``Word`` objects are built.  Refused, when the first report is asked
-    for, if no two words share an exterior."""
+    With A(x, ell) = U(x) - U(x on [j+ell-m, j+ell+m]), two words that share
+    their exterior (``_exterior_ids``) have du_full - du_small =
+    A(x, ell) - A(y, ell'), so the worst pair lies in the exterior group
+    with the largest max A - min A: x and ell attain its max, y and ell' its
+    min.  Ties go to the first group in id order, then to the first (shift,
+    word).  x = y counts, so every volume has a pair.  The collar is checked
+    to lie in the volume before any word is enumerated, and only the two
+    words of the pair become ``Word`` objects."""
     q = decoupling_gap(presentation, "bounded-length").gap
+    if abs(j) > n - (m + q):
+        raise ValidationError("windows inconsistent: collar leaves the volume")
     words = presentation.word_matrix(2 * n + 1, cap=cap)
-    ids, groups = _shared_exteriors(words, j, m + q)
-    if not groups.size:
-        raise ValidationError("no word pairs share an exterior at these windows")
-    rng = random.Random(0 if seed is None else seed)
-    for _ in range(10 if count is None else count):
-        group = np.flatnonzero(ids == groups[rng.randrange(len(groups))]).tolist()
-        x, y = (Word(presentation.alphabet, -n, tuple(words[i].tolist()))
-                for i in rng.sample(group, 2))
-        ell, ell_p = rng.randint(-q, q), rng.randint(-q, q)
-        yield lemma_211_check(presentation, potential, n, m, q, j, ell, ell_p, x, y)
+    ids, n_ids = _exterior_ids(words, j, m + q)
+    lo = n + j - m - q  # first column of the window at ell = -q
+    a = word_energies(potential, words) - np.stack(
+        [word_energies(potential, words[:, lo + k:lo + k + 2 * m + 1])
+         for k in range(2 * q + 1)])
+    top, bottom = np.full(n_ids, -np.inf), np.full(n_ids, np.inf)
+    np.maximum.at(top, ids, a.max(axis=0))
+    np.minimum.at(bottom, ids, a.min(axis=0))
+    members = np.flatnonzero(ids == np.argmax(top - bottom))
+    group = a[:, members]
+    (k, i), (k_p, i_p) = (np.unravel_index(pick(group), group.shape)
+                          for pick in (np.argmax, np.argmin))
+    x, y = (Word(presentation.alphabet, -n, tuple(words[members[r]].tolist()))
+            for r in (i, i_p))
+    return lemma_211_check(presentation, potential, n, m, q, j, int(k) - q,
+                           int(k_p) - q, x, y)
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,11 +5,12 @@ Every bundled shift runs with every bundled potential through
 ``weakgibbs --m 0..9``, ``weakgibbs --m 2,2,7``, ``measure``, ``cylinder
 --word 11`` (an empty cylinder on golden_mean, with its one warning line
 on stderr) and six ``lemma --which 211`` volumes (several n, m and j,
-with and without ``--seed`` and ``--count``), and every bundled shift
-through ``factor --dump`` at radius k = 0..3, refusals included.  The
-three streams must match ``data/cli_outputs.json`` byte for byte.  A
-refactor of the weak-Gibbs class pass, of the transfer cover, of the 211
-grouping and draw, or of the factor image must keep every one of them.
+each printing the worst pair over every pair and shift, or a refusal),
+and every bundled shift through ``factor --dump`` at radius k = 0..3,
+refusals included.  The three streams must match ``data/cli_outputs.json``
+byte for byte.  A refactor of the weak-Gibbs class pass, of the transfer
+cover, of the 211 worst-pair pass, or of the factor image must keep every
+one of them.
 To record the file again (only after a deliberate change of output), run
 this module as a script: ``python3 tests/test_cli_outputs.py``.
 """
@@ -31,13 +32,14 @@ SHIFTS = ("full2.shift", "golden_mean.shift", "golden_mean.sft",
 POTENTIALS = ("zero.pot", "site_a.pot", "pair_beta.pot")
 COMMANDS = (("weakgibbs", "--m", "0..9"), ("weakgibbs", "--m", "2,2,7"),
             ("measure",), ("cylinder", "--word", "11"))
-# lemma 211 volumes: the default draw, seeded and counted draws, a shifted
-# j, an empty draw, a j whose collar leaves the volume, and a cap refusal
+# lemma 211 volumes: j = 0, two shifted j, a collar that fills the volume
+# on full2 and leaves it elsewhere, a j whose collar leaves the volume, and
+# a cap refusal
 LEMMA_211 = (("--n", "4", "--m", "1"),
-             ("--n", "5", "--m", "0", "--j", "1", "--seed", "7", "--count", "3"),
-             ("--n", "6", "--m", "1", "--j", "-1", "--seed", "3"),
-             ("--n", "3", "--m", "2", "--count", "0"),
-             ("--n", "5", "--m", "1", "--j", "3", "--count", "2"),
+             ("--n", "5", "--m", "0", "--j", "1"),
+             ("--n", "6", "--m", "1", "--j", "-1"),
+             ("--n", "3", "--m", "2"),
+             ("--n", "5", "--m", "1", "--j", "3"),
              ("--n", "6", "--m", "1", "--cap", "10"))
 # factor codes of radius 0..3, each total on the binary windows
 FACTOR = (("--k", "0", "--rule", "0=1,1=0"),

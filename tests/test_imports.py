@@ -32,6 +32,10 @@ and context format is known to ``pressure`` alone.
 Every ``VolumeGuardError(...)`` call under ``src/shiftgibbs/`` passes a
 message, a string constant or an f-string, that starts with
 ``GUARD_PREFIX``: every exit-3 refusal reads the same way.
+
+No module under ``src/shiftgibbs/`` imports ``random`` or reaches
+``numpy.random``: every check is exact over its whole volume, so no result
+depends on a sampler or a seed.
 """
 
 import ast
@@ -397,3 +401,54 @@ def test_scan_finds_unprefixed_guards():
         "line 6: exceptions.VolumeGuardError('too many words')",
         "line 7: VolumeGuardError(message)",
         "line 8: VolumeGuardError()"]
+
+
+def random_imports(source: str) -> list[str]:
+    """``line N: text`` for each import in ``source`` of the ``random``
+    module, of a name from it or of ``numpy.random``, and each read of
+    ``np.random`` / ``numpy.random``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            hit = any(alias.name.split(".")[0] == "random"
+                      or alias.name.startswith("numpy.random")
+                      for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            hit = node.level == 0 and (module.split(".")[0] == "random"
+                                       or module.startswith("numpy.random")
+                                       or (module == "numpy" and any(
+                                           a.name == "random" for a in node.names)))
+        else:
+            hit = (isinstance(node, ast.Attribute) and node.attr == "random"
+                   and isinstance(node.value, ast.Name)
+                   and node.value.id in ("np", "numpy"))
+        if hit:
+            found.append((node.lineno, node.col_offset, ast.unparse(node)))
+    return [f"line {line}: {text}" for line, _col, text in sorted(found)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_sampler(path):
+    assert random_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_scan_finds_random_imports():
+    source = ("import math, random\n"
+              "from random import Random\n"
+              "import random as rnd\n"
+              "from . import random_walk\n"
+              "from .random import draw\n"
+              "import numpy.random\n"
+              "from numpy import random\n"
+              "rng = np.random.default_rng(0)\n"
+              "x = rng.random()\n"
+              "def f():\n    import random\n")
+    assert random_imports(source) == [
+        "line 1: import math, random",
+        "line 2: from random import Random",
+        "line 3: import random as rnd",
+        "line 6: import numpy.random",
+        "line 7: from numpy import random",
+        "line 8: np.random",
+        "line 11: import random"]

@@ -12,14 +12,14 @@ from shiftgibbs import (ValidationError, VolumeGuardError, Word, _kernels,
                         brute_partition, cli, decoupling_1d_check,
                         decoupling_1d_tables, decoupling_gap, energy,
                         enumerate_words, equilibrium_measure,
-                        indicator_potential, lemma_211_check, lemma_211_pairs,
+                        indicator_potential, lemma_211_check, lemma_211_worst,
                         lemma_212_check, lemma_212_tables,
                         tangent_derivative_check, verify, weak_gibbs_scan)
 from shiftgibbs.bundled import (BINARY, data_path, equal_pair, even_shift,
                                 full_shift_2, golden_mean, single_site, zero)
 from shiftgibbs.fileio import load_potential, load_shift
 from shiftgibbs.measures import cylinder_prob, strong_gibbs_constant
-from shiftgibbs.potentials import Potential, ShapeTable
+from shiftgibbs.potentials import Potential, ShapeTable, zero_potential
 from shiftgibbs.pressure import (_dp_log_partition, finite_pressure,
                                  log_sum_exp, word_energies)
 from shiftgibbs.shifts import Alphabet, sft_presentation
@@ -27,7 +27,7 @@ from shiftgibbs.verify import (_BIAS, _LIMBS, _MAX_ENTRIES, _SHIFT,
                                InequalityRecord, LemmaReport, _center_id,
                                _class_ids, _distinct_per_word, _exact_terms,
                                _limb_sums, _limb_terms, _log_scaled,
-                               _require_allowed_center, _shared_exteriors,
+                               _exterior_ids, _require_allowed_center,
                                ratio_1d_log_constant,
                                ratio_log_constant, sandwich_1d_log_constant,
                                sandwich_log_constant)
@@ -171,34 +171,56 @@ class TestConstrainedPartition:
             constrained_partition(ev, pot_zero, 3, 0, 5, word((1,)))
 
 
-def exterior_groups(presentation, n, m, q, j):
-    """The words on [-n, n] that share their exterior (the positions k with
-    |k - j| > m + q) with another word, grouped in a dict keyed by the
-    exterior's letters: the groups in the order of their first word."""
+def exterior_groups(presentation, n, m, q, j, min_size=2):
+    """The words on [-n, n] grouped in a dict keyed by their exterior's
+    letters (the positions k with |k - j| > m + q): the groups of at least
+    ``min_size`` words, in the order of their keys."""
     groups = {}
     for w in enumerate_words(presentation, n):
         key = tuple(a for k, a in zip(range(-n, n + 1), w.letters)
                     if abs(k - j) > m + q)
         groups.setdefault(key, []).append(w)
-    return [g for g in groups.values() if len(g) >= 2]
+    return [g for _key, g in sorted(groups.items()) if len(g) >= min_size]
 
 
 def oracle_211_pairs(presentation, potential, n, m, j, seed, count):
-    """``lemma_211_pairs`` over the dict groups of ``Word`` objects, drawn
-    from the groups themselves."""
+    """``lemma_211_check`` on ``count`` seeded draws of two distinct words
+    that share their exterior, from the dict groups, each with two drawn
+    shifts: a sample that the worst pair must dominate."""
     q = decoupling_gap(presentation, "bounded-length").gap
     groups = exterior_groups(presentation, n, m, q, j)
-    if not groups:
-        raise ValidationError("no word pairs share an exterior at these windows")
     rng = random.Random(seed)
     reports = []
-    for _ in range(count):
+    for _ in range(count if groups else 0):
         group = groups[rng.randrange(len(groups))]
         x, y = rng.sample(group, 2)
         ell, ell_p = rng.randint(-q, q), rng.randint(-q, q)
         reports.append(lemma_211_check(presentation, potential, n, m, q, j,
                                        ell, ell_p, x, y))
     return reports
+
+
+def brute_211_worst(presentation, potential, n, m, q, j):
+    """max |du_full - du_small| over every (x, y, ell, ell') with x and y
+    sharing their exterior (x = y included), in ``lemma_211_check``'s
+    arithmetic: du_full = U(x) - U(y) and du_small the difference of the
+    window energies, each energy from ``energy`` on its ``Word``."""
+    best = 0.0
+    for group in exterior_groups(presentation, n, m, q, j, min_size=1):
+        full = np.array([energy(potential, w) for w in group])
+        small = np.array([[energy(potential, w.restrict(j + ell - m, j + ell + m))
+                           for ell in range(-q, q + 1)] for w in group])
+        du_full = full[:, None, None, None] - full[None, :, None, None]
+        du_small = small[:, None, :, None] - small[None, :, None, :]
+        best = max(best, float(np.abs(du_full - du_small).max()))
+    return best
+
+
+def worst_gap(report):
+    """|du_full - du_small| of a 211 report, read off its upper row
+    (du_full <= du_small + log C)."""
+    upper = report.inequalities[1]
+    return abs(upper.lhs - (upper.rhs - report.constants["log_C"]))
 
 
 def random_presentations(seed, count):
@@ -209,40 +231,86 @@ def random_presentations(seed, count):
     return [random_right_resolving(rng) for _ in range(count)]
 
 
+# the bundled shifts with a finite gap (reducible.shift has none)
+BUNDLED_SHIFTS = ("full2.shift", "golden_mean.shift", "golden_mean.sft",
+                  "even.shift", "periodic.shift")
+BUNDLED_POTENTIALS = ("zero.pot", "site_a.pot", "pair_beta.pot")
+
+
 class TestLemma211:
     @pytest.mark.parametrize("reach", [0, 1, 3, 9])
     @pytest.mark.parametrize("j", [-1, 0, 2])
     def test_shared_exteriors_match_dict_groups(self, reach, j):
+        # the exterior ids number the groups in the order of their letters
         pres = [load_shift(data_path(name)) for name in (
             "full2.shift", "golden_mean.shift", "even.shift", "reducible.shift",
             "periodic.shift")] + random_presentations(reach * 10 + j, 12)
         for p in pres:
             for n in (0, 2, 4):
                 words = p.word_matrix(2 * n + 1)
-                ids, shared = _shared_exteriors(words, j, reach)
-                got = [np.flatnonzero(ids == g).tolist() for g in shared]
+                ids, n_ids = _exterior_ids(words, j, reach)
+                got = [np.flatnonzero(ids == g).tolist() for g in range(n_ids)]
                 index = {w.letters: i for i, w in enumerate(enumerate_words(p, n))}
                 want = [[index[w.letters] for w in g]
-                        for g in exterior_groups(p, n, reach, 0, j)]
+                        for g in exterior_groups(p, n, reach, 0, j, min_size=1)]
                 assert got == want, (p, n)
 
-    @pytest.mark.parametrize("shift, pot", [
-        ("full2.shift", "site_a.pot"), ("golden_mean.shift", "pair_beta.pot"),
-        ("golden_mean.sft", "zero.pot"), ("even.shift", "pair_beta.pot")])
-    def test_pairs_match_dict_draw(self, shift, pot):
+    @pytest.mark.parametrize("pot", BUNDLED_POTENTIALS)
+    @pytest.mark.parametrize("shift", BUNDLED_SHIFTS)
+    def test_worst_matches_brute_max(self, shift, pot):
         pres, potential = load_pair(shift, pot)
         q = decoupling_gap(pres, "bounded-length").gap
-        for n, m, j, seed, count in ((4, 1, 0, 0, 10), (5, 0, 1, 7, 12),
-                                     (6, 1, -1, 3, 5), (3, 2, 0, 1, 0)):
+        checked = 0
+        for n, m, j in itertools.product(range(6), (0, 1), (-1, 0, 1)):
             if abs(j) > n - (m + q):
                 continue
-            got = list(lemma_211_pairs(pres, potential, n, m, j, seed, count))
-            assert got == oracle_211_pairs(pres, potential, n, m, j, seed, count)
-            assert len(got) == count
+            report = lemma_211_worst(pres, potential, n, m, j)
+            assert report.all_hold
+            assert report.context["q"] == q
+            worst, want = worst_gap(report), brute_211_worst(pres, potential, n, m, q, j)
+            assert abs(worst - want) <= 1e-12 * max(1.0, abs(want)), (n, m, j)
+            for drawn in oracle_211_pairs(pres, potential, n, m, j, 0, 10):
+                assert worst_gap(drawn) <= worst + 1e-12 * max(1.0, worst)
+            checked += 1
+        assert checked >= 6
 
-    def test_pairs_refused_without_shared_exterior(self, periodic, pot_zero):
-        with pytest.raises(ValidationError, match="no word pairs share"):
-            list(lemma_211_pairs(periodic, pot_zero, 4, 1, 0, 0, 10))
+    def test_worst_matches_brute_max_on_drawn_presentations(self):
+        # drawn range-1 potentials make the worst shift of a group vary
+        # from word to word, which the bundled potentials rarely do
+        from test_invariance import drawn_potential  # it imports this module
+        rng = random.Random(211)
+        checked = 0
+        for pres in random_presentations(211, 40):
+            if not pres.irreducible:
+                with pytest.raises(ValidationError, match="no finite gap"):
+                    lemma_211_worst(pres, zero_potential(pres.alphabet), 3, 0, 0)
+                continue
+            potential = drawn_potential(pres.alphabet, rng)
+            q = decoupling_gap(pres, "bounded-length").gap
+            for n, m, j in ((3, 0, 0), (4, 1, 0), (4, 0, 1), (4, 1, -1)):
+                if abs(j) > n - (m + q) or pres.word_count(2 * n + 1) > 2000:
+                    continue
+                worst = worst_gap(lemma_211_worst(pres, potential, n, m, j))
+                want = brute_211_worst(pres, potential, n, m, q, j)
+                assert abs(worst - want) <= 1e-12 * max(1.0, abs(want)), (pres, n, m, j)
+                checked += 1
+        assert checked >= 50
+
+    def test_worst_without_shared_exterior(self, periodic, pot_zero):
+        # every word of the 2-cycle has an exterior of its own, so the pair
+        # is a word with itself
+        report = lemma_211_worst(periodic, pot_zero, 4, 1, 0)
+        assert report.all_hold
+        c = report.context
+        assert c["x"] == c["y"] == "010101010"
+        assert (c["ell"], c["ell_prime"]) == (-2, -2)
+
+    def test_worst_ties_go_to_the_first_pair(self, ev, pot_zero):
+        # every A is 0 under the zero potential: the first group, then the
+        # first (shift, word), for both words
+        c = lemma_211_worst(ev, pot_zero, 4, 1, 0).context
+        assert (c["x"], c["y"], c["ell"], c["ell_prime"]) == (
+            "000000000", "000000000", -2, -2)
 
     def test_zero_potential_trivial(self, ev, pot_zero):
         groups = exterior_groups(ev, 6, 1, 2, 0)
