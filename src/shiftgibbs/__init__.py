@@ -8,10 +8,10 @@ from .potentials import (NormReport, Potential, ShapeTable, add_potentials,
 from .pressure import (BrutePartition, PressureEstimate, TransferSystem,
                        brute_partition, build_transfer, finite_pressure,
                        perron, pressure_limit)
-from .shifts import (Alphabet, BlockCode, DecouplingCertificate, Point,
-                     SoficPresentation, Word, apply_block_code, decoupling_gap,
-                     enumerate_words, factor_gap_bound, factor_presentation,
-                     point_from_words, sft_presentation, splice)
+from .shifts import (Alphabet, BlockCode, Point, SoficPresentation, Word,
+                     apply_block_code, decoupling_gap, enumerate_words,
+                     factor_gap_bound, factor_presentation, point_from_words,
+                     sft_presentation, splice)
 from .verify import (Decoupling1dTables, InequalityRecord, Lemma212Tables,
                      LemmaReport, WeakGibbsReport, decoupling_1d_check,
                      decoupling_1d_tables, indicator_potential, lemma_211_check,

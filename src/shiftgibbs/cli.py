@@ -78,8 +78,7 @@ def _word(presentation: SoficPresentation, text: str) -> Word:
 
 def _cmd_gap(args) -> str:
     presentation, _ = _load(args)
-    cert = decoupling_gap(presentation, args.variant)
-    return f"q\t{cert.gap}\n"
+    return f"q\t{decoupling_gap(presentation, args.variant)}\n"
 
 
 def _cmd_pressure(args) -> str:
@@ -179,8 +178,8 @@ def _cmd_lemma(args) -> str:
         check = decoupling_1d_check
     # the 1d lemma assumes q_bar >= gap; a comment in each center's block
     # says when that fails
-    premise = ([f"premise q_bar={tables.q_bar} < gap={tables.gap}"]
-               if args.which == "1d" and tables.q_bar < tables.gap else [])
+    premise = ([f"premise q_bar={tables.q_bar} < gap={presentation.gap}"]
+               if args.which == "1d" and tables.q_bar < presentation.gap else [])
     for u_bar in targets:
         lines.extend(_report_lines(check(tables, u_bar), f"u={u_bar.text()}",
                                    *premise))
@@ -231,10 +230,8 @@ def _cmd_factor(args) -> str:
     default = target.index(args.default) if args.default is not None else None
     code = BlockCode.from_table(args.k, target, table, default)
     image = factor_presentation(presentation, code)
-    source_gap = decoupling_gap(presentation, "bounded-length")
-    image_gap = decoupling_gap(image, "bounded-length")
-    lines = [f"gap_bound\t{factor_gap_bound(source_gap, args.k)}",
-             f"image_gap\t{image_gap.gap}"]
+    lines = [f"gap_bound\t{factor_gap_bound(presentation.gap, args.k)}",
+             f"image_gap\t{image.gap}"]
     if args.dump:
         # the gap lines become comments, so the whole output loads as a
         # presentation file

@@ -1,8 +1,11 @@
 """Shift spaces presented by labeled graphs.
 
-Words, bi-infinite eventually-periodic points with presenting paths,
-graph gap certificates, the splice construction, and sliding-block factor
-codes.  Graph questions go through three helpers on boolean adjacency
+Words, bi-infinite eventually-periodic points with presenting paths, the
+decoupling gap, the splice construction, and sliding-block factor codes.
+A presentation's gap q has one home, ``SoficPresentation.gap`` (the
+bounded-length graph gap, cached): every certificate reads its q there,
+and ``decoupling_gap`` only adds the exact-length variant for the ``gap``
+command.  Graph questions go through three helpers on boolean adjacency
 matrices: ``strongly_connected``, ``support_period`` and
 ``_forward_infinite`` (the vertices that start an infinite path; with its
 transpose it gives the essential part of a graph).  All types are
@@ -358,14 +361,15 @@ class SoficPresentation:
     def _grow(self, words: np.ndarray, states: np.ndarray, steps: int
               ) -> tuple[np.ndarray, np.ndarray]:
         """Extend each word (in automaton state ``states[i]``) by every
-        allowed letter, ``steps`` times.  Each word's children follow it
-        in increasing letter order, from its state's own allowed letters,
-        so lexicographic input stays lexicographic and no temporary has
-        more entries than the output has words."""
+        allowed letter, ``steps`` times; the letters take the words' dtype.
+        Each word's children follow it in increasing letter order, from its
+        state's own allowed letters, so lexicographic input stays
+        lexicographic and no temporary has more entries than the output has
+        words."""
         det, _ = self._det
         state_of, letter = np.nonzero(det >= 0)  # row-major: letters ascending
         target = det[state_of, letter]
-        letter = letter.astype(np.uint8)
+        letter = letter.astype(words.dtype)
         first = np.searchsorted(state_of, np.arange(det.shape[0] + 1))
         degree = np.diff(first)
         for _ in range(steps):
@@ -394,11 +398,13 @@ class SoficPresentation:
 
     def word_matrix(self, length: int, cap: int | None = None) -> np.ndarray:
         """All allowed words of the given length, lexicographic order, as a
-        ``(count, length)`` uint8 array, grown by ``_grow`` from the start
-        state.  Refuses above the enumeration cap (``check_volume``)."""
+        ``(count, length)`` array of letter indices (``uint8`` up to 256
+        letters, the smallest unsigned type that holds every index beyond),
+        grown by ``_grow`` from the start state.  Refuses above the
+        enumeration cap (``check_volume``)."""
         self.check_volume(length, cap)
-        return self._grow(np.zeros((1, 0), dtype=np.uint8),
-                          np.array([self._det[1]]), length)[0]
+        start = np.zeros((1, 0), dtype=np.min_scalar_type(len(self.alphabet) - 1))
+        return self._grow(start, np.array([self._det[1]]), length)[0]
 
     def iter_word_blocks(self, length: int, cap: int | None = None
                          ) -> Iterator[np.ndarray]:
@@ -406,6 +412,17 @@ class SoficPresentation:
         yield self.word_matrix(length, cap)
 
     # -- path utilities ---------------------------------------------------------
+
+    @cached_property
+    def gap(self) -> int:
+        """The decoupling gap q that every certificate reads: the
+        bounded-length graph gap, the longest shortest nonempty path between
+        two vertices (``_pair_dist``), so every ordered vertex pair is
+        joined by a path of 1 to q edges.  Refuses a reducible
+        presentation."""
+        if not self.irreducible:
+            raise ValidationError("no finite gap: presentation is not irreducible")
+        return int(self._pair_dist.max())
 
     @cached_property
     def _pair_dist(self) -> np.ndarray:
@@ -443,20 +460,6 @@ class SoficPresentation:
             path.append(e)
             v = self.edge_target(e)
         return tuple(path)
-
-
-@dataclass(frozen=True)
-class DecouplingCertificate:
-    """Graph gap certificate: every ordered vertex pair is joined by a path
-    of length exactly ``gap`` (exact-length variant) or by a nonempty path
-    of length at most ``gap`` (bounded-length variant)."""
-
-    gap: int
-    variant: str  # "bounded-length" | "exact-length"
-
-    def __post_init__(self):
-        if self.variant not in ("bounded-length", "exact-length"):
-            raise ValidationError(f"unknown gap variant {self.variant!r}")
 
 
 @dataclass(frozen=True)
@@ -642,20 +645,19 @@ def enumerate_words(presentation: SoficPresentation, n: int,
 
 
 def decoupling_gap(presentation: SoficPresentation,
-                   variant: str = "bounded-length") -> DecouplingCertificate:
-    """Minimal gap certificate of the requested variant.
+                   variant: str = "bounded-length") -> int:
+    """Minimal gap of the requested variant.
 
-    bounded-length: the maximum over ordered vertex pairs of the shortest
-    nonempty path length.  exact-length: the minimal q whose q-th Boolean
-    adjacency power is all-positive (requires aperiodicity).
+    bounded-length: ``presentation.gap``, every ordered vertex pair joined
+    by a nonempty path of length at most q.  exact-length: the minimal q
+    whose q-th Boolean adjacency power is all-positive, every pair joined by
+    a path of length exactly q (requires aperiodicity).
     """
     if variant not in ("bounded-length", "exact-length"):
         raise ValidationError(f"unknown gap variant {variant!r}")
-    if not presentation.irreducible:
-        raise ValidationError("no finite gap: presentation is not irreducible")
+    bounded = presentation.gap  # refuses a reducible presentation
     if variant == "bounded-length":
-        dist = presentation._pair_dist
-        return DecouplingCertificate(int(dist.max()), variant)
+        return bounded
     if not presentation.aperiodic:
         raise ValidationError("exact-length gap does not exist: graph is periodic")
     n = presentation.n_vertices
@@ -667,7 +669,7 @@ def decoupling_gap(presentation: SoficPresentation,
         q += 1
         if q > limit:
             raise ValidationError("exact-length gap does not exist: graph is periodic")
-    return DecouplingCertificate(q, variant)
+    return q
 
 
 def splice(presentation: SoficPresentation, x_minus: Point, y: Point,
@@ -675,8 +677,9 @@ def splice(presentation: SoficPresentation, x_minus: Point, y: Point,
     """Glue the center of ``y`` on [-m, m] to the far tails of ``x_minus``
     and ``x_plus`` through connecting graph paths.
 
-    Returns ``(z, l_minus, l_plus)`` with ``|l_minus|, |l_plus| <= q`` (the
-    bounded-length gap) such that
+    Returns ``(z, l_minus, l_plus)`` with ``|l_minus|, |l_plus| <= q``, q
+    the graph gap ``presentation.gap`` (the joins are graph paths), such
+    that
 
     * ``z`` agrees with ``y`` on ``[-m, m]``,
     * ``z`` agrees with ``T^{-l_minus} x_minus`` on ``(-inf, -m-q)``,
@@ -685,11 +688,9 @@ def splice(presentation: SoficPresentation, x_minus: Point, y: Point,
     for pt in (x_minus, y, x_plus):
         if pt.presentation is not presentation and pt.presentation != presentation:
             raise ValidationError("foreign point: not presented in this presentation")
-    if not presentation.irreducible:
-        raise ValidationError("no finite gap: presentation is not irreducible")
+    q = presentation.gap  # refuses a reducible presentation
     if m < 0:
         raise ValidationError("m must be nonnegative")
-    q = decoupling_gap(presentation, "bounded-length").gap
 
     p = presentation
     vQ = y.vertex_at(-m)                       # start of the middle block
@@ -780,9 +781,9 @@ def factor_presentation(presentation: SoficPresentation,
     return SoficPresentation(code.target_alphabet, [f"b{i}" for i in range(len(paths))], edges)
 
 
-def factor_gap_bound(source_cert: DecouplingCertificate, k: int) -> int:
+def factor_gap_bound(q: int, k: int) -> int:
     """Gap bound propagated through a radius-k factor code: q + 2k."""
-    return source_cert.gap + 2 * k
+    return q + 2 * k
 
 
 def _forbidden_test(fwords: Sequence[tuple[int, ...]]

@@ -18,6 +18,8 @@ The other two suites are split in two: a tables builder
 (``lemma_212_tables``, ``decoupling_1d_tables``) does everything that does
 not read the center word once per volume, and the per-center check
 (``lemma_212_check``, ``decoupling_1d_check``) adds the rows that do.
+Every certificate here, the weak-Gibbs bound included, reads its gap q
+from the presentation (``SoficPresentation.gap``); no caller passes one.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .potentials import (Potential, ShapeTable, _check_context_space,
                          add_potentials, boundary_norm_bound, energy, norms)
 from .pressure import (BrutePartition, _check_cover, _dp_log_partition,
                        brute_partition, finite_pressure, word_energies)
-from .shifts import DENSE_ENTRIES_CAP, SoficPresentation, Word, decoupling_gap
+from .shifts import DENSE_ENTRIES_CAP, SoficPresentation, Word
 
 _LN2 = math.log(2.0)
 _SHIFT = 1100  # dyadic rescale exponent; covers the double exponent range
@@ -255,7 +257,7 @@ def weak_gibbs_scan(measure: RPFMeasure, m_list,
         np.log(measure.stationary / measure.h),
         np.append(np.log(measure.h), -np.inf), potential.step_tables, prefixes,
         lengths, R)
-    q = decoupling_gap(presentation, "bounded-length").gap
+    q = presentation.gap
     log_z = _dp_log_partition(presentation, potential, lengths)
     rows = []
     for m, length, dev, lz in zip(ms, lengths, worst, log_z):
@@ -327,9 +329,9 @@ def _require_allowed_center(presentation: SoficPresentation, v: Word) -> None:
 
 
 def _class_ids(windows: np.ndarray) -> tuple[np.ndarray, int]:
-    """Dense class ids of the rows of a 2-D uint8 word array, numbered in
-    the lexicographic order of the rows' letters, and the number of
-    classes.  The columns fold into int64 codes base b = largest letter + 1,
+    """Dense class ids of the rows of a 2-D array of letter indices,
+    numbered in the lexicographic order of the rows' letters, and the number
+    of classes.  The columns fold into int64 codes base b = largest letter + 1,
     a chunk at a time: each code is the dense id of the row's columns so
     far followed by as many more columns as keep the code space within
     rows * b.  ``_kernels.dense_ids`` renumbers the codes densely after
@@ -380,10 +382,12 @@ def _distinct_per_word(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def lemma_211_check(presentation: SoficPresentation, potential: Potential,
-                    n: int, m: int, q: int, j: int, ell: int, ell_prime: int,
+                    n: int, m: int, j: int, ell: int, ell_prime: int,
                     x: Word, y: Word) -> LemmaReport:
     """Exact-constant sandwich between full-volume and center-window energy
-    differences for two words agreeing outside the collar window."""
+    differences for two words agreeing outside the collar window, q the
+    presentation's gap (``SoficPresentation.gap``)."""
+    q = presentation.gap
     for w in (x, y):
         if w.window != (-n, n):
             raise ValidationError("windows inconsistent: words must live on [-n, n]")
@@ -415,7 +419,7 @@ def lemma_211_worst(presentation: SoficPresentation, potential: Potential,
                     n: int, m: int, j: int, cap: int | None = None) -> LemmaReport:
     """``lemma_211_check`` at the pair with the worst |du_full - du_small|
     over every two words on [-n, n] that agree outside the collar window (q
-    the bounded-length gap) and every two shifts ell, ell' in [-q, q].
+    the presentation's gap) and every two shifts ell, ell' in [-q, q].
 
     With A(x, ell) = U(x) - U(x on [j+ell-m, j+ell+m]), two words that share
     their exterior (``_exterior_ids``) have du_full - du_small =
@@ -425,7 +429,7 @@ def lemma_211_worst(presentation: SoficPresentation, potential: Potential,
     word).  x = y counts, so every volume has a pair.  The collar is checked
     to lie in the volume before any word is enumerated, and only the two
     words of the pair become ``Word`` objects."""
-    q = decoupling_gap(presentation, "bounded-length").gap
+    q = presentation.gap
     if abs(j) > n - (m + q):
         raise ValidationError("windows inconsistent: collar leaves the volume")
     words = presentation.word_matrix(2 * n + 1, cap=cap)
@@ -443,7 +447,7 @@ def lemma_211_worst(presentation: SoficPresentation, potential: Potential,
                           for pick in (np.argmax, np.argmin))
     x, y = (Word(presentation.alphabet, -n, tuple(words[members[r]].tolist()))
             for r in (i, i_p))
-    return lemma_211_check(presentation, potential, n, m, q, j, int(k) - q,
+    return lemma_211_check(presentation, potential, n, m, j, int(k) - q,
                            int(k_p) - q, x, y)
 
 
@@ -452,14 +456,14 @@ class Lemma212Tables:
     """The center-free part of the 212 suite at one (n, m, j): the brute
     partition, the class ids and exact class sums (times 2**_SHIFT),
     the rows that do not read the center word, and the constants.
-    ``lemma_212_check`` evaluates one center word from them."""
+    ``lemma_212_check`` evaluates one center word from them; q is the
+    presentation's gap."""
 
     presentation: SoficPresentation
     potential: Potential
     n: int
     m: int
     j: int
-    q: int
     partition: BrutePartition
     scale: float
     z_n: int
@@ -476,10 +480,9 @@ class Lemma212Tables:
 class Decoupling1dTables:
     """The center-free part of the 1d suite at one (n, m, j, q_bar): the
     brute partition, the class ids and exact class sums (times 2**_SHIFT),
-    the rows that do not read the center word, and the constants.
-    ``gap`` is the bounded-length gap, which the lemma's premise asks
-    q_bar to reach.  ``decoupling_1d_check`` evaluates one center word
-    from them."""
+    the rows that do not read the center word, and the constants.  The
+    lemma's premise asks q_bar to reach the presentation's gap.
+    ``decoupling_1d_check`` evaluates one center word from them."""
 
     presentation: SoficPresentation
     potential: Potential
@@ -487,7 +490,6 @@ class Decoupling1dTables:
     m: int
     j: int
     q_bar: int
-    gap: int
     lam_minus: tuple[int, int]
     lam_plus: tuple[int, int]
     partition: BrutePartition
@@ -533,7 +535,7 @@ def lemma_212_tables(presentation: SoficPresentation, potential: Potential,
     the union partition function, the union's partition identity envelope)
     over every center pattern, all with exact constants.
     """
-    q = decoupling_gap(presentation, "bounded-length").gap
+    q = presentation.gap
     if abs(j) > n - (m + q):
         raise ValidationError("windows inconsistent: |j| must be at most n-(m+q)")
     bp = brute_partition(presentation, potential, n, cap=cap)
@@ -582,7 +584,7 @@ def lemma_212_tables(presentation: SoficPresentation, potential: Potential,
 
     reps = _kernels.dense_ids(center_ids[q], n_centers)[1]
     return Lemma212Tables(
-        presentation, potential, n, m, j, q, bp, scale, z_n,
+        presentation, potential, n, m, j, bp, scale, z_n,
         center_ids, (center_ids[q, reps], reps), ext_ids,
         n_ext, z_ell, tuple(records),
         {"log_C": sandwich_log_constant(potential, m, q),
@@ -597,7 +599,7 @@ def lemma_212_check(tables: Lemma212Tables, u_bar: Word) -> LemmaReport:
     two-sided bounds with exact constants."""
     t = tables
     u_id = _center_id(t, u_bar)
-    q, length = t.q, 2 * t.m + 1
+    q, length = t.presentation.gap, 2 * t.m + 1
     log_k, p_m = t.constants["log_K"], t.constants["P_m"]
     log_z_n = _log_scaled(t.z_n, t.scale)
     # nonemptiness of the union classes for the word
@@ -627,10 +629,9 @@ def decoupling_1d_tables(presentation: SoficPresentation, potential: Potential,
     Records the two-tail class decomposition, its cardinality window and
     the union trick, all with exact constants.
     """
-    # refuses a reducible presentation even when q_bar is given
-    gap = decoupling_gap(presentation, "bounded-length").gap
-    if q_bar is None:
-        q_bar = gap
+    # the gap refuses a reducible presentation even when q_bar is given
+    gap = presentation.gap
+    q_bar = gap if q_bar is None else q_bar
     if n <= m + 2 * q_bar:
         raise ValidationError("window preconditions violated: need n > m + 2*q_bar")
     if abs(j) >= n - (m + 3 * q_bar):
@@ -710,7 +711,7 @@ def decoupling_1d_tables(presentation: SoficPresentation, potential: Potential,
 
     reps = _kernels.dense_ids(center_ids, n_centers)[1]
     return Decoupling1dTables(
-        presentation, potential, n, m, j, q_bar, gap, lam_minus, lam_plus, bp,
+        presentation, potential, n, m, j, q_bar, lam_minus, lam_plus, bp,
         scale, z_n, (center_ids[reps], reps), class_keys,
         n_tails, g_min, g_max, z_v, tuple(records),
         {"log_C_prime": sandwich_1d_log_constant(potential, m, q_bar),
@@ -746,9 +747,9 @@ def decoupling_1d_check(tables: Decoupling1dTables, u_bar: Word) -> LemmaReport:
     lhs_low = u_energy - pair_log - log_k - length * p_m
     rhs_up = pair_log + log_k + u_energy - length * p_m
     return LemmaReport(
-        context={"n": t.n, "m": t.m, "j": t.j, "q_bar": t.q_bar, "gap": t.gap,
-                 "u_bar": u_bar.text(), "lam_minus": t.lam_minus,
-                 "lam_plus": t.lam_plus},
+        context={"n": t.n, "m": t.m, "j": t.j, "q_bar": t.q_bar,
+                 "gap": t.presentation.gap, "u_bar": u_bar.text(),
+                 "lam_minus": t.lam_minus, "lam_plus": t.lam_plus},
         constants=dict(t.constants),
         inequalities=t.records + (
             InequalityRecord("est", worst_est, log_c1, worst_est <= log_c1),

@@ -96,7 +96,7 @@ def test_criterion_4_weak_gibbs_convergence(gm, ev, pot_pair):
 
 def test_criterion_5_lemma_suites(ev, pot_pair, pot_zero):
     t0 = time.perf_counter()
-    q = decoupling_gap(ev, "bounded-length").gap
+    q = decoupling_gap(ev, "bounded-length")
     assert q == 2
 
     # the energy sandwich at the worst of every pair and every two shifts
@@ -159,7 +159,7 @@ def test_criterion_8_factor_propagation(gm):
     image = factor_presentation(gm, code)
     source_gap = decoupling_gap(gm, "bounded-length")
     bound = factor_gap_bound(source_gap, code.radius)
-    measured = decoupling_gap(image, "bounded-length").gap
+    measured = decoupling_gap(image, "bounded-length")
     ok = measured <= bound
     for n in range(0, 6):
         brute = {apply_block_code(code, w).letters

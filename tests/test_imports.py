@@ -36,6 +36,11 @@ message, a string constant or an f-string, that starts with
 No module under ``src/shiftgibbs/`` imports ``random`` or reaches
 ``numpy.random``: every check is exact over its whole volume, so no result
 depends on a sampler or a seed.
+
+Every certificate under ``src/shiftgibbs/`` reads its gap q as
+``SoficPresentation.gap``: ``decoupling_gap`` is called only in
+``cli._cmd_gap`` (the one command that offers the exact-length variant),
+and ``._pair_dist`` is read only in ``shifts.py``.
 """
 
 import ast
@@ -452,3 +457,49 @@ def test_scan_finds_random_imports():
         "line 7: from numpy import random",
         "line 8: np.random",
         "line 11: import random"]
+
+
+def stray_gap_reads(module: str, source: str) -> list[str]:
+    """``line N: text`` for each ``decoupling_gap`` call in ``source`` (the
+    file ``module``) outside ``cli.py``'s ``_cmd_gap``, and each read of
+    ``._pair_dist`` outside ``shifts.py``."""
+    tree = ast.parse(source)
+    allowed = {id(node) for function in tree.body
+               if module == "cli.py" and isinstance(function, ast.FunctionDef)
+               and function.name == "_cmd_gap" for node in ast.walk(function)}
+    found = []
+    for node in ast.walk(tree):
+        func = getattr(node, "func", None)
+        gap_call = (isinstance(node, ast.Call) and id(node) not in allowed
+                    and "decoupling_gap" in (getattr(func, "id", None),
+                                             getattr(func, "attr", None)))
+        dist_read = (isinstance(node, ast.Attribute) and node.attr == "_pair_dist"
+                     and module != "shifts.py")
+        if gap_call or dist_read:
+            found.append((node.lineno, node.col_offset, ast.unparse(node)))
+    return [f"line {line}: {text}" for line, _col, text in sorted(found)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_gap_read_from_the_presentation(path):
+    assert stray_gap_reads(path.name, path.read_text(encoding="utf-8")) == []
+
+
+def test_scan_finds_stray_gap_reads():
+    source = ("def _cmd_gap(args):\n"
+              "    return decoupling_gap(p, args.variant)\n"
+              "def _cmd_factor(args):\n"
+              "    return shifts.decoupling_gap(p) + p.gap\n"
+              "q = int(p._pair_dist.max())\n"
+              "f = decoupling_gap\n"
+              "def _pair_dist(self):\n    return self._pair_dist\n")
+    assert stray_gap_reads("cli.py", source) == [
+        "line 4: shifts.decoupling_gap(p)", "line 5: p._pair_dist",
+        "line 8: self._pair_dist"]
+    assert stray_gap_reads("verify.py", source) == [
+        "line 2: decoupling_gap(p, args.variant)",
+        "line 4: shifts.decoupling_gap(p)", "line 5: p._pair_dist",
+        "line 8: self._pair_dist"]
+    assert stray_gap_reads("shifts.py", source) == [
+        "line 2: decoupling_gap(p, args.variant)",
+        "line 4: shifts.decoupling_gap(p)"]

@@ -507,6 +507,40 @@ class TestCli:
         assert tabulated.returncode == 3
         assert "transfer context space 17^4" in tabulated.stderr
 
+    @pytest.mark.parametrize("shift, args, code, text", [
+        ("full", ("gap",), 0, "q\t1\n"),
+        ("full", ("cylinder", "--word", "s299"), 0, "0.00333333333333332\n"),
+        ("full", ("factor", "--k", "0", "--default", "s299"), 0,
+         "gap_bound\t1\nimage_gap\t1\n"),
+        ("full", ("weakgibbs", "--m", "0"), 3, "transfer context space 300^2"),
+        ("full", ("pressure", "--n-max", "1"), 3, "transfer context space 300^2"),
+        ("ring", ("gap",), 0, "q\t300\n"),
+        ("ring", ("lemma", "--which", "211", "--n", "300", "--m", "0"), 3,
+         "transfer context space 300^2"),
+        ("ring", ("lemma", "--which", "212", "--n", "300", "--m", "0", "--u", "s299"),
+         3, "transfer context space 300^2"),
+    ])
+    def test_300_letters(self, tmp_path, shift, args, code, text):
+        # letter indices past 255 take two bytes; the exit codes are those of
+        # the one-byte tables, and every potential over 300 letters is
+        # refused by the context space guard
+        symbols = [f"s{i:03d}" for i in range(300)]
+        path = tmp_path / f"{shift}300.shift"
+        if shift == "full":
+            lines = ["vertex v"] + [f"edge v v {a}" for a in symbols]
+        else:  # a 300-cycle with a letter of its own on each edge
+            lines = [f"vertex {a}" for a in symbols] + [
+                f"edge {a} {b} {b}" for a, b in zip(symbols, symbols[1:] + symbols[:1])]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        potential = () if args[0] in ("gap", "factor") else (
+            "--potential", data_path("zero.pot"))
+        got, out, err = cli_in_process([args[0], "--shift", path, *potential, *args[1:]])
+        assert got == code
+        if code == 0:
+            assert (out, err) == (text, "")
+        else:
+            assert out == "" and text in err
+
     @pytest.mark.parametrize("shift, args", [
         ("full2.shift", ("weakgibbs", "--potential", "site_a.pot", "--m", "12..12")),
         # counts past Python's int-to-str digit limit (4,300 digits)

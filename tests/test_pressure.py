@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -445,6 +446,97 @@ def _bundled_pairs():
         if pres.irreducible and pres.aperiodic:
             pairs += [(shift, pot) for pot in POTENTIAL_FILES]
     return pairs
+
+
+def cw_bracket(transfer, x, left=False):
+    """Exact Collatz-Wielandt bracket of the float weight table: the least
+    and the greatest (M x)_i / x_i, or (x M)_j / x_j with ``left``, as
+    ``Fraction``s over the weights and the entries of a positive x, summed
+    exactly.  The Perron root of the table lies between them."""
+    S = transfer.n_states
+    xs = [Fraction(v) for v in x.tolist()]
+    acc = [Fraction(0)] * S
+    for targets, weights in zip(transfer.succ.tolist(), transfer.weight.tolist()):
+        for i, (j, w) in enumerate(zip(targets, weights)):
+            if j == S:  # the dead sink
+                continue
+            if left:
+                acc[j] += xs[i] * Fraction(w)
+            else:
+                acc[i] += Fraction(w) * xs[j]
+    ratios = [total / v for total, v in zip(acc, xs)]
+    return min(ratios), max(ratios)
+
+
+def perron_bracket(transfer):
+    """``perron``'s lambda and the intersection of the brackets of its own
+    h and nu."""
+    lam, h, nu = perron(transfer)
+    (lo_h, hi_h), (lo_nu, hi_nu) = cw_bracket(transfer, h), cw_bracket(transfer, nu, True)
+    return lam, max(lo_h, lo_nu), min(hi_h, hi_nu)
+
+
+def bracket_systems():
+    """The 12 bundled primitive pairs and the 100-state SFT, as transfers."""
+    systems = []
+    for shift, pot in _bundled_pairs():
+        pres = load_shift(data_path(shift))
+        potential = load_potential(data_path(pot), pres.alphabet)
+        systems.append((f"{shift}/{pot}", build_transfer(pres, potential)))
+    systems.append(("range-3 SFT", build_transfer(*range_three_sft(1))))
+    return systems
+
+
+class TestCollatzWielandtBracket:
+    """The exact check of ROADMAP item 13, on the test side: every ratio of
+    a positive vector bounds the Perron root of the float weight table."""
+
+    def test_eigvals_inside_the_bracket(self):
+        systems = bracket_systems()
+        assert len(systems) == 13
+        assert max(t.n_states for _name, t in systems) == 100
+        eps = Fraction(2) ** -52
+        for name, transfer in systems:
+            _lam, lo, hi = perron_bracket(transfer)
+            assert lo <= hi, name
+            eig = float(np.linalg.eigvals(transfer_matrix(transfer)).real.max())
+            # each weight is exp(step) within 1 ulp, and eigvals is good to
+            # a few ulps of lambda
+            slack = 4 * Fraction(math.ulp(eig))
+            assert lo * (1 - eps) - slack <= Fraction(eig) <= hi * (1 + eps) + slack, name
+
+    @pytest.mark.parametrize("shift", ["golden_mean.shift", "even.shift"])
+    def test_bracket_holds_phi_under_the_zero_potential(self, shift):
+        # every weight is exactly 1.0, so the bracket holds the root of
+        # x^2 - x - 1 exactly
+        pres = load_shift(data_path(shift))
+        transfer = build_transfer(pres, load_potential(data_path("zero.pot"),
+                                                       pres.alphabet))
+        _lam, lo, hi = perron_bracket(transfer)
+        assert lo * lo - lo - 1 <= 0 <= hi * hi - hi - 1
+
+    def test_perturbed_vector_widens_the_bracket(self):
+        # the check is not vacuous: h off by 1e-10 relative in one entry
+        # shows in its own bracket
+        for name, transfer in bracket_systems():
+            _lam, h, _nu = perron(transfer)
+            lo, hi = cw_bracket(transfer, h)
+            assert (hi - lo) / lo < Fraction(1, 10 ** 11), name
+            h[0] *= 1 + 1e-10
+            lo, hi = cw_bracket(transfer, h)
+            assert (hi - lo) / lo > Fraction(5, 10 ** 11), name
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP items 13 and 1: perron stops "
+                       "on successive lambdas, not on its bracket; on golden_mean "
+                       "/ pair_beta lambda = 1.8813827597440413 lies about 35 ulp "
+                       "below lo = 1.8813827597440491")
+    @pytest.mark.parametrize("shift", ["golden_mean.shift", "golden_mean.sft"])
+    def test_perron_lambda_inside_its_own_bracket(self, shift):
+        pres = load_shift(data_path(shift))
+        transfer = build_transfer(pres, load_potential(data_path("pair_beta.pot"),
+                                                       pres.alphabet))
+        lam, lo, hi = perron_bracket(transfer)
+        assert lo <= Fraction(lam) <= hi
 
 
 def _range_three(seed: int) -> Potential:

@@ -10,7 +10,7 @@ from shiftgibbs import (Alphabet, BlockCode, Point, SoficPresentation,
                         apply_block_code, decoupling_gap, enumerate_words,
                         factor_gap_bound, factor_presentation,
                         point_from_words, sft_presentation, splice)
-from shiftgibbs.bundled import BINARY, data_path, ten_detector_code
+from shiftgibbs.bundled import BINARY, data_path, golden_mean, ten_detector_code
 from shiftgibbs.fileio import load_shift
 from shiftgibbs.shifts import (_forbidden_test, _forward_infinite,
                                strongly_connected, support_period)
@@ -29,6 +29,13 @@ def ring_shift(n_letters, steps):
         [f"v{i}" for i in range(n_letters)],
         [(f"v{i}", f"v{(i + d) % n_letters}", f"a{(i + d) % n_letters}")
          for i in range(n_letters) for d in steps])
+
+
+def full_shift(n_letters):
+    """The full shift over the symbols s000, s001, ... on one vertex."""
+    symbols = [f"s{i:03d}" for i in range(n_letters)]
+    return SoficPresentation(Alphabet(tuple(symbols)), ["v"],
+                             [("v", "v", a) for a in symbols])
 
 
 class TestEnumeration:
@@ -103,6 +110,19 @@ class TestEnumeration:
         assert words.shape == (250 * 3 ** 8, 9)
         assert np.array_equal(words[:4, -2:], [[7, 8], [7, 9], [7, 10], [8, 9]])
         assert peak < 96 * 2 ** 20
+
+    def test_letters_past_256_do_not_wrap(self):
+        # a one-vertex full shift over 300 symbols: letter indices need two
+        # bytes, which the word table takes; 256 letters or fewer keep uint8
+        pres = full_shift(300)
+        one = pres.word_matrix(1)
+        assert np.array_equal(one, np.arange(300)[:, None])
+        two = pres.word_matrix(2)
+        assert two.shape == (90_000, 2)
+        assert np.array_equal(two, np.array(list(
+            itertools.product(range(300), repeat=2))))
+        assert enumerate_words(pres, 0)[-1].text() == "s299"
+        assert full_shift(256).word_matrix(1).dtype == np.uint8
 
     def test_word_count_matches_enumeration(self, ev):
         for n in range(0, 5):
@@ -185,15 +205,15 @@ class TestGraphPredicates:
 
 class TestDecouplingGap:
     def test_even_bounded(self, ev):
-        assert decoupling_gap(ev, "bounded-length").gap == 2
+        assert decoupling_gap(ev, "bounded-length") == 2
 
     def test_full_shift_both(self, full):
-        assert decoupling_gap(full, "bounded-length").gap == 1
-        assert decoupling_gap(full, "exact-length").gap == 1
+        assert decoupling_gap(full, "bounded-length") == 1
+        assert decoupling_gap(full, "exact-length") == 1
 
     def test_golden_exact(self, gm):
         # Boolean powers of [[1,1],[1,0]]: the square is already positive
-        assert decoupling_gap(gm, "exact-length").gap == 2
+        assert decoupling_gap(gm, "exact-length") == 2
 
     def test_reducible_rejected(self, reducible):
         with pytest.raises(ValidationError, match="no finite gap"):
@@ -202,12 +222,12 @@ class TestDecouplingGap:
     def test_periodic_exact_rejected(self, periodic):
         with pytest.raises(ValidationError, match="exact-length gap does not exist"):
             decoupling_gap(periodic, "exact-length")
-        assert decoupling_gap(periodic, "bounded-length").gap == 2
+        assert decoupling_gap(periodic, "bounded-length") == 2
 
     def test_bounded_gap_is_tight(self, gm, ev, full):
         # reachability within q steps is total; within q-1 it is not
         for pres in (gm, ev, full):
-            q = decoupling_gap(pres, "bounded-length").gap
+            q = decoupling_gap(pres, "bounded-length")
             dist = pres._pair_dist
             assert dist.max() == q
             assert (dist >= 1).all()
@@ -240,7 +260,7 @@ def random_point(presentation, rng):
 
 
 def check_splice_case(presentation, x_minus, y, x_plus, m, window=30):
-    q = decoupling_gap(presentation, "bounded-length").gap
+    q = decoupling_gap(presentation, "bounded-length")
     z, l_minus, l_plus = splice(presentation, x_minus, y, x_plus, m)
     assert abs(l_minus) <= q and abs(l_plus) <= q
     for k in range(-m, m + 1):
@@ -354,6 +374,91 @@ class TestShortestPath:
             self.check_every_pair(random_essential_graph(rng))
 
 
+def golden_copy():
+    """golden_mean on 5 vertices: its radius-1 image under the code that
+    keeps the middle letter (the ``factor --k 1`` copy)."""
+    return factor_presentation(golden_mean(), BlockCode(1, BINARY, lambda w: w[1]))
+
+
+class TestPresentationGap:
+    """``SoficPresentation.gap``, the one q every certificate reads."""
+
+    @pytest.mark.parametrize("name", BUNDLED_SHIFT_FILES)
+    def test_gap_is_the_longest_shortest_path(self, name):
+        pres = load_shift(data_path(name))
+        if not pres.irreducible:
+            with pytest.raises(ValidationError, match="no finite gap"):
+                pres.gap
+            return
+        assert pres.gap == pres._pair_dist.max() == decoupling_gap(pres)
+        assert type(pres.gap) is int
+
+    def test_gap_of_factor_copy_of_golden_mean(self):
+        copy = golden_copy()
+        assert copy.n_vertices == 5
+        assert copy.gap == copy._pair_dist.max() == 3
+        assert golden_mean().gap == 2
+
+    def test_gap_on_drawn_presentations(self):
+        rng = random.Random(32)
+        checked = 0
+        for _ in range(80):
+            pres = random_right_resolving(rng)
+            if not pres.irreducible:
+                with pytest.raises(ValidationError, match="no finite gap"):
+                    pres.gap
+                continue
+            assert pres.gap == int(pres._pair_dist.max())
+            assert pres.gap == max(len(bfs_shortest_path(pres, s, d))
+                                   for s in range(pres.n_vertices)
+                                   for d in range(pres.n_vertices))
+            checked += 1
+        assert checked >= 30
+
+    def test_gap_is_cached(self, monkeypatch):
+        pres = golden_mean()
+        assert pres.gap == 2
+
+        def unread(self):
+            raise AssertionError("the gap read _pair_dist again")
+        monkeypatch.setattr(SoficPresentation, "_pair_dist", property(unread))
+        assert pres.gap == 2
+        with pytest.raises(AssertionError, match="again"):
+            golden_mean().gap  # a fresh presentation computes it
+
+    def test_reducible_refused_with_the_old_text(self, reducible):
+        with pytest.raises(ValidationError) as exc:
+            reducible.gap
+        assert str(exc.value) == "no finite gap: presentation is not irreducible"
+        for variant in ("bounded-length", "exact-length"):
+            with pytest.raises(ValidationError) as again:
+                decoupling_gap(reducible, variant)
+            assert str(again.value) == str(exc.value)
+
+    def test_unknown_variant_refused_first(self, reducible):
+        with pytest.raises(ValidationError, match="unknown gap variant 'shift'"):
+            decoupling_gap(reducible, "shift")
+
+    def test_splice_refusal_order(self, reducible, ev):
+        # foreign point, then a reducible presentation, then m < 0
+        zeros = point_from_words(reducible, (0,), (), (0,))
+        with pytest.raises(ValidationError, match="foreign point"):
+            splice(reducible, zeros, point_from_words(ev, (0,), (), (0,)), zeros, -1)
+        with pytest.raises(ValidationError, match="no finite gap"):
+            splice(reducible, zeros, zeros, zeros, -1)
+        ones = point_from_words(ev, (1,), (), (1,))
+        with pytest.raises(ValidationError, match="m must be nonnegative"):
+            splice(ev, ones, ones, ones, -1)
+
+    def test_splice_on_copy_reads_its_gap(self):
+        copy = golden_copy()
+        rng = random.Random(5)
+        for _ in range(20):
+            pts = [random_point(copy, rng) for _ in range(3)]
+            _z, l_minus, l_plus = check_splice_case(copy, *pts, m=rng.randrange(4))
+            assert max(abs(l_minus), abs(l_plus)) <= 3
+
+
 class TestPoints:
     def test_point_from_words_roundtrip(self, gm):
         pt = point_from_words(gm, (0, 1), (0, 0, 1), (0,), core_start=-1)
@@ -465,16 +570,15 @@ class TestFactor:
             assert texts(enumerate_words(image, n)) == ["1" * (2 * n + 1)]
 
     def test_gap_bound_formula(self):
-        from shiftgibbs import DecouplingCertificate
-        assert factor_gap_bound(DecouplingCertificate(2, "bounded-length"), 1) == 4
-        assert factor_gap_bound(DecouplingCertificate(1, "bounded-length"), 0) == 1
-        assert factor_gap_bound(DecouplingCertificate(3, "bounded-length"), 2) == 7
+        assert factor_gap_bound(2, 1) == 4
+        assert factor_gap_bound(1, 0) == 1
+        assert factor_gap_bound(3, 2) == 7
 
     def test_factor_gap_within_bound(self, gm):
         code = ten_detector_code()
         image = factor_presentation(gm, code)
         bound = factor_gap_bound(decoupling_gap(gm, "bounded-length"), code.radius)
-        assert decoupling_gap(image, "bounded-length").gap <= bound
+        assert decoupling_gap(image, "bounded-length") <= bound
 
 
 class TestSftIngestion:

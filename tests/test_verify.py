@@ -114,7 +114,7 @@ def constrained_partition(presentation, potential, n, j, ell, v):
     the enumerated words with the window's letters pinned."""
     _require_allowed_center(presentation, v)
     m = len(v) // 2
-    q = decoupling_gap(presentation, "bounded-length").gap
+    q = decoupling_gap(presentation, "bounded-length")
     if abs(ell) > q:
         raise ValidationError(f"windows inconsistent: |ell| must be at most q={q}")
     if abs(j) > n - (m + q):
@@ -130,7 +130,7 @@ class TestConstrainedPartition:
         # Z_{n,ell}(v) of the 212 tables, per shift and center, against
         # one masked brute sum each
         n, m = 6, 1
-        q = decoupling_gap(ev, "bounded-length").gap
+        q = decoupling_gap(ev, "bounded-length")
         checked = 0
         for j in range(-(n - m - q), n - m - q + 1):
             tables = lemma_212_tables(ev, pot_pair, n, m, j)
@@ -187,7 +187,7 @@ def oracle_211_pairs(presentation, potential, n, m, j, seed, count):
     """``lemma_211_check`` on ``count`` seeded draws of two distinct words
     that share their exterior, from the dict groups, each with two drawn
     shifts: a sample that the worst pair must dominate."""
-    q = decoupling_gap(presentation, "bounded-length").gap
+    q = decoupling_gap(presentation, "bounded-length")
     groups = exterior_groups(presentation, n, m, q, j)
     rng = random.Random(seed)
     reports = []
@@ -195,7 +195,7 @@ def oracle_211_pairs(presentation, potential, n, m, j, seed, count):
         group = groups[rng.randrange(len(groups))]
         x, y = rng.sample(group, 2)
         ell, ell_p = rng.randint(-q, q), rng.randint(-q, q)
-        reports.append(lemma_211_check(presentation, potential, n, m, q, j,
+        reports.append(lemma_211_check(presentation, potential, n, m, j,
                                        ell, ell_p, x, y))
     return reports
 
@@ -259,7 +259,7 @@ class TestLemma211:
     @pytest.mark.parametrize("shift", BUNDLED_SHIFTS)
     def test_worst_matches_brute_max(self, shift, pot):
         pres, potential = load_pair(shift, pot)
-        q = decoupling_gap(pres, "bounded-length").gap
+        q = decoupling_gap(pres, "bounded-length")
         checked = 0
         for n, m, j in itertools.product(range(6), (0, 1), (-1, 0, 1)):
             if abs(j) > n - (m + q):
@@ -286,7 +286,7 @@ class TestLemma211:
                     lemma_211_worst(pres, zero_potential(pres.alphabet), 3, 0, 0)
                 continue
             potential = drawn_potential(pres.alphabet, rng)
-            q = decoupling_gap(pres, "bounded-length").gap
+            q = decoupling_gap(pres, "bounded-length")
             for n, m, j in ((3, 0, 0), (4, 1, 0), (4, 0, 1), (4, 1, -1)):
                 if abs(j) > n - (m + q) or pres.word_count(2 * n + 1) > 2000:
                     continue
@@ -315,13 +315,13 @@ class TestLemma211:
     def test_zero_potential_trivial(self, ev, pot_zero):
         groups = exterior_groups(ev, 6, 1, 2, 0)
         x, y = groups[0][0], groups[0][1]
-        report = lemma_211_check(ev, pot_zero, 6, 1, 2, 0, 0, 1, x, y)
+        report = lemma_211_check(ev, pot_zero, 6, 1, 0, 0, 1, x, y)
         assert report.all_hold
         assert report.constants["log_C"] == 0.0
 
     def test_equal_words_trivial(self, ev, pot_pair):
         x = enumerate_words(ev, 6)[0]
-        report = lemma_211_check(ev, pot_pair, 6, 1, 2, 0, 1, 1, x, x)
+        report = lemma_211_check(ev, pot_pair, 6, 1, 0, 1, 1, x, x)
         assert report.all_hold
         by_name = {r.name: r for r in report.inequalities}
         assert by_name["sandwich_upper"].lhs == pytest.approx(0.0, abs=1e-12)
@@ -333,7 +333,7 @@ class TestLemma211:
             g = groups[rng.randrange(len(groups))]
             x, y = rng.sample(g, 2)
             ell, ell_p = rng.randint(-2, 2), rng.randint(-2, 2)
-            report = lemma_211_check(ev, pot_pair, 6, 1, 2, 0, ell, ell_p, x, y)
+            report = lemma_211_check(ev, pot_pair, 6, 1, 0, ell, ell_p, x, y)
             assert report.all_hold
 
     def test_mismatched_exterior_rejected(self, ev, pot_pair):
@@ -342,7 +342,36 @@ class TestLemma211:
         y = next(w for w in words
                  if w.letters[0] != x.letters[0])  # differs at position -6
         with pytest.raises(ValidationError, match="differ outside"):
-            lemma_211_check(ev, pot_pair, 6, 1, 2, 0, 0, 0, x, y)
+            lemma_211_check(ev, pot_pair, 6, 1, 0, 0, 0, x, y)
+
+
+    def test_check_reads_the_presentation_gap(self, gm, pot_pair):
+        # the factor copy of golden_mean has gap 3 against 2: a letter 3
+        # from the center lies in the copy's collar and outside golden_mean's
+        from test_shifts import golden_copy  # test_shifts imports this module
+        copy = golden_copy()
+        x = Word(BINARY, -5, (0,) * 11)
+        y = Word(BINARY, -5, (0,) * 8 + (1, 0, 0))
+        report = lemma_211_check(copy, pot_pair, 5, 0, 0, 3, -3, x, y)
+        assert report.all_hold
+        assert report.context["q"] == 3
+        assert report.constants["log_C"] == sandwich_log_constant(pot_pair, 0, 3)
+        with pytest.raises(ValidationError, match="differ outside"):
+            lemma_211_check(gm, pot_pair, 5, 0, 0, 0, 0, x, y)
+        with pytest.raises(ValidationError, match="shifted windows leave"):
+            lemma_211_check(copy, pot_pair, 5, 0, 0, 4, 0, x, y)
+        with pytest.raises(ValidationError, match="collar leaves the volume"):
+            lemma_211_check(copy, pot_pair, 5, 0, 3, 0, 0, x, y)
+        assert lemma_211_worst(copy, pot_pair, 4, 1, 0).context["q"] == 3
+
+    def test_suites_read_the_presentation_gap(self, pot_pair):
+        from test_shifts import golden_copy  # test_shifts imports this module
+        copy = golden_copy()
+        center = Word(BINARY, 0, (1,))
+        report = lemma_212_check(lemma_212_tables(copy, pot_pair, 4, 0, 0), center)
+        assert report.context["q"] == 3
+        tables = decoupling_1d_tables(copy, pot_pair, 4, 0, 0, q_bar=1)
+        assert decoupling_1d_check(tables, center).context["gap"] == 3
 
 
 class TestLemma212:
@@ -427,7 +456,7 @@ def oracle_lemma_212(presentation, potential, n, m, j, u_bar, cap=None):
     _require_allowed_center(presentation, u_bar)
     if len(u_bar) != 2 * m + 1:
         raise ValidationError("windows inconsistent: center word must have length 2m+1")
-    q = decoupling_gap(presentation, "bounded-length").gap
+    q = decoupling_gap(presentation, "bounded-length")
     if abs(j) > n - (m + q):
         raise ValidationError("windows inconsistent: |j| must be at most n-(m+q)")
     bp = brute_partition(presentation, potential, n, cap=cap)
@@ -530,7 +559,7 @@ def oracle_decoupling_1d(presentation, potential, n, m, j, u_bar,
     if len(u_bar) != 2 * m + 1:
         raise ValidationError("windows inconsistent: center word must have length 2m+1")
     # refuses a reducible presentation even when q_bar is given
-    gap = decoupling_gap(presentation, "bounded-length").gap
+    gap = decoupling_gap(presentation, "bounded-length")
     if q_bar is None:
         q_bar = gap
     if n <= m + 2 * q_bar:
@@ -757,7 +786,7 @@ class TestLemmaOracles:
     @pytest.mark.parametrize("shift, pot", bundled_file_pairs())
     def test_212_matches_oracle(self, shift, pot):
         pres, potential = load_pair(shift, pot)
-        q = decoupling_gap(pres, "bounded-length").gap
+        q = decoupling_gap(pres, "bounded-length")
         for m in (1, 2):
             # n = m + q leaves an empty exterior at j = 0
             for n in (m + q, m + q + 1):
@@ -775,7 +804,7 @@ class TestLemmaOracles:
     @pytest.mark.parametrize("shift, pot", bundled_file_pairs())
     def test_1d_matches_oracle(self, shift, pot):
         pres, potential = load_pair(shift, pot)
-        gap = decoupling_gap(pres, "bounded-length").gap
+        gap = decoupling_gap(pres, "bounded-length")
         checked = 0
         # q_bar = 0 leaves some (v, w-, w+) classes without a reference
         # class (u_bar, w-, w+), and ties every trick row
@@ -806,7 +835,7 @@ class TestLemmaOracles:
         # against np.unique over np.void views of the windows (one
         # potential per shift: the classes do not read it)
         pres, potential = load_pair(shift, pot)
-        gap = decoupling_gap(pres, "bounded-length").gap
+        gap = decoupling_gap(pres, "bounded-length")
         checked = set()
         for q_bar in (None, 1, 0):
             q = gap if q_bar is None else q_bar
@@ -853,7 +882,7 @@ class TestLemmaOracles:
         # Two (center, ell) cells tie on the smallest slack Zbar - Z with
         # different Z; the row is the first in (center, ell) order.
         n, m, j = 3, 1, 0
-        q = decoupling_gap(ev, "bounded-length").gap
+        q = decoupling_gap(ev, "bounded-length")
         words = [w.letters for w in enumerate_words(ev, n)]
         centers = sorted({w[n + j + ell - m:n + j + ell + m + 1]
                           for w in words for ell in range(-q, q + 1)})
@@ -883,7 +912,7 @@ class TestLemmaOracles:
         # over with the first report's dicts altered in between, equal
         # those of a fresh table per center
         pres, potential = load_pair(shift, pot)
-        q = decoupling_gap(pres, "bounded-length").gap
+        q = decoupling_gap(pres, "bounded-length")
         if suite == "212":
             def tables():
                 return lemma_212_tables(pres, potential, 1 + q + 1, 1, 1)
