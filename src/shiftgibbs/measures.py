@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from ._records import record
 from .exceptions import EmptyCylinderWarning, ValidationError
 from .potentials import Potential
 from .pressure import TransferSystem, _push, build_transfer, perron
@@ -24,7 +24,7 @@ from .shifts import SoficPresentation, Word
 _STOCHASTIC_TOL = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class RPFMeasure:
     """Equilibrium measure data: Perron eigendata, the stationary state
     distribution p = nu * h, and the transition probabilities on the

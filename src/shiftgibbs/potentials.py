@@ -20,12 +20,12 @@ dense value array per shape and sums each context's values in one
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from ._records import record
 from .exceptions import ValidationError, VolumeGuardError
 from .shifts import Alphabet, Word
 
@@ -43,7 +43,7 @@ def _canonical_offsets(offsets: Sequence[int]) -> tuple[int, ...]:
     return offs
 
 
-@dataclass(frozen=True)
+@record
 class ShapeTable:
     """One canonical shape with its pattern values (missing patterns are 0)."""
 
@@ -77,7 +77,7 @@ class ShapeTable:
         return self.values.get(pattern, 0.0)
 
 
-@dataclass(frozen=True)
+@record
 class Potential:
     """Finite-range potential over a fixed alphabet."""
 
@@ -223,7 +223,7 @@ def _check_context_space(potential: Potential) -> None:
             f"{K}^{R + 1} for a range-{potential.span} potential")
 
 
-@dataclass(frozen=True)
+@record
 class NormReport:
     """Summability norm and the crossing norm."""
 

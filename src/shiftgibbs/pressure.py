@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
+from ._records import record
 from .exceptions import ValidationError, VolumeGuardError
 from .potentials import (Potential, _check_context_space, _step_energies,
                          boundary_norm_bound)
@@ -37,7 +37,7 @@ _PERRON_MAX_ITER = 200000
 _NEG_FLOOR = -np.finfo(float).max
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class TransferSystem:
     """Weighted transfer system on the (vertex, trailing R letters) cover.
 
@@ -69,7 +69,7 @@ class TransferSystem:
                 + self.presentation.alphabet.text(ctx))
 
 
-@dataclass(frozen=True)
+@record
 class PressureEstimate:
     """Perron pressure with finite-volume diagnostics."""
 
@@ -211,7 +211,7 @@ def perron(transfer: TransferSystem) -> tuple[float, np.ndarray, np.ndarray]:
     return float(lam), h, nu
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class BrutePartition:
     """Brute-force partition data: log Z, the word list, per-word energies."""
 

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from ._records import record
 from .exceptions import ValidationError, VolumeGuardError
 
 DEFAULT_ENUM_CAP = 2_000_000
@@ -98,7 +98,7 @@ def _tail(node, step: Callable) -> tuple[list[int], list[int]]:
         seen[node] = len(edges)
 
 
-@dataclass(frozen=True)
+@record
 class Alphabet:
     """Ordered finite set of symbol tokens; the order fixes all iteration order."""
 
@@ -142,7 +142,7 @@ class Alphabet:
         return tuple(self.index(p) for p in parts)
 
 
-@dataclass(frozen=True)
+@record
 class Word:
     """Finite configuration on a closed integer window ``[start, start+len-1]``."""
 
@@ -462,7 +462,7 @@ class SoficPresentation:
         return tuple(path)
 
 
-@dataclass(frozen=True)
+@record
 class BlockCode:
     """Sliding-block code with window radius ``radius``: maps each allowed
     source word on ``[-radius, radius]`` to a target symbol."""

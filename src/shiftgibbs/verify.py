@@ -25,12 +25,12 @@ from the presentation (``SoficPresentation.gap``); no caller passes one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import ValidationError, VolumeGuardError
 from . import _kernels
+from ._records import record
 from .measures import RPFMeasure, cylinder_prob, equilibrium_measure
 from .potentials import (Potential, ShapeTable, _check_context_space,
                          add_potentials, boundary_norm_bound, energy, norms)
@@ -109,7 +109,7 @@ def _log_scaled(total: int, scale: float) -> float:
     return math.log(total >> sh) + sh * _LN2 + scale - _SHIFT * _LN2
 
 
-@dataclass(frozen=True)
+@record
 class InequalityRecord:
     name: str
     lhs: float
@@ -117,7 +117,7 @@ class InequalityRecord:
     holds: bool
 
 
-@dataclass(frozen=True)
+@record
 class LemmaReport:
     """Inequality slacks of one lemma check with its exact constants."""
 
@@ -130,7 +130,7 @@ class LemmaReport:
         return all(r.holds for r in self.inequalities)
 
 
-@dataclass(frozen=True)
+@record
 class WeakGibbsReport:
     """Scan rows (m, D_m, analytic bound), sorted by m."""
 
@@ -426,9 +426,11 @@ def lemma_211_worst(presentation: SoficPresentation, potential: Potential,
     A(x, ell) - A(y, ell'), so the worst pair lies in the exterior group
     with the largest max A - min A: x and ell attain its max, y and ell' its
     min.  Ties go to the first group in id order, then to the first (shift,
-    word).  x = y counts, so every volume has a pair.  The collar is checked
-    to lie in the volume before any word is enumerated, and only the two
-    words of the pair become ``Word`` objects."""
+    word).  x = y counts, so every volume has a pair.  A context space too
+    large for the step tables is refused first, before the gap is computed;
+    the collar is checked to lie in the volume before any word is
+    enumerated, and only the two words of the pair become ``Word`` objects."""
+    _check_context_space(potential)
     q = presentation.gap
     if abs(j) > n - (m + q):
         raise ValidationError("windows inconsistent: collar leaves the volume")
@@ -451,7 +453,7 @@ def lemma_211_worst(presentation: SoficPresentation, potential: Potential,
                            int(k_p) - q, x, y)
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class Lemma212Tables:
     """The center-free part of the 212 suite at one (n, m, j): the brute
     partition, the class ids and exact class sums (times 2**_SHIFT),
@@ -476,7 +478,7 @@ class Lemma212Tables:
     constants: dict
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class Decoupling1dTables:
     """The center-free part of the 1d suite at one (n, m, j, q_bar): the
     brute partition, the class ids and exact class sums (times 2**_SHIFT),
@@ -533,8 +535,11 @@ def lemma_212_tables(presentation: SoficPresentation, potential: Potential,
 
     Records the chain of intermediate relations (single-shift sums versus
     the union partition function, the union's partition identity envelope)
-    over every center pattern, all with exact constants.
+    over every center pattern, all with exact constants.  A context space
+    too large for the step tables is refused first, before the gap is
+    computed.
     """
+    _check_context_space(potential)
     q = presentation.gap
     if abs(j) > n - (m + q):
         raise ValidationError("windows inconsistent: |j| must be at most n-(m+q)")
@@ -627,8 +632,10 @@ def decoupling_1d_tables(presentation: SoficPresentation, potential: Potential,
     is then checked from them by ``decoupling_1d_check``.
 
     Records the two-tail class decomposition, its cardinality window and
-    the union trick, all with exact constants.
+    the union trick, all with exact constants.  A context space too large
+    for the step tables is refused first, before the gap is computed.
     """
+    _check_context_space(potential)
     # the gap refuses a reducible presentation even when q_bar is given
     gap = presentation.gap
     q_bar = gap if q_bar is None else q_bar

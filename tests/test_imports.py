@@ -41,6 +41,11 @@ Every certificate under ``src/shiftgibbs/`` reads its gap q as
 ``SoficPresentation.gap``: ``decoupling_gap`` is called only in
 ``cli._cmd_gap`` (the one command that offers the exact-length variant),
 and ``._pair_dist`` is read only in ``shifts.py``.
+
+No module under ``src/shiftgibbs/`` imports ``dataclasses``, uses
+``namedtuple`` or ``NamedTuple``, or calls ``exec``, ``eval`` or
+``compile``: importing the package compiles no generated code, and
+``_records.record`` makes its record classes.
 """
 
 import ast
@@ -503,3 +508,57 @@ def test_scan_finds_stray_gap_reads():
     assert stray_gap_reads("shifts.py", source) == [
         "line 2: decoupling_gap(p, args.variant)",
         "line 4: shifts.decoupling_gap(p)"]
+
+
+def generated_code(source: str) -> list[str]:
+    """``line N: text`` for each import of ``dataclasses``, each import or
+    read of ``namedtuple`` / ``NamedTuple`` (both ``eval`` at class
+    creation) and each call of ``exec``, ``eval`` or ``compile`` in
+    ``source``."""
+    tuple_factories = ("namedtuple", "NamedTuple")
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            hit = any(alias.name.split(".")[0] == "dataclasses" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            hit = (node.module == "dataclasses"
+                   or any(alias.name in tuple_factories for alias in node.names))
+        elif isinstance(node, ast.Attribute):
+            hit = node.attr in tuple_factories
+        else:
+            hit = (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                   and node.func.id in ("exec", "eval", "compile"))
+        if hit:
+            found.append((node.lineno, node.col_offset, ast.unparse(node)))
+    return [f"line {line}: {text}" for line, _col, text in sorted(found)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_generated_code(path):
+    assert generated_code(path.read_text(encoding="utf-8")) == []
+
+
+def test_scan_finds_generated_code():
+    source = ("import dataclasses\n"
+              "from dataclasses import dataclass, field\n"
+              "import collections, typing\n"
+              "from collections import namedtuple, OrderedDict\n"
+              "from typing import NamedTuple\n"
+              "Pair = collections.namedtuple('Pair', 'a b')\n"
+              "class Row(typing.NamedTuple):\n    a: int\n"
+              "exec('x = 1')\n"
+              "y = eval('1 + 1')\n"
+              "code = compile('1', '<s>', 'eval')\n"
+              "pattern = re.compile('a+')\n"
+              "from ._records import record\n"
+              "evaluate = executor.exec\n")
+    assert generated_code(source) == [
+        "line 1: import dataclasses",
+        "line 2: from dataclasses import dataclass, field",
+        "line 4: from collections import namedtuple, OrderedDict",
+        "line 5: from typing import NamedTuple",
+        "line 6: collections.namedtuple",
+        "line 7: typing.NamedTuple",
+        "line 9: exec('x = 1')",
+        "line 10: eval('1 + 1')",
+        "line 11: compile('1', '<s>', 'eval')"]

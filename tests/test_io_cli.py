@@ -519,6 +519,8 @@ class TestCli:
          "transfer context space 300^2"),
         ("ring", ("lemma", "--which", "212", "--n", "300", "--m", "0", "--u", "s299"),
          3, "transfer context space 300^2"),
+        ("ring", ("lemma", "--which", "1d", "--n", "901", "--m", "0"), 3,
+         "transfer context space 300^2"),
     ])
     def test_300_letters(self, tmp_path, shift, args, code, text):
         # letter indices past 255 take two bytes; the exit codes are those of

@@ -22,7 +22,7 @@ from shiftgibbs.measures import cylinder_prob, strong_gibbs_constant
 from shiftgibbs.potentials import Potential, ShapeTable, zero_potential
 from shiftgibbs.pressure import (_dp_log_partition, finite_pressure,
                                  log_sum_exp, word_energies)
-from shiftgibbs.shifts import Alphabet, sft_presentation
+from shiftgibbs.shifts import Alphabet, SoficPresentation, sft_presentation
 from shiftgibbs.verify import (_BIAS, _LIMBS, _MAX_ENTRIES, _SHIFT,
                                InequalityRecord, LemmaReport, _center_id,
                                _class_ids, _distinct_per_word, _exact_terms,
@@ -437,6 +437,22 @@ class TestDecoupling1d:
         with pytest.raises(ValidationError,
                            match="no finite gap: presentation is not irreducible"):
             decoupling_1d_tables(reducible, pot_zero, 8, 1, 0, q_bar=q_bar)
+
+
+class TestContextSpaceRefusedFirst:
+    @pytest.mark.parametrize("suite, n", [
+        (lemma_211_worst, 300), (lemma_212_tables, 300), (decoupling_1d_tables, 901),
+        # windows the gap would refuse: the context space is refused first
+        (lemma_211_worst, 1), (lemma_212_tables, 1), (decoupling_1d_tables, 1)])
+    def test_before_the_gap(self, suite, n):
+        # a 300-cycle with a letter of its own on each edge has gap 300; its
+        # (2-letter) context space 300^2 is past the step tables' bound
+        symbols = [f"s{i:03d}" for i in range(300)]
+        ring = SoficPresentation(Alphabet(tuple(symbols)), symbols, [
+            (a, b, b) for a, b in zip(symbols, symbols[1:] + symbols[:1])])
+        with pytest.raises(VolumeGuardError, match=r"transfer context space 300\^2"):
+            suite(ring, zero_potential(ring.alphabet), n, 0, 0)
+        assert "gap" not in ring.__dict__
 
 
 # ---------------------------------------------------------------------------
