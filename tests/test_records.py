@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shiftgibbs import (BrutePartition, ValidationError, Word,
-                        equilibrium_measure, verify)
+from shiftgibbs import (BrutePartition, Decoupling1dTables, Lemma212Tables,
+                        ValidationError, Word, equilibrium_measure)
 from shiftgibbs.bundled import BINARY, equal_pair, even_shift
 from shiftgibbs.potentials import NormReport, Potential, ShapeTable
 from shiftgibbs.shifts import Alphabet
@@ -112,7 +112,7 @@ class TestEqualityAndRepr:
         one, two = BrutePartition(0.0, words, energies), BrutePartition(0.0, words, energies)
         assert one == one and one != two
         assert hash(one) == object.__hash__(one)
-        for cls in (BrutePartition, verify.Lemma212Tables, verify.Decoupling1dTables):
+        for cls in (BrutePartition, Lemma212Tables, Decoupling1dTables):
             assert "__eq__" not in vars(cls) and "__hash__" not in vars(cls)
 
 
