@@ -20,7 +20,9 @@ terms.  Cylinder probabilities are not computed here:
 
 Every site in the package that numbers keys densely (word classes, lemma
 classes and the 211 suite's exteriors, cover states, the partition pass's
-keys) goes through ``dense_ids``; none uses a Python set or dict.
+keys) goes through ``dense_ids``; only the subset automaton,
+``SoficPresentation._det``, still numbers its vertex sets with a dict of
+frozensets.
 """
 
 from __future__ import annotations

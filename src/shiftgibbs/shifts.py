@@ -5,10 +5,13 @@ decoupling gap, the splice construction, and sliding-block factor codes.
 A presentation's gap q has one home, ``SoficPresentation.gap`` (the
 bounded-length graph gap, cached): every certificate reads its q there,
 and ``decoupling_gap`` only adds the exact-length variant for the ``gap``
-command.  Graph questions go through three helpers on boolean adjacency
-matrices: ``strongly_connected``, ``support_period`` and
-``_forward_infinite`` (the vertices that start an infinite path; with its
-transpose it gives the essential part of a graph).  All types are
+command.  Graph questions go through helpers on boolean adjacency
+matrices: every search through ``_levels`` (breadth-first levels, which
+``strongly_connected``, ``support_period`` and the pair distances read)
+and every trim through ``_forward_infinite`` (the vertices that start an
+infinite path; with its transpose it gives the essential part of a
+graph).  The word automaton is walked one way, along its cached edge list
+``_det_edges``, both to count words and to grow them.  All types are
 immutable after construction and every operation is a pure function, so
 everything here is safe to call concurrently.
 """
@@ -39,19 +42,29 @@ def _count_text(count: int) -> str:
         return f"~10^{round(math.log10(count))}"
 
 
+def _levels(support: np.ndarray, seed: np.ndarray) -> np.ndarray:
+    """Breadth-first level of every vertex in the digraph with boolean
+    adjacency ``support``, from the vertex mask ``seed`` (or from each row
+    of a stack of masks, one per source): 0 on the seed, k where a k-edge
+    path first arrives, -1 where none does.  One float32 product per level
+    (its entries count at most n vertices, so they are exact)."""
+    adj = support.astype(np.float32)
+    frontier = seen = seed
+    level = np.where(seed, 0, -1)
+    depth = 0
+    while frontier.any():
+        depth += 1
+        frontier = (frontier.astype(np.float32) @ adj > 0) & ~seen
+        level[frontier] = depth
+        seen = seen | frontier
+    return level
+
+
 def strongly_connected(support: np.ndarray) -> bool:
     """True iff the digraph with boolean adjacency ``support`` is strongly
     connected: vertex 0 reaches every vertex and every vertex reaches it."""
-    for adj in (support, support.T):
-        seen = np.zeros(support.shape[0], dtype=bool)
-        seen[0] = True
-        frontier = seen
-        while frontier.any():
-            frontier = adj[frontier].any(axis=0) & ~seen
-            seen = seen | frontier
-        if not seen.all():
-            return False
-    return True
+    start = np.arange(support.shape[0]) == 0
+    return all((_levels(adj, start) >= 0).all() for adj in (support, support.T))
 
 
 def support_period(support: np.ndarray) -> int:
@@ -59,14 +72,7 @@ def support_period(support: np.ndarray) -> int:
     boolean adjacency ``support``: the gcd of level(v) + 1 - level(w) over
     its edges v -> w, with level the breadth-first distance from vertex 0
     (edges out of vertices that vertex 0 does not reach are ignored)."""
-    level = np.full(support.shape[0], -1, dtype=np.int64)
-    level[0] = 0
-    frontier = level == 0
-    depth = 0
-    while frontier.any():
-        depth += 1
-        frontier = support[frontier].any(axis=0) & (level < 0)
-        level[frontier] = depth
+    level = _levels(support, np.arange(support.shape[0]) == 0)
     src, dst = np.nonzero(support & (level >= 0)[:, None])
     return int(np.gcd.reduce(level[src] + 1 - level[dst]))
 
@@ -326,19 +332,32 @@ class SoficPresentation:
             i += 1
         return np.array(rows, dtype=np.int64), 0
 
+    @cached_property
+    def _det_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The subset automaton's (state, letter) edges in row-major order,
+        so each state's letters ascend: each edge's letter and target, and
+        each state's first edge (one more entry, the edge count, closes the
+        last state's block).  Every state has an allowed letter, so no
+        block is empty."""
+        det, _ = self._det
+        state_of, letter = np.nonzero(det >= 0)
+        first = np.searchsorted(state_of, np.arange(det.shape[0] + 1))
+        return letter, det[state_of, letter], first
+
     def _counts(self, length: int) -> Iterator[int]:
         """Yield the exact number of allowed words of each length 0..length
         (Python integers): one vector of per-state counts of the words read
-        from each automaton state, extended a letter at a time, read at the
-        start state.  A negative length is refused."""
+        from each automaton state, extended a letter at a time by summing
+        the counts at each state's edge targets (``_det_edges``), read at
+        the start state.  A negative length is refused."""
         if length < 0:
             raise ValidationError(f"word length must be nonnegative, not {length}")
-        det, start = self._det
-        allowed = det >= 0
-        counts = np.ones(det.shape[0], dtype=object)
+        _letter, target, first = self._det_edges
+        start = self._det[1]
+        counts = np.ones(first.shape[0] - 1, dtype=object)
         yield int(counts[start])
         for _ in range(length):
-            counts = np.where(allowed, counts[det], 0).sum(axis=1)
+            counts = np.add.reduceat(counts[target], first[:-1])
             yield int(counts[start])
 
     def word_count(self, length: int) -> int:
@@ -366,11 +385,8 @@ class SoficPresentation:
         state's own allowed letters, so lexicographic input stays
         lexicographic and no temporary has more entries than the output has
         words."""
-        det, _ = self._det
-        state_of, letter = np.nonzero(det >= 0)  # row-major: letters ascending
-        target = det[state_of, letter]
+        letter, target, first = self._det_edges
         letter = letter.astype(words.dtype)
-        first = np.searchsorted(state_of, np.arange(det.shape[0] + 1))
         degree = np.diff(first)
         for _ in range(steps):
             fan = degree[states]
@@ -427,19 +443,10 @@ class SoficPresentation:
     @cached_property
     def _pair_dist(self) -> np.ndarray:
         """Shortest nonempty path lengths between ordered vertex pairs (-1
-        when unreachable): one breadth-first search from every source at
-        once, a float32 matrix product per level (its entries count at most
-        n vertices, so they are exact)."""
-        adj = self._adjacency.astype(np.float32)
-        frontier = seen = self._adjacency
-        dist = np.where(frontier, 1, -1)
-        d = 1
-        while frontier.any():
-            d += 1
-            frontier = (frontier.astype(np.float32) @ adj > 0) & ~seen
-            dist[frontier] = d
-            seen = seen | frontier
-        return dist
+        when unreachable): ``_levels`` from every source's out-neighbours
+        at once, plus the first edge."""
+        level = _levels(self._adjacency, self._adjacency)
+        return np.where(level >= 0, level + 1, -1)
 
     def shortest_path_edges(self, src: int, dst: int) -> tuple[int, ...]:
         """Edge list of a shortest nonempty path src -> dst, the

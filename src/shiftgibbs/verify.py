@@ -688,8 +688,11 @@ def decoupling_1d_tables(presentation: SoficPresentation, potential: Potential,
 
     add("nonempty_classes", float(expected), float(realized), expected <= realized)
     add("cardinality_lower", 1.0, float(min_size), 1 <= min_size)
-    add("cardinality_upper", float(max_size), float(card_bound),
-        max_size <= card_bound)
+    try:
+        card_rhs = float(card_bound)
+    except OverflowError:  # past the float range
+        card_rhs = math.inf
+    add("cardinality_upper", float(max_size), card_rhs, max_size <= card_bound)
 
     # trick: Z_n(v) <= Zbar_n(v) <= (2q+1)^2 Z_n(v), the union taking each
     # word once per class (v, w-, w+) it lies in; each row is the first

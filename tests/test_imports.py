@@ -42,6 +42,10 @@ Every certificate under ``src/shiftgibbs/`` reads its gap q as
 ``cli._cmd_gap`` (the one command that offers the exact-length variant),
 and ``._pair_dist`` is read only in ``shifts.py``.
 
+No module under ``src/shiftgibbs/`` has a ``while <expr>.any():`` loop
+outside ``shifts._levels``: every breadth-first search is that one
+frontier loop.
+
 No module under ``src/shiftgibbs/`` imports ``dataclasses``, uses
 ``namedtuple`` or ``NamedTuple``, or calls ``exec``, ``eval`` or
 ``compile``: importing the package compiles no generated code, and
@@ -562,3 +566,50 @@ def test_scan_finds_generated_code():
         "line 9: exec('x = 1')",
         "line 10: eval('1 + 1')",
         "line 11: compile('1', '<s>', 'eval')"]
+
+
+def frontier_loops(module: str, source: str) -> list[str]:
+    """``line N: text`` for each ``while <expr>.any():`` loop in ``source``
+    (the file ``module``) outside ``shifts.py``'s module-level
+    ``_levels``."""
+    tree = ast.parse(source)
+    allowed = {id(node) for function in tree.body
+               if module == "shifts.py" and isinstance(function, ast.FunctionDef)
+               and function.name == "_levels" for node in ast.walk(function)}
+    found = []
+    for node in ast.walk(tree):
+        test = getattr(node, "test", None)
+        if (isinstance(node, ast.While) and id(node) not in allowed
+                and isinstance(test, ast.Call) and isinstance(test.func, ast.Attribute)
+                and test.func.attr == "any"):
+            found.append((node.lineno, node.col_offset, f"while {ast.unparse(test)}:"))
+    return [f"line {line}: {text}" for line, _col, text in sorted(found)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_one_frontier_loop(path):
+    assert frontier_loops(path.name, path.read_text(encoding="utf-8")) == []
+
+
+def test_scan_finds_frontier_loops():
+    source = ("def _levels(support, seed):\n"
+              "    while frontier.any():\n        depth += 1\n"
+              "def strongly_connected(support):\n"
+              "    for adj in (support, support.T):\n"
+              "        while frontier.any():\n            pass\n"
+              "def support_period(support):\n"
+              "    while frontier.any():\n        depth += 1\n"
+              "class SoficPresentation:\n"
+              "    def _pair_dist(self):\n"
+              "        while frontier.any():\n            d += 1\n"
+              "while True:\n    break\n"
+              "while not power.all():\n    pass\n"
+              "while any(rows):\n    pass\n"
+              "while (a & b).any(axis=0):\n    pass\n")
+    assert frontier_loops("shifts.py", source) == [
+        "line 6: while frontier.any():", "line 9: while frontier.any():",
+        "line 13: while frontier.any():", "line 21: while (a & b).any(axis=0):"]
+    assert frontier_loops("verify.py", source) == [
+        "line 2: while frontier.any():", "line 6: while frontier.any():",
+        "line 9: while frontier.any():", "line 13: while frontier.any():",
+        "line 21: while (a & b).any(axis=0):"]

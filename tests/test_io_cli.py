@@ -543,6 +543,22 @@ class TestCli:
         else:
             assert out == "" and text in err
 
+    def test_1d_cardinality_bound_past_the_float_range(self, tmp_path):
+        # a 35-cycle with a letter of its own on each edge has gap 35, so
+        # the class cardinality bound 71^2 * 35^210 has no float: the row
+        # prints inf and still compares the exact integers
+        symbols = [f"s{i:03d}" for i in range(35)]
+        path = tmp_path / "ring35.shift"
+        path.write_text("\n".join([f"vertex {a}" for a in symbols] + [
+            f"edge {a} {b} {b}" for a, b in zip(symbols, symbols[1:] + symbols[:1])])
+            + "\n", encoding="utf-8")
+        got, out, err = cli_in_process([
+            "lemma", "--which", "1d", "--shift", path, "--potential",
+            data_path("zero.pot"), "--n", "106", "--m", "0"])
+        assert (got, err) == (0, "")
+        rows = [line for line in out.splitlines() if line.startswith("cardinality_upper")]
+        assert rows == ["cardinality_upper\t1\tinf\ttrue"] * 35
+
     @pytest.mark.parametrize("shift, args", [
         ("full2.shift", ("weakgibbs", "--potential", "site_a.pot", "--m", "12..12")),
         # counts past Python's int-to-str digit limit (4,300 digits)

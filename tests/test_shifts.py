@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -12,7 +13,7 @@ from shiftgibbs import (Alphabet, BlockCode, Point, SoficPresentation,
                         point_from_words, sft_presentation, splice)
 from shiftgibbs.bundled import BINARY, data_path, golden_mean, ten_detector_code
 from shiftgibbs.fileio import load_shift
-from shiftgibbs.shifts import (_forbidden_test, _forward_infinite,
+from shiftgibbs.shifts import (_forbidden_test, _forward_infinite, _levels,
                                strongly_connected, support_period)
 from test_pressure import random_right_resolving
 
@@ -128,6 +129,35 @@ class TestEnumeration:
         for n in range(0, 5):
             assert ev.word_count(2 * n + 1) == len(enumerate_words(ev, n))
 
+    def test_counts_against_brute_counts(self):
+        # the 256-letter cycle's automaton has 257 states of one live letter
+        # each past the start state
+        rng = random.Random(41)
+        cases = ([(load_shift(data_path(name)), range(11))
+                  for name in BUNDLED_SHIFT_FILES]
+                 + [(random_right_resolving(rng), range(8)) for _ in range(40)]
+                 + [(random_essential_graph(rng), range(8)) for _ in range(40)]
+                 + [(ring_shift(256, (1,)), (0, 1, 2, 3, 128, 255, 256, 257))])
+        for pres, lengths in cases:
+            counts = list(pres._counts(max(lengths)))
+            paths = list(path_word_counts(pres, max(lengths)))
+            for length in lengths:
+                assert counts[length] == len(pres.word_matrix(length)) == paths[length]
+
+    def test_word_count_memory_on_a_wide_cycle(self):
+        # the counts extend over the automaton's 257 edges, not over its
+        # 257 x 256 states x letters table
+        pres = ring_shift(256, (1,))
+        assert pres.word_count(0) == 1  # the automaton and its edges, untraced
+        tracemalloc.start()
+        try:
+            count = pres.word_count(257)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 256
+        assert peak < 64 * 2 ** 10
+
     def test_guard_refuses_exactly_above_the_cap(self):
         rng = random.Random(5)
         for _ in range(30):
@@ -162,6 +192,96 @@ class TestEnumeration:
             ev.check_volume(200001)
         assert counted[-2] <= 2_000_000 < counted[-1]
         assert len(counted) < 40
+
+
+def path_word_counts(p, length):
+    """Oracle: yield the number of distinct label sequences of paths of each
+    length 0..length, grown as a set of (word, end vertex) pairs."""
+    pairs = {((), v) for v in range(p.n_vertices)}
+    yield 1
+    for _ in range(length):
+        pairs = {(w + (p.edge_symbol(e),), p.edge_target(e))
+                 for w, v in pairs for e in p.out_edges(v)}
+        yield len({w for w, _v in pairs})
+
+
+def bfs_levels(support, sources):
+    """Oracle: breadth-first levels from the vertex list ``sources`` by a
+    Python queue: 0 on a source, else one more than the level of the vertex
+    it is first reached from, -1 where no path arrives."""
+    n = len(support)
+    level = [-1] * n
+    for v in sources:
+        level[v] = 0
+    queue = list(sources)
+    for v in queue:
+        for w in range(n):
+            if support[v][w] and level[w] < 0:
+                level[w] = level[v] + 1
+                queue.append(w)
+    return level
+
+
+def drawn_supports(seed, count):
+    """The two one-vertex supports, then ``count`` random supports on 1..8
+    vertices, each followed by a copy with one vertex's in-edges cut."""
+    rng = np.random.default_rng(seed)
+    yield np.zeros((1, 1), dtype=bool)
+    yield np.ones((1, 1), dtype=bool)
+    for _ in range(count):
+        n = int(rng.integers(1, 9))
+        g = rng.random((n, n)) < rng.uniform(0.1, 0.6)
+        yield g
+        cut = g.copy()
+        cut[:, rng.integers(n)] = False
+        yield cut
+
+
+class TestLevels:
+    """``_levels`` through its three callers on drawn supports, against
+    Python breadth-first searches."""
+
+    def test_strongly_connected(self):
+        connected = 0
+        for g in drawn_supports(31, 1000):
+            want = all(min(bfs_levels(s, [0])) >= 0 for s in (g, g.T))
+            assert strongly_connected(g) == want
+            connected += want
+        assert 0 < connected < 2002
+
+    def test_support_period(self):
+        periods = set()
+        for g in drawn_supports(37, 1000):
+            level = bfs_levels(g, [0])
+            want = math.gcd(*(level[v] + 1 - level[w]
+                              for v, w in zip(*np.nonzero(g)) if level[v] >= 0))
+            assert support_period(g) == want
+            if strongly_connected(g):
+                # the gcd of the closed walks of length at most n, which
+                # include every simple cycle
+                power, closed = np.eye(len(g), dtype=bool), []
+                for k in range(1, len(g) + 1):
+                    power = power.astype(np.int64) @ g.astype(np.int64) > 0
+                    if power.diagonal().any():
+                        closed.append(k)
+                assert want == math.gcd(*closed)
+                periods.add(want)
+        assert periods >= {0, 1, 2}  # 0: the one vertex without a loop
+
+    def test_pair_dist(self):
+        essential = 0
+        for g in drawn_supports(43, 1000):
+            n = len(g)
+            level = _levels(g, g)
+            assert level.tolist() == [bfs_levels(g, np.flatnonzero(g[s]).tolist())
+                                      for s in range(n)]
+            if g.any(axis=0).all() and g.any(axis=1).all():
+                p = SoficPresentation(BINARY, [str(v) for v in range(n)],
+                                      [(str(v), str(w), "0")
+                                       for v, w in zip(*np.nonzero(g))])
+                assert np.array_equal(p._pair_dist, oracle_pair_dist(p))
+                essential += 1
+        assert essential > 300
 
 
 class TestGraphPredicates:
