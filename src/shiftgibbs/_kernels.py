@@ -12,10 +12,10 @@ so from the first table equal to an earlier one the sequence runs round a
 cycle of stored tables, computed once.  Every length is a set of (prefix,
 suffix map) pairs, a length up to the context length R with the identity
 table, and one routine sums them, once per prefix level and distinct
-table: first over the prefix's image (grouped by state only at R letters,
-where it has at most one state per vertex), then S-wide only where a pair
-may attain the maximum.  Every sum runs in blocks of about ``BLOCK``
-terms.  Cylinder probabilities are not computed here:
+table: first over the prefix's image, its map's targets with their mass
+grouped by state (at R letters at most one state per vertex), then S-wide
+only where a pair may attain the maximum.  Every sum runs in blocks of
+about ``BLOCK`` terms.  Cylinder probabilities are not computed here:
 ``measures.cylinder_prob`` is their one route.
 
 Every site in the package that numbers keys densely (word classes, lemma
@@ -252,23 +252,24 @@ def class_deviation(delta, step, log_start, log_end, step_tables, prefixes,
                      exp(log_h[p, sigma] + log_end[t_sigma(u')]),
 
     with T_p the image of p's map and ``log_h`` the log of the mass of
-    ``g[p, .]`` on each image state (``_images``).  Only at R letters does
-    grouping shorten the sum: every state of T_p then has the context p, so
-    there is at most one per vertex.  A shorter level keeps T_p = p's map
-    and ``log_h = log g``, the S-wide operands.  The short sum runs over
-    every pair, in blocks of about ``BLOCK`` terms; a pair with no live term
-    is not a class.  The suffix tables are built first, then each prefix
-    level is walked, evaluated and dropped.  Lengths whose suffix levels
-    lie on the tables' cycle a whole number of periods apart read one
-    table object, and each prefix level evaluates each distinct table
-    once.
+    ``g[p, .]`` on each image state (``_images``).  Every prefix level is
+    grouped so; at R letters every state of T_p has the context p, so
+    there is at most one per vertex, and a shorter level's image may be as
+    wide as S.  The short sum runs over every pair, in blocks of about
+    ``BLOCK`` terms; a pair with no live term is not a class.  The suffix
+    tables are built first, then each prefix level is walked, evaluated and
+    dropped, and each of its lengths L reads the table of level L - k.
+    Lengths whose suffix levels lie on the tables' cycle a whole number of
+    periods apart read one table object, and each prefix level evaluates
+    each distinct table once.
 
     The short sum may round differently from the S-wide one, so it only
     picks the pairs to re-sum S-wide, with the map ``table[j][maps_p]``, in
     blocks of ``max(1, BLOCK // S)`` pairs.  The margin, one per prefix
-    level: let eps be the machine epsilon and ``a = max |log g| + max
-    |log_end|`` over finite entries (an entry of ``log g`` on a path into
-    the dead sink is finite too, and only widens the margin).  A term of
+    level, holds at every level: let eps be the machine epsilon and ``a =
+    max |log g| + max |log_end|`` over finite entries (an entry of ``log
+    g`` on a path into the dead sink is finite too, and only widens the
+    margin).  A term of
     the S-wide sum is at most ``a`` in size; ``|log_h| <= max |log g| +
     log S``, so a term of the short sum is at most ``a + S``.  A
     log-sum-exp of at most S terms of size at most A is 1-Lipschitz in its
@@ -289,27 +290,23 @@ def class_deviation(delta, step, log_start, log_end, step_tables, prefixes,
         return worst
     dead = delta.shape[1] - 1
     width = min(prefix_len, int(lengths.max()))
-    suffix_len = lengths - np.minimum(lengths, width)
+    prefix_of = np.minimum(lengths, width)
+    suffix_len = lengths - prefix_of
     end_size = np.abs(log_end[:-1]).max(initial=0.0)
     # suffix length -> its table of maps (one object for repeating levels)
     levels = enumerate(word_classes(delta, int(suffix_len.max())))
     tables = {n: table for n, table in levels if (suffix_len == n).any()}
-    for length in dict.fromkeys(np.minimum(lengths, width).tolist()):
-        maps, log_g = _walk(delta, step, prefixes[length], log_start, step_tables)
+    for prefix in dict.fromkeys(prefix_of.tolist()):
+        maps, log_g = _walk(delta, step, prefixes[prefix], log_start, step_tables)
         margin = 64 * np.finfo(float).eps * (dead + np.abs(log_g).max(initial=0.0)
                                              + end_size)
-        grouped = _images(maps, log_g, dead) if length == prefix_len else (maps, log_g)
-        level = (maps, log_g, *grouped, margin)
-        if length < width:
-            worst[lengths == length] = _pair_level(level, tables[0], log_end)
-            continue
+        level = (maps, log_g, *_images(maps, log_g, dead), margin)
         value = {}  # id of a suffix table -> its value at this level
-        for suffix, table in tables.items():
-            hit = lengths == width + suffix
-            if hit.any():
-                if id(table) not in value:
-                    value[id(table)] = _pair_level(level, table, log_end)
-                worst[hit] = value[id(table)]
+        for length in dict.fromkeys(lengths[prefix_of == prefix].tolist()):
+            table = tables[length - prefix]
+            if id(table) not in value:
+                value[id(table)] = _pair_level(level, table, log_end)
+            worst[lengths == length] = value[id(table)]
     return worst
 
 

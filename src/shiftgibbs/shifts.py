@@ -658,7 +658,10 @@ def decoupling_gap(presentation: SoficPresentation,
     bounded-length: ``presentation.gap``, every ordered vertex pair joined
     by a nonempty path of length at most q.  exact-length: the minimal q
     whose q-th Boolean adjacency power is all-positive, every pair joined by
-    a path of length exactly q (requires aperiodicity).
+    a path of length exactly q (requires aperiodicity).  ``gap`` refuses a
+    reducible graph and the aperiodicity check a periodic one, so the graph
+    is primitive and, by Wielandt's bound on the exponent of a primitive
+    n-vertex graph, q <= (n - 1)**2 + 1: the loop ends.
     """
     if variant not in ("bounded-length", "exact-length"):
         raise ValidationError(f"unknown gap variant {variant!r}")
@@ -667,15 +670,11 @@ def decoupling_gap(presentation: SoficPresentation,
         return bounded
     if not presentation.aperiodic:
         raise ValidationError("exact-length gap does not exist: graph is periodic")
-    n = presentation.n_vertices
     power = adj = presentation._adjacency
     q = 1
-    limit = (n - 1) * (n - 1) + 2
     while not power.all():
         power = (power.astype(np.int64) @ adj.astype(np.int64)) > 0
         q += 1
-        if q > limit:
-            raise ValidationError("exact-length gap does not exist: graph is periodic")
     return q
 
 

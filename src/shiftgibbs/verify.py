@@ -16,8 +16,10 @@ exterior ids as the 212 suite (``_exterior_ids``), finds the worst pair
 over every pair and shift, and makes ``Word`` objects for that pair alone.
 The other two suites are split in two: a tables builder
 (``lemma_212_tables``, ``decoupling_1d_tables``) does everything that does
-not read the center word once per volume, and the per-center check
-(``lemma_212_check``, ``decoupling_1d_check``) adds the rows that do.
+not read the center word once per volume and holds every per-center
+quantity as an array indexed by center class, and the per-center check
+(``lemma_212_check``, ``decoupling_1d_check``) finds the center's class
+(``_center_id``) and adds the rows that read it, one lookup each.
 Every certificate here, the weak-Gibbs bound included, reads its gap q
 from the presentation (``SoficPresentation.gap``); no caller passes one.
 """
@@ -456,10 +458,11 @@ def lemma_211_worst(presentation: SoficPresentation, potential: Potential,
 @record(eq=False)
 class Lemma212Tables:
     """The center-free part of the 212 suite at one (n, m, j): the brute
-    partition, the class ids and exact class sums (times 2**_SHIFT),
-    the rows that do not read the center word, and the constants.
-    ``lemma_212_check`` evaluates one center word from them; q is the
-    presentation's gap."""
+    partition, every per-center quantity as an array indexed by center
+    class (the exact class sums times 2**_SHIFT, the exterior counts), the
+    rows that do not read the center word, and the constants.
+    ``lemma_212_check`` evaluates one center word from them by lookups; q
+    is the presentation's gap."""
 
     presentation: SoficPresentation
     potential: Potential
@@ -469,10 +472,9 @@ class Lemma212Tables:
     partition: BrutePartition
     scale: float
     z_n: int
-    center_ids: np.ndarray   # center pattern class per (shift, word)
-    center_reps: tuple[np.ndarray, np.ndarray]  # (class, a word showing it) at shift 0
-    ext_ids: np.ndarray      # exterior class per word
+    centers: np.ndarray      # the center words in class order, one row each
     n_ext: int
+    ext_count: np.ndarray    # exteriors of the words showing each center at some shift
     z_ell: np.ndarray        # Z_{n,ell}(v) per (shift, center class)
     records: tuple[InequalityRecord, ...]
     constants: dict
@@ -481,10 +483,12 @@ class Lemma212Tables:
 @record(eq=False)
 class Decoupling1dTables:
     """The center-free part of the 1d suite at one (n, m, j, q_bar): the
-    brute partition, the class ids and exact class sums (times 2**_SHIFT),
-    the rows that do not read the center word, and the constants.  The
-    lemma's premise asks q_bar to reach the presentation's gap.
-    ``decoupling_1d_check`` evaluates one center word from them."""
+    brute partition, every per-center quantity as an array indexed by
+    center class (the exact class sums times 2**_SHIFT, the energy
+    sandwich's worst spread), the rows that do not read the center word,
+    and the constants.  The lemma's premise asks q_bar to reach the
+    presentation's gap.  ``decoupling_1d_check`` evaluates one center word
+    from them by lookups."""
 
     presentation: SoficPresentation
     potential: Potential
@@ -497,11 +501,8 @@ class Decoupling1dTables:
     partition: BrutePartition
     scale: float
     z_n: int
-    center_reps: tuple[np.ndarray, np.ndarray]  # (center class, a word showing it)
-    class_keys: np.ndarray   # sorted packed keys center * n_tails + tail pair
-    n_tails: int
-    g_min: np.ndarray        # per (v, w-, w+) class: least energy minus center energy
-    g_max: np.ndarray        # ... and the greatest
+    centers: np.ndarray      # the center words in class order, one row each
+    est: np.ndarray          # worst energy spread against each center's classes
     z_v: np.ndarray          # Z_n(v) per center class
     records: tuple[InequalityRecord, ...]
     constants: dict
@@ -515,16 +516,19 @@ def require_center(presentation: SoficPresentation, m: int, u_bar: Word) -> None
 
 
 def _center_id(tables, u_bar: Word) -> int:
-    """The class id of the center word: the class in ``tables.center_reps``
-    whose representative word shows it on the center window [j - m, j + m]."""
+    """The class id of the center word: its row in ``tables.centers``.
+    Class ids follow the lexicographic order of the center words, and every
+    letter is one byte (``_check_context_space`` refuses more than 256
+    letters), so the rows sort as their bytes do and one ``np.searchsorted``
+    over a void view of them finds the row."""
     require_center(tables.presentation, tables.m, u_bar)
-    n, m, j = tables.n, tables.m, tables.j
-    ids, reps = tables.center_reps
-    rows = (tables.partition.words[reps, n + j - m:n + j + m + 1]
-            == u_bar.letters).all(axis=1)
-    if not rows.any():
+    centers = tables.centers
+    row = np.dtype((np.void, centers.shape[1] * centers.itemsize))
+    key = np.array(u_bar.letters, dtype=centers.dtype).view(row)
+    c = int(np.searchsorted(centers.view(row).ravel(), key)[0])
+    if c == centers.shape[0] or centers[c].tobytes() != key.tobytes():
         raise ValidationError("center word does not extend to the volume")
-    return ids[rows.argmax()]
+    return c
 
 
 def lemma_212_tables(presentation: SoficPresentation, potential: Potential,
@@ -552,6 +556,13 @@ def lemma_212_tables(presentation: SoficPresentation, potential: Potential,
     # shifts, in byte order of the patterns) and each word's exterior
     center_ids, n_centers = _shifted_class_ids(words, (j - m, j + m), shifts)
     ext_ids, n_ext = _exterior_ids(words, j, m + q)
+    # the exteriors of the words that show each center at some shift, from
+    # a center x exterior table: when decoupling_nonempty holds, every
+    # entry is a realized (center, exterior) pair, so it holds at most
+    # (2q+1) x words entries
+    seen = np.zeros((n_centers, n_ext), dtype=bool)
+    seen[center_ids, ext_ids] = True
+    ext_count = np.count_nonzero(seen, axis=1)
 
     # Z_{n,ell}(v) per (shift, center), one shift at a time; each shift
     # splits Z_n.  Zbar(v) takes each word once per center it shows at
@@ -590,8 +601,8 @@ def lemma_212_tables(presentation: SoficPresentation, potential: Potential,
     reps = _kernels.dense_ids(center_ids[q], n_centers)[1]
     return Lemma212Tables(
         presentation, potential, n, m, j, bp, scale, z_n,
-        center_ids, (center_ids[q, reps], reps), ext_ids,
-        n_ext, z_ell, tuple(records),
+        words[reps, n + j - m:n + j + m + 1], n_ext, ext_count, z_ell,
+        tuple(records),
         {"log_C": sandwich_log_constant(potential, m, q),
          "log_K": ratio_log_constant(potential, m, q, len(presentation.alphabet)),
          "P_m": finite_pressure(presentation, potential, m)})
@@ -608,8 +619,7 @@ def lemma_212_check(tables: Lemma212Tables, u_bar: Word) -> LemmaReport:
     log_k, p_m = t.constants["log_K"], t.constants["P_m"]
     log_z_n = _log_scaled(t.z_n, t.scale)
     # nonemptiness of the union classes for the word
-    u_ext = int(np.count_nonzero(np.bincount(
-        t.ext_ids[(t.center_ids == u_id).any(axis=0)])))
+    u_ext = int(t.ext_count[u_id])
     u_energy = energy(t.potential, u_bar)
     lhs_up = _log_scaled(t.z_ell[q, u_id], t.scale) - log_z_n
     rhs_up = math.log(2 * q + 1) + log_k + u_energy - length * p_m
@@ -711,19 +721,29 @@ def decoupling_1d_tables(presentation: SoficPresentation, potential: Potential,
     add("trick_upper", log_terms(z_bar[c]), log_terms(n_pairs * z_v[c]),
         z_bar[c] <= n_pairs * z_v[c])
 
-    # per-class extremes of the energy outside the center, for the energy
-    # sandwich against the class of the center word
+    # energy sandwich: est[u] is the largest spread max(g_max(v, w-, w+) -
+    # g_min(u, w-, w+), g_max(u, w-, w+) - g_min(v, w-, w+)) over the
+    # classes of u and every class sharing both tails, with g the energy
+    # outside the center.  Float subtraction rounds monotonically, so the
+    # max over v is each tail pair's top minus g_min, bit for bit
     g = energies - word_energies(potential, words[:, center])
     g_min = np.full(realized, np.inf)
     g_max = np.full(realized, -np.inf)
     np.minimum.at(g_min, pair_class, g[pair_word])
     np.maximum.at(g_max, pair_class, g[pair_word])
+    class_center, class_tail = np.divmod(class_keys, n_tails)
+    top = np.full(n_tails, -np.inf)
+    bottom = np.full(n_tails, np.inf)
+    np.maximum.at(top, class_tail, g_max)
+    np.minimum.at(bottom, class_tail, g_min)
+    est = np.full(n_centers, -np.inf)
+    np.maximum.at(est, class_center, np.maximum(top[class_tail] - g_min,
+                                                g_max - bottom[class_tail]))
 
     reps = _kernels.dense_ids(center_ids, n_centers)[1]
     return Decoupling1dTables(
         presentation, potential, n, m, j, q_bar, lam_minus, lam_plus, bp,
-        scale, z_n, (center_ids[reps], reps), class_keys,
-        n_tails, g_min, g_max, z_v, tuple(records),
+        scale, z_n, words[reps, center], est, z_v, tuple(records),
         {"log_C_prime": sandwich_1d_log_constant(potential, m, q_bar),
          "log_K_bar": ratio_1d_log_constant(potential, m, q_bar,
                                             len(presentation.alphabet)),
@@ -742,13 +762,7 @@ def decoupling_1d_check(tables: Decoupling1dTables, u_bar: Word) -> LemmaReport:
                           t.constants["P_m"])
 
     # energy sandwich between each class (v, w-, w+) and (u_bar, w-, w+)
-    keys = t.class_keys
-    ref_keys = u_id * t.n_tails + keys % t.n_tails
-    ref = np.minimum(np.searchsorted(keys, ref_keys), len(keys) - 1)
-    has = keys[ref] == ref_keys
-    spread = np.maximum(t.g_max[has] - t.g_min[ref[has]],
-                        t.g_max[ref[has]] - t.g_min[has])
-    worst_est = float(spread.max()) if spread.size else 0.0
+    worst_est = float(t.est[u_id])
 
     # final two-sided ratio bound with exact constants
     pair_log = 2 * math.log(2 * t.q_bar + 1)

@@ -50,6 +50,11 @@ No module under ``src/shiftgibbs/`` imports ``dataclasses``, uses
 ``namedtuple`` or ``NamedTuple``, or calls ``exec``, ``eval`` or
 ``compile``: importing the package compiles no generated code, and
 ``_records.record`` makes its record classes.
+
+The per-center checks ``verify.lemma_212_check`` and
+``verify.decoupling_1d_check`` read no ``np`` name: their tables hold every
+per-center quantity as an array indexed by center class, so a check is
+lookups.
 """
 
 import ast
@@ -613,3 +618,59 @@ def test_scan_finds_frontier_loops():
         "line 2: while frontier.any():", "line 6: while frontier.any():",
         "line 9: while frontier.any():", "line 13: while frontier.any():",
         "line 21: while (a & b).any(axis=0):"]
+
+
+LOOKUP_CHECKS = ("lemma_212_check", "decoupling_1d_check")
+
+
+def array_work_in_checks(source: str) -> list[str]:
+    """``line N: text`` for each attribute of ``np`` read, or other read of
+    the name ``np``, inside a module-level function of ``source`` named in
+    ``LOOKUP_CHECKS``."""
+    found = []
+    for function in ast.parse(source).body:
+        if not (isinstance(function, ast.FunctionDef)
+                and function.name in LOOKUP_CHECKS):
+            continue
+        roots = set()
+        for node in ast.walk(function):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "np"):
+                roots.add(id(node.value))
+                found.append((node.lineno, node.col_offset, ast.unparse(node)))
+        for node in ast.walk(function):
+            if (isinstance(node, ast.Name) and node.id == "np"
+                    and id(node) not in roots):
+                found.append((node.lineno, node.col_offset, "np"))
+    return [f"line {line}: {text}" for line, _col, text in sorted(found)]
+
+
+def test_checks_are_lookups():
+    source = (ROOT / "src" / "shiftgibbs" / "verify.py").read_text(encoding="utf-8")
+    defined = {f.name for f in ast.parse(source).body if isinstance(f, ast.FunctionDef)}
+    assert set(LOOKUP_CHECKS) <= defined
+    assert array_work_in_checks(source) == []
+
+
+def test_scan_finds_array_work_in_checks():
+    source = ("def lemma_212_check(tables, u_bar):\n"
+              "    t = tables\n"
+              "    u_ext = int(np.count_nonzero(np.bincount(\n"
+              "        t.ext_ids[(t.center_ids == u_id).any(axis=0)])))\n"
+              "    return u_ext\n"
+              "def decoupling_1d_check(tables, u_bar):\n"
+              "    keys = tables.class_keys\n"
+              "    ref = np.minimum(np.searchsorted(keys, ref_keys), len(keys) - 1)\n"
+              "    spread = np.maximum(g_max[has] - g_min[ref[has]],\n"
+              "                        g_max[ref[has]] - g_min[has])\n"
+              "    xp = np\n"
+              "    return float(tables.est[u_id])\n"
+              "def _center_id(tables, u_bar):\n"
+              "    return int(np.searchsorted(tables.centers, key)[0])\n"
+              "class Suite:\n"
+              "    def lemma_212_check(self):\n"
+              "        return np.zeros(1)\n")
+    assert array_work_in_checks(source) == [
+        "line 3: np.count_nonzero", "line 3: np.bincount",
+        "line 8: np.minimum", "line 8: np.searchsorted", "line 9: np.maximum",
+        "line 11: np"]

@@ -344,6 +344,15 @@ class TestDecouplingGap:
             decoupling_gap(periodic, "exact-length")
         assert decoupling_gap(periodic, "bounded-length") == 2
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_exact_gap_on_wielandts_graph(self, n):
+        # the n-cycle with the chord n-1 -> 1 attains Wielandt's bound
+        # (n - 1)**2 + 1 on the exponent of a primitive n-vertex graph
+        cycle = [(str(v), str((v + 1) % n), "0") for v in range(n)]
+        pres = SoficPresentation(BINARY, [str(v) for v in range(n)],
+                                 cycle + [(str(n - 1), "1", "1")])
+        assert decoupling_gap(pres, "exact-length") == (n - 1) ** 2 + 1
+
     def test_bounded_gap_is_tight(self, gm, ev, full):
         # reachability within q steps is total; within q-1 it is not
         for pres in (gm, ev, full):

@@ -845,11 +845,13 @@ class TestLemmaOracles:
                             checked += 1
         assert checked > 0
 
-    @pytest.mark.parametrize("shift, pot", bundled_file_pairs()[::3])
+    @pytest.mark.parametrize("shift, pot", bundled_file_pairs())
     def test_class_tables_match_unique(self, shift, pot):
-        # the class ids, keys and center representatives of both suites
-        # against np.unique over np.void views of the windows (one
-        # potential per shift: the classes do not read it)
+        # the per-center arrays of both suites against oracles built on
+        # np.unique over np.void views of the windows: the center words
+        # (np.unique of the rows), the 1d suite's est (the pairwise spread
+        # over the sorted class keys, per center) and the 212 suite's
+        # exterior counts (Python sets)
         pres, potential = load_pair(shift, pot)
         gap = decoupling_gap(pres, "bounded-length")
         checked = set()
@@ -862,7 +864,7 @@ class TestLemmaOracles:
                     continue
                 for j in (-1, 0, 1):
                     t = decoupling_1d_tables(pres, potential, n, m, j, q_bar=q_bar)
-                    words = t.partition.words
+                    words, energies = t.partition.words, t.partition.energies
 
                     def ids_at(lo, hi):
                         ids, n_ids = void_class_ids(np.concatenate(
@@ -870,26 +872,50 @@ class TestLemmaOracles:
                              for ell in shifts]))
                         return ids.reshape(len(shifts), -1), n_ids
 
-                    center_ids = void_class_ids(words[:, n + j - m:n + j + m + 1])[0]
+                    center = words[:, n + j - m:n + j + m + 1]
+                    center_ids, n_centers = void_class_ids(center)
                     minus_ids, _ = ids_at(*t.lam_minus)
                     plus_ids, n_plus = ids_at(*t.lam_plus)
                     tails, tail_ids = np.unique(
                         (minus_ids[:, None] * n_plus + plus_ids[None]).ravel(),
                         return_inverse=True)
-                    keys = np.unique(np.tile(center_ids, len(shifts) ** 2)
-                                     * len(tails) + tail_ids.ravel())
-                    assert t.n_tails == len(tails)
-                    assert np.array_equal(t.class_keys, keys)
-                    ids, reps = t.center_reps
-                    assert np.array_equal(ids, np.unique(center_ids))
-                    assert np.array_equal(center_ids[reps], ids)
+                    keys, class_ids = np.unique(
+                        np.tile(center_ids, len(shifts) ** 2) * len(tails)
+                        + tail_ids.ravel(), return_inverse=True)
+                    assert np.array_equal(t.centers, np.unique(center, axis=0))
+                    g = np.tile(energies - word_energies(potential, center),
+                                len(shifts) ** 2)
+                    g_min = np.full(len(keys), np.inf)
+                    g_max = np.full(len(keys), -np.inf)
+                    np.minimum.at(g_min, class_ids, g)
+                    np.maximum.at(g_max, class_ids, g)
+                    est = []
+                    for u_id in range(n_centers):
+                        ref_keys = u_id * len(tails) + keys % len(tails)
+                        ref = np.minimum(np.searchsorted(keys, ref_keys),
+                                         len(keys) - 1)
+                        has = keys[ref] == ref_keys
+                        est.append(np.maximum(g_max[has] - g_min[ref[has]],
+                                              g_max[ref[has]] - g_min[has]).max())
+                    assert np.array_equal(t.est, est)
                     checked.add("1d")
         for m in (0, 1):
             for j in (-1, 0, 1):
-                t = lemma_212_tables(pres, potential, m + gap + 1, m, j)
-                ids, reps = t.center_reps
-                assert np.array_equal(ids, np.unique(t.center_ids[gap]))
-                assert np.array_equal(t.center_ids[gap][reps], ids)
+                n = m + gap + 1
+                t = lemma_212_tables(pres, potential, n, m, j)
+                words = t.partition.words
+                at_shift = [words[:, n + j + ell - m:n + j + ell + m + 1]
+                            for ell in range(-gap, gap + 1)]
+                assert np.array_equal(t.centers, np.unique(at_shift[gap], axis=0))
+                assert np.array_equal(
+                    t.centers, np.unique(np.concatenate(at_shift), axis=0))
+                exterior = np.abs(np.arange(-n, n + 1) - j) > m + gap
+                exteriors = {}
+                for windows in at_shift:
+                    for row, ext in zip(windows, words[:, exterior]):
+                        exteriors.setdefault(row.tobytes(), set()).add(ext.tobytes())
+                assert t.ext_count.tolist() == [
+                    len(exteriors[row.tobytes()]) for row in t.centers]
                 checked.add("212")
         assert checked == {"212", "1d"}
 
@@ -962,6 +988,47 @@ class TestLemmaOracles:
             check(tables, word((0,)))
         with pytest.raises(ValidationError, match="symmetric window"):
             check(tables, word((0, 0)))
+
+    @pytest.mark.parametrize("suite", ["212", "1d"])
+    def test_center_id_is_the_row_of_the_center(self, full, pot_pair, suite):
+        # each center word's id is its row; with any one row dropped from
+        # the centers (first, middle or last), that word is refused and
+        # every other one finds its new row
+        if suite == "212":
+            tables = lemma_212_tables(full, pot_pair, 3, 1, 0)
+        else:
+            tables = decoupling_1d_tables(full, pot_pair, 5, 1, 0, q_bar=1)
+        centers = enumerate_words(full, 1)
+        assert [_center_id(tables, u) for u in centers] == list(range(len(centers)))
+        for dropped, u_dropped in enumerate(centers):
+            fewer = type(tables)(**{**vars(tables), "centers": np.delete(
+                tables.centers, dropped, axis=0)})
+            with pytest.raises(ValidationError, match="does not extend"):
+                _center_id(fewer, u_dropped)
+            assert [_center_id(fewer, u) for u in centers if u != u_dropped] == (
+                list(range(len(centers) - 1)))
+
+    @pytest.mark.parametrize("suite", ["212", "1d"])
+    def test_check_is_a_lookup(self, full, suite):
+        # one check call reads the tables' per-center entries: at the
+        # (2q+1) x words and class-key scans this replaced, a call peaked
+        # at 129 KiB (212) and 99 KiB (1d)
+        potential = load_potential(data_path("pair_beta.pot"), full.alphabet)
+        if suite == "212":
+            tables, check = lemma_212_tables(full, potential, 7, 3, 0), lemma_212_check
+        else:
+            tables = decoupling_1d_tables(full, potential, 8, 3, 0)
+            check = decoupling_1d_check
+        centers = enumerate_words(full, 3)
+        check(tables, centers[0])
+        tracemalloc.start()
+        try:
+            report = check(tables, centers[-1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.all_hold
+        assert peak < 16 * 2 ** 10
 
 
 def _dyadic_ints(values):
